@@ -1,9 +1,11 @@
 """Exact linear algebra layer.
 
-Integer kernels (rref/rank/nullspace/solve) come in two interchangeable
-implementations: a compiled Cython extension and a pure-Python fallback.
-The compiled one is used when importable; setting FANSHEAF_PURE=1 in the
-environment forces the fallback (the benchmark and parity tests use this).
+Rank is one sparse fraction-free elimination, written below; it is the
+only rank routine, whatever the kernel.  The canonical integer kernels
+(rref/nullspace/solve) come in two interchangeable implementations: a
+compiled Cython extension and a pure-Python fallback.  The compiled one
+is used when importable; setting FANSHEAF_PURE=1 in the environment
+forces the fallback (the benchmark and parity tests use this).
 
 The wrappers below accept matrices with Fraction or int entries.  Rows
 are scaled to integers first; row scaling changes neither row space,
@@ -29,7 +31,6 @@ else:
         KERNEL = "pure"
 
 rref_int = _impl.rref_int
-rank_int = _impl.rank_int
 nullspace_int = _impl.nullspace_int
 solve_int = _impl.solve_int
 
@@ -56,7 +57,71 @@ def rref(rows):
 
 
 def rank(rows):
-    return rank_int(scale_rows_to_int(rows))
+    """Rank over Q of a matrix with Fraction or int entries.
+
+    Sparse fraction-free elimination.  Each row is read once into a
+    {col: int} dict, its denominators cleared in the same pass.  The
+    pivot is taken from a shortest remaining row, in its column with the
+    fewest remaining entries (Markowitz 1957), ties broken by index.
+    Every other row with an entry there becomes a*row - b*pivot_row with
+    a/b the reduced ratio of the two entries (cf. Bareiss 1968), and is
+    then divided by its content so entries stay small.  Every division
+    is exact.  Only the rank is returned, so the pivot order is free.
+    """
+    live = {}  # row index -> {col: nonzero int}
+    col_rows = {}  # col -> indices of live rows with an entry there
+    for i, row in enumerate(rows):
+        nz = []
+        den = 1
+        for j, a in enumerate(row):
+            if a:
+                nz.append((j, a))
+                d = a.denominator
+                if d != 1:
+                    den = den * d // gcd(den, d)
+        if not nz:
+            continue
+        live[i] = {j: a.numerator * (den // a.denominator) for j, a in nz}
+        for j, _ in nz:
+            col_rows.setdefault(j, set()).add(i)
+    r = 0
+    while live:
+        # live keeps rows in index order, so min breaks ties by index
+        i = min(live, key=lambda k: len(live[k]))
+        prow = live.pop(i)
+        for j in prow:
+            col_rows[j].discard(i)
+        c = min(prow, key=lambda j: (len(col_rows[j]), j))
+        p = prow[c]
+        r += 1
+        for k in col_rows.pop(c):
+            row = live[k]
+            f = row[c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, y in prow.items():
+                if j in row:
+                    x = row[j] - b * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        if j != c:
+                            col_rows[j].discard(k)
+                else:
+                    row[j] = -b * y
+                    col_rows[j].add(k)
+            if not row:
+                del live[k]
+                continue
+            g = gcd(*row.values())
+            if g != 1:
+                for j in row:
+                    row[j] //= g
+    return r
 
 
 def nullspace(rows, ncols):
@@ -82,10 +147,8 @@ def solve(rows, rhs, ncols):
 
 def in_rowspan(basis_rows, vec):
     """Is vec in the row space of basis_rows?"""
-    mat = scale_rows_to_int(list(basis_rows))
-    r0 = rank_int(mat)
-    mat.append(scale_rows_to_int([vec])[0])
-    return rank_int(mat) == r0
+    rows = list(basis_rows)
+    return rank(rows + [vec]) == rank(rows)
 
 
 class Echelon:

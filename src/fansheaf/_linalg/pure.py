@@ -7,7 +7,9 @@ deterministic (first nonzero entry, no column permutation), so the
 normalized output is the canonical rational RREF scaled row by row to
 primitive integer vectors with positive leading entry.
 
-The compiled kernel in _fastrref.pyx mirrors this module line for line.
+The compiled kernel in _fastrref.pyx mirrors rref_int, nullspace_int and
+solve_int line for line.  Rank is not computed here: _linalg.rank is a
+single sparse routine used with either kernel.
 """
 
 from math import gcd
@@ -71,11 +73,6 @@ def rref_int(mat):
         piv += 1
     out = [_normalize(rows[i]) for i in range(piv)]
     return out, pivots
-
-
-def rank_int(mat):
-    """Rank of an integer matrix."""
-    return len(rref_int(mat)[1])
 
 
 def nullspace_int(mat, ncols):

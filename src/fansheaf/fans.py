@@ -76,7 +76,7 @@ def _chosen_basis(vectors):
     r = 0
     for v in sorted(vectors):
         cand = rows + [list(v)]
-        rr = _linalg.rank_int(cand)
+        rr = _linalg.rank(cand)
         if rr > r:
             basis.append(v)
             rows = cand
@@ -180,7 +180,7 @@ def cone_data(vectors, n, allow_redundant=False):
                 member = set.intersection(*map(set, containing))
             else:
                 member = set(range(len(gens)))
-            if _linalg.rank_int([list(gens[j]) for j in member]) == 1:
+            if _linalg.rank([list(gens[j]) for j in member]) == 1:
                 extreme.append(g)
         if not allow_redundant and len(extreme) != len(gens):
             raise InputError("listed generators are not the extreme rays")

@@ -4,9 +4,12 @@ The two reference complexes here are written out by hand, entry by
 entry, so later builder output can be compared against them.
 """
 
-import pytest
+from collections import Counter
 from fractions import Fraction
 
+import pytest
+
+from fansheaf import _linalg, complexes
 from fansheaf.complexes import (
     FanComplex,
     assemble,
@@ -21,6 +24,7 @@ from fansheaf.complexes import (
 )
 from fansheaf.errors import InputError
 from fansheaf.fans import load_fan
+from fansheaf.minimal import build_minimal
 from fansheaf.modules import (
     FreeGradedModule,
     PolyMatrix,
@@ -165,6 +169,57 @@ def test_euler_identity():
             (-1) ** p * rep.table.get((p, d), 0) for p in range(-2, 1)
         )
         assert chi_mod == chi_h
+
+
+def slotwise_table(M):
+    """Cohomology table with both ranks of every slot taken afresh."""
+    n = M.fan.n
+    by_dim = {
+        k: [i for i in M.fan.cones_of_dim(k) if M.rank_at(i)]
+        for k in range(n + 1)
+    }
+    lo, hi = M.window
+    table = {}
+    for p in range(-n, 1):
+        srcs = by_dim[-p]
+        tgts = by_dim.get(-p - 1, [])
+        nxts = by_dim.get(-p + 1, [])
+        for d in range(lo, hi + 1):
+            h = sum(M.dim_at(i, d) for i in srcs)
+            if tgts and srcs:
+                h -= _linalg.rank(assemble(M, srcs, tgts, d))
+            if nxts and srcs:
+                h -= _linalg.rank(assemble(M, nxts, srcs, d))
+            if h:
+                table[(p, d)] = h
+    return table
+
+
+@pytest.mark.parametrize("name", ["p3", "cubefan"])
+def test_cohomology_ranks_each_differential_once(corpus, monkeypatch, name):
+    M = build_minimal(corpus[name])
+    expected = slotwise_table(M)
+    rank = _linalg.rank
+    # id of each assembled matrix -> (the matrix, kept alive so ids stay
+    # unique; its source dimension and degree)
+    source_of = {}
+    ranked = []
+
+    def tagging_assemble(M, src_ids, tgt_ids, d):
+        mat = assemble(M, src_ids, tgt_ids, d)
+        source_of[id(mat)] = (mat, (M.fan.cones[src_ids[0]].dim, d))
+        return mat
+
+    def counting_rank(rows):
+        ranked.append(source_of[id(rows)][1])
+        return rank(rows)
+
+    monkeypatch.setattr(complexes, "assemble", tagging_assemble)
+    monkeypatch.setattr(_linalg, "rank", counting_rank)
+    rep = cohomology_degreewise(M, M.window)
+    assert ranked
+    assert max(Counter(ranked).values()) == 1
+    assert rep.table == expected
 
 
 def test_restrict_to_boundary_subfan():

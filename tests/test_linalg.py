@@ -1,6 +1,7 @@
-"""Kernel tests: canonical RREF, nullspace, solve, and parity between the
-pure and compiled implementations.  The reference below redoes everything
-with Fraction arithmetic and no shared code paths."""
+"""Kernel tests: canonical RREF, nullspace, solve, parity between the
+pure and compiled implementations, and the sparse rank.  The reference
+below redoes everything with Fraction arithmetic and no shared code
+paths."""
 
 from fractions import Fraction
 from math import gcd
@@ -78,7 +79,7 @@ def test_rref_matches_reference(impl, mat):
 def test_nullspace_orthogonality(impl):
     mat = [[1, 2, 3, 0], [0, 0, 5, 1], [1, 2, 8, 1]]
     basis = impl.nullspace_int(mat, 4)
-    assert len(basis) == 4 - impl.rank_int(mat)
+    assert len(basis) == 4 - _linalg.rank(mat)
     for v in basis:
         for row in mat:
             assert sum(a * b for a, b in zip(row, v)) == 0
@@ -124,12 +125,52 @@ def test_rref_property_random(mat):
 def test_nullspace_property_random(mat):
     ncols = len(mat[0])
     basis = pure.nullspace_int(mat, ncols)
-    assert len(basis) == ncols - pure.rank_int(mat)
+    assert len(basis) == ncols - _linalg.rank(mat)
     for v in basis:
         for row in mat:
             assert sum(a * b for a, b in zip(row, v)) == 0
     if _linalg.KERNEL == "compiled":
         assert _fastrref.nullspace_int(mat, ncols) == basis
+
+
+# three entries in four are zero, as in the differentials rank sees
+sparse_entries = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.integers(min_value=-9, max_value=9)
+)
+sparse_int_matrices = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.lists(
+        st.lists(sparse_entries, min_size=n, max_size=n),
+        min_size=0,
+        max_size=12,
+    )
+)
+fraction_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mat=st.one_of(sparse_int_matrices, fraction_matrices))
+def test_rank_matches_reference_pivots(mat):
+    assert _linalg.rank(mat) == len(reference_rref(mat)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mat=sparse_int_matrices, data=st.data())
+def test_rank_invariant_under_permutations(mat, data):
+    ncols = len(mat[0]) if mat else 0
+    row_perm = data.draw(st.permutations(range(len(mat))))
+    col_perm = data.draw(st.permutations(range(ncols)))
+    permuted = [[mat[i][j] for j in col_perm] for i in row_perm]
+    assert _linalg.rank(permuted) == _linalg.rank(mat)
 
 
 def test_fraction_wrappers():
