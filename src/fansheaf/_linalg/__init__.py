@@ -1,11 +1,13 @@
 """Exact linear algebra layer.
 
-Rank is one sparse fraction-free elimination, written below; it is the
-only rank routine, whatever the kernel.  The canonical integer kernels
-(rref/nullspace/solve) come in two interchangeable implementations: a
-compiled Cython extension and a pure-Python fallback.  The compiled one
-is used when importable; setting FANSHEAF_PURE=1 in the environment
-forces the fallback (the benchmark and parity tests use this).
+Rank and the incremental Echelon basis are sparse fraction-free
+eliminations on {col: int} rows, written below; they are the only rank
+and membership routines, whatever the kernel.  The canonical integer
+kernels (rref/nullspace/solve) come in two interchangeable
+implementations: a compiled Cython extension and a pure-Python
+fallback.  The compiled one is used when importable; setting
+FANSHEAF_PURE=1 in the environment forces the fallback (the benchmark
+and parity tests use this).
 
 The wrappers below accept matrices with Fraction or int entries.  Rows
 are scaled to integers first; row scaling changes neither row space,
@@ -14,6 +16,7 @@ rank, kernel, nor solution sets (solutions are returned as Fractions).
 
 import os
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from . import pure as _pure
@@ -56,6 +59,25 @@ def rref(rows):
     return rref_int(scale_rows_to_int(rows))
 
 
+def _sparse_int_row(row):
+    """{col: int} of the nonzero entries of row, denominators cleared.
+
+    The result is a positive multiple of row; entries may be int or
+    Fraction.
+    """
+    nz = []
+    den = 1
+    for j, a in enumerate(row):
+        if a:
+            nz.append((j, a))
+            d = a.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+    if den == 1:
+        return {j: int(a) for j, a in nz}
+    return {j: a.numerator * (den // a.denominator) for j, a in nz}
+
+
 def rank(rows):
     """Rank over Q of a matrix with Fraction or int entries.
 
@@ -71,18 +93,11 @@ def rank(rows):
     live = {}  # row index -> {col: nonzero int}
     col_rows = {}  # col -> indices of live rows with an entry there
     for i, row in enumerate(rows):
-        nz = []
-        den = 1
-        for j, a in enumerate(row):
-            if a:
-                nz.append((j, a))
-                d = a.denominator
-                if d != 1:
-                    den = den * d // gcd(den, d)
+        nz = _sparse_int_row(row)
         if not nz:
             continue
-        live[i] = {j: a.numerator * (den // a.denominator) for j, a in nz}
-        for j, _ in nz:
+        live[i] = nz
+        for j in nz:
             col_rows.setdefault(j, set()).add(i)
     r = 0
     while live:
@@ -152,12 +167,15 @@ def in_rowspan(basis_rows, vec):
 
 
 class Echelon:
-    """Incrementally maintained integer row-echelon basis.
+    """Incrementally maintained sparse integer row-echelon basis.
 
-    Rows are primitive integer vectors keyed by pivot column.  reduce()
-    runs forward elimination only, which is enough for membership tests;
-    entries are stripped by their gcd after every elimination step so
-    they stay small.
+    Each row is a primitive {col: int} dict keyed by its pivot column,
+    its leftmost entry, which is positive.  reduce() runs forward
+    elimination only, which is enough for membership tests: it
+    eliminates at the pivot columns present in the residual, lowest
+    first, as a*v - b*row with a/b the reduced ratio of the two entries
+    (fraction-free, cf. Bareiss 1968), and divides by the content after
+    every step so entries stay small.
     """
 
     __slots__ = ("ncols", "rows")
@@ -171,41 +189,58 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec):
-        """Residual of vec after elimination; all zeros iff in the span."""
-        v = scale_rows_to_int([list(vec)])[0]
-        for c in sorted(self.rows):
-            if not v[c]:
-                continue
-            row = self.rows[c]
+        """Residual of vec as {col: nonzero int}; empty iff in the span."""
+        v = _sparse_int_row(vec)
+        rows = self.rows
+        todo = [c for c in v if c in rows]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            f = v.get(c)
+            if f is None:
+                continue  # cancelled by an earlier step
+            row = rows[c]
             p = row[c]
-            f = v[c]
-            v = [p * a - f * b for a, b in zip(v, row)]
-            g = 0
-            for a in v:
-                g = gcd(g, a)
-                if g == 1:
-                    break
-            if g > 1:
-                v = [a // g for a in v]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for j in v:
+                    v[j] *= a
+            for j, y in row.items():
+                if j in v:
+                    x = v[j] - b * y
+                    if x:
+                        v[j] = x
+                    else:
+                        del v[j]
+                else:
+                    v[j] = -b * y
+                    if j in rows:
+                        heappush(todo, j)
+            if not v:
+                break
+            g = gcd(*v.values())
+            if g != 1:
+                for j in v:
+                    v[j] //= g
         return v
 
     def insert(self, vec):
         """Add vec to the span; True if it enlarged the basis."""
         v = self.reduce(vec)
-        lead = None
-        for c, a in enumerate(v):
-            if a:
-                lead = c
-                break
-        if lead is None:
+        if not v:
             return False
+        lead = min(v)
+        g = gcd(*v.values())
         if v[lead] < 0:
-            v = [-a for a in v]
+            g = -g
+        if g != 1:
+            v = {j: a // g for j, a in v.items()}
         self.rows[lead] = v
         return True
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
 
 def det_sign(rows):

@@ -14,6 +14,7 @@ degree by degree.  Both run on arbitrary complexes, not only the ones
 built by this package.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 from fansheaf import _linalg
@@ -439,6 +440,15 @@ def complex_to_text(M):
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _at_line(lineno, line):
+    """Report a malformed serialized line as InputError naming it."""
+    try:
+        yield
+    except (ValueError, IndexError) as exc:
+        raise InputError(f"line {lineno}: {exc}: {line!r}") from exc
+
+
 def complex_from_text(text, validate=True):
     """Parse complex_to_text output; signs are recomputed and verified.
 
@@ -450,48 +460,55 @@ def complex_from_text(text, validate=True):
     if not lines or lines[0].strip() != FORMAT_LINE:
         raise InputError("missing complex-format header")
     window = None
-    fan_lines = []
+    # fan lines stay at their own positions, so parse_fan's line numbers
+    # are the file's
+    fan_lines = [""] * len(lines)
     module_lines = []
     entry_lines = []
     sign_lines = []
-    for raw in lines[1:]:
+    for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("window"):
-            parts = line.split()
-            window = (int(parts[1]), int(parts[2]))
+            with _at_line(lineno, line):
+                parts = line.split()
+                window = (int(parts[1]), int(parts[2]))
         elif line.startswith(("dim", "ray", "cone")):
-            fan_lines.append(line)
+            fan_lines[lineno - 1] = line
         elif line.startswith("module"):
-            module_lines.append(line)
+            module_lines.append((lineno, line))
         elif line.startswith("entry"):
-            entry_lines.append(line)
+            entry_lines.append((lineno, line))
         elif line.startswith("sign"):
-            sign_lines.append(line)
+            sign_lines.append((lineno, line))
         else:
-            raise InputError(f"unrecognized line: {raw.strip()!r}")
+            raise InputError(f"line {lineno}: unrecognized line: {raw.strip()!r}")
     from fansheaf.fans import parse_fan
 
     fan, _ = parse_fan("\n".join(fan_lines))
     tower = RingTower(fan)
     modules = {}
-    for line in module_lines:
-        head, _, body = line.partition(":")
-        i = int(head.split()[1])
-        degs = [int(t) for t in body.split()]
-        if not 0 <= i < len(fan.cones):
-            raise InputError(f"module line for unknown cone {i}")
-        modules[i] = FreeGradedModule(tower.ring(i), degs)
+    for lineno, line in module_lines:
+        with _at_line(lineno, line):
+            head, _, body = line.partition(":")
+            i = int(head.split()[1])
+            degs = [int(t) for t in body.split()]
+            if not 0 <= i < len(fan.cones):
+                raise InputError(f"module line for unknown cone {i}")
+            modules[i] = FreeGradedModule(tower.ring(i), degs)
     entries_by_pair = {}
-    for line in entry_lines:
-        head, _, body = line.partition(":")
-        _, s, t, i, j = head.split()
-        s, t, i, j = int(s), int(t), int(i), int(j)
-        if s not in modules or t not in modules:
-            raise InputError(f"entry for cones without modules: {s}->{t}")
-        nv = tower.ring(t).nvars
-        entries_by_pair.setdefault((s, t), {})[(i, j)] = parse_poly(body, nv)
+    for lineno, line in entry_lines:
+        with _at_line(lineno, line):
+            head, _, body = line.partition(":")
+            _, s, t, i, j = head.split()
+            s, t, i, j = int(s), int(t), int(i), int(j)
+            if s not in modules or t not in modules:
+                raise InputError(f"entry for cones without modules: {s}->{t}")
+            if not (0 <= i < modules[t].rank() and 0 <= j < modules[s].rank()):
+                raise InputError(f"entry ({i},{j}) out of range")
+            nv = tower.ring(t).nvars
+            entries_by_pair.setdefault((s, t), {})[(i, j)] = parse_poly(body, nv)
     maps = {}
     for (s, t), entries in entries_by_pair.items():
         if not fan.is_facet(t, s):
@@ -499,15 +516,16 @@ def complex_from_text(text, validate=True):
         maps[(s, t)] = PolyMatrix(
             modules[s], modules[t], tower.restriction(s, t), entries
         )
-    for line in sign_lines:
-        head, _, body = line.partition(":")
-        _, s, t = head.split()
-        got = int(body)
-        want = fan.incidence_sign(int(s), int(t))
-        if got != want:
-            raise InputError(
-                f"sign {s} {t} is {got}, convention gives {want}"
-            )
+    for lineno, line in sign_lines:
+        with _at_line(lineno, line):
+            head, _, body = line.partition(":")
+            _, s, t = head.split()
+            got = int(body)
+            want = fan.incidence_sign(int(s), int(t))
+            if got != want:
+                raise InputError(
+                    f"sign {s} {t} is {got}, convention gives {want}"
+                )
     M = FanComplex(fan, tower, modules, maps, window=window)
     if validate:
         report = check_complex(M)

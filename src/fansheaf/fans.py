@@ -294,6 +294,7 @@ class Fan:
         self.cones = cones
         self._by_rayset = by_rayset
         self._star = None
+        self._signs = {}
 
     @classmethod
     def from_cones(cls, n, ray_vectors, cone_ray_lists, validate=True):
@@ -469,8 +470,15 @@ class Fan:
 
         Convention: express cone j's chosen basis followed by an interior
         point of cone i in cone i's chosen basis and take the determinant
-        sign.  For a ray over the origin the sign is +1.
+        sign.  For a ray over the origin the sign is +1.  Signs are
+        cached per (i, j); a fan is not changed after construction.
         """
+        key = (i, j)
+        if key not in self._signs:
+            self._signs[key] = self._orientation_sign(i, j)
+        return self._signs[key]
+
+    def _orientation_sign(self, i, j):
         if not self.is_facet(j, i):
             raise InputError(f"cone {j} is not a facet of cone {i}")
         ci = self.cones[i]

@@ -6,7 +6,10 @@ face is substitution along the coordinates of the face's basis.  Free
 modules carry generator degrees; maps between them are PolyMatrix
 objects whose entries live in the target ring.  Subspace families store
 canonical integer bases of a graded subspace degree by degree, and the
-minimal-generator machinery (completion of m*Z to Z) runs on top.
+minimal-generator machinery (completion of m*Z to Z) runs on top: each
+basis vector of Z(d-2) is multiplied by every base variable through
+cached sparse columns of mult_by_var, and span membership is tested
+with the sparse integer _linalg.Echelon.
 """
 
 from fractions import Fraction
@@ -215,11 +218,6 @@ class PolyMatrix:
         )
 
 
-def evaluate_degree(f, d):
-    """Exact matrix of a PolyMatrix on degree-d pieces."""
-    return f.evaluate(d)
-
-
 def pm_add(f, g):
     if f.source is not g.source or f.target is not g.target:
         raise InputError("can only add matrices with identical shape data")
@@ -270,7 +268,9 @@ class DirectSumAmbient:
     as a graded module over a base ring through per-part variable images.
 
     parts: tuple of FreeGradedModule; substs[k] gives the base ring's
-    variable images in part k's ring (None = identity).
+    variable images in part k's ring (None = identity).  Multiplication
+    by a base variable is cached per (variable, degree) as sparse
+    columns; apply_mult touches only the nonzero entries of a vector.
     """
 
     __slots__ = ("base_ring", "parts", "substs", "_piece", "_index", "_mult")
@@ -310,31 +310,47 @@ class DirectSumAmbient:
         return offs, total
 
     def mult_by_var(self, i, d):
-        """Matrix of multiplication by base variable i: piece d -> d+2."""
+        """Multiplication by base variable i from piece d to piece d+2.
+
+        Returns one sparse column per source basis element: a tuple of
+        (target row, coefficient) pairs, coefficients int when integral.
+        """
         key = (i, d)
         if key in self._mult:
             return self._mult[key]
-        src = self.piece_basis(d)
+        images = []
+        for part, subst in zip(self.parts, self.substs):
+            image = (
+                Poly.variable(part.ring.nvars, i) if subst is None else subst[i]
+            )
+            images.append(
+                tuple(
+                    (exp, int(c) if c.denominator == 1 else c)
+                    for exp, c in image.terms.items()
+                )
+            )
         tgt_index = self.index_at(d + 2)
-        rows = [[Fraction(0)] * len(src) for _ in range(self.dim_at(d + 2))]
-        for col, (k, j, u) in enumerate(src):
-            subst = self.substs[k]
-            nv = self.parts[k].ring.nvars
-            if subst is None:
-                image = Poly.variable(nv, i)
-            else:
-                image = subst[i]
-            for exp, c in image.terms.items():
-                mono = tuple(a + b for a, b in zip(u, exp))
-                rows[tgt_index[(k, j, mono)]][col] += c
-        self._mult[key] = rows
-        return rows
+        cols = tuple(
+            tuple(
+                (tgt_index[(k, j, tuple(a + b for a, b in zip(u, exp)))], c)
+                for exp, c in images[k]
+            )
+            for k, j, u in self.piece_basis(d)
+        )
+        self._mult[key] = cols
+        return cols
 
     def apply_mult(self, i, d, vec):
-        rows = self.mult_by_var(i, d)
-        return tuple(
-            sum(r[c] * vec[c] for c in range(len(vec)) if vec[c]) for r in rows
-        )
+        """Image of a degree-d vector under base variable i, as a list.
+
+        Integer vectors have integer images.
+        """
+        out = [0] * len(self.piece_basis(d + 2))
+        for col, x in zip(self.mult_by_var(i, d), vec):
+            if x:
+                for r, c in col:
+                    out[r] += c * x
+        return out
 
 
 class GradedSubspaceFamily:
@@ -385,19 +401,17 @@ def kernel_degreewise(f, window):
     return family_from_kernel(ambient, f.evaluate, window)
 
 
-def hilbert_function(obj, window):
-    """Degreewise dimensions of a module or family over a window."""
-    return obj.hilbert(window)
-
-
 def minimal_generators(family):
     """Minimal homogeneous generators of a subspace family as a module.
 
-    Completes m*Z(d) to Z(d) degree by degree; representatives are rows
-    of the canonical degree-d basis, scanned in order.  Raises
-    WindowExhausted when the top two window degrees still produce new
-    generators, and CertificateError when the family is not closed under
-    multiplication by the base ring variables.
+    Completes m*Z(d-2) to Z(d) degree by degree: the images of Z(d-2)
+    under the base variables span (m*Z)(d) inside Z(d), and
+    representatives are rows of the canonical degree-d basis, scanned in
+    order, that enlarge that span.  Membership is exact, so the choice
+    does not depend on how the span is stored.  Raises WindowExhausted
+    when the top two window degrees still produce new generators, and
+    CertificateError when the family is not closed under multiplication
+    by the base ring variables.
     """
     lo, hi = family.window
     nvars = family.ambient.base_ring.nvars
@@ -415,7 +429,7 @@ def minimal_generators(family):
         reducer = _linalg.Echelon(ncols)
         for i in range(nvars):
             for z in prev:
-                img = list(family.ambient.apply_mult(i, d - 2, z))
+                img = family.ambient.apply_mult(i, d - 2, z)
                 if not any(img):
                     continue
                 if zspan.insert(img):

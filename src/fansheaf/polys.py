@@ -9,6 +9,8 @@ tuples to nonzero Fractions and are treated as immutable.
 from fractions import Fraction
 from functools import lru_cache
 
+from fansheaf.errors import InputError
+
 
 class Poly:
     __slots__ = ("nvars", "terms")
@@ -186,7 +188,20 @@ def format_poly(p):
 
 
 def parse_poly(text, nvars):
-    """Inverse of format_poly; accepts any +/- separated monomial list."""
+    """Inverse of format_poly; accepts any +/- separated monomial list.
+
+    Raises InputError on a token that is not a number or a variable
+    t1..t_nvars with an optional ^exponent.
+    """
+
+    def number(kind, tok):
+        try:
+            return kind(tok)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(
+                f"bad token {tok!r} in polynomial {text!r}"
+            ) from None
+
     text = text.strip()
     if text in ("0", ""):
         return Poly(nvars)
@@ -209,14 +224,14 @@ def parse_poly(text, nvars):
             current = [sign, Fraction(1), [0] * nvars, False]
         if tok.startswith("t"):
             name, _, exp = tok.partition("^")
-            idx = int(name[1:]) - 1
+            idx = number(int, name[1:]) - 1
             if not 0 <= idx < nvars:
-                raise ValueError(f"variable {name} out of range for {nvars} vars")
-            current[2][idx] += int(exp) if exp else 1
+                raise InputError(f"variable {name} out of range for {nvars} vars")
+            current[2][idx] += number(int, exp) if exp else 1
         else:
             if current[3]:
-                raise ValueError(f"two coefficients in one term: {text!r}")
-            current[1] = Fraction(tok)
+                raise InputError(f"two coefficients in one term: {text!r}")
+            current[1] = number(Fraction, tok)
             current[3] = True
     if current is not None:
         terms.append(current)

@@ -1,5 +1,7 @@
 """End-to-end CLI runs through main(), checking reports and exit codes."""
 
+import pytest
+
 from fansheaf.cli import main
 
 from conftest import fan_path
@@ -196,3 +198,36 @@ def test_degree_max_floor_enforced(capsys):
     )
     assert code == 2
     assert "input-error" in out
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("entry 1 0 0 0: 1", "entry 1 0 0 0: t9"),
+        ("module 0: -2", "module 0: x"),
+        ("entry 3 1 0 0: 1", "entry 3 1 5 0: 1"),
+        ("ray 1: 1 0", "ray 1: 1 x"),
+    ],
+)
+def test_verify_malformed_complex_exits_two(tmp_path, capsys, old, new):
+    out_file = tmp_path / "quadrant.cx"
+    _run(
+        capsys,
+        "minimal",
+        "build",
+        "--fan",
+        str(fan_path("quadrant")),
+        "--out",
+        str(out_file),
+    )
+    text = out_file.read_text()
+    assert old in text
+    out_file.write_text(text.replace(old, new))
+    code, out = _run(
+        capsys, "--format", "machine", "verify", "--fan", str(out_file)
+    )
+    assert code == 2
+    lineno = text.splitlines().index(old) + 1
+    (record,) = out.splitlines()
+    assert record.startswith(f"error\t-\t-\tline {lineno}: ")
+    assert record.endswith("\tinput-error")

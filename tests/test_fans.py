@@ -268,3 +268,17 @@ def test_fan_of_origin_only():
     assert not is_complete(fan)
     fan2, _ = parse_fan(fan.to_text())
     assert len(fan2.cones) == 1
+
+
+def test_incidence_sign_cache_matches_fresh(corpus):
+    """Cached signs equal a fresh computation on a newly parsed fan, for
+    every (cone, facet) pair of every corpus fan."""
+    for name, fan in corpus.items():
+        fresh = load_fan(fan_path(name))
+        for cone in fan.cones:
+            for f in cone.facet_ids:
+                want = fresh._orientation_sign(cone.index, f)
+                assert fan.incidence_sign(cone.index, f) == want
+                assert fan._signs[(cone.index, f)] == want
+                assert fan.incidence_sign(cone.index, f) == want
+        assert not fresh._signs

@@ -1,7 +1,7 @@
 """Kernel tests: canonical RREF, nullspace, solve, parity between the
-pure and compiled implementations, and the sparse rank.  The reference
-below redoes everything with Fraction arithmetic and no shared code
-paths."""
+pure and compiled implementations, the sparse rank and the sparse
+Echelon basis.  The reference below redoes everything with Fraction
+arithmetic and no shared code paths."""
 
 from fractions import Fraction
 from math import gcd
@@ -192,3 +192,57 @@ def test_det_sign():
     assert _linalg.det_sign([[1, 2], [2, 4]]) == 0
     assert _linalg.det_sign([[Fraction(1, 2)]]) == 1
     assert _linalg.det_sign([[2, 0, 0], [0, 3, 0], [0, 0, -1]]) == -1
+
+
+sparse_fractions = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.just(0),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@st.composite
+def echelon_streams(draw):
+    """Mostly-zero int or Fraction vectors, some of them combinations of
+    earlier ones so that both insert outcomes occur."""
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    entries = draw(st.sampled_from([sparse_entries, sparse_fractions]))
+    vecs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        if vecs and draw(st.booleans()):
+            coeffs = draw(
+                st.lists(
+                    st.integers(min_value=-3, max_value=3),
+                    min_size=len(vecs),
+                    max_size=len(vecs),
+                )
+            )
+            vecs.append(
+                [sum(c * v[j] for c, v in zip(coeffs, vecs)) for j in range(ncols)]
+            )
+        else:
+            vecs.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    return ncols, vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=echelon_streams())
+def test_echelon_tracks_rank_and_membership(stream):
+    ncols, vecs = stream
+    ech = _linalg.Echelon(ncols)
+    seen = []
+    for v in vecs:
+        before = _linalg.rank(seen) if seen else 0
+        inside = _linalg.in_rowspan(seen, v) if seen else not any(v)
+        assert ech.contains(v) == inside
+        assert (not ech.reduce(v)) == inside
+        seen.append(v)
+        after = _linalg.rank(seen)
+        assert ech.insert(v) == (after > before)
+        assert ech.rank == after == len(reference_rref(seen)[1])
+        assert ech.contains(v)
+    for lead, row in ech.rows.items():
+        assert min(row) == lead and row[lead] > 0
+        assert all(a for a in row.values())
+        assert gcd(*row.values()) == 1

@@ -1,11 +1,14 @@
 """Graded module layer: rings, restrictions, matrices, minimal covers."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from fansheaf.complexes import boundary_setup
 from fansheaf.errors import CertificateError, WindowExhausted
-from fansheaf.fans import parse_fan
+from fansheaf.fans import load_fan, parse_fan
+from fansheaf.minimal import build_minimal
 from fansheaf.modules import (
     ConeRing,
     DirectSumAmbient,
@@ -22,6 +25,8 @@ from fansheaf.modules import (
     split_surjection,
 )
 from fansheaf.polys import Poly, parse_poly
+
+from conftest import fan_path
 
 
 def _ring(nvars):
@@ -221,3 +226,65 @@ def test_parse_poly_used_in_entries():
     f = PolyMatrix(a, b, None, {(0, 0): p})
     f.validate()
     assert f.evaluate(0)[0][0] in (0, 1)
+
+
+def _oracle_image(ambient, i, d, col):
+    """Coefficient vector of (image of variable i) * basis monomial col,
+    multiplied out with Poly arithmetic."""
+    k, j, u = ambient.piece_basis(d)[col]
+    nv = ambient.parts[k].ring.nvars
+    subst = ambient.substs[k]
+    var = Poly.variable(nv, i) if subst is None else subst[i]
+    prod = var * Poly(nv, {u: Fraction(1)})
+    return [
+        prod.terms.get(u2, 0) if (k2, j2) == (k, j) else 0
+        for k2, j2, u2 in ambient.piece_basis(d + 2)
+    ]
+
+
+def _oracle_ambients(name):
+    """Boundary ambients of every cone, and for cubefan also the ambient
+    of the top modules over the full ring ("A")."""
+    M = build_minimal(load_fan(fan_path(name)))
+    for cone in M.fan.cones:
+        yield boundary_setup(M, cone.index)[0], M.window
+    if name == "cubefan":
+        top = [i for i in M.fan.cones_of_dim(M.fan.n) if M.rank_at(i)]
+        ambient = DirectSumAmbient(
+            M.tower.ring("A"),
+            tuple(M.modules[i] for i in top),
+            tuple(M.tower.restriction("A", i) for i in top),
+        )
+        yield ambient, M.window
+
+
+@pytest.mark.parametrize("name", ["p3", "cubefan"])
+def test_apply_mult_matches_poly_oracle(name):
+    """apply_mult on unit vectors against the Poly oracle, and linearity
+    on random integer vectors."""
+    rng = random.Random(0)
+    for ambient, (lo, hi) in _oracle_ambients(name):
+        nvars = ambient.base_ring.nvars
+        for d in range(lo, hi - 1):
+            dim = ambient.dim_at(d)
+            if not dim:
+                continue
+            for i in range(nvars):
+                images = [_oracle_image(ambient, i, d, c) for c in range(dim)]
+                for c in range(dim):
+                    e_c = [0] * dim
+                    e_c[c] = 1
+                    assert ambient.apply_mult(i, d, e_c) == images[c]
+                x = [rng.randint(-3, 3) for _ in range(dim)]
+                y = [rng.randint(-3, 3) for _ in range(dim)]
+                a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+                combo = [a * p + b * q for p, q in zip(x, y)]
+                fx = ambient.apply_mult(i, d, x)
+                fy = ambient.apply_mult(i, d, y)
+                assert ambient.apply_mult(i, d, combo) == [
+                    a * p + b * q for p, q in zip(fx, fy)
+                ]
+                assert fx == [
+                    sum(x[c] * images[c][r] for c in range(dim))
+                    for r in range(len(fx))
+                ]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fansheaf.errors import InputError
 from fansheaf.polys import Poly, format_poly, monomials, parse_poly
 
 
@@ -63,6 +64,12 @@ def test_format_and_parse_round_trip():
     assert parse_poly("0", 2).is_zero()
     assert format_poly(Poly.zero(2)) == "0"
     assert parse_poly("-t1 + t1", 1).is_zero()
+
+
+@pytest.mark.parametrize("text", ["t9", "x", "t1^y", "tz", "2 3 t1", "1/0"])
+def test_parse_poly_rejects_malformed(text):
+    with pytest.raises(InputError):
+        parse_poly(text, 2)
 
 
 coef = st.fractions(min_value=-9, max_value=9, max_denominator=4)
