@@ -1,41 +1,132 @@
-"""Exact linear algebra layer.
+"""Exact linear algebra layer, pure Python.
 
 Rank and the incremental Echelon basis are sparse fraction-free
-eliminations on {col: int} rows, written below; they are the only rank
-and membership routines, whatever the kernel.  The canonical integer
-kernels (rref/nullspace/solve) come in two interchangeable
-implementations: a compiled Cython extension and a pure-Python
-fallback.  The compiled one is used when importable; setting
-FANSHEAF_PURE=1 in the environment forces the fallback (the benchmark
-and parity tests use this).
+eliminations on {col: int} rows.  The canonical kernels rref_int,
+nullspace_int and solve_int are dense fraction-free Gauss-Jordan
+eliminations in the Montante scheme: every non-pivot row is updated as
+(p*row - row[col]*pivrow)/den, where den is the previous pivot, and the
+division is exact.  Their pivoting is deterministic (first nonzero
+entry, no column permutation), so the normalized output is the
+canonical rational RREF scaled row by row to primitive integer vectors
+with positive leading entry.
 
 The wrappers below accept matrices with Fraction or int entries.  Rows
 are scaled to integers first; row scaling changes neither row space,
 rank, kernel, nor solution sets (solutions are returned as Fractions).
 """
 
-import os
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from . import pure as _pure
+# There is one kernel; the name is reported by the benchmark harness.
+KERNEL = "pure"
 
-if os.environ.get("FANSHEAF_PURE"):
-    _impl = _pure
-    KERNEL = "pure"
-else:
-    try:
-        from . import _fastrref as _impl
 
-        KERNEL = "compiled"
-    except ImportError:
-        _impl = _pure
-        KERNEL = "pure"
+def _normalize(row):
+    """Scale an integer row to a primitive vector with positive pivot."""
+    g = 0
+    for a in row:
+        g = gcd(g, a)
+        if g == 1:
+            break
+    if g == 0:
+        return row
+    lead = 0
+    for a in row:
+        if a != 0:
+            lead = a
+            break
+    if lead < 0:
+        g = -g
+    if g != 1:
+        return [a // g for a in row]
+    return row
 
-rref_int = _impl.rref_int
-nullspace_int = _impl.nullspace_int
-solve_int = _impl.solve_int
+
+def rref_int(mat):
+    """Reduced row echelon form of an integer matrix.
+
+    Returns (rows, pivots): nonzero primitive integer rows with positive
+    pivots and zeros elsewhere in each pivot column, pivot column indices
+    strictly increasing.  The row space is preserved exactly.
+    """
+    rows = [list(r) for r in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    piv = 0
+    pivots = []
+    den = 1
+    for col in range(ncols):
+        if piv == nrows:
+            break
+        r = piv
+        while r < nrows and rows[r][col] == 0:
+            r += 1
+        if r == nrows:
+            continue
+        if r != piv:
+            rows[piv], rows[r] = rows[r], rows[piv]
+        prow = rows[piv]
+        p = prow[col]
+        for i in range(nrows):
+            if i == piv:
+                continue
+            ri = rows[i]
+            f = ri[col]
+            for j in range(ncols):
+                ri[j] = (p * ri[j] - f * prow[j]) // den
+        pivots.append(col)
+        den = p
+        piv += 1
+    out = [_normalize(rows[i]) for i in range(piv)]
+    return out, pivots
+
+
+def nullspace_int(mat, ncols):
+    """Primitive integer basis of the right kernel {x : mat @ x = 0}.
+
+    One basis vector per free column, ordered by ascending free column;
+    each vector is primitive with positive leading entry.
+    """
+    rows, pivots = rref_int(mat)
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        den = 1
+        for i, p in enumerate(pivots):
+            if rows[i][f] != 0:
+                q = rows[i][p]
+                den = den * q // gcd(den, q)
+        vec = [0] * ncols
+        vec[f] = den
+        for i, p in enumerate(pivots):
+            if rows[i][f] != 0:
+                vec[p] = -rows[i][f] * den // rows[i][p]
+        basis.append(_normalize(vec))
+    return basis
+
+
+def solve_int(mat, rhs, ncols):
+    """One exact solution of mat @ x = rhs, free variables set to zero.
+
+    Returns (numerators, denominator) with denominator > 0, or None when
+    the system is inconsistent.
+    """
+    aug = [list(r) + [b] for r, b in zip(mat, rhs)]
+    rows, pivots = rref_int(aug)
+    if pivots and pivots[-1] == ncols:
+        return None
+    den = 1
+    for i, p in enumerate(pivots):
+        q = rows[i][p]
+        den = den * q // gcd(den, q)
+    nums = [0] * ncols
+    for i, p in enumerate(pivots):
+        nums[p] = rows[i][ncols] * den // rows[i][p]
+    return nums, den
 
 
 def scale_rows_to_int(rows):
@@ -158,6 +249,12 @@ def solve(rows, rhs, ncols):
         return None
     nums, den = res
     return [Fraction(a, den) for a in nums]
+
+
+def matvec(rows, vec):
+    """Product of a dense matrix and a vector, skipping zero entries."""
+    nz = [(j, x) for j, x in enumerate(vec) if x]
+    return [sum(row[j] * x for j, x in nz) for row in rows]
 
 
 def in_rowspan(basis_rows, vec):

@@ -187,7 +187,7 @@ def _cmd_verify(args, rep):
         ok = False
     exact = check_locally_exact(M, M.window)
     rep.add("local-exactness", certificate="pass" if exact.ok else "fail")
-    for i, d, why in exact.failures:
+    for i, d, why in exact.problems:
         rep.add("problem", cone=i, degree=d, value=why)
         ok = False
     if ok:

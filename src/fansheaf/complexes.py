@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError
-from fansheaf.fans import Fan
+from fansheaf.fans import Fan, line_keyword, parse_fan
 from fansheaf.modules import (
     DirectSumAmbient,
     FreeGradedModule,
@@ -43,9 +43,6 @@ class FanComplex:
         self.modules = dict(modules)
         self.maps = dict(maps)
         self.window = window
-
-    def module_at(self, i):
-        return self.modules.get(i)
 
     def rank_at(self, i):
         m = self.modules.get(i)
@@ -99,10 +96,17 @@ def _offsets(M, ids, d):
     return offs, total
 
 
-class ComplexCheckReport:
-    def __init__(self, ok, problems):
-        self.ok = ok
+class CertificateReport:
+    """Outcome of a certificate: it passes exactly when no problem was
+    found.  Problems are strings, or (cone, degree, why) tuples for
+    check_locally_exact."""
+
+    def __init__(self, problems):
         self.problems = problems
+
+    @property
+    def ok(self):
+        return not self.problems
 
     def __bool__(self):
         return self.ok
@@ -124,7 +128,7 @@ def check_complex(M):
         except (CertificateError, InputError) as exc:
             problems.append(f"map {s}->{t}: {exc}")
     if problems:
-        return ComplexCheckReport(False, problems)
+        return CertificateReport(problems)
     for sigma in M.fan.cones:
         s = sigma.index
         if M.rank_at(s) == 0 or sigma.dim < 2:
@@ -147,7 +151,7 @@ def check_complex(M):
                 problems.append(
                     f"composite differential {s} -> {rho_id} is nonzero"
                 )
-    return ComplexCheckReport(not problems, problems)
+    return CertificateReport(problems)
 
 
 def boundary_setup(M, cone_id):
@@ -188,21 +192,13 @@ def boundary_kernel(M, cone_id, window):
     return fam, facets
 
 
-class LocalExactnessReport:
-    def __init__(self, ok, failures):
-        self.ok = ok
-        self.failures = failures
-
-    def __bool__(self):
-        return self.ok
-
-
 def check_locally_exact(M, window):
     """Certify that each module surjects onto its boundary kernel.
 
     For every positive-dimensional cone and every window degree, the
     image of the cone's module under the signed facet maps must span the
-    kernel of the next differential of the restricted complex.
+    kernel of the next differential of the restricted complex.  The
+    report's problems are (cone, degree, why) tuples.
     """
     lo, hi = window
     failures = []
@@ -230,7 +226,7 @@ def check_locally_exact(M, window):
                 zrows = [list(v) for v in fam.basis_at(d)]
                 if _linalg.rank(img_rows + zrows) != zdim:
                     failures.append((i, d, "image not inside kernel"))
-    return LocalExactnessReport(not failures, failures)
+    return CertificateReport(failures)
 
 
 class SupportReport:
@@ -316,9 +312,6 @@ class CohomologyReport:
 
     def dims_at(self, p):
         return {d: v for (q, d), v in self.table.items() if q == p}
-
-    def nonzero_slots(self):
-        return sorted({p for (p, d) in self.table})
 
 
 class TopModuleReport:
@@ -470,23 +463,22 @@ def complex_from_text(text, validate=True):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("window"):
+        keyword = line_keyword(line)
+        if keyword == "window":
             with _at_line(lineno, line):
                 parts = line.split()
                 window = (int(parts[1]), int(parts[2]))
-        elif line.startswith(("dim", "ray", "cone")):
+        elif keyword in ("dim", "ray", "cone"):
             fan_lines[lineno - 1] = line
-        elif line.startswith("module"):
+        elif keyword == "module":
             module_lines.append((lineno, line))
-        elif line.startswith("entry"):
+        elif keyword == "entry":
             entry_lines.append((lineno, line))
-        elif line.startswith("sign"):
+        elif keyword == "sign":
             sign_lines.append((lineno, line))
         else:
             raise InputError(f"line {lineno}: unrecognized line: {raw.strip()!r}")
-    from fansheaf.fans import parse_fan
-
-    fan, _ = parse_fan("\n".join(fan_lines))
+    fan = parse_fan("\n".join(fan_lines))
     tower = RingTower(fan)
     modules = {}
     for lineno, line in module_lines:
@@ -520,8 +512,12 @@ def complex_from_text(text, validate=True):
         with _at_line(lineno, line):
             head, _, body = line.partition(":")
             _, s, t = head.split()
+            s, t = int(s), int(t)
             got = int(body)
-            want = fan.incidence_sign(int(s), int(t))
+            for i in (s, t):
+                if not 0 <= i < len(fan.cones):
+                    raise InputError(f"sign line for unknown cone {i}")
+            want = fan.incidence_sign(s, t)
             if got != want:
                 raise InputError(
                     f"sign {s} {t} is {got}, convention gives {want}"

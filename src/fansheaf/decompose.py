@@ -31,6 +31,7 @@ from fansheaf.modules import (
     FreeGradedModule,
     GradedSubspaceFamily,
     PolyMatrix,
+    entries_from_vectors,
     family_from_kernel,
     minimal_generators,
     pm_scale,
@@ -90,26 +91,6 @@ def _gen_columns(module, d):
         idx
         for idx, (j, u) in enumerate(module.piece_basis(d))
         if not any(u)
-    ]
-
-
-def _entries_from_vectors(module, vectors):
-    """Column polynomials of a map into `module` read off coordinates."""
-    nv = module.ring.nvars
-    entries = {}
-    for col, (d, vec) in enumerate(vectors):
-        for (j, u), x in zip(module.piece_basis(d), vec):
-            if x:
-                key = (j, col)
-                cur = entries.get(key, Poly(nv))
-                entries[key] = cur + Poly(nv, {u: Fraction(x)})
-    return entries
-
-
-def _matvec(mat, vec):
-    return [
-        sum(row[j] * vec[j] for j in range(len(vec)) if vec[j])
-        for row in mat
     ]
 
 
@@ -314,22 +295,23 @@ def peel_summand(N, base_id, shift):
             assert count == ndegs[d]
 
         phi[i] = PolyMatrix(
-            S.modules[i], Nmod, None, _entries_from_vectors(Nmod, k_vectors)
+            S.modules[i], Nmod, None, entries_from_vectors(Nmod, k_vectors)
         )
         phi[i].validate()
         if n_vectors:
             mod = FreeGradedModule(ring, [d for d, _ in n_vectors])
             NP.modules[i] = mod
             psi[i] = PolyMatrix(
-                mod, Nmod, None, _entries_from_vectors(Nmod, n_vectors)
+                mod, Nmod, None, entries_from_vectors(Nmod, n_vectors)
             )
             psi[i].validate()
             for kf, f in enumerate(facets):
-                entries = {}
                 fmod = NP.modules.get(f)
-                for col, (dg, vec) in enumerate(n_vectors):
-                    img = _matvec(true_blocks[kf].evaluate(dg), list(vec))
+                solutions = []
+                for dg, vec in n_vectors:
+                    img = _linalg.matvec(true_blocks[kf].evaluate(dg), vec)
                     if not any(img):
+                        solutions.append((dg, ()))
                         continue
                     if fmod is None:
                         raise CertificateError(
@@ -343,13 +325,10 @@ def peel_summand(N, base_id, shift):
                             f"cone {i}: complement differential into facet "
                             f"{f} not expressible at degree {dg}"
                         )
-                    for (j, u), x in zip(fmod.piece_basis(dg), sol):
-                        if x:
-                            key = (j, col)
-                            cur = entries.get(key, Poly(fmod.ring.nvars))
-                            entries[key] = cur + Poly(
-                                fmod.ring.nvars, {u: Fraction(x)}
-                            )
+                    solutions.append((dg, sol))
+                if fmod is None:
+                    continue
+                entries = entries_from_vectors(fmod, solutions)
                 if entries:
                     mp = PolyMatrix(
                         mod, fmod, tower.restriction(i, f), entries
@@ -384,8 +363,7 @@ def _summand_boundary_columns(S, phi, i, facets, ambient, d):
         for c in range(ncols):
             seg = [T[row0 + r][c] for r in range(nf)]
             if any(seg):
-                for rr in range(len(P)):
-                    val = sum(P[rr][j] * seg[j] for j in range(nf) if seg[j])
+                for rr, val in enumerate(_linalg.matvec(P, seg)):
                     if val:
                         out[c][o + rr] += val
         row0 += nf
@@ -404,16 +382,9 @@ def _complement_rows(base_rows, ambient, facets, psi, NP, N):
             if nf == 0:
                 continue
             pdim = NP.dim_at(f, d) if f in psi else 0
-            if pdim:
-                mat = psi[f].evaluate(d)
-                cols = [[mat[r][c] for r in range(nf)] for c in range(pdim)]
-                ann = _linalg.nullspace(cols, nf)
-            else:
-                ann = [
-                    [1 if a == b else 0 for b in range(nf)]
-                    for a in range(nf)
-                ]
-            for c in ann:
+            mat = psi[f].evaluate(d) if pdim else []
+            cols = [[mat[r][c] for r in range(nf)] for c in range(pdim)]
+            for c in _linalg.nullspace(cols, nf):
                 row = [Fraction(0)] * total
                 nonzero = False
                 for idx, x in enumerate(c):

@@ -225,10 +225,11 @@ def cone_data(vectors, n, allow_redundant=False):
 
 
 def intersect_cones(gens, other):
-    """Extreme rays of cone(gens) intersected with another cone's data.
+    """Extreme rays of cone(gens) intersected with another cone.
 
-    Double description: impose the other cone's span equations, then its
-    facet halfspaces.  Returns a sorted tuple of primitive rays.
+    Only other's span_eqs and facet_normals are read.  Double
+    description: impose the other cone's span equations, then its facet
+    halfspaces.  Returns a sorted tuple of primitive rays.
     """
     cur = [tuple(g) for g in gens]
 
@@ -392,8 +393,7 @@ class Fan:
                     f"cones {a.index} and {b.index} do not meet along a common face"
                 )
             gens = [self.rays[i] for i in a.rays]
-            data_b = _FakeData(b, self)
-            got = intersect_cones(gens, data_b)
+            got = intersect_cones(gens, b)
             want = tuple(sorted(self.rays[i] for i in common))
             if got != want:
                 raise InputError(
@@ -509,36 +509,33 @@ class Fan:
         return f"Fan(n={self.n}, rays={len(self.rays)}, cones={len(self.cones)})"
 
 
-class _FakeData:
-    """Adapter exposing a fan cone's H-data like a ConeData."""
-
-    def __init__(self, cone, fan):
-        self.span_eqs = cone.span_eqs
-        self.facet_normals = cone.facet_normals
+def line_keyword(line):
+    """The keyword of a text-format line: its first token before ':'."""
+    head = line.partition(":")[0].split()
+    return head[0] if head else ""
 
 
 def parse_fan(text):
-    """Parse the fan file format; returns (Fan, map_directives).
+    """Parse the fan file format; returns the Fan.
 
     Format: a `dim n` line, then `ray i: a1 ... an` lines with ids
     0,1,2,..., then `cone: i1 ... ik` lines listing generating cones by
-    ray ids, then optional `map: i -> j` lines (cone id assignments used
-    by subdivision inputs).  '#' starts a comment.
+    ray ids.  Keywords match exactly.  '#' starts a comment.
     """
     n = None
     ray_list = []
     cone_lists = []
-    map_pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        keyword = line_keyword(line)
         try:
-            if line.startswith("dim"):
+            if keyword == "dim":
                 if n is not None:
                     raise InputError("duplicate dim line")
                 n = int(line.split()[1])
-            elif line.startswith("ray"):
+            elif keyword == "ray":
                 head, _, body = line.partition(":")
                 idx = int(head.split()[1])
                 if idx != len(ray_list):
@@ -547,27 +544,21 @@ def parse_fan(text):
                 if n is None or len(vec) != n:
                     raise InputError("ray before dim line or wrong length")
                 ray_list.append(vec)
-            elif line.startswith("cone"):
+            elif keyword == "cone":
                 _, _, body = line.partition(":")
                 cone_lists.append([int(t) for t in body.split()])
-            elif line.startswith("map"):
-                _, _, body = line.partition(":")
-                src, _, tgt = body.partition("->")
-                map_pairs.append((int(src), int(tgt)))
             else:
                 raise InputError(f"unrecognized line: {raw.strip()!r}")
         except (ValueError, IndexError) as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
     if n is None:
         raise InputError("missing dim line")
-    fan = Fan.from_cones(n, ray_list, cone_lists)
-    return fan, (map_pairs or None)
+    return Fan.from_cones(n, ray_list, cone_lists)
 
 
 def load_fan(path):
     with open(path) as fh:
-        fan, _ = parse_fan(fh.read())
-    return fan
+        return parse_fan(fh.read())
 
 
 def is_complete(fan):
@@ -682,13 +673,12 @@ def _cone_within(fan_src, i, fan_tgt, j):
     )
 
 
-def subdivision_map(source, target, assignment_pairs=None):
+def subdivision_map(source, target):
     """Build the FanMap sending each source cone to the smallest target
     cone containing it.
 
     Raises InputError when some source cone is not contained in any
-    target cone, or when an explicit assignment disagrees with the
-    inferred one.  Properness (equal supports) is checked by verifying
+    target cone, or has no unique smallest one.  Properness (equal supports) is checked by verifying
     that the preimage cones tile every maximal target cone: each ridge of
     a tile either borders two tiles or lies on the target boundary.
     """
@@ -712,16 +702,6 @@ def subdivision_map(source, target, assignment_pairs=None):
                     f"no unique smallest target cone for source cone {c.index}"
                 )
         assignment.append(best)
-    if assignment_pairs is not None:
-        given = dict(assignment_pairs)
-        for i, j in given.items():
-            if not 0 <= i < len(source.cones) or not 0 <= j < len(target.cones):
-                raise InputError(f"map directive {i} -> {j} out of range")
-            if assignment[i] != j:
-                raise InputError(
-                    f"map directive {i} -> {j} conflicts with inferred "
-                    f"assignment {i} -> {assignment[i]}"
-                )
 
     fm = FanMap(source, target, tuple(assignment), proper=False)
     fm.proper = all(

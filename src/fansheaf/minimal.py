@@ -8,6 +8,7 @@ Shifted variants run the same induction over the star of a base cone.
 """
 
 from fansheaf.complexes import (
+    CertificateReport,
     FanComplex,
     boundary_kernel,
     check_complex,
@@ -96,15 +97,6 @@ def stalk_report(M):
     }
 
 
-class MinimalityReport:
-    def __init__(self, ok, problems):
-        self.ok = ok
-        self.problems = problems
-
-    def __bool__(self):
-        return self.ok
-
-
 def verify_minimality(M, base_id=0, shift=0):
     """Certify the defining conditions of a (shifted) minimal complex.
 
@@ -119,7 +111,7 @@ def verify_minimality(M, base_id=0, shift=0):
     n = fan.n
     rep = check_complex(M)
     if not rep.ok:
-        return MinimalityReport(False, ["invalid complex: " + p for p in rep.problems])
+        return CertificateReport(["invalid complex: " + p for p in rep.problems])
     want = -n + fan.cones[base_id].dim - shift
     if M.degrees_at(base_id) != (want,):
         problems.append(
@@ -130,11 +122,10 @@ def verify_minimality(M, base_id=0, shift=0):
     if outside:
         problems.append(f"support leaves the base star at cones {outside}")
     exact = check_locally_exact(M, M.window)
-    if not exact.ok:
-        problems.extend(
-            f"not exact at cone {i} degree {d}: {why}"
-            for i, d, why in exact.failures
-        )
+    problems.extend(
+        f"not exact at cone {i} degree {d}: {why}"
+        for i, d, why in exact.problems
+    )
     for i in M.support_ids():
         if i == base_id:
             continue
@@ -145,7 +136,7 @@ def verify_minimality(M, base_id=0, shift=0):
             problems.append(
                 f"cone {i}: module degrees {have}, kernel needs {gens}"
             )
-    return MinimalityReport(not problems, problems)
+    return CertificateReport(problems)
 
 
 class IHReport:

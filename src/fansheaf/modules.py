@@ -36,9 +36,6 @@ class ConeRing:
         self.nvars = nvars
         self.basis = basis
 
-    def dim_of_degree(self, d):
-        return len(monomials(self.nvars, d))
-
     def __repr__(self):
         return f"ConeRing({self.label}, nvars={self.nvars})"
 
@@ -385,13 +382,7 @@ def family_from_kernel(ambient, rows_by_degree, window):
         dim = ambient.dim_at(d)
         if dim == 0:
             continue
-        rows = rows_by_degree(d)
-        if rows:
-            bases[d] = _linalg.nullspace(rows, dim)
-        else:
-            bases[d] = [
-                [1 if i == j else 0 for j in range(dim)] for i in range(dim)
-            ]
+        bases[d] = _linalg.nullspace(rows_by_degree(d), dim)
     return GradedSubspaceFamily(ambient, window, bases)
 
 
@@ -482,35 +473,43 @@ class CoverMap:
         return rows
 
 
+def entries_from_vectors(module, vectors):
+    """PolyMatrix entries of a map into `module` from coordinate vectors.
+
+    vectors lists (degree, vector) per source generator; a vector's
+    coordinates in the (generator, monomial) basis of the module's
+    degree piece are exactly the coefficients of the column's entries.
+    """
+    nv = module.ring.nvars
+    terms = {}
+    for col, (d, vec) in enumerate(vectors):
+        for (j, u), x in zip(module.piece_basis(d), vec):
+            if x:
+                terms.setdefault((j, col), {})[u] = Fraction(x)
+    return {key: Poly(nv, t) for key, t in terms.items()}
+
+
 def minimal_free_cover(family, base_ring):
     """Free module on the minimal generators plus the covering map.
 
-    The covering map is returned as one PolyMatrix per ambient part; its
-    entries are read off from the generator representatives (coordinates
-    with respect to (generator, monomial) basis elements are exactly
-    polynomial coefficients).
+    The covering map is returned as one PolyMatrix per ambient part,
+    read off from each part's segment of the generator representatives.
     """
     gens = minimal_generators(family)
     module = FreeGradedModule(base_ring, [d for d, _ in gens])
     amb = family.ambient
-    entries_per_part = [{} for _ in amb.parts]
-    for col, (d, vec) in enumerate(gens):
-        basis = amb.piece_basis(d)
-        for coord, x in zip(basis, vec):
-            if not x:
-                continue
-            k, j, u = coord
-            nv = amb.parts[k].ring.nvars
-            key = (j, col)
-            cur = entries_per_part[k].get(key, Poly(nv))
-            entries_per_part[k][key] = cur + Poly(nv, {u: Fraction(x)})
-    blocks = tuple(
-        PolyMatrix(module, part, amb.substs[k], entries_per_part[k])
-        for k, part in enumerate(amb.parts)
-    )
-    for b in blocks:
-        b.validate()
-    return CoverMap(module, family, gens, blocks)
+    offsets = {d: amb.part_offsets(d)[0] for d, _ in gens}
+    blocks = []
+    for k, part in enumerate(amb.parts):
+        segments = []
+        for d, vec in gens:
+            start = offsets[d][k]
+            segments.append((d, vec[start:start + part.dim_at(d)]))
+        entries = entries_from_vectors(part, segments)
+        block = PolyMatrix(module, part, amb.substs[k], entries)
+        block.validate()
+        blocks.append(block)
+    return CoverMap(module, family, gens, tuple(blocks))
 
 
 def cover_is_free_certificate(cover):
@@ -524,101 +523,3 @@ def cover_is_free_certificate(cover):
         if cover.module.dim_at(d) != cover.family.dim_at(d):
             return False, d
     return True, None
-
-
-class SplitResult:
-    """Outcome of splitting a minimal cover along Z = Z_K + Z_N."""
-
-    __slots__ = ("k_module", "n_module", "k_vectors", "n_vectors", "change")
-
-    def __init__(self, k_module, n_module, k_vectors, n_vectors, change):
-        self.k_module = k_module
-        self.n_module = n_module
-        self.k_vectors = k_vectors
-        self.n_vectors = n_vectors
-        self.change = change
-
-
-def split_surjection(cover, z_k, z_n):
-    """Split a minimal cover L ->> Z along a direct sum Z = Z_K + Z_N.
-
-    z_k and z_n are subfamilies of the same ambient as cover.family.
-    Returns new free generators of L in two groups: the K group maps onto
-    minimal generators of Z_K, the N group onto minimal generators of
-    Z_N, and together they form a basis of L modulo the irrelevant ideal
-    (checked; the change-of-basis matrix is block-listed K first).
-    """
-    fam = cover.family
-    lo, hi = fam.window
-    for d in range(lo, hi + 1):
-        if z_k.dim_at(d) + z_n.dim_at(d) != fam.dim_at(d):
-            raise CertificateError(
-                f"summand dimensions do not add up at degree {d}"
-            )
-        stacked = [list(v) for v in z_k.basis_at(d)] + [
-            list(v) for v in z_n.basis_at(d)
-        ]
-        if stacked and _linalg.rank(stacked) != len(stacked):
-            raise CertificateError(f"summands overlap at degree {d}")
-
-    gk = minimal_generators(z_k)
-    gn = minimal_generators(z_n)
-    L = cover.module
-
-    def preimages(glist):
-        out = []
-        for d, vec in glist:
-            mat = cover.evaluate(d)
-            sol = _linalg.solve(mat, list(vec), L.dim_at(d))
-            if sol is None:
-                raise CertificateError(
-                    f"summand generator at degree {d} is not in the image"
-                )
-            out.append((d, tuple(sol)))
-        return out
-
-    k_vectors = preimages(gk)
-    n_vectors = preimages(gn)
-
-    # new generators must form a basis of L mod m*L, degree by degree
-    by_degree = {}
-    for d, vec in k_vectors + n_vectors:
-        by_degree.setdefault(d, []).append(vec)
-    for d, vecs in by_degree.items():
-        basis = L.piece_basis(d)
-        gen_cols = [
-            i for i, (j, u) in enumerate(basis) if not any(u)
-        ]
-        count_d = len(gen_cols)
-        if len(vecs) != count_d:
-            raise CertificateError(
-                f"{len(vecs)} new generators at degree {d}, module has {count_d}"
-            )
-        reduced = [[v[i] for i in gen_cols] for v in vecs]
-        if _linalg.rank(reduced) != count_d:
-            raise CertificateError(
-                f"new generators are dependent mod m at degree {d}"
-            )
-    for d in {g for g in L.degrees}:
-        have = len(by_degree.get(d, []))
-        want = sum(1 for g in L.degrees if g == d)
-        if have != want:
-            raise CertificateError(
-                f"generator count mismatch at degree {d}: {have} != {want}"
-            )
-
-    k_module = FreeGradedModule(L.ring, [d for d, _ in k_vectors])
-    n_module = FreeGradedModule(L.ring, [d for d, _ in n_vectors])
-    entries = {}
-    for col, (d, vec) in enumerate(k_vectors + n_vectors):
-        for (j, u), x in zip(L.piece_basis(d), vec):
-            if x:
-                key = (j, col)
-                cur = entries.get(key, Poly(L.ring.nvars))
-                entries[key] = cur + Poly(L.ring.nvars, {u: Fraction(x)})
-    combined = FreeGradedModule(
-        L.ring, [d for d, _ in k_vectors] + [d for d, _ in n_vectors]
-    )
-    change = PolyMatrix(combined, L, None, entries)
-    change.validate()
-    return SplitResult(k_module, n_module, k_vectors, n_vectors, change)

@@ -110,9 +110,6 @@ class Poly:
             raise ValueError(f"inhomogeneous polynomial: degrees {sorted(degs)}")
         return degs.pop()
 
-    def is_homogeneous(self):
-        return len({sum(e) for e in self.terms}) <= 1
-
     def substitute(self, images, target_nvars):
         """Ring map t_i -> images[i]; images are Polys in the target ring."""
         out = Poly(target_nvars)

@@ -9,10 +9,9 @@ freeness certified by Hilbert comparison, and the induced differential
 is read off by exact solves against the facet covers.
 """
 
-from fractions import Fraction
-
 from fansheaf import _linalg
 from fansheaf.complexes import (
+    CertificateReport,
     FanComplex,
     assemble,
     check_complex,
@@ -26,6 +25,7 @@ from fansheaf.modules import (
     RingTower,
     cover_is_free_certificate,
     default_window,
+    entries_from_vectors,
     family_from_kernel,
     minimal_free_cover,
     pm_scale,
@@ -119,14 +119,11 @@ def pushforward(fan_map, M, window=None):
             if f not in N.modules:
                 continue
             fcover = covers[f]
-            entries = {}
-            for col, (dg, vec) in enumerate(cover.gens):
-                D = assemble(M, tiles, ftiles, dg)
-                img = [
-                    sum(row[j] * vec[j] for j in range(len(vec)) if vec[j])
-                    for row in D
-                ]
+            solutions = []
+            for dg, vec in cover.gens:
+                img = _linalg.matvec(assemble(M, tiles, ftiles, dg), vec)
                 if not any(img):
+                    solutions.append((dg, ()))
                     continue
                 sol = _linalg.solve(
                     fcover.evaluate(dg), img, fcover.module.dim_at(dg)
@@ -136,15 +133,8 @@ def pushforward(fan_map, M, window=None):
                         f"direct image differential {s}->{f} misses the "
                         f"facet module at degree {dg}"
                     )
-                for (j, u), x in zip(fcover.module.piece_basis(dg), sol):
-                    if x:
-                        key = (j, col)
-                        cur = entries.get(
-                            key, Poly(fcover.module.ring.nvars)
-                        )
-                        entries[key] = cur + Poly(
-                            fcover.module.ring.nvars, {u: Fraction(x)}
-                        )
+                solutions.append((dg, sol))
+            entries = entries_from_vectors(fcover.module, solutions)
             if not entries:
                 continue
             true_pm = PolyMatrix(
@@ -169,15 +159,7 @@ def _constraints(M, tiles, interior_walls, facet_data):
             if not D:
                 continue
             basis = [list(v) for v in ffam.basis_at(d)]
-            ncols_f = ffam.ambient.dim_at(d)
-            if basis:
-                ann = _linalg.nullspace(basis, ncols_f)
-            else:
-                ann = [
-                    [1 if i == j else 0 for j in range(ncols_f)]
-                    for i in range(ncols_f)
-                ]
-            for c in ann:
+            for c in _linalg.nullspace(basis, ffam.ambient.dim_at(d)):
                 row = [
                     sum(c[r] * D[r][j] for r in range(len(D)) if c[r])
                     for j in range(len(D[0]))
@@ -189,30 +171,19 @@ def _constraints(M, tiles, interior_walls, facet_data):
     return rows_at
 
 
-class PushforwardReport:
-    def __init__(self, ok, problems):
-        self.ok = ok
-        self.problems = problems
-
-    def __bool__(self):
-        return self.ok
-
-
 def verify_pushforward(P):
     """Certify the direct image: valid complex, locally exact, modules
     degreewise free, and global cohomology equal to the source's.
     """
-    problems = []
-    rep = check_complex(P.complex)
-    if not rep.ok:
-        problems += ["invalid complex: " + p for p in rep.problems]
+    problems = [
+        "invalid complex: " + p for p in check_complex(P.complex).problems
+    ]
     window = P.complex.window
     exact = check_locally_exact(P.complex, window)
-    if not exact.ok:
-        problems += [
-            f"not exact at cone {i} degree {d}: {why}"
-            for i, d, why in exact.failures
-        ]
+    problems += [
+        f"not exact at cone {i} degree {d}: {why}"
+        for i, d, why in exact.problems
+    ]
     for s, cover in P.covers.items():
         ok, offender = cover_is_free_certificate(cover)
         if not ok:
@@ -228,4 +199,4 @@ def verify_pushforward(P):
             if src_table.get(k, 0) != tgt_table.get(k, 0)
         }
         problems.append(f"global cohomology changed: {diff}")
-    return PushforwardReport(not problems, problems)
+    return CertificateReport(problems)

@@ -194,7 +194,7 @@ def test_criterion_7_iterated_peel_with_valid_intermediates():
                 assert check_complex(res.summand).ok, (src, b, k)
                 assert check_complex(res.complement).ok, (src, b, k)
                 exact = check_locally_exact(res.complement, cur.window)
-                assert exact.ok, (src, b, k, exact.failures)
+                assert exact.ok, (src, b, k, exact.problems)
                 peeled[(b, k)] += 1
                 cur = res.complement
                 steps += 1

@@ -1,10 +1,14 @@
 """End-to-end CLI runs through main(), checking reports and exit codes."""
 
+from pathlib import Path
+
 import pytest
 
 from fansheaf.cli import main
 
 from conftest import fan_path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _run(capsys, *argv):
@@ -200,6 +204,10 @@ def test_degree_max_floor_enforced(capsys):
     assert "input-error" in out
 
 
+# what the record must say besides the line, where the fault is specific
+MALFORMED_WHY = {"sign 3 9: -1": "sign line for unknown cone 9"}
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -207,6 +215,7 @@ def test_degree_max_floor_enforced(capsys):
         ("module 0: -2", "module 0: x"),
         ("entry 3 1 0 0: 1", "entry 3 1 5 0: 1"),
         ("ray 1: 1 0", "ray 1: 1 x"),
+        ("sign 3 2: -1", "sign 3 9: -1"),
     ],
 )
 def test_verify_malformed_complex_exits_two(tmp_path, capsys, old, new):
@@ -230,4 +239,33 @@ def test_verify_malformed_complex_exits_two(tmp_path, capsys, old, new):
     lineno = text.splitlines().index(old) + 1
     (record,) = out.splitlines()
     assert record.startswith(f"error\t-\t-\tline {lineno}: ")
+    assert record.endswith("\tinput-error")
+    assert MALFORMED_WHY.get(new, "") in record
+
+
+@pytest.mark.parametrize(
+    "kind, old, new",
+    [
+        ("fan", "ray 0: 0 1", "rays 0: 0 1"),
+        ("fan", "cone: 0 1", "cones: 0 1"),
+        ("fan", "dim 2", "dimension 2"),
+        ("fan", "cone: 0 1", "cone: 0 1\nmap: 0 -> 0"),
+        ("complex", "module 3: -2", "modules 3: -2"),
+    ],
+)
+def test_keywords_match_exactly(tmp_path, capsys, kind, old, new):
+    """A keyword that merely starts with a known one is refused."""
+    if kind == "fan":
+        source, argv = fan_path("quadrant"), ["fan", "check"]
+    else:
+        source, argv = GOLDEN / "quadrant.complex", ["verify"]
+    text = source.read_text()
+    assert old in text
+    path = tmp_path / "input"
+    path.write_text(text.replace(old, new))
+    code, out = _run(capsys, "--format", "machine", *argv, "--fan", str(path))
+    assert code == 2
+    (record,) = out.splitlines()
+    assert record.startswith("error\t-\t-\t")
+    assert "unrecognized line" in record
     assert record.endswith("\tinput-error")

@@ -124,7 +124,7 @@ def test_boundary_kernel_dims_quadrant():
 def test_local_exactness_quadrant():
     M = quadrant_complex()
     report = check_locally_exact(M, M.window)
-    assert report.ok, report.failures
+    assert report.ok, report.problems
 
 
 def test_missing_top_module_fails_exactness():
@@ -134,7 +134,7 @@ def test_missing_top_module_fails_exactness():
     N = FanComplex(M.fan, M.tower, mods, maps, window=M.window)
     report = check_locally_exact(N, M.window)
     assert not report.ok
-    assert any(cone == 3 for cone, _, _ in report.failures)
+    assert any(cone == 3 for cone, _, _ in report.problems)
 
 
 def test_cohomology_quadrant():

@@ -45,7 +45,7 @@ def test_canonical_order_and_round_trip(corpus):
     for name, fan in corpus.items():
         keys = [(c.dim, c.rays) for c in fan.cones]
         assert keys == sorted(keys)
-        fan2, _ = parse_fan(fan.to_text())
+        fan2 = parse_fan(fan.to_text())
         assert fan2.to_text() == fan.to_text()
         assert len(fan2.cones) == len(fan.cones)
 
@@ -217,25 +217,28 @@ def test_subdivision_map_blowup(corpus):
 
 
 def test_subdivision_map_not_proper(corpus):
-    half, _ = parse_fan("dim 2\nray 0: 1 0\nray 1: 1 1\ncone: 0 1\n")
+    half = parse_fan("dim 2\nray 0: 1 0\nray 1: 1 1\ncone: 0 1\n")
     fm = subdivision_map(half, corpus["quadrant"])
     assert not fm.proper
 
 
 def test_subdivision_map_not_contained(corpus):
-    outside, _ = parse_fan("dim 2\nray 0: -1 0\nray 1: 0 1\ncone: 0 1\n")
+    outside = parse_fan("dim 2\nray 0: -1 0\nray 1: 0 1\ncone: 0 1\n")
     with pytest.raises(InputError):
         subdivision_map(outside, corpus["quadrant"])
 
 
 def test_subdivision_map_explicit_directives(corpus):
+    """The assignment is always inferred, never read from the fan file:
+    it matches the cone-by-cone directives written out here, and a
+    `map:` line in a fan file is refused."""
     src, tgt = corpus["blowquad"], corpus["quadrant"]
     fm = subdivision_map(src, tgt)
-    pairs = list(enumerate(fm.assignment))
-    assert subdivision_map(src, tgt, pairs).assignment == fm.assignment
-    bad = [(0, tgt.cones[-1].index)]  # origin does not map to the top cone
+    # origin, the two boundary rays, then the new ray and both 2-cones
+    # inside the quadrant's interior
+    assert fm.assignment == (0, 1, 2, 3, 3, 3)
     with pytest.raises(InputError):
-        subdivision_map(src, tgt, bad)
+        parse_fan(src.to_text() + "map: 0 -> 0\n")
 
 
 def test_subdivision_identity(corpus):
@@ -262,11 +265,11 @@ def test_subdivision_star_square(corpus):
 
 
 def test_fan_of_origin_only():
-    fan, _ = parse_fan("dim 2\n")
+    fan = parse_fan("dim 2\n")
     assert len(fan.cones) == 1
     assert fan.cones[0].dim == 0
     assert not is_complete(fan)
-    fan2, _ = parse_fan(fan.to_text())
+    fan2 = parse_fan(fan.to_text())
     assert len(fan2.cones) == 1
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from fansheaf.complexes import boundary_setup
 from fansheaf.errors import CertificateError, WindowExhausted
-from fansheaf.fans import load_fan, parse_fan
+from fansheaf.fans import load_fan
 from fansheaf.minimal import build_minimal
 from fansheaf.modules import (
     ConeRing,
@@ -22,7 +22,6 @@ from fansheaf.modules import (
     kernel_degreewise,
     minimal_free_cover,
     minimal_generators,
-    split_surjection,
 )
 from fansheaf.polys import Poly, parse_poly
 
@@ -171,51 +170,6 @@ def test_cover_entries_read_off():
     assert block.entries[(0, 0)] == Poly.variable(1, 0)
     ok, _ = cover_is_free_certificate(cover)
     assert ok
-
-
-def test_split_surjection_two_lines():
-    """L = A(0)+A(0) covering Z = two coordinate lines; split along them."""
-    r = _ring(1)
-    m2 = FreeGradedModule(r, [0, 0])
-    amb = DirectSumAmbient(r, (m2,), (None,))
-    full = family_from_kernel(amb, lambda d: [], (0, 6))
-    cover = minimal_free_cover(full, r)
-    assert cover.module.degrees == (0, 0)
-
-    def line(vec):
-        bases = {}
-        for d in range(0, 7):
-            dim = m2.dim_at(d)
-            if dim == 0:
-                continue
-            basis = m2.piece_basis(d)
-            rows = []
-            for j, coef in enumerate(vec):
-                if coef:
-                    row = [0] * dim
-                    for i, (g, u) in enumerate(basis):
-                        if g == j:
-                            row[i] = coef
-                    rows.append(row)
-            summed = [sum(col) for col in zip(*rows)] if rows else []
-            if summed:
-                bases[d] = [summed]
-        return GradedSubspaceFamily(amb, (0, 6), bases)
-
-    z_k = line((1, 1))
-    z_n = line((1, -1))
-    res = split_surjection(cover, z_k, z_n)
-    assert res.k_module.degrees == (0,)
-    assert res.n_module.degrees == (0,)
-    # the K generator maps onto the diagonal line
-    d0 = res.k_vectors[0]
-    assert d0[0] == 0
-    img = [
-        sum(row[c] * x for c, x in enumerate(d0[1]))
-        for row in cover.evaluate(0)
-    ]
-    assert [Fraction(a) for a in img] == [Fraction(1), Fraction(1)]
-    res.change.validate()
 
 
 def test_parse_poly_used_in_entries():
