@@ -1,195 +1,99 @@
-"""Exact linear algebra layer, pure Python.
+"""Exact linear algebra on sparse rows, pure Python.
 
-Rank and the incremental Echelon basis are sparse fraction-free
-eliminations on {col: int} rows.  The canonical kernels rref_int,
-nullspace_int and solve_int are dense fraction-free Gauss-Jordan
-eliminations in the Montante scheme: every non-pivot row is updated as
-(p*row - row[col]*pivrow)/den, where den is the previous pivot, and the
-division is exact.  Their pivoting is deterministic (first nonzero
-entry, no column permutation), so the normalized output is the
-canonical rational RREF scaled row by row to primitive integer vectors
-with positive leading entry.
+A matrix is a list of sparse rows {col: value} that store no zeros,
+with int values where integral and Fraction values otherwise; its
+column count is passed beside it where a routine needs one.  A vector is
+one such row, and matvec, solve and the bases returned here are vectors
+too.
 
-The wrappers below accept matrices with Fraction or int entries.  Rows
-are scaled to integers first; row scaling changes neither row space,
-rank, kernel, nor solution sets (solutions are returned as Fractions).
+Every routine first reads a row into a positive int multiple of it
+(denominators cleared) and then eliminates fraction-free with one step,
+_eliminate: a row becomes a*row - b*pivot_row, a/b the reduced ratio of
+the two entries in the pivot column (cf. Bareiss 1968), divided by its
+content, so every division is exact and entries stay small.  rank
+pivots freely (Markowitz 1957), since it keeps only the count.  Echelon
+keeps a forward-eliminated basis keyed by pivot column; rref, nullspace
+and solve add one back-substitution pass, which gives the canonical
+rational RREF scaled row by row to primitive int rows with positive
+pivot.  That form is unique, so what they return does not depend on the
+order of elimination.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 # There is one kernel; the name is reported by the benchmark harness.
 KERNEL = "pure"
 
 
-def _normalize(row):
-    """Scale an integer row to a primitive vector with positive pivot."""
-    g = 0
-    for a in row:
-        g = gcd(g, a)
-        if g == 1:
-            break
-    if g == 0:
-        return row
-    lead = 0
-    for a in row:
-        if a != 0:
-            lead = a
-            break
-    if lead < 0:
+def _int_row(row):
+    """A positive int multiple of a sparse row, as a new dict."""
+    den = lcm(*[a.denominator for a in row.values()])
+    if den == 1:
+        return {j: int(a) for j, a in row.items()}
+    return {j: a.numerator * (den // a.denominator) for j, a in row.items()}
+
+
+def _primitive(row):
+    """Divide an int row in place by its content, signed so that the
+    leading entry is positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
         g = -g
     if g != 1:
-        return [a // g for a in row]
+        for j in row:
+            row[j] //= g
     return row
 
 
-def rref_int(mat):
-    """Reduced row echelon form of an integer matrix.
+def _eliminate(row, prow, c):
+    """Clear column c of the int row against the pivot row prow.
 
-    Returns (rows, pivots): nonzero primitive integer rows with positive
-    pivots and zeros elsewhere in each pivot column, pivot column indices
-    strictly increasing.  The row space is preserved exactly.
+    In place, row becomes a*row - b*prow with a/b = prow[c]/row[c] in
+    lowest terms, divided by its content.  Returns the columns where row
+    gained an entry.
     """
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    piv = 0
-    pivots = []
-    den = 1
-    for col in range(ncols):
-        if piv == nrows:
-            break
-        r = piv
-        while r < nrows and rows[r][col] == 0:
-            r += 1
-        if r == nrows:
-            continue
-        if r != piv:
-            rows[piv], rows[r] = rows[r], rows[piv]
-        prow = rows[piv]
-        p = prow[col]
-        for i in range(nrows):
-            if i == piv:
-                continue
-            ri = rows[i]
-            f = ri[col]
-            for j in range(ncols):
-                ri[j] = (p * ri[j] - f * prow[j]) // den
-        pivots.append(col)
-        den = p
-        piv += 1
-    out = [_normalize(rows[i]) for i in range(piv)]
-    return out, pivots
-
-
-def nullspace_int(mat, ncols):
-    """Primitive integer basis of the right kernel {x : mat @ x = 0}.
-
-    One basis vector per free column, ordered by ascending free column;
-    each vector is primitive with positive leading entry.
-    """
-    rows, pivots = rref_int(mat)
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        den = 1
-        for i, p in enumerate(pivots):
-            if rows[i][f] != 0:
-                q = rows[i][p]
-                den = den * q // gcd(den, q)
-        vec = [0] * ncols
-        vec[f] = den
-        for i, p in enumerate(pivots):
-            if rows[i][f] != 0:
-                vec[p] = -rows[i][f] * den // rows[i][p]
-        basis.append(_normalize(vec))
-    return basis
-
-
-def solve_int(mat, rhs, ncols):
-    """One exact solution of mat @ x = rhs, free variables set to zero.
-
-    Returns (numerators, denominator) with denominator > 0, or None when
-    the system is inconsistent.
-    """
-    aug = [list(r) + [b] for r, b in zip(mat, rhs)]
-    rows, pivots = rref_int(aug)
-    if pivots and pivots[-1] == ncols:
-        return None
-    den = 1
-    for i, p in enumerate(pivots):
-        q = rows[i][p]
-        den = den * q // gcd(den, q)
-    nums = [0] * ncols
-    for i, p in enumerate(pivots):
-        nums[p] = rows[i][ncols] * den // rows[i][p]
-    return nums, den
-
-
-def scale_rows_to_int(rows):
-    """Clear denominators row by row; returns a list of int lists."""
-    out = []
-    for row in rows:
-        den = 1
-        for a in row:
-            if isinstance(a, Fraction):
-                d = a.denominator
-                den = den * d // gcd(den, d)
-        if den == 1:
-            out.append([int(a) for a in row])
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    fill = []
+    for j, y in prow.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -b * y
+            fill.append(j)
         else:
-            out.append([int(a * den) for a in row])
-    return out
-
-
-def rref(rows):
-    """Canonical primitive-integer RREF rows and pivot columns."""
-    return rref_int(scale_rows_to_int(rows))
-
-
-def _sparse_int_row(row):
-    """{col: int} of the nonzero entries of row, denominators cleared.
-
-    The result is a positive multiple of row; entries may be int or
-    Fraction.
-    """
-    nz = []
-    den = 1
-    for j, a in enumerate(row):
-        if a:
-            nz.append((j, a))
-            d = a.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-    if den == 1:
-        return {j: int(a) for j, a in nz}
-    return {j: a.numerator * (den // a.denominator) for j, a in nz}
+            x -= b * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+    if row:
+        g = gcd(*row.values())
+        if g != 1:
+            for j in row:
+                row[j] //= g
+    return fill
 
 
 def rank(rows):
-    """Rank over Q of a matrix with Fraction or int entries.
+    """Rank over Q of a list of sparse rows.
 
-    Sparse fraction-free elimination.  Each row is read once into a
-    {col: int} dict, its denominators cleared in the same pass.  The
-    pivot is taken from a shortest remaining row, in its column with the
-    fewest remaining entries (Markowitz 1957), ties broken by index.
-    Every other row with an entry there becomes a*row - b*pivot_row with
-    a/b the reduced ratio of the two entries (cf. Bareiss 1968), and is
-    then divided by its content so entries stay small.  Every division
-    is exact.  Only the rank is returned, so the pivot order is free.
+    The pivot is taken from a shortest remaining row, in its column with
+    the fewest remaining entries (Markowitz 1957), ties broken by index.
+    Every other row with an entry there is eliminated against it.
     """
     live = {}  # row index -> {col: nonzero int}
     col_rows = {}  # col -> indices of live rows with an entry there
     for i, row in enumerate(rows):
-        nz = _sparse_int_row(row)
-        if not nz:
-            continue
-        live[i] = nz
-        for j in nz:
-            col_rows.setdefault(j, set()).add(i)
+        if row:
+            live[i] = _int_row(row)
+            for j in row:
+                col_rows.setdefault(j, set()).add(i)
     r = 0
     while live:
         # live keeps rows in index order, so min breaks ties by index
@@ -198,87 +102,34 @@ def rank(rows):
         for j in prow:
             col_rows[j].discard(i)
         c = min(prow, key=lambda j: (len(col_rows[j]), j))
-        p = prow[c]
         r += 1
         for k in col_rows.pop(c):
             row = live[k]
-            f = row[c]
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            if a != 1:
-                for j in row:
-                    row[j] *= a
-            for j, y in prow.items():
-                if j in row:
-                    x = row[j] - b * y
-                    if x:
-                        row[j] = x
+            _eliminate(row, prow, c)
+            for j in prow:
+                if j != c:
+                    if j in row:
+                        col_rows[j].add(k)
                     else:
-                        del row[j]
-                        if j != c:
-                            col_rows[j].discard(k)
-                else:
-                    row[j] = -b * y
-                    col_rows[j].add(k)
+                        col_rows[j].discard(k)
             if not row:
                 del live[k]
-                continue
-            g = gcd(*row.values())
-            if g != 1:
-                for j in row:
-                    row[j] //= g
     return r
 
 
-def nullspace(rows, ncols):
-    """Primitive integer basis of {x : rows @ x = 0}."""
-    return nullspace_int(scale_rows_to_int(rows), ncols)
-
-
-def solve(rows, rhs, ncols):
-    """One exact solution of rows @ x = rhs as Fractions, or None.
-
-    The right-hand side is scaled together with each row, so Fraction
-    entries are fine on both sides.  Free variables are set to zero.
-    """
-    scaled = scale_rows_to_int([list(r) + [b] for r, b in zip(rows, rhs)])
-    mat = [r[:-1] for r in scaled]
-    vec = [r[-1] for r in scaled]
-    res = solve_int(mat, vec, ncols)
-    if res is None:
-        return None
-    nums, den = res
-    return [Fraction(a, den) for a in nums]
-
-
-def matvec(rows, vec):
-    """Product of a dense matrix and a vector, skipping zero entries."""
-    nz = [(j, x) for j, x in enumerate(vec) if x]
-    return [sum(row[j] * x for j, x in nz) for row in rows]
-
-
-def in_rowspan(basis_rows, vec):
-    """Is vec in the row space of basis_rows?"""
-    rows = list(basis_rows)
-    return rank(rows + [vec]) == rank(rows)
-
-
 class Echelon:
-    """Incrementally maintained sparse integer row-echelon basis.
+    """Incrementally maintained sparse int row-echelon basis.
 
     Each row is a primitive {col: int} dict keyed by its pivot column,
     its leftmost entry, which is positive.  reduce() runs forward
     elimination only, which is enough for membership tests: it
     eliminates at the pivot columns present in the residual, lowest
-    first, as a*v - b*row with a/b the reduced ratio of the two entries
-    (fraction-free, cf. Bareiss 1968), and divides by the content after
-    every step so entries stay small.
+    first.
     """
 
-    __slots__ = ("ncols", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, ncols):
-        self.ncols = ncols
+    def __init__(self):
         self.rows = {}
 
     @property
@@ -287,39 +138,16 @@ class Echelon:
 
     def reduce(self, vec):
         """Residual of vec as {col: nonzero int}; empty iff in the span."""
-        v = _sparse_int_row(vec)
+        v = _int_row(vec)
         rows = self.rows
         todo = [c for c in v if c in rows]
         heapify(todo)
-        while todo:
+        while todo and v:
             c = heappop(todo)
-            f = v.get(c)
-            if f is None:
-                continue  # cancelled by an earlier step
-            row = rows[c]
-            p = row[c]
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            if a != 1:
-                for j in v:
-                    v[j] *= a
-            for j, y in row.items():
-                if j in v:
-                    x = v[j] - b * y
-                    if x:
-                        v[j] = x
-                    else:
-                        del v[j]
-                else:
-                    v[j] = -b * y
+            if c in v:
+                for j in _eliminate(v, rows[c], c):
                     if j in rows:
                         heappush(todo, j)
-            if not v:
-                break
-            g = gcd(*v.values())
-            if g != 1:
-                for j in v:
-                    v[j] //= g
         return v
 
     def insert(self, vec):
@@ -327,21 +155,108 @@ class Echelon:
         v = self.reduce(vec)
         if not v:
             return False
-        lead = min(v)
-        g = gcd(*v.values())
-        if v[lead] < 0:
-            g = -g
-        if g != 1:
-            v = {j: a // g for j, a in v.items()}
-        self.rows[lead] = v
+        self.rows[min(v)] = _primitive(v)
         return True
 
     def contains(self, vec):
         return not self.reduce(vec)
 
 
+def rref(rows):
+    """Canonical RREF of a list of sparse rows: (rows, pivot columns).
+
+    Rows are primitive int vectors with positive pivot and no entry in
+    any other row's pivot column; pivot columns ascend.
+    """
+    ech = Echelon()
+    for row in rows:
+        if row:
+            ech.insert(row)
+    basis = ech.rows
+    pivots = sorted(basis)
+    # back substitution: the rows below a pivot are already reduced, so
+    # clearing their pivots brings in no other pivot column
+    for c in reversed(pivots):
+        row = basis[c]
+        for p in [j for j in row if j != c and j in basis]:
+            _eliminate(row, basis[p], p)
+    return [basis[c] for c in pivots], pivots
+
+
+def nullspace(rows, ncols):
+    """Primitive int basis of {x : rows @ x = 0}.
+
+    One vector per free column, in ascending order; each has a positive
+    leading entry.
+    """
+    red, pivots = rref(rows)
+    hits = {}  # free column -> (pivot, entry, pivot entry) per row
+    for row, p in zip(red, pivots):
+        q = row[p]
+        for j, x in row.items():
+            if j != p:
+                hits.setdefault(j, []).append((p, x, q))
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        col = hits.get(f, ())
+        den = lcm(*[q for _, _, q in col])
+        vec = {p: -x * (den // q) for p, x, q in col}
+        vec[f] = den
+        basis.append(_primitive(vec))
+    return basis
+
+
+def solve(rows, rhs, ncols):
+    """One exact solution of rows @ x = rhs, or None if there is none.
+
+    rhs is a sparse vector indexed by row.  Free variables are zero, and
+    the solution is a sparse vector with int values where integral.
+    """
+    aug = []
+    for i, row in enumerate(rows):
+        if i in rhs:
+            row = dict(row)
+            row[ncols] = rhs[i]
+        aug.append(row)
+    red, pivots = rref(aug)
+    if pivots and pivots[-1] == ncols:
+        return None
+    sol = {}
+    for row, p in zip(red, pivots):
+        b = row.get(ncols)
+        if b is not None:
+            q = row[p]
+            sol[p] = b // q if b % q == 0 else Fraction(b, q)
+    return sol
+
+
+def matvec(rows, vec):
+    """rows @ vec as a sparse vector indexed by row."""
+    out = {}
+    for i, row in enumerate(rows):
+        s = sum(x * row[j] for j, x in vec.items() if j in row)
+        if s:
+            out[i] = s
+    return out
+
+
+def transpose(rows, ncols):
+    """The columns of a list of sparse rows, as sparse rows."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
+
+
 def det_sign(rows):
-    """Sign of the determinant of a square Fraction/int matrix: -1, 0, 1."""
+    """Sign of the determinant of a square Fraction/int matrix: -1, 0, 1.
+
+    Dense: it is only used on orientation matrices of at most n x n.
+    """
     mat = [[Fraction(a) for a in row] for row in rows]
     n = len(mat)
     sign = 1

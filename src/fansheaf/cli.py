@@ -289,29 +289,34 @@ def build_parser():
     return parser
 
 
+# Exit code and error-record certificate of each failure the commands
+# raise; classes are tried in this order.
+FAILURES = {
+    WindowExhausted: (3, "window-exhausted"),
+    InputError: (2, "input-error"),
+    OSError: (2, "input-error"),
+    CertificateError: (1, "certificate-failure"),
+}
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     rep = Report(args.format)
     try:
         code = args.func(args, rep)
-    except WindowExhausted as exc:
+    except tuple(FAILURES) as exc:
+        code, label = next(
+            FAILURES[cls] for cls in FAILURES if isinstance(exc, cls)
+        )
+        cone = getattr(exc, "cone", None)
+        degree = getattr(exc, "degree", None)
         rep.add(
             "error",
-            cone=exc.cone if exc.cone is not None else "-",
-            degree=exc.degree if exc.degree is not None else "-",
+            cone="-" if cone is None else cone,
+            degree="-" if degree is None else degree,
             value=str(exc),
-            certificate="window-exhausted",
+            certificate=label,
         )
-        print(rep.render())
-        return 3
-    except (InputError, OSError) as exc:
-        rep.add("error", value=str(exc), certificate="input-error")
-        print(rep.render())
-        return 2
-    except CertificateError as exc:
-        rep.add("error", value=str(exc), certificate="certificate-failure")
-        print(rep.render())
-        return 1
     print(rep.render())
     return code
 

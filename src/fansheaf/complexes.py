@@ -7,15 +7,17 @@ incidence sign, sending the sum of the dimension-i modules to the sum of
 the dimension-(i-1) modules.  Homological degree of a cone's slot is
 minus its dimension.
 
-check_complex certifies shapes, grading, and the vanishing of the
-composite differential symbolically; check_locally_exact certifies the
-surjectivity of each module onto the boundary kernel of its own cone
-degree by degree.  Both run on arbitrary complexes, not only the ones
-built by this package.
+assemble gives the signed differential between listed cones on one
+degree piece in _linalg's one matrix form, a list of sparse rows
+{col: value} with no stored zeros; kernels, ranks and the certificates
+below take it as it is.  check_complex certifies shapes, grading, and
+the vanishing of the composite differential symbolically;
+check_locally_exact certifies the surjectivity of each module onto the
+boundary kernel of its own cone degree by degree.  Both run on
+arbitrary complexes, not only the ones built by this package.
 """
 
 from contextlib import contextmanager
-from fractions import Fraction
 
 from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError
@@ -26,6 +28,7 @@ from fansheaf.modules import (
     PolyMatrix,
     RingTower,
     compose,
+    cover_is_free_certificate,
     family_from_kernel,
     minimal_free_cover,
     pm_add,
@@ -63,13 +66,14 @@ class FanComplex:
 def assemble(M, src_ids, tgt_ids, d):
     """Signed block matrix of the differential between listed cones.
 
-    Columns follow src_ids order (each cone contributing its degree-d
-    piece), rows follow tgt_ids order.  Blocks exist where the target is
-    a facet of the source and a component map is present.
+    Sparse rows, one per basis element of the targets' degree-d pieces
+    in tgt_ids order; columns follow src_ids order the same way.  Blocks
+    exist where the target is a facet of the source and a component map
+    is present.
     """
-    col_off, ncols = _offsets(M, src_ids, d)
+    col_off, _ = _offsets(M, src_ids, d)
     row_off, nrows = _offsets(M, tgt_ids, d)
-    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    rows = [{} for _ in range(nrows)]
     tgt_pos = {t: k for k, t in enumerate(tgt_ids)}
     for si, s in enumerate(src_ids):
         for t in M.fan.cones[s].facet_ids:
@@ -81,9 +85,8 @@ def assemble(M, src_ids, tgt_ids, d):
             c0 = col_off[si]
             for r, brow in enumerate(block):
                 out = rows[r0 + r]
-                for c, x in enumerate(brow):
-                    if x:
-                        out[c0 + c] = sign * x
+                for c, x in brow.items():
+                    out[c0 + c] = sign * x
     return rows
 
 
@@ -175,14 +178,7 @@ def boundary_setup(M, cone_id):
         if fan.cones[i].dim == cone.dim - 2 and M.rank_at(i)
     ]
 
-    def rows_at(d):
-        return [
-            row
-            for row in assemble(M, facets, codim2, d)
-            if any(row)
-        ]
-
-    return ambient, facets, rows_at
+    return ambient, facets, lambda d: assemble(M, facets, codim2, d)
 
 
 def boundary_kernel(M, cone_id, window):
@@ -222,9 +218,8 @@ def check_locally_exact(M, window):
                 failures.append((i, d, f"image rank {ri}, kernel dim {zdim}"))
                 continue
             if zdim:
-                img_rows = list(zip(*mat))
-                zrows = [list(v) for v in fam.basis_at(d)]
-                if _linalg.rank(img_rows + zrows) != zdim:
+                img_rows = _linalg.transpose(mat, M.dim_at(i, d))
+                if _linalg.rank(img_rows + list(fam.basis_at(d))) != zdim:
                     failures.append((i, d, "image not inside kernel"))
     return CertificateReport(failures)
 
@@ -386,20 +381,12 @@ def _top_module(M, window, top_ids):
     n = M.fan.n
     tgts = [i for i in M.fan.cones_of_dim(n - 1) if M.rank_at(i)]
 
-    def rows_at(d):
-        return [row for row in assemble(M, top_ids, tgts, d) if any(row)]
-
-    fam = family_from_kernel(ambient, rows_at, window)
-    cover = minimal_free_cover(fam, ring)
-    lo, hi = window
-    offender = None
-    for d in range(lo, hi + 1):
-        if cover.module.dim_at(d) != fam.dim_at(d):
-            offender = d
-            break
-    return TopModuleReport(
-        offender is None, tuple(cover.module.degrees), offender
+    fam = family_from_kernel(
+        ambient, lambda d: assemble(M, top_ids, tgts, d), window
     )
+    cover = minimal_free_cover(fam, ring)
+    free, offender = cover_is_free_certificate(cover)
+    return TopModuleReport(free, tuple(cover.module.degrees), offender)
 
 
 # ----- serialization -----

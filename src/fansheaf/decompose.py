@@ -94,6 +94,12 @@ def _gen_columns(module, d):
     ]
 
 
+def _at_columns(vec, cols):
+    """The entries of a sparse vector at the listed positions, renumbered
+    in list order."""
+    return {k: vec[c] for k, c in enumerate(cols) if c in vec}
+
+
 def peel_summand(N, base_id, shift):
     """Split one copy of the shifted minimal complex off of N."""
     fan, tower, window = N.fan, N.tower, N.window
@@ -166,10 +172,9 @@ def peel_summand(N, base_id, shift):
 
         zk_bases = {}
         for d in range(lo, hi + 1):
-            live = [c for c in summand_cols(d) if any(c)]
+            live = [c for c in summand_cols(d) if c]
             if live:
-                rows, _ = _linalg.rref(live)
-                zk_bases[d] = tuple(tuple(r) for r in rows)
+                zk_bases[d] = tuple(_linalg.rref(live)[0])
         ZK = GradedSubspaceFamily(ambient, window, zk_bases)
         ZN = family_from_kernel(
             ambient,
@@ -185,9 +190,7 @@ def peel_summand(N, base_id, shift):
                     f"({a} + {b} != {zdim})"
                 )
             if a:
-                stacked = [list(v) for v in Z.basis_at(d)] + [
-                    list(v) for v in ZK.basis_at(d)
-                ]
+                stacked = Z.basis_at(d) + ZK.basis_at(d)
                 if _linalg.rank(stacked) != zdim:
                     raise CertificateError(
                         f"cone {i}: summand boundary leaves the kernel "
@@ -208,18 +211,18 @@ def peel_summand(N, base_id, shift):
                         f"cone {i}: summand boundary has no preimage "
                         f"at degree {dg}"
                     )
-                k_vectors.append((dg, tuple(sol)))
+                k_vectors.append((dg, sol))
 
         gn = minimal_generators(ZN)
         n_vectors = []
         for dg, vec in gn:
-            sol = _linalg.solve(cover.evaluate(dg), list(vec), Nmod.dim_at(dg))
+            sol = _linalg.solve(cover.evaluate(dg), vec, Nmod.dim_at(dg))
             if sol is None:
                 raise CertificateError(
                     f"cone {i}: complement section has no preimage "
                     f"at degree {dg}"
                 )
-            n_vectors.append((dg, tuple(sol)))
+            n_vectors.append((dg, sol))
 
         # kernel completion: summands based here (the one being peeled at
         # its base cone included) have zero boundary, so their generators
@@ -230,10 +233,10 @@ def peel_summand(N, base_id, shift):
         reducers = {}
         for d in sorted(ndegs):
             gcols = _gen_columns(Nmod, d)
-            red = _linalg.Echelon(len(gcols))
+            red = _linalg.Echelon()
             for dd, vec in k_vectors + n_vectors:
                 if dd == d:
-                    red.insert([vec[c] for c in gcols])
+                    red.insert(_at_columns(vec, gcols))
             reducers[d] = red
         base_pick = None
         for d in sorted(ndegs):
@@ -253,8 +256,8 @@ def peel_summand(N, base_id, shift):
             for v in kern:
                 if len(picked) == need:
                     break
-                if red.insert([v[c] for c in gcols]):
-                    picked.append((d, tuple(v)))
+                if red.insert(_at_columns(v, gcols)):
+                    picked.append((d, v))
             if len(picked) < need:
                 raise CertificateError(
                     f"cone {i}: only {len(picked)} of {need} cocycle "
@@ -282,12 +285,12 @@ def peel_summand(N, base_id, shift):
             )
         for d in sorted(ndegs):
             gcols = _gen_columns(Nmod, d)
-            red = _linalg.Echelon(len(gcols))
+            red = _linalg.Echelon()
             count = 0
             for dd, vec in k_vectors + n_vectors:
                 if dd == d:
                     count += 1
-                    if not red.insert([vec[c] for c in gcols]):
+                    if not red.insert(_at_columns(vec, gcols)):
                         raise CertificateError(
                             f"cone {i}: chosen generators dependent "
                             f"at degree {d}"
@@ -310,8 +313,8 @@ def peel_summand(N, base_id, shift):
                 solutions = []
                 for dg, vec in n_vectors:
                     img = _linalg.matvec(true_blocks[kf].evaluate(dg), vec)
-                    if not any(img):
-                        solutions.append((dg, ()))
+                    if not img:
+                        solutions.append((dg, {}))
                         continue
                     if fmod is None:
                         raise CertificateError(
@@ -345,14 +348,15 @@ def peel_summand(N, base_id, shift):
 
 
 def _summand_boundary_columns(S, phi, i, facets, ambient, d):
-    """Images of the summand's degree-d piece at cone i under its own
-    differential followed by the facet embeddings, in ambient coords."""
+    """Images of the summand's degree-d basis at cone i under its own
+    differential followed by the facet embeddings: one sparse vector in
+    ambient coordinates per basis element."""
     ncols = S.dim_at(i, d)
     if ncols == 0:
         return []
     s_facets = [f for f in facets if S.rank_at(f)]
     T = assemble(S, [i], s_facets, d)
-    out = [[Fraction(0)] * ambient.dim_at(d) for _ in range(ncols)]
+    out = [{} for _ in range(ncols)]
     offs, _ = ambient.part_offsets(d)
     pos = {f: k for k, f in enumerate(facets)}
     row0 = 0
@@ -360,12 +364,11 @@ def _summand_boundary_columns(S, phi, i, facets, ambient, d):
         nf = S.dim_at(f, d)
         P = phi[f].evaluate(d)
         o = offs[pos[f]]
-        for c in range(ncols):
-            seg = [T[row0 + r][c] for r in range(nf)]
-            if any(seg):
-                for rr, val in enumerate(_linalg.matvec(P, seg)):
-                    if val:
-                        out[c][o + rr] += val
+        block = _linalg.transpose(T[row0:row0 + nf], ncols)
+        for c, seg in enumerate(block):
+            if seg:
+                for r, x in _linalg.matvec(P, seg).items():
+                    out[c][o + r] = x
         row0 += nf
     return out
 
@@ -376,23 +379,15 @@ def _complement_rows(base_rows, ambient, facets, psi, NP, N):
 
     def rows_at(d):
         rows = list(base_rows(d))
-        offs, total = ambient.part_offsets(d)
+        offs, _ = ambient.part_offsets(d)
         for k, f in enumerate(facets):
             nf = N.dim_at(f, d)
             if nf == 0:
                 continue
             pdim = NP.dim_at(f, d) if f in psi else 0
-            mat = psi[f].evaluate(d) if pdim else []
-            cols = [[mat[r][c] for r in range(nf)] for c in range(pdim)]
+            cols = _linalg.transpose(psi[f].evaluate(d), pdim) if pdim else []
             for c in _linalg.nullspace(cols, nf):
-                row = [Fraction(0)] * total
-                nonzero = False
-                for idx, x in enumerate(c):
-                    if x:
-                        row[offs[k] + idx] = x
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
+                rows.append({offs[k] + r: x for r, x in c.items()})
         return rows
 
     return rows_at

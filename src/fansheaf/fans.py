@@ -7,7 +7,7 @@ runs over the same input produce identical ids, bases, and signs.
 
 All geometric predicates -- facets, face lattices, intersections,
 membership, quotients, subdivision assignments -- are computed with exact
-rational arithmetic on top of the integer kernels in _linalg.
+rational arithmetic on top of the sparse exact kernel in _linalg.
 """
 
 from fractions import Fraction
@@ -42,6 +42,16 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _sparse(vec):
+    """A dense vector as the sparse row that _linalg takes."""
+    return {j: a for j, a in enumerate(vec) if a}
+
+
+def _dense(vec, n):
+    """A sparse vector of length n as a tuple."""
+    return tuple(vec.get(j, 0) for j in range(n))
+
+
 class ConeData:
     """Geometry of one strictly convex cone, independent of any fan.
 
@@ -71,43 +81,27 @@ class ConeData:
 
 def _chosen_basis(vectors):
     """Lex-first maximal linearly independent subset, greedy by rank."""
-    basis = []
-    rows = []
-    r = 0
-    for v in sorted(vectors):
-        cand = rows + [list(v)]
-        rr = _linalg.rank(cand)
-        if rr > r:
-            basis.append(v)
-            rows = cand
-            r = rr
-    return tuple(basis)
+    span = _linalg.Echelon()
+    return tuple(v for v in sorted(vectors) if span.insert(_sparse(v)))
 
 
 def _span_coords(basis, vectors):
     """Coordinates of vectors w.r.t. a basis of their span (Fractions)."""
     d = len(basis)
-    rows = [[basis[j][i] for j in range(d)] for i in range(len(basis[0]))]
+    rows = [_sparse(b[i] for b in basis) for i in range(len(basis[0]))]
     out = []
     for v in vectors:
-        sol = _linalg.solve(rows, list(v), d)
+        sol = _linalg.solve(rows, _sparse(v), d)
         if sol is None:
             raise InputError("vector outside the span of the basis")
-        out.append(tuple(sol))
+        out.append(_dense(sol, d))
     return out
 
 def _left_inverse_rows(basis):
     """Rows L_i with L_i . basis_j = delta_ij, free coords zero."""
-    d = len(basis)
     n = len(basis[0])
-    bt = [list(b) for b in basis]
-    rows = []
-    for i in range(d):
-        rhs = [0] * d
-        rhs[i] = 1
-        sol = _linalg.solve(bt, rhs, n)
-        rows.append(tuple(sol))
-    return rows
+    bt = [_sparse(b) for b in basis]
+    return [_dense(_linalg.solve(bt, {i: 1}, n), n) for i in range(len(basis))]
 
 
 def cone_data(vectors, n, allow_redundant=False):
@@ -129,7 +123,7 @@ def cone_data(vectors, n, allow_redundant=False):
         data.extreme = ()
         data.dim = 0
         data.basis = ()
-        data.span_eqs = tuple(tuple(r) for r in _linalg.nullspace_int([], n))
+        data.span_eqs = tuple(_dense(r, n) for r in _linalg.nullspace([], n))
         data.facet_normals = ()
         data.facet_rays = ()
         data.face_sets = frozenset([frozenset()])
@@ -138,7 +132,7 @@ def cone_data(vectors, n, allow_redundant=False):
     basis = _chosen_basis(gens)
     d = len(basis)
     span_eqs = tuple(
-        tuple(r) for r in _linalg.nullspace_int([list(g) for g in gens], n)
+        _dense(r, n) for r in _linalg.nullspace([_sparse(g) for g in gens], n)
     )
 
     if d == 1:
@@ -155,11 +149,10 @@ def cone_data(vectors, n, allow_redundant=False):
         # candidate facet hyperplanes from (d-1)-subsets of generators
         normals = {}
         for sub in combinations(range(len(gens)), d - 1):
-            mat = [list(coords[i]) for i in sub]
-            ker = _linalg.nullspace(mat, d)
+            ker = _linalg.nullspace([_sparse(coords[i]) for i in sub], d)
             if len(ker) != 1:
                 continue
-            f = tuple(ker[0])
+            f = _dense(ker[0], d)
             vals = [dot(f, c) for c in coords]
             if all(v >= 0 for v in vals):
                 pass
@@ -170,7 +163,7 @@ def cone_data(vectors, n, allow_redundant=False):
                 continue
             onset = frozenset(i for i, v in enumerate(vals) if v == 0)
             normals[f] = onset
-        if _linalg.rank([list(f) for f in normals]) != d:
+        if _linalg.rank([_sparse(f) for f in normals]) != d:
             raise InputError("cone is not strictly convex")
         # extreme generators: minimal face containing the generator is a ray
         extreme = []
@@ -180,7 +173,7 @@ def cone_data(vectors, n, allow_redundant=False):
                 member = set.intersection(*map(set, containing))
             else:
                 member = set(range(len(gens)))
-            if _linalg.rank([list(gens[j]) for j in member]) == 1:
+            if _linalg.rank([_sparse(gens[j]) for j in member]) == 1:
                 extreme.append(g)
         if not allow_redundant and len(extreme) != len(gens):
             raise InputError("listed generators are not the extreme rays")
@@ -459,11 +452,9 @@ class Fan:
         basis = [self.rays[r] for r in self.cones[i].basis_rays]
         if not basis:
             return () if not any(vec) else None
-        rows = [[b[k] for b in basis] for k in range(self.n)]
-        return_val = _linalg.solve(rows, list(vec), len(basis))
-        if return_val is None:
-            return None
-        return tuple(return_val)
+        rows = [_sparse(b[k] for b in basis) for k in range(self.n)]
+        sol = _linalg.solve(rows, _sparse(vec), len(basis))
+        return None if sol is None else _dense(sol, len(basis))
 
     def incidence_sign(self, i, j):
         """Orientation sign for facet j of cone i (+1 or -1).

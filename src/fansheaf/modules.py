@@ -4,12 +4,19 @@ A cone's ring is the polynomial ring on the coordinates dual to its
 chosen ray basis, graded with linear part in degree 2.  Restriction to a
 face is substitution along the coordinates of the face's basis.  Free
 modules carry generator degrees; maps between them are PolyMatrix
-objects whose entries live in the target ring.  Subspace families store
-canonical integer bases of a graded subspace degree by degree, and the
+objects whose entries live in the target ring.
+
+Degree by degree everything is in _linalg's one matrix form: a matrix
+is a list of sparse rows {col: value} storing no zeros, and a vector
+(a family's basis vector, a generator representative, an apply_mult
+image) is one such row, indexed by the (part, generator, monomial)
+basis of a degree piece.  PolyMatrix.evaluate and CoverMap.evaluate
+emit that form directly.  Subspace families store canonical primitive
+integer bases of a graded subspace degree by degree, and the
 minimal-generator machinery (completion of m*Z to Z) runs on top: each
 basis vector of Z(d-2) is multiplied by every base variable through
 cached sparse columns of mult_by_var, and span membership is tested
-with the sparse integer _linalg.Echelon.
+with _linalg.Echelon.
 """
 
 from fractions import Fraction
@@ -67,33 +74,36 @@ class RingTower:
         return self._rings[key]
 
     def restriction(self, src_key, tgt_key):
-        """Images of the source ring's variables in the target ring.
-
-        Defined when the target cone's span sits inside the source span;
-        variable i maps to the linear form whose value on target basis
-        vector b_j is the i-th source coordinate of b_j.
-        """
+        """Images of the source ring's variables in the target ring,
+        cached per pair."""
         pair = (src_key, tgt_key)
         if pair not in self._restrictions:
-            src, tgt = self.ring(src_key), self.ring(tgt_key)
-            images = []
-            coeff_cols = []
-            for b in tgt.basis:
-                if src_key == "A":
-                    coords = tuple(Fraction(a) for a in b)
-                else:
-                    coords = self.fan.ray_coords(src_key, b)
-                    if coords is None:
-                        raise InputError(
-                            f"cone {tgt_key} span not inside cone {src_key} span"
-                        )
-                coeff_cols.append(coords)
-            for i in range(src.nvars):
-                images.append(
-                    Poly.linear(tgt.nvars, [col[i] for col in coeff_cols])
-                )
-            self._restrictions[pair] = tuple(images)
+            self._restrictions[pair] = self.images_in(
+                src_key, self.ring(tgt_key)
+            )
         return self._restrictions[pair]
+
+    def images_in(self, key, ring):
+        """Images of the variables of ring(key) in `ring`.
+
+        Defined when the span of ring's basis sits inside the span of
+        cone key; ring may come from another fan in the same lattice.
+        Variable i maps to the linear form whose value on ring basis
+        vector b_j is the i-th coordinate of b_j in cone key's basis.
+        """
+        cols = []
+        for b in ring.basis:
+            coords = b if key == "A" else self.fan.ray_coords(key, b)
+            if coords is None:
+                raise InputError(
+                    f"ring {ring.label} basis vector {b} outside cone "
+                    f"{key} span"
+                )
+            cols.append(coords)
+        return tuple(
+            Poly.linear(ring.nvars, [col[i] for col in cols])
+            for i in range(self.ring(key).nvars)
+        )
 
 
 class FreeGradedModule:
@@ -185,23 +195,25 @@ class PolyMatrix:
         return self._mono_cache[u]
 
     def evaluate(self, d):
-        """Exact matrix of the map on degree-d pieces (rows: target basis)."""
+        """Sparse rows of the map on degree-d pieces, one per target
+        basis element."""
         if d in self._eval:
             return self._eval[d]
-        src = self.source.piece_basis(d)
         tgt_index = self.target.index_at(d)
-        rows = [[Fraction(0)] * len(src) for _ in range(self.target.dim_at(d))]
+        rows = [{} for _ in range(self.target.dim_at(d))]
         by_col = {}
         for (i, j), p in self.entries.items():
             by_col.setdefault(j, []).append((i, p))
-        for col, (j, u) in enumerate(src):
+        for col, (j, u) in enumerate(self.source.piece_basis(d)):
             if j not in by_col:
                 continue
             ru = self._restrict_monomial(u)
             for i, p in by_col[j]:
-                prod = ru * p
-                for mono, c in prod.terms.items():
-                    rows[tgt_index[(i, mono)]][col] += c
+                # distinct (i, mono) pairs: each entry is written once
+                for mono, c in (ru * p).terms.items():
+                    rows[tgt_index[(i, mono)]][col] = (
+                        int(c) if c.denominator == 1 else c
+                    )
         self._eval[d] = rows
         return rows
 
@@ -338,16 +350,16 @@ class DirectSumAmbient:
         return cols
 
     def apply_mult(self, i, d, vec):
-        """Image of a degree-d vector under base variable i, as a list.
+        """Image of a sparse degree-d vector under base variable i.
 
         Integer vectors have integer images.
         """
-        out = [0] * len(self.piece_basis(d + 2))
-        for col, x in zip(self.mult_by_var(i, d), vec):
-            if x:
-                for r, c in col:
-                    out[r] += c * x
-        return out
+        cols = self.mult_by_var(i, d)
+        out = {}
+        for col, x in vec.items():
+            for r, c in cols[col]:
+                out[r] = out.get(r, 0) + c * x
+        return {r: y for r, y in out.items() if y}
 
 
 class GradedSubspaceFamily:
@@ -358,9 +370,7 @@ class GradedSubspaceFamily:
     def __init__(self, ambient, window, bases):
         self.ambient = ambient
         self.window = window
-        self.bases = {
-            d: tuple(tuple(v) for v in rows) for d, rows in bases.items() if rows
-        }
+        self.bases = {d: tuple(rows) for d, rows in bases.items() if rows}
 
     def basis_at(self, d):
         return self.bases.get(d, ())
@@ -412,16 +422,15 @@ def minimal_generators(family):
         if not zd and family.ambient.dim_at(d) == 0:
             continue
         prev = family.basis_at(d - 2) if d - 2 >= lo else ()
-        ncols = family.ambient.dim_at(d)
         # span of Z(d) itself, to certify closure of the family
-        zspan = _linalg.Echelon(ncols)
+        zspan = _linalg.Echelon()
         for z in zd:
             zspan.insert(z)
-        reducer = _linalg.Echelon(ncols)
+        reducer = _linalg.Echelon()
         for i in range(nvars):
             for z in prev:
                 img = family.ambient.apply_mult(i, d - 2, z)
-                if not any(img):
+                if not img:
                     continue
                 if zspan.insert(img):
                     raise CertificateError(
@@ -436,7 +445,7 @@ def minimal_generators(family):
                     raise WindowExhausted(
                         f"new generator in guard zone at degree {d}", degree=d
                     )
-                gens.append((d, tuple(z)))
+                gens.append((d, z))
     return gens
 
 
@@ -454,38 +463,30 @@ class CoverMap:
         self._eval = {}
 
     def evaluate(self, d):
-        """Matrix from L's degree-d piece into the ambient degree-d piece."""
-        if d in self._eval:
-            return self._eval[d]
-        amb = self.family.ambient
-        amb_index = amb.index_at(d)
-        src = self.module.piece_basis(d)
-        rows = [[Fraction(0)] * len(src) for _ in range(amb.dim_at(d))]
-        for k, part in enumerate(amb.parts):
-            mat = self.blocks[k].evaluate(d)
-            pb = part.piece_basis(d)
-            for r, (j, u) in enumerate(pb):
-                row_idx = amb_index[(k, j, u)]
-                for c in range(len(src)):
-                    if mat[r][c]:
-                        rows[row_idx][c] = mat[r][c]
-        self._eval[d] = rows
-        return rows
+        """Sparse rows of the map from L's degree-d piece into the
+        ambient degree-d piece: the blocks' rows, part after part."""
+        if d not in self._eval:
+            self._eval[d] = [
+                row for block in self.blocks for row in block.evaluate(d)
+            ]
+        return self._eval[d]
 
 
 def entries_from_vectors(module, vectors):
     """PolyMatrix entries of a map into `module` from coordinate vectors.
 
-    vectors lists (degree, vector) per source generator; a vector's
-    coordinates in the (generator, monomial) basis of the module's
-    degree piece are exactly the coefficients of the column's entries.
+    vectors lists (degree, sparse vector) per source generator; a
+    vector's coordinates in the (generator, monomial) basis of the
+    module's degree piece are exactly the coefficients of the column's
+    entries.
     """
     nv = module.ring.nvars
     terms = {}
     for col, (d, vec) in enumerate(vectors):
-        for (j, u), x in zip(module.piece_basis(d), vec):
-            if x:
-                terms.setdefault((j, col), {})[u] = Fraction(x)
+        basis = module.piece_basis(d)
+        for c, x in vec.items():
+            j, u = basis[c]
+            terms.setdefault((j, col), {})[u] = Fraction(x)
     return {key: Poly(nv, t) for key, t in terms.items()}
 
 
@@ -504,7 +505,9 @@ def minimal_free_cover(family, base_ring):
         segments = []
         for d, vec in gens:
             start = offsets[d][k]
-            segments.append((d, vec[start:start + part.dim_at(d)]))
+            stop = start + part.dim_at(d)
+            seg = {c - start: x for c, x in vec.items() if start <= c < stop}
+            segments.append((d, seg))
         entries = entries_from_vectors(part, segments)
         block = PolyMatrix(module, part, amb.substs[k], entries)
         block.validate()

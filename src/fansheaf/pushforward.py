@@ -30,7 +30,6 @@ from fansheaf.modules import (
     minimal_free_cover,
     pm_scale,
 )
-from fansheaf.polys import Poly
 
 
 class Pushforward:
@@ -45,23 +44,6 @@ class Pushforward:
         self.tiles = tiles
 
 
-def _cross_images(tgt_fan, tgt_id, nvars_tgt, src_ring):
-    """Variable images for the map from a target cone's ring into the
-    ring of a source cone spanning the same subspace."""
-    cols = []
-    for b in src_ring.basis:
-        coords = tgt_fan.ray_coords(tgt_id, b)
-        if coords is None:
-            raise InputError(
-                f"tile basis vector {b} outside target cone {tgt_id} span"
-            )
-        cols.append(coords)
-    return tuple(
-        Poly.linear(src_ring.nvars, [col[i] for col in cols])
-        for i in range(nvars_tgt)
-    )
-
-
 def pushforward(fan_map, M, window=None):
     """Direct image of a complex along a proper subdivision map."""
     if not fan_map.proper:
@@ -74,28 +56,38 @@ def pushforward(fan_map, M, window=None):
     tower = RingTower(tgt_fan)
     N = FanComplex(tgt_fan, tower, {}, {}, window=window)
     families, covers, tiles_map = {}, {}, {}
+    # blocks of the current target cone, shared by its constraints and
+    # its induced differential
+    blocks = {}
+
+    def block(src_ids, tgt_ids, d):
+        key = (tuple(src_ids), tuple(tgt_ids), d)
+        if key not in blocks:
+            blocks[key] = assemble(M, src_ids, tgt_ids, d)
+        return blocks[key]
+
     walls = {}
     for w, t in enumerate(fan_map.assignment):
         if src_fan.cones[w].dim == tgt_fan.cones[t].dim - 1 and M.rank_at(w):
             walls.setdefault(t, []).append(w)
     for sigma in tgt_fan.cones:
         s = sigma.index
+        blocks.clear()
         tiles = [i for i in fan_map.preimage_cones(s) if M.rank_at(i)]
         if not tiles:
             continue
         ring = tower.ring(s)
         parts = tuple(M.modules[i] for i in tiles)
-        substs = tuple(
-            _cross_images(tgt_fan, s, ring.nvars, M.tower.ring(i))
-            for i in tiles
-        )
+        substs = tuple(tower.images_in(s, M.tower.ring(i)) for i in tiles)
         ambient = DirectSumAmbient(ring, parts, substs)
         facet_data = [
             (f, tiles_map[f], families[f])
             for f in sigma.facet_ids
             if f in families
         ]
-        rows_at = _constraints(M, tiles, walls.get(s, []), facet_data)
+        rows_at = _constraints(
+            block, ambient, tiles, walls.get(s, []), facet_data
+        )
         fam = family_from_kernel(ambient, rows_at, window)
         try:
             cover = minimal_free_cover(fam, ring)
@@ -121,9 +113,9 @@ def pushforward(fan_map, M, window=None):
             fcover = covers[f]
             solutions = []
             for dg, vec in cover.gens:
-                img = _linalg.matvec(assemble(M, tiles, ftiles, dg), vec)
-                if not any(img):
-                    solutions.append((dg, ()))
+                img = _linalg.matvec(block(tiles, ftiles, dg), vec)
+                if not img:
+                    solutions.append((dg, {}))
                     continue
                 sol = _linalg.solve(
                     fcover.evaluate(dg), img, fcover.module.dim_at(dg)
@@ -147,24 +139,24 @@ def pushforward(fan_map, M, window=None):
     return Pushforward(N, fan_map, M, families, covers, tiles_map)
 
 
-def _constraints(M, tiles, interior_walls, facet_data):
+def _constraints(block, ambient, tiles, interior_walls, facet_data):
+    """Degreewise constraint rows on the sections over the tiles (the
+    parts of ambient): they glue across interior walls, and their image
+    in each facet's tiles lies in that facet's family.  block(src, tgt,
+    d) is assemble on the source complex."""
+
     def rows_at(d):
-        rows = [
-            row
-            for row in assemble(M, tiles, interior_walls, d)
-            if any(row)
-        ]
+        rows = list(block(tiles, interior_walls, d))
         for _, ftiles, ffam in facet_data:
-            D = assemble(M, tiles, ftiles, d)
+            D = block(tiles, ftiles, d)
             if not D:
                 continue
-            basis = [list(v) for v in ffam.basis_at(d)]
-            for c in _linalg.nullspace(basis, ffam.ambient.dim_at(d)):
-                row = [
-                    sum(c[r] * D[r][j] for r in range(len(D)) if c[r])
-                    for j in range(len(D[0]))
-                ]
-                if any(row):
+            # each functional c vanishing on the facet family gives the
+            # constraint row c D
+            cols = _linalg.transpose(D, ambient.dim_at(d))
+            for c in _linalg.nullspace(ffam.basis_at(d), len(D)):
+                row = _linalg.matvec(cols, c)
+                if row:
                     rows.append(row)
         return rows
 

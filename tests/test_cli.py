@@ -1,14 +1,18 @@
 """End-to-end CLI runs through main(), checking reports and exit codes."""
 
+import re
 from pathlib import Path
 
 import pytest
 
+from fansheaf import cli
 from fansheaf.cli import main
+from fansheaf.errors import CertificateError
 
 from conftest import fan_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _run(capsys, *argv):
@@ -269,3 +273,59 @@ def test_keywords_match_exactly(tmp_path, capsys, kind, old, new):
     assert record.startswith("error\t-\t-\t")
     assert "unrecognized line" in record
     assert record.endswith("\tinput-error")
+
+
+def _readme_exit_codes():
+    """{code: meaning} read from the README's "Exit codes: ..." sentence."""
+    text = " ".join(README.read_text().split())
+    sentence = re.search(r"Exit codes: (.*?)\. ", text).group(1)
+    return {
+        int(code): what.strip()
+        for code, what in re.findall(r"(\d) ([^,(]+)", sentence)
+    }
+
+
+def test_exit_codes_match_readme(tmp_path, capsys, monkeypatch):
+    """Drive every documented exit code through main(); each run has a
+    record whose certificate fits the README's meaning of its code."""
+    corrupt = tmp_path / "quadrant.cx"
+    text = (GOLDEN / "quadrant.complex").read_text()
+    corrupt.write_text(text.replace("entry 3 1 0 0: 1", "entry 3 1 0 0: 2"))
+    p2 = str(fan_path("p2"))
+    missing = tmp_path / "none.fan"
+    exhausting = [
+        "minimal", "build", "--fan", str(fan_path("conesquare")),
+        "--degree-max", "0",
+    ]
+    # code -> runs of (argv, certificate of one of its records), and
+    # words of the README's meaning of the code
+    cases = {
+        0: ([(["ih", "--fan", p2], "match")], "pass"),
+        1: (
+            [
+                (["verify", "--fan", str(corrupt)], "fail"),
+                (["ih", "--fan", p2], "certificate-failure"),
+            ],
+            "certificate failed",
+        ),
+        2: (
+            [(["fan", "check", "--fan", str(missing)], "input-error")],
+            "bad input",
+        ),
+        3: ([(exhausting, "window-exhausted")], "window exhausted"),
+    }
+    documented = _readme_exit_codes()
+    assert sorted(documented) == sorted(cases)
+
+    def failing_ih(M, require_complete=False):
+        raise CertificateError("top cohomology not free")
+
+    for code, (runs, meaning) in cases.items():
+        assert meaning in documented[code]
+        for argv, certificate in runs:
+            if certificate == "certificate-failure":
+                monkeypatch.setattr(cli, "ih_module", failing_ih)
+            got, out = _run(capsys, "--format", "machine", *argv)
+            monkeypatch.undo()
+            assert got == code, argv
+            assert certificate in [r.split("\t")[4] for r in out.splitlines()]

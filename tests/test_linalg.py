@@ -1,7 +1,8 @@
 """Tests of the one exact kernel in fansheaf._linalg: canonical RREF,
-nullspace and solve, the sparse rank and the sparse Echelon basis.  The
-reference below redoes everything with Fraction arithmetic and no shared
-code paths."""
+nullspace and solve, rank, the Echelon basis and matvec, all on sparse
+rows.  The reference below redoes everything densely with Fraction
+arithmetic and no shared code paths; test matrices are written densely
+and passed through sparse(), and results are compared after dense()."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,10 +12,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fansheaf import _linalg
-from fansheaf._linalg import nullspace_int, rref_int, solve_int
 
 # the kernel's name stays in these test ids, so the ids are stable
 KERNEL_ID = pytest.mark.parametrize("kernel", [_linalg.KERNEL])
+
+
+def sparse(mat):
+    """Dense rows as the sparse rows _linalg takes."""
+    return [{j: a for j, a in enumerate(row) if a} for row in mat]
+
+
+def dense(vec, n):
+    assert all(vec.values()), "sparse vectors store no zeros"
+    assert all(0 <= j < n for j in vec)
+    return [vec.get(j, 0) for j in range(n)]
+
+
+def rref_dense(mat):
+    ncols = len(mat[0]) if mat else 0
+    rows, pivots = _linalg.rref(sparse(mat))
+    return [dense(r, ncols) for r in rows], pivots
+
+
+def nullspace_dense(mat, ncols):
+    return [dense(v, ncols) for v in _linalg.nullspace(sparse(mat), ncols)]
+
+
+def in_rowspan(rows, vec):
+    return _linalg.rank(rows + [vec]) == _linalg.rank(rows)
 
 
 def reference_rref(mat):
@@ -69,14 +94,14 @@ MATS = [
 @KERNEL_ID
 @pytest.mark.parametrize("mat", MATS)
 def test_rref_matches_reference(kernel, mat):
-    assert rref_int(mat) == reference_rref(mat)
+    assert rref_dense(mat) == reference_rref(mat)
 
 
 @KERNEL_ID
 def test_nullspace_orthogonality(kernel):
     mat = [[1, 2, 3, 0], [0, 0, 5, 1], [1, 2, 8, 1]]
-    basis = nullspace_int(mat, 4)
-    assert len(basis) == 4 - _linalg.rank(mat)
+    basis = nullspace_dense(mat, 4)
+    assert len(basis) == 4 - _linalg.rank(sparse(mat))
     for v in basis:
         for row in mat:
             assert sum(a * b for a, b in zip(row, v)) == 0
@@ -84,17 +109,22 @@ def test_nullspace_orthogonality(kernel):
 
 @KERNEL_ID
 def test_nullspace_empty_matrix(kernel):
-    basis = nullspace_int([], 3)
-    assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    basis = _linalg.nullspace([], 3)
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
 
 @KERNEL_ID
 def test_solve(kernel):
-    assert solve_int([[2, 0], [0, 3]], [4, 9], 2) == ([2, 3], 1)
-    assert solve_int([[1, 1]], [1], 2) == ([1, 0], 1)
-    assert solve_int([[1, 0], [1, 0]], [1, 2], 2) is None
-    assert solve_int([[2]], [1], 1) == ([1], 2)
-    assert solve_int([], [], 2) == ([0, 0], 1)
+    solve = _linalg.solve
+    got = solve(sparse([[2, 0], [0, 3]]), {0: 4, 1: 9}, 2)
+    assert got == {0: 2, 1: 3}
+    assert all(type(x) is int for x in got.values())
+    assert solve(sparse([[1, 1]]), {0: 1}, 2) == {0: 1}
+    assert solve(sparse([[1, 0], [1, 0]]), {0: 1, 1: 2}, 2) is None
+    assert solve(sparse([[2]]), {0: 1}, 1) == {0: Fraction(1, 2)}
+    assert solve([], {}, 2) == {}
+    # a zero row with a nonzero right-hand side is inconsistent
+    assert solve([{0: 1}, {}], {1: 3}, 1) is None
 
 
 int_matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -109,7 +139,7 @@ int_matrices = st.integers(min_value=1, max_value=5).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(mat=int_matrices)
 def test_rref_property_random(mat):
-    got_rows, got_piv = rref_int(mat)
+    got_rows, got_piv = rref_dense(mat)
     ref_rows, ref_piv = reference_rref(mat)
     assert got_piv == ref_piv
     assert got_rows == ref_rows
@@ -119,8 +149,8 @@ def test_rref_property_random(mat):
 @given(mat=int_matrices)
 def test_nullspace_property_random(mat):
     ncols = len(mat[0])
-    basis = nullspace_int(mat, ncols)
-    assert len(basis) == ncols - _linalg.rank(mat)
+    basis = nullspace_dense(mat, ncols)
+    assert len(basis) == ncols - _linalg.rank(sparse(mat))
     for v in basis:
         for row in mat:
             assert sum(a * b for a, b in zip(row, v)) == 0
@@ -153,7 +183,7 @@ fraction_matrices = st.integers(min_value=1, max_value=6).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(mat=st.one_of(sparse_int_matrices, fraction_matrices))
 def test_rank_matches_reference_pivots(mat):
-    assert _linalg.rank(mat) == len(reference_rref(mat)[1])
+    assert _linalg.rank(sparse(mat)) == len(reference_rref(mat)[1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,20 +193,20 @@ def test_rank_invariant_under_permutations(mat, data):
     row_perm = data.draw(st.permutations(range(len(mat))))
     col_perm = data.draw(st.permutations(range(ncols)))
     permuted = [[mat[i][j] for j in col_perm] for i in row_perm]
-    assert _linalg.rank(permuted) == _linalg.rank(mat)
+    assert _linalg.rank(sparse(permuted)) == _linalg.rank(sparse(mat))
 
 
 def test_fraction_wrappers():
     F = Fraction
     rows = [[F(1, 2), F(1, 3)], [F(3, 2), F(1, 5)]]
-    got, piv = _linalg.rref(rows)
+    got, piv = rref_dense(rows)
     assert piv == [0, 1]
     assert got == [[1, 0], [0, 1]]
-    sol = _linalg.solve([[F(1, 2), 1]], [F(3, 2)], 2)
-    assert sol == [F(3), F(0)]
-    assert _linalg.nullspace([[F(1, 2), F(1, 2)]], 2) == [[1, -1]]
-    assert _linalg.in_rowspan([[1, 1], [0, 2]], [5, 3])
-    assert not _linalg.in_rowspan([[1, 1]], [1, 2])
+    sol = _linalg.solve(sparse([[F(1, 2), 1]]), {0: F(3, 2)}, 2)
+    assert sol == {0: 3} and type(sol[0]) is int
+    assert nullspace_dense([[F(1, 2), F(1, 2)]], 2) == [[1, -1]]
+    assert in_rowspan(sparse([[1, 1], [0, 2]]), {0: 5, 1: 3})
+    assert not in_rowspan(sparse([[1, 1]]), {0: 1, 1: 2})
 
 
 def test_det_sign():
@@ -222,18 +252,20 @@ def echelon_streams(draw):
 @settings(max_examples=200, deadline=None)
 @given(stream=echelon_streams())
 def test_echelon_tracks_rank_and_membership(stream):
-    ncols, vecs = stream
-    ech = _linalg.Echelon(ncols)
+    ncols, dense_vecs = stream
+    vecs = sparse(dense_vecs)
+    ech = _linalg.Echelon()
     seen = []
     for v in vecs:
         before = _linalg.rank(seen) if seen else 0
-        inside = _linalg.in_rowspan(seen, v) if seen else not any(v)
+        inside = in_rowspan(seen, v) if seen else not v
         assert ech.contains(v) == inside
         assert (not ech.reduce(v)) == inside
         seen.append(v)
         after = _linalg.rank(seen)
         assert ech.insert(v) == (after > before)
-        assert ech.rank == after == len(reference_rref(seen)[1])
+        ref_rank = len(reference_rref(dense_vecs[: len(seen)])[1])
+        assert ech.rank == after == ref_rank
         assert ech.contains(v)
     for lead, row in ech.rows.items():
         assert min(row) == lead and row[lead] > 0
@@ -247,4 +279,68 @@ def test_matvec_matches_dense_product(mat, data):
     ncols = len(mat[0]) if mat else 0
     vec = data.draw(st.lists(sparse_fractions, min_size=ncols, max_size=ncols))
     want = [sum(a * x for a, x in zip(row, vec)) for row in mat]
-    assert _linalg.matvec(mat, vec) == want
+    got = _linalg.matvec(sparse(mat), sparse([vec])[0])
+    assert dense(got, len(mat)) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(mat=st.one_of(sparse_int_matrices, fraction_matrices))
+def test_transpose_matches_dense(mat):
+    ncols = len(mat[0]) if mat else 0
+    cols = _linalg.transpose(sparse(mat), ncols)
+    assert [dense(c, len(mat)) for c in cols] == [list(c) for c in zip(*mat)]
+
+
+def reference_nullspace(mat, ncols):
+    """One kernel vector per free column of the reference RREF: the free
+    entry is the lcm of the pivots it meets, then the vector is made
+    primitive with a positive leading entry."""
+    rows, pivots = reference_rref(mat) if mat else ([], [])
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        den = 1
+        for row, p in zip(rows, pivots):
+            if row[f]:
+                den = den * row[p] // gcd(den, row[p])
+        vec = [0] * ncols
+        vec[f] = den
+        for row, p in zip(rows, pivots):
+            if row[f]:
+                vec[p] = Fraction(-row[f] * den, row[p])
+        g = 0
+        for a in vec:
+            g = gcd(g, int(a))
+        lead = next(a for a in vec if a)
+        basis.append([int(a) // (g if lead > 0 else -g) for a in vec])
+    return basis
+
+
+@settings(max_examples=100, deadline=None)
+@given(mat=st.one_of(sparse_int_matrices, fraction_matrices))
+def test_nullspace_matches_reference_basis(mat):
+    """The stored basis is the canonical one, entry for entry."""
+    ncols = len(mat[0]) if mat else 0
+    assert nullspace_dense(mat, ncols) == reference_nullspace(mat, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mat=st.one_of(sparse_int_matrices, fraction_matrices), data=st.data())
+def test_solve_matches_reference(mat, data):
+    """solve gives a solution exactly when the reference rank does not
+    grow with the right-hand side, with free variables zero."""
+    ncols = len(mat[0]) if mat else 0
+    n = len(mat)
+    rhs = data.draw(st.lists(sparse_fractions, min_size=n, max_size=n))
+    sol = _linalg.solve(sparse(mat), sparse([rhs])[0], ncols)
+    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    consistent = len(reference_rref(aug)[1]) == len(reference_rref(mat)[1])
+    assert (sol is not None) == consistent
+    if sol is None:
+        return
+    x = dense(sol, ncols)
+    assert [sum(a * y for a, y in zip(row, x)) for row in mat] == rhs
+    assert all(type(y) is int for y in x if y.denominator == 1)
+    pivots = reference_rref(mat)[1] if mat else []
+    assert all(x[j] == 0 for j in range(ncols) if j not in pivots)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from fansheaf.complexes import cohomology_degreewise
+from fansheaf import pushforward as pushforward_module
+from fansheaf.complexes import assemble, cohomology_degreewise
 from fansheaf.errors import InputError
 from fansheaf.fans import load_fan, subdivision_map
 from fansheaf.minimal import build_minimal, stalk_report, verify_minimality
@@ -106,3 +107,22 @@ def test_wrong_source_complex_rejected():
     M = build_minimal(tgt)
     with pytest.raises(InputError):
         pushforward(fmap, M)
+
+
+def test_each_block_assembled_once(monkeypatch):
+    """The constraints and the induced differential of a target cone
+    share each assembled (tiles -> facet tiles, degree) block."""
+    src = load_fan(fan_path("starsq"))
+    fmap = subdivision_map(src, load_fan(fan_path("conesquare")))
+    M = build_minimal(src)
+    calls = []
+
+    def counting_assemble(M, src_ids, tgt_ids, d):
+        calls.append((tuple(src_ids), tuple(tgt_ids), d))
+        return assemble(M, src_ids, tgt_ids, d)
+
+    monkeypatch.setattr(pushforward_module, "assemble", counting_assemble)
+    P = pushforward(fmap, M)
+    assert calls
+    assert len(calls) == len(set(calls))
+    assert verify_pushforward(P).ok
