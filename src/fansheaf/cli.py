@@ -7,7 +7,8 @@ machine.  Serialized complexes go to --out; reports go to stdout.
 
 Exit codes: 0 all certificates pass, 1 a certificate failed, 2 invalid
 input, 3 a computation ran out of degree window (the report names the
-cone and degree at fault).
+cone and degree at fault, and a --degree-max of at least that degree
+plus 2 to retry with).
 """
 
 import argparse
@@ -310,11 +311,15 @@ def main(argv=None):
         )
         cone = getattr(exc, "cone", None)
         degree = getattr(exc, "degree", None)
+        value = str(exc)
+        if isinstance(exc, WindowExhausted):
+            # a lower bound: the larger window may exhaust higher up
+            value += f"; raise --degree-max to at least {degree + 2}"
         rep.add(
             "error",
             cone="-" if cone is None else cone,
             degree="-" if degree is None else degree,
-            value=str(exc),
+            value=value,
             certificate=label,
         )
     print(rep.render())

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 
 from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError
-from fansheaf.fans import Fan, line_keyword, parse_fan
+from fansheaf.fans import line_keyword, parse_fan
 from fansheaf.modules import (
     DirectSumAmbient,
     FreeGradedModule,
@@ -169,9 +169,7 @@ def boundary_setup(M, cone_id):
     cone = fan.cones[cone_id]
     facets = [i for i in cone.facet_ids if M.rank_at(i)]
     ring = M.tower.ring(cone_id)
-    parts = tuple(M.modules[i] for i in facets)
-    substs = tuple(M.tower.restriction(cone_id, i) for i in facets)
-    ambient = DirectSumAmbient(ring, parts, substs)
+    ambient = DirectSumAmbient(ring, [M.modules[i] for i in facets])
     codim2 = [
         i
         for i in cone.face_ids
@@ -222,79 +220,6 @@ def check_locally_exact(M, window):
                 if _linalg.rank(img_rows + list(fam.basis_at(d))) != zdim:
                     failures.append((i, d, "image not inside kernel"))
     return CertificateReport(failures)
-
-
-class SupportReport:
-    """Per-cone generator degrees of a complex."""
-
-    def __init__(self, entries):
-        self.entries = entries  # list of (cone_id, dim, degrees tuple)
-
-    def __str__(self):
-        lines = ["cone  dim  generator degrees"]
-        for i, dim, degs in self.entries:
-            lines.append(f"{i:4d}  {dim:3d}  {list(degs)}")
-        return "\n".join(lines)
-
-
-def support_report(M):
-    return SupportReport(
-        [
-            (c.index, c.dim, M.degrees_at(c.index))
-            for c in M.fan.cones
-            if M.rank_at(c.index)
-        ]
-    )
-
-
-def restrict_to_subfan(M, cone_ids):
-    """Restriction of the complex to a face-closed set of cones.
-
-    Returns (complex on the subfan as its own Fan, old-to-new id map).
-    Chosen ray bases agree vector by vector, so module and map data are
-    transported verbatim.
-    """
-    wanted = set(cone_ids)
-    for i in wanted:
-        missing = [f for f in M.fan.cones[i].face_ids if f not in wanted]
-        if missing:
-            raise InputError(
-                f"subfan not face-closed: cone {i} needs faces {missing}"
-            )
-    old_fan = M.fan
-    ray_ids = sorted({r for i in wanted for r in old_fan.cones[i].rays})
-    ray_vecs = [old_fan.rays[r] for r in ray_ids]
-    ray_pos = {r: k for k, r in enumerate(ray_ids)}
-    gen_sets = [
-        [ray_pos[r] for r in old_fan.cones[i].rays]
-        for i in wanted
-    ]
-    sub = Fan.from_cones(old_fan.n, ray_vecs, gen_sets, validate=False)
-    id_map = {}
-    for i in wanted:
-        vecs = frozenset(
-            sub.rays.index(old_fan.rays[r]) for r in old_fan.cones[i].rays
-        )
-        id_map[i] = sub.cone_by_rays(vecs)
-    tower = RingTower(sub)
-    modules = {}
-    for i in wanted:
-        m = M.modules.get(i)
-        if m is not None:
-            modules[id_map[i]] = FreeGradedModule(
-                tower.ring(id_map[i]), m.degrees
-            )
-    maps = {}
-    for (s, t), pm in M.maps.items():
-        if s in wanted and t in wanted:
-            ns, nt = id_map[s], id_map[t]
-            maps[(ns, nt)] = PolyMatrix(
-                modules[ns],
-                modules[nt],
-                tower.restriction(ns, nt),
-                pm.entries,
-            )
-    return FanComplex(sub, tower, modules, maps, window=M.window), id_map
 
 
 class CohomologyReport:
@@ -375,9 +300,7 @@ def _top_module(M, window, top_ids):
     if not top_ids:
         return TopModuleReport(False, (), "no top-dimensional modules")
     ring = M.tower.ring("A")
-    parts = tuple(M.modules[i] for i in top_ids)
-    substs = tuple(M.tower.restriction("A", i) for i in top_ids)
-    ambient = DirectSumAmbient(ring, parts, substs)
+    ambient = DirectSumAmbient(ring, [M.modules[i] for i in top_ids])
     n = M.fan.n
     tgts = [i for i in M.fan.cones_of_dim(n - 1) if M.rank_at(i)]
 
@@ -486,15 +409,14 @@ def complex_from_text(text, validate=True):
                 raise InputError(f"entry for cones without modules: {s}->{t}")
             if not (0 <= i < modules[t].rank() and 0 <= j < modules[s].rank()):
                 raise InputError(f"entry ({i},{j}) out of range")
-            nv = tower.ring(t).nvars
-            entries_by_pair.setdefault((s, t), {})[(i, j)] = parse_poly(body, nv)
+            poly = parse_poly(body, tower.ring(t).nvars)
+            poly.degree()  # ValueError when inhomogeneous
+            entries_by_pair.setdefault((s, t), {})[(i, j)] = poly
     maps = {}
     for (s, t), entries in entries_by_pair.items():
         if not fan.is_facet(t, s):
             raise InputError(f"map {s}->{t}: target is not a facet")
-        maps[(s, t)] = PolyMatrix(
-            modules[s], modules[t], tower.restriction(s, t), entries
-        )
+        maps[(s, t)] = PolyMatrix(modules[s], modules[t], entries)
     for lineno, line in sign_lines:
         with _at_line(lineno, line):
             head, _, body = line.partition(":")

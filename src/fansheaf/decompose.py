@@ -126,7 +126,6 @@ def peel_summand(N, base_id, shift):
             psi[i] = PolyMatrix(
                 mod,
                 Nmod,
-                None,
                 {
                     (j, j): Poly.const(ring.nvars, Fraction(1))
                     for j in range(mod.rank())
@@ -135,10 +134,7 @@ def peel_summand(N, base_id, shift):
             for f in cone.facet_ids:
                 if (i, f) in N.maps and f in NP.modules:
                     NP.maps[(i, f)] = PolyMatrix(
-                        mod,
-                        NP.modules[f],
-                        tower.restriction(i, f),
-                        dict(N.maps[(i, f)].entries),
+                        mod, NP.modules[f], dict(N.maps[(i, f)].entries)
                     )
             continue
         ambient, facets, base_rows = boundary_setup(N, i)
@@ -149,9 +145,7 @@ def peel_summand(N, base_id, shift):
                     pm_scale(N.maps[(i, f)], fan.incidence_sign(i, f))
                 )
             else:
-                true_blocks.append(
-                    PolyMatrix(Nmod, N.modules[f], tower.restriction(i, f), {})
-                )
+                true_blocks.append(PolyMatrix(Nmod, N.modules[f], {}))
         Z = family_from_kernel(ambient, base_rows, window)
         cover = CoverMap(Nmod, Z, (), tuple(true_blocks))
 
@@ -298,14 +292,14 @@ def peel_summand(N, base_id, shift):
             assert count == ndegs[d]
 
         phi[i] = PolyMatrix(
-            S.modules[i], Nmod, None, entries_from_vectors(Nmod, k_vectors)
+            S.modules[i], Nmod, entries_from_vectors(Nmod, k_vectors)
         )
         phi[i].validate()
         if n_vectors:
             mod = FreeGradedModule(ring, [d for d, _ in n_vectors])
             NP.modules[i] = mod
             psi[i] = PolyMatrix(
-                mod, Nmod, None, entries_from_vectors(Nmod, n_vectors)
+                mod, Nmod, entries_from_vectors(Nmod, n_vectors)
             )
             psi[i].validate()
             for kf, f in enumerate(facets):
@@ -333,9 +327,7 @@ def peel_summand(N, base_id, shift):
                     continue
                 entries = entries_from_vectors(fmod, solutions)
                 if entries:
-                    mp = PolyMatrix(
-                        mod, fmod, tower.restriction(i, f), entries
-                    )
+                    mp = PolyMatrix(mod, fmod, entries)
                     mp.validate()
                     NP.maps[(i, f)] = pm_scale(mp, fan.incidence_sign(i, f))
 

@@ -6,8 +6,8 @@ order (rays sorted lexicographically, cones by (dim, ray tuple)), so two
 runs over the same input produce identical ids, bases, and signs.
 
 All geometric predicates -- facets, face lattices, intersections,
-membership, quotients, subdivision assignments -- are computed with exact
-rational arithmetic on top of the sparse exact kernel in _linalg.
+membership, coordinates, subdivision assignments -- are computed with
+exact rational arithmetic on top of the sparse exact kernel in _linalg.
 """
 
 from fractions import Fraction
@@ -85,8 +85,10 @@ def _chosen_basis(vectors):
     return tuple(v for v in sorted(vectors) if span.insert(_sparse(v)))
 
 
-def _span_coords(basis, vectors):
-    """Coordinates of vectors w.r.t. a basis of their span (Fractions)."""
+def span_coords(basis, vectors):
+    """Coordinates of vectors in a basis of a span containing them: one
+    dense tuple per vector, int where integral, else Fraction.  Raises
+    InputError for a vector outside the span."""
     d = len(basis)
     rows = [_sparse(b[i] for b in basis) for i in range(len(basis[0]))]
     out = []
@@ -96,6 +98,7 @@ def _span_coords(basis, vectors):
             raise InputError("vector outside the span of the basis")
         out.append(_dense(sol, d))
     return out
+
 
 def _left_inverse_rows(basis):
     """Rows L_i with L_i . basis_j = delta_ij, free coords zero."""
@@ -145,7 +148,7 @@ def cone_data(vectors, n, allow_redundant=False):
         facet_rays = (frozenset(),)
         face_sets = frozenset([frozenset(), frozenset(extreme)])
     else:
-        coords = _span_coords(basis, gens)
+        coords = span_coords(basis, gens)
         # candidate facet hyperplanes from (d-1)-subsets of generators
         normals = {}
         for sub in combinations(range(len(gens)), d - 1):
@@ -291,11 +294,11 @@ class Fan:
         self._signs = {}
 
     @classmethod
-    def from_cones(cls, n, ray_vectors, cone_ray_lists, validate=True):
+    def from_cones(cls, n, ray_vectors, cone_ray_lists):
         """Build a fan from generating cones given by ray index lists.
 
         Faces are added automatically; pairwise cone compatibility is
-        verified unless validate is False (trusted internal callers).
+        verified.
         """
         if n < 0:
             raise InputError("ambient dimension must be nonnegative")
@@ -370,8 +373,7 @@ class Fan:
                 sorted(by_rayset[fs] for fs in c.facet_ray_sets)
             )
         fan = cls(n, rays, tuple(cones), by_rayset)
-        if validate:
-            fan._validate_pairwise()
+        fan._validate_pairwise()
         return fan
 
     def _validate_pairwise(self):
@@ -447,15 +449,6 @@ class Fan:
             self.contains_vector(c.index, vec) for c in self.cones
         )
 
-    def ray_coords(self, i, vec):
-        """Coordinates of vec in cone i's chosen ray basis, or None."""
-        basis = [self.rays[r] for r in self.cones[i].basis_rays]
-        if not basis:
-            return () if not any(vec) else None
-        rows = [_sparse(b[k] for b in basis) for k in range(self.n)]
-        sol = _linalg.solve(rows, _sparse(vec), len(basis))
-        return None if sol is None else _dense(sol, len(basis))
-
     def incidence_sign(self, i, j):
         """Orientation sign for facet j of cone i (+1 or -1).
 
@@ -475,8 +468,9 @@ class Fan:
         ci = self.cones[i]
         if ci.dim == 1:
             return 1
-        cols = [self.ray_coords(i, self.rays[r]) for r in self.cones[j].basis_rays]
-        cols.append(self.ray_coords(i, self.interior_point(i)))
+        vecs = [self.rays[r] for r in self.cones[j].basis_rays]
+        vecs.append(self.interior_point(i))
+        cols = span_coords([self.rays[r] for r in ci.basis_rays], vecs)
         mat = [[cols[c][r] for c in range(ci.dim)] for r in range(ci.dim)]
         s = _linalg.det_sign(mat)
         if s == 0:
@@ -582,55 +576,6 @@ def is_complete(fan):
                 seen.add(j)
                 work.append(j)
     return len(seen) == len(top)
-
-
-def quotient_fan(fan, cone_id):
-    """Quotient of the star of a cone by the cone's linear span.
-
-    Returns (qfan, cone_map, projection) where projection is the integer
-    matrix whose rows are the span equations of the cone (kernel exactly
-    the span), and cone_map sends each star cone id to its image cone id.
-    The image is checked to be a fan combinatorially isomorphic to the
-    star; any failure raises CertificateError.
-    """
-    c = fan.cones[cone_id]
-    proj = c.span_eqs
-    m = len(proj)
-    star = fan.star(cone_id)
-
-    image_rays = {}
-    image_sets = {}
-    for t in star:
-        vecs = []
-        for r in fan.cones[t].rays:
-            w = tuple(dot(row, fan.rays[r]) for row in proj)
-            if any(w):
-                vecs.append(primitive(w))
-        if vecs:
-            ext = cone_data(vecs, m, allow_redundant=True).extreme
-        else:
-            ext = ()
-        image_sets[t] = ext
-        for v in ext:
-            image_rays.setdefault(v, len(image_rays))
-
-    ray_vecs = list(image_rays)
-    qfan = Fan.from_cones(
-        m, ray_vecs, [[image_rays[v] for v in image_sets[t]] for t in star]
-    )
-    cone_map = {}
-    for t in star:
-        idxs = [qfan.rays.index(v) for v in image_sets[t]]
-        cone_map[t] = qfan.cone_by_rays(idxs)
-        if qfan.cones[cone_map[t]].dim != fan.cones[t].dim - c.dim:
-            raise CertificateError("quotient image has wrong dimension")
-    if len(set(cone_map.values())) != len(star) or len(qfan.cones) != len(star):
-        raise CertificateError("quotient is not a bijection on the star")
-    for a in star:
-        for b in star:
-            if fan.is_face(a, b) != qfan.is_face(cone_map[a], cone_map[b]):
-                raise CertificateError("quotient does not preserve face relations")
-    return qfan, cone_map, proj
 
 
 class FanMap:

@@ -1,10 +1,14 @@
 """Graded modules over cone rings and exact degreewise linear algebra.
 
 A cone's ring is the polynomial ring on the coordinates dual to its
-chosen ray basis, graded with linear part in degree 2.  Restriction to a
-face is substitution along the coordinates of the face's basis.  Free
-modules carry generator degrees; maps between them are PolyMatrix
-objects whose entries live in the target ring.
+chosen ray basis, graded with linear part in degree 2.  A map between
+two cone rings is the restriction of functions from the larger span to
+the smaller one, so it is fixed by the two bases: restriction and
+restrict_monomial compute it from the two rings alone and cache it once,
+in one table keyed by the bases' content, which rings of different
+towers and fans share.  Free modules carry generator degrees; maps
+between them are PolyMatrix objects whose entries live in the target
+ring.
 
 Degree by degree everything is in _linalg's one matrix form: a matrix
 is a list of sparse rows {col: value} storing no zeros, and a vector
@@ -23,14 +27,14 @@ from fractions import Fraction
 
 from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
+from fansheaf.fans import span_coords
 from fansheaf.polys import Poly, monomials
 
 
-def default_window(n, shift_low=0):
-    """Window [-n + min(0, shift), -n + 2(n+2) + pad] used by builders."""
-    lo = -n + min(0, shift_low)
-    hi = -n + 2 * (n + 2) + 2 * ((abs(shift_low) + 1) // 2)
-    return (lo, hi)
+def default_window(n):
+    """Window [-n, n + 4] used by builders; its top two degrees are the
+    guard zone."""
+    return (-n, n + 4)
 
 
 class ConeRing:
@@ -48,7 +52,7 @@ class ConeRing:
 
 
 class RingTower:
-    """Rings and restriction maps of one fan, cached and deterministic.
+    """Rings of one fan, cached and deterministic.
 
     Keys are cone ids; the key "A" denotes the ring of the full ambient
     space in the standard basis (used for module structures over the
@@ -58,7 +62,6 @@ class RingTower:
     def __init__(self, fan):
         self.fan = fan
         self._rings = {}
-        self._restrictions = {}
 
     def ring(self, key):
         if key not in self._rings:
@@ -73,37 +76,59 @@ class RingTower:
             self._rings[key] = ConeRing(key, len(basis), basis)
         return self._rings[key]
 
-    def restriction(self, src_key, tgt_key):
-        """Images of the source ring's variables in the target ring,
-        cached per pair."""
-        pair = (src_key, tgt_key)
-        if pair not in self._restrictions:
-            self._restrictions[pair] = self.images_in(
-                src_key, self.ring(tgt_key)
+
+# (source basis, target basis) -> (variable images or None, {monomial:
+# image}).  Keyed by content, never by object identity: the ids of freed
+# objects are reused.
+_RESTRICTIONS = {}
+
+
+def _pair(source, target):
+    key = (source.basis, target.basis)
+    pair = _RESTRICTIONS.get(key)
+    if pair is None:
+        images = None
+        if source.basis != target.basis:
+            # column j: target basis vector j in source coordinates
+            cols = span_coords(source.basis, target.basis)
+            images = tuple(
+                Poly.linear(target.nvars, [col[i] for col in cols])
+                for i in range(source.nvars)
             )
-        return self._restrictions[pair]
+        one = Poly.const(target.nvars, 1)
+        pair = _RESTRICTIONS[key] = (images, {(0,) * source.nvars: one})
+    return pair
 
-    def images_in(self, key, ring):
-        """Images of the variables of ring(key) in `ring`.
 
-        Defined when the span of ring's basis sits inside the span of
-        cone key; ring may come from another fan in the same lattice.
-        Variable i maps to the linear form whose value on ring basis
-        vector b_j is the i-th coordinate of b_j in cone key's basis.
-        """
-        cols = []
-        for b in ring.basis:
-            coords = b if key == "A" else self.fan.ray_coords(key, b)
-            if coords is None:
-                raise InputError(
-                    f"ring {ring.label} basis vector {b} outside cone "
-                    f"{key} span"
-                )
-            cols.append(coords)
-        return tuple(
-            Poly.linear(ring.nvars, [col[i] for col in cols])
-            for i in range(self.ring(key).nvars)
-        )
+def _monomial(pair, u):
+    images, monos = pair
+    p = monos.get(u)
+    if p is None:
+        if images is None:
+            p = Poly(len(u), {u: Fraction(1)})
+        else:
+            # degree by degree: image(u) = image(u / t_i) * image(t_i)
+            i = next(k for k, e in enumerate(u) if e)
+            p = _monomial(pair, u[:i] + (u[i] - 1,) + u[i + 1:]) * images[i]
+        monos[u] = p
+    return p
+
+
+def restriction(source, target):
+    """Images of the source ring's variables in the target ring, or None
+    when the two rings have the same basis.
+
+    Defined when the target basis spans a subspace of the source span;
+    the rings may come from different fans in the same lattice.
+    Variable i maps to the linear form whose value on target basis
+    vector b_j is the i-th coordinate of b_j in the source basis.
+    """
+    return _pair(source, target)[0]
+
+
+def restrict_monomial(source, target, u):
+    """Image in the target ring of the source ring's monomial u."""
+    return _monomial(_pair(source, target), u)
 
 
 class FreeGradedModule:
@@ -151,22 +176,20 @@ class FreeGradedModule:
 class PolyMatrix:
     """Graded map between free modules, entries in the target ring.
 
-    subst gives the images of the source ring's variables in the target
-    ring; None means both modules share one ring.  Entry (i, j) sends
-    generator j of the source to a multiple of generator i of the target,
-    and must be homogeneous of degree source.degrees[j] - target.degrees[i].
+    A source monomial reaches the target ring by restriction between
+    the two modules' rings.  Entry (i, j) sends generator j of the
+    source to a multiple of generator i of the target, and must be
+    homogeneous of degree source.degrees[j] - target.degrees[i].
     """
 
-    __slots__ = ("source", "target", "subst", "entries", "_mono_cache", "_eval")
+    __slots__ = ("source", "target", "entries", "_eval")
 
-    def __init__(self, source, target, subst, entries):
+    def __init__(self, source, target, entries):
         self.source = source
         self.target = target
-        self.subst = subst
         self.entries = {
             ij: p for ij, p in entries.items() if not p.is_zero()
         }
-        self._mono_cache = {}
         self._eval = {}
 
     def validate(self):
@@ -181,19 +204,6 @@ class PolyMatrix:
             if p.nvars != self.target.ring.nvars:
                 raise InputError(f"entry ({i},{j}) lives in the wrong ring")
 
-    def _restrict_monomial(self, u):
-        if u not in self._mono_cache:
-            if self.subst is None:
-                self._mono_cache[u] = Poly(
-                    self.source.ring.nvars, {u: Fraction(1)}
-                )
-            else:
-                p = Poly(self.source.ring.nvars, {u: Fraction(1)})
-                self._mono_cache[u] = p.substitute(
-                    self.subst, self.target.ring.nvars
-                )
-        return self._mono_cache[u]
-
     def evaluate(self, d):
         """Sparse rows of the map on degree-d pieces, one per target
         basis element."""
@@ -204,10 +214,11 @@ class PolyMatrix:
         by_col = {}
         for (i, j), p in self.entries.items():
             by_col.setdefault(j, []).append((i, p))
+        pair = _pair(self.source.ring, self.target.ring)
         for col, (j, u) in enumerate(self.source.piece_basis(d)):
             if j not in by_col:
                 continue
-            ru = self._restrict_monomial(u)
+            ru = _monomial(pair, u)
             for i, p in by_col[j]:
                 # distinct (i, mono) pairs: each entry is written once
                 for mono, c in (ru * p).terms.items():
@@ -233,12 +244,12 @@ def pm_add(f, g):
     entries = dict(f.entries)
     for ij, p in g.entries.items():
         entries[ij] = entries.get(ij, Poly(p.nvars)) + p
-    return PolyMatrix(f.source, f.target, f.subst, entries)
+    return PolyMatrix(f.source, f.target, entries)
 
 
 def pm_scale(f, c):
     return PolyMatrix(
-        f.source, f.target, f.subst, {ij: p.scale(c) for ij, p in f.entries.items()}
+        f.source, f.target, {ij: p.scale(c) for ij, p in f.entries.items()}
     )
 
 
@@ -247,12 +258,12 @@ def compose(second, first):
     if second.source is not first.target:
         raise InputError("composition shape mismatch")
     nv = second.target.ring.nvars
+    pair = _pair(second.source.ring, second.target.ring)
     entries = {}
     for (i, j), q in first.entries.items():
-        if second.subst is None:
-            q_moved = q
-        else:
-            q_moved = q.substitute(second.subst, nv)
+        q_moved = Poly(nv)
+        for u, c in q.terms.items():
+            q_moved = q_moved + _monomial(pair, u).scale(c)
         for (k, i2), p in second.entries.items():
             if i2 != i:
                 continue
@@ -261,33 +272,24 @@ def compose(second, first):
                 continue
             key = (k, j)
             entries[key] = entries.get(key, Poly(nv)) + add
-    if first.subst is None:
-        subst = second.subst
-    elif second.subst is None:
-        subst = first.subst
-    else:
-        subst = tuple(
-            p.substitute(second.subst, nv) for p in first.subst
-        )
-    return PolyMatrix(first.source, second.target, subst, entries)
+    return PolyMatrix(first.source, second.target, entries)
 
 
 class DirectSumAmbient:
     """Direct sum of free modules over (possibly) different rings, seen
-    as a graded module over a base ring through per-part variable images.
+    as a graded module over a base ring through restriction to each
+    part's ring.
 
-    parts: tuple of FreeGradedModule; substs[k] gives the base ring's
-    variable images in part k's ring (None = identity).  Multiplication
-    by a base variable is cached per (variable, degree) as sparse
-    columns; apply_mult touches only the nonzero entries of a vector.
+    Multiplication by a base variable is cached per (variable, degree)
+    as sparse columns; apply_mult touches only the nonzero entries of a
+    vector.
     """
 
-    __slots__ = ("base_ring", "parts", "substs", "_piece", "_index", "_mult")
+    __slots__ = ("base_ring", "parts", "_piece", "_index", "_mult")
 
-    def __init__(self, base_ring, parts, substs):
+    def __init__(self, base_ring, parts):
         self.base_ring = base_ring
         self.parts = tuple(parts)
-        self.substs = tuple(substs)
         self._piece = {}
         self._index = {}
         self._mult = {}
@@ -328,9 +330,12 @@ class DirectSumAmbient:
         if key in self._mult:
             return self._mult[key]
         images = []
-        for part, subst in zip(self.parts, self.substs):
+        for part in self.parts:
+            var_images = restriction(self.base_ring, part.ring)
             image = (
-                Poly.variable(part.ring.nvars, i) if subst is None else subst[i]
+                Poly.variable(part.ring.nvars, i)
+                if var_images is None
+                else var_images[i]
             )
             images.append(
                 tuple(
@@ -394,12 +399,6 @@ def family_from_kernel(ambient, rows_by_degree, window):
             continue
         bases[d] = _linalg.nullspace(rows_by_degree(d), dim)
     return GradedSubspaceFamily(ambient, window, bases)
-
-
-def kernel_degreewise(f, window):
-    """Kernel family of one PolyMatrix over its source module."""
-    ambient = DirectSumAmbient(f.source.ring, (f.source,), (None,))
-    return family_from_kernel(ambient, f.evaluate, window)
 
 
 def minimal_generators(family):
@@ -509,7 +508,7 @@ def minimal_free_cover(family, base_ring):
             seg = {c - start: x for c, x in vec.items() if start <= c < stop}
             segments.append((d, seg))
         entries = entries_from_vectors(part, segments)
-        block = PolyMatrix(module, part, amb.substs[k], entries)
+        block = PolyMatrix(module, part, entries)
         block.validate()
         blocks.append(block)
     return CoverMap(module, family, gens, tuple(blocks))

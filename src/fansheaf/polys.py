@@ -110,28 +110,6 @@ class Poly:
             raise ValueError(f"inhomogeneous polynomial: degrees {sorted(degs)}")
         return degs.pop()
 
-    def substitute(self, images, target_nvars):
-        """Ring map t_i -> images[i]; images are Polys in the target ring."""
-        out = Poly(target_nvars)
-        pow_cache = {}
-
-        def power(i, e):
-            key = (i, e)
-            if key not in pow_cache:
-                if e == 0:
-                    pow_cache[key] = Poly.const(target_nvars, 1)
-                else:
-                    pow_cache[key] = power(i, e - 1) * images[i]
-            return pow_cache[key]
-
-        for exp, c in self.terms.items():
-            term = Poly.const(target_nvars, c)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 

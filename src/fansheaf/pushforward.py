@@ -77,9 +77,7 @@ def pushforward(fan_map, M, window=None):
         if not tiles:
             continue
         ring = tower.ring(s)
-        parts = tuple(M.modules[i] for i in tiles)
-        substs = tuple(tower.images_in(s, M.tower.ring(i)) for i in tiles)
-        ambient = DirectSumAmbient(ring, parts, substs)
+        ambient = DirectSumAmbient(ring, [M.modules[i] for i in tiles])
         facet_data = [
             (f, tiles_map[f], families[f])
             for f in sigma.facet_ids
@@ -129,9 +127,7 @@ def pushforward(fan_map, M, window=None):
             entries = entries_from_vectors(fcover.module, solutions)
             if not entries:
                 continue
-            true_pm = PolyMatrix(
-                cover.module, fcover.module, tower.restriction(s, f), entries
-            )
+            true_pm = PolyMatrix(cover.module, fcover.module, entries)
             true_pm.validate()
             N.maps[(s, f)] = pm_scale(
                 true_pm, tgt_fan.incidence_sign(s, f)

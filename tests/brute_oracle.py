@@ -1,4 +1,5 @@
-"""Hand-rolled graded dimension counts for two small fans.
+"""Hand-rolled graded dimension counts for two small fans, and a naive
+polynomial substitution.
 
 Shares no code with the package: pieces are enumerated monomial by
 monomial and the defining linear systems are solved with plain Fraction
@@ -148,3 +149,30 @@ def quadrant_image_dims(window):
         wall = [[-c for c in _ray_row(j, m)] + _ray_row(j, m)]
         out[d] = 2 * two_dim - rank(wall)
     return out
+
+
+def _mul(a, b):
+    """Product of two polynomials given as {exponent tuple: coefficient}."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def substitute(terms, images, target_nvars):
+    """Ring map t_i -> images[i] by expanding every power afresh.
+
+    terms and each image are {exponent tuple: coefficient} dicts, the
+    images in target_nvars variables; returns the image as such a dict.
+    """
+    out = {}
+    for exp, c in terms.items():
+        term = {(0,) * target_nvars: Fraction(c)}
+        for i, e in enumerate(exp):
+            for _ in range(e):
+                term = _mul(term, images[i])
+        for e, x in term.items():
+            out[e] = out.get(e, 0) + x
+    return {e: c for e, c in out.items() if c}

@@ -194,6 +194,24 @@ def test_window_exhaustion_exits_three(capsys):
     assert "cone 9" in out
 
 
+def test_window_exhausted_names_retry_degree(capsys):
+    """The record names a --degree-max to retry with: the exhausted
+    degree plus 2.  That is a lower bound, since the larger window can
+    exhaust again higher up."""
+    argv = ["--format", "machine", "ih", "--fan", str(fan_path("p3"))]
+    for degree_max, degree in ((2, 1), (3, 3)):
+        code, out = _run(capsys, *argv, "--degree-max", str(degree_max))
+        assert code == 3
+        (record,) = out.splitlines()
+        assert record.split("\t")[2] == str(degree)
+        assert record.endswith(
+            f"raise --degree-max to at least {degree + 2}\twindow-exhausted"
+        )
+    code, out = _run(capsys, *argv, "--degree-max", "5")
+    assert code == 0
+    assert "window-exhausted" not in out
+
+
 def test_degree_max_floor_enforced(capsys):
     code, out = _run(
         capsys,
@@ -209,7 +227,10 @@ def test_degree_max_floor_enforced(capsys):
 
 
 # what the record must say besides the line, where the fault is specific
-MALFORMED_WHY = {"sign 3 9: -1": "sign line for unknown cone 9"}
+MALFORMED_WHY = {
+    "sign 3 9: -1": "sign line for unknown cone 9",
+    "entry 3 1 0 0: 1 + t1": "inhomogeneous polynomial",
+}
 
 
 @pytest.mark.parametrize(
@@ -220,6 +241,7 @@ MALFORMED_WHY = {"sign 3 9: -1": "sign line for unknown cone 9"}
         ("entry 3 1 0 0: 1", "entry 3 1 5 0: 1"),
         ("ray 1: 1 0", "ray 1: 1 x"),
         ("sign 3 2: -1", "sign 3 9: -1"),
+        ("entry 3 1 0 0: 1", "entry 3 1 0 0: 1 + t1"),
     ],
 )
 def test_verify_malformed_complex_exits_two(tmp_path, capsys, old, new):

@@ -7,10 +7,11 @@ from fansheaf.combinatorics import (
     predicted_ih_degrees,
     predicted_stalks,
 )
-from fansheaf.fans import is_complete, load_fan, quotient_fan
+from fansheaf.fans import is_complete, load_fan
 from fansheaf.minimal import build_minimal, ih_module, stalk_report
 
 from conftest import fan_path
+from quotient import quotient_fan
 
 
 def test_simplicial_cones_have_trivial_g(corpus):

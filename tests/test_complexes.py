@@ -19,8 +19,6 @@ from fansheaf.complexes import (
     cohomology_degreewise,
     complex_from_text,
     complex_to_text,
-    restrict_to_subfan,
-    support_report,
 )
 from fansheaf.errors import InputError
 from fansheaf.fans import load_fan
@@ -53,9 +51,7 @@ def quadrant_complex():
     maps = {}
     for s, t in [(1, 0), (2, 0), (3, 1), (3, 2)]:
         nv = tower.ring(t).nvars
-        maps[(s, t)] = PolyMatrix(
-            mods[s], mods[t], tower.restriction(s, t), {(0, 0): one(nv)}
-        )
+        maps[(s, t)] = PolyMatrix(mods[s], mods[t], {(0, 0): one(nv)})
     return FanComplex(fan, tower, mods, maps, window=default_window(2))
 
 
@@ -69,8 +65,7 @@ def halfline_pair_complex():
     maps = {}
     for s in (1, 2):
         maps[(s, 0)] = PolyMatrix(
-            mods[s], mods[0], tower.restriction(s, 0),
-            {(0, 0): Poly.const(0, Fraction(1))},
+            mods[s], mods[0], {(0, 0): Poly.const(0, Fraction(1))}
         )
     return FanComplex(fan, tower, mods, maps, window=default_window(1))
 
@@ -86,8 +81,7 @@ def test_corrupted_entry_breaks_d_squared():
     M = quadrant_complex()
     bad = dict(M.maps)
     bad[(3, 2)] = PolyMatrix(
-        M.modules[3], M.modules[2], M.tower.restriction(3, 2),
-        {(0, 0): Poly.const(1, Fraction(-1))},
+        M.modules[3], M.modules[2], {(0, 0): Poly.const(1, Fraction(-1))}
     )
     report = check_complex(FanComplex(M.fan, M.tower, M.modules, bad))
     assert not report.ok
@@ -98,8 +92,7 @@ def test_inhomogeneous_entry_rejected():
     M = quadrant_complex()
     bad = dict(M.maps)
     bad[(3, 1)] = PolyMatrix(
-        M.modules[3], M.modules[1], M.tower.restriction(3, 1),
-        {(0, 0): Poly.variable(1, 0)},
+        M.modules[3], M.modules[1], {(0, 0): Poly.variable(1, 0)}
     )
     report = check_complex(FanComplex(M.fan, M.tower, M.modules, bad))
     assert not report.ok
@@ -220,28 +213,6 @@ def test_cohomology_ranks_each_differential_once(corpus, monkeypatch, name):
     assert ranked
     assert max(Counter(ranked).values()) == 1
     assert rep.table == expected
-
-
-def test_restrict_to_boundary_subfan():
-    M = quadrant_complex()
-    N, id_map = restrict_to_subfan(M, [0, 1, 2])
-    assert sorted(id_map) == [0, 1, 2]
-    assert N.support_ids() == tuple(sorted(id_map[i] for i in (0, 1, 2)))
-    assert check_complex(N).ok
-    assert len(N.maps) == 2
-
-
-def test_restrict_requires_face_closure():
-    M = quadrant_complex()
-    with pytest.raises(InputError):
-        restrict_to_subfan(M, [3])
-
-
-def test_support_report_lists_degrees():
-    M = quadrant_complex()
-    rep = support_report(M)
-    assert (3, 2, (-2,)) in rep.entries
-    assert "generator degrees" in str(rep)
 
 
 def test_serialization_round_trip():

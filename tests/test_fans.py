@@ -10,11 +10,11 @@ from fansheaf.fans import (
     is_complete,
     load_fan,
     parse_fan,
-    quotient_fan,
     subdivision_map,
 )
 
 from conftest import fan_path
+from quotient import quotient_fan
 
 
 def test_parse_p2_counts(corpus):

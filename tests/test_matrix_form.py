@@ -11,8 +11,10 @@ import pytest
 
 from fansheaf.complexes import assemble, boundary_kernel
 from fansheaf.minimal import build_minimal
-from fansheaf.modules import minimal_free_cover
+from fansheaf.modules import minimal_free_cover, restriction
 from fansheaf.polys import Poly
+
+from brute_oracle import substitute
 
 
 def dense(rows, nrows, ncols):
@@ -28,15 +30,20 @@ def dense(rows, nrows, ncols):
 
 def poly_matrix(pm, d):
     """Dense matrix of pm on degree-d pieces: each source basis monomial
-    is moved into the target ring by Poly.substitute, multiplied by the
-    column's entries, and read off in the target basis."""
+    is moved into the target ring by the naive substitution of
+    brute_oracle, multiplied by the column's entries, and read off in
+    the target basis."""
     src = pm.source.piece_basis(d)
     tgt = pm.target.piece_basis(d)
     mat = [[0] * len(src) for _ in tgt]
+    nv = pm.target.ring.nvars
+    var_images = restriction(pm.source.ring, pm.target.ring)
     for c, (j, u) in enumerate(src):
-        mono = Poly(pm.source.ring.nvars, {u: Fraction(1)})
-        if pm.subst is not None:
-            mono = mono.substitute(pm.subst, pm.target.ring.nvars)
+        if var_images is None:
+            mono = Poly(nv, {u: Fraction(1)})
+        else:
+            terms = [p.terms for p in var_images]
+            mono = Poly(nv, substitute({u: 1}, terms, nv))
         images = {i: mono * p for (i, jj), p in pm.entries.items() if jj == j}
         for r, (i, v) in enumerate(tgt):
             if i in images:

@@ -4,7 +4,7 @@ import pytest
 
 from fansheaf.complexes import complex_to_text
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
-from fansheaf.fans import Fan, load_fan, quotient_fan
+from fansheaf.fans import Fan, load_fan
 from fansheaf.minimal import (
     build_minimal,
     build_shifted_minimal,
@@ -14,6 +14,7 @@ from fansheaf.minimal import (
 )
 
 from conftest import fan_path
+from quotient import quotient_fan
 from test_complexes import quadrant_complex
 
 

@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fansheaf.errors import InputError
+from fansheaf.modules import ConeRing, restriction, restrict_monomial
 from fansheaf.polys import Poly, format_poly, monomials, parse_poly
+
+from brute_oracle import substitute
 
 
 def test_arithmetic_basics():
@@ -30,13 +33,22 @@ def test_degree_grading():
 
 def test_substitute_linear():
     # restriction of x+y along the map t -> (t, t): value 2t
+    t = Poly.variable(1, 0)
     f = Poly.linear(2, [1, 1])
-    g = f.substitute([Poly.variable(1, 0), Poly.variable(1, 0)], 1)
-    assert g == Poly.variable(1, 0).scale(2)
+    assert substitute(f.terms, [t.terms, t.terms], 1) == t.scale(2).terms
     # quadratic: (x*y) under x->t, y->2t gives 2t^2
     q = Poly.variable(2, 0) * Poly.variable(2, 1)
-    r = q.substitute([Poly.variable(1, 0), Poly.variable(1, 0).scale(2)], 1)
-    assert r == Poly(1, {(2,): Fraction(2)})
+    r = substitute(q.terms, [t.terms, t.scale(2).terms], 1)
+    assert r == {(2,): Fraction(2)}
+    # the plane's restriction to the ray through (1, 2) is that map, and
+    # restrict_monomial agrees with the naive substitution up to degree 4
+    plane = ConeRing("A", 2, ((1, 0), (0, 1)))
+    ray = ConeRing(1, 1, ((1, 2),))
+    images = restriction(plane, ray)
+    assert images == (t, t.scale(2))
+    for u in [(a, b) for a in range(5) for b in range(5 - a)]:
+        want = substitute({u: 1}, [p.terms for p in images], 1)
+        assert restrict_monomial(plane, ray, u).terms == want
 
 
 def test_monomials_counts():

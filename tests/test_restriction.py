@@ -1,0 +1,185 @@
+"""Restriction between cone rings against an evaluation oracle.
+
+restrict_monomial(source, target, u) is checked by value: at random
+integer points x of the target ring's coordinates, the image of u must
+equal u evaluated at the source-basis coordinates of the same vector
+sum(x_j b_j), which this file solves with plain Fraction elimination.
+The pairs are every (cone, face) of the corpus fans, every ("A", cone),
+and every (target cone, tile) of the five subdivision pairs.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from fansheaf import modules
+from fansheaf.fans import load_fan, subdivision_map
+from fansheaf.modules import ConeRing, RingTower, restrict_monomial, restriction
+from fansheaf.polys import Poly, monomials
+
+from conftest import fan_path
+
+CORPUS = [
+    "p1", "p2", "p1xp1", "p3", "p2blow", "cubefan",
+    "quadrant", "conesquare", "conecube", "blowquad", "starsq", "twostep",
+]
+SUBDIVISIONS = [
+    ("p2", "p2"),
+    ("blowquad", "quadrant"),
+    ("p2blow", "p2"),
+    ("starsq", "conesquare"),
+    ("twostep", "quadrant"),
+]
+MAX_DEGREE = 6
+
+
+def exponents(nvars, top):
+    """Exponent tuples of total degree at most top."""
+    return [u for e in range(top + 1) for u in monomials(nvars, 2 * e)]
+
+
+def coords(basis, v):
+    """Coordinates of v in a linearly independent basis, by Gauss-Jordan
+    elimination on Fractions; None when v is outside the span."""
+    k = len(basis)
+    rows = [[Fraction(b[r]) for b in basis] + [Fraction(v[r])]
+            for r in range(len(v))]
+    for c in range(k):
+        p = next(i for i in range(c, len(rows)) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(len(rows)):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return [rows[c][k] for c in range(k)]
+
+
+def value(poly, x):
+    """poly at the integer point x."""
+    total = Fraction(0)
+    for e, c in poly.terms.items():
+        m = 1
+        for xi, ei in zip(x, e):
+            m *= xi ** ei
+        total += c * m
+    return total
+
+
+def check_pair(src, tgt, n, rng):
+    """Every source monomial up to MAX_DEGREE against the oracle at two
+    random points."""
+    samples = []
+    for _ in range(2):
+        x = [rng.randint(-5, 5) for _ in range(tgt.nvars)]
+        v = [sum(xj * b[r] for xj, b in zip(x, tgt.basis)) for r in range(n)]
+        y = coords(src.basis, v)
+        assert y is not None, "target span outside source span"
+        samples.append((x, y))
+    for u in exponents(src.nvars, MAX_DEGREE):
+        img = restrict_monomial(src, tgt, u)
+        assert img.nvars == tgt.nvars
+        assert img.is_zero() or img.degree() == 2 * sum(u)
+        for x, y in samples:
+            want = Fraction(1)
+            for yi, ui in zip(y, u):
+                want *= yi ** ui
+            assert value(img, x) == want, (src.basis, tgt.basis, u)
+
+
+def corpus_pairs(fan):
+    """(source, target) rings: (cone, face) and ("A", cone)."""
+    tower = RingTower(fan)
+    for sigma in fan.cones:
+        yield tower.ring("A"), tower.ring(sigma.index)
+        for rho in sigma.face_ids:
+            yield tower.ring(sigma.index), tower.ring(rho)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_restriction_matches_evaluation_oracle(corpus, name):
+    rng = random.Random(name)
+    fan = corpus[name]
+    for src, tgt in corpus_pairs(fan):
+        check_pair(src, tgt, fan.n, rng)
+
+
+@pytest.mark.parametrize("src,tgt", SUBDIVISIONS)
+def test_tile_restriction_matches_evaluation_oracle(src, tgt):
+    """Target cone rings restricted to the rings of their tiles, which
+    live in another fan and another tower."""
+    rng = random.Random(f"{src}-{tgt}")
+    fmap = subdivision_map(load_fan(fan_path(src)), load_fan(fan_path(tgt)))
+    tiles, targets = RingTower(fmap.source), RingTower(fmap.target)
+    checked = 0
+    for sigma in fmap.target.cones:
+        for tile in fmap.preimage_cones(sigma.index):
+            check_pair(
+                targets.ring(sigma.index), tiles.ring(tile),
+                fmap.target.n, rng,
+            )
+            checked += 1
+    assert checked >= len(fmap.target.cones)
+
+
+def restrict(src, tgt, p):
+    out = Poly(tgt.nvars)
+    for u, c in p.terms.items():
+        out = out + restrict_monomial(src, tgt, u).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("name", ["p2blow", "p3", "cubefan", "conecube"])
+def test_restriction_is_functorial(corpus, name):
+    """A -> sigma -> rho equals A -> rho on every monomial up to degree 4."""
+    fan = corpus[name]
+    tower = RingTower(fan)
+    amb = tower.ring("A")
+    for sigma in fan.cones:
+        sig = tower.ring(sigma.index)
+        for rho in sigma.face_ids:
+            r = tower.ring(rho)
+            for u in exponents(fan.n, 4):
+                two_steps = restrict(sig, r, restrict_monomial(amb, sig, u))
+                assert two_steps == restrict_monomial(amb, r, u)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_two_parses_give_equal_restrictions(monkeypatch, name):
+    """Each parse computes its restrictions from an empty cache."""
+
+    def table():
+        monkeypatch.setattr(modules, "_RESTRICTIONS", {})
+        fan = load_fan(fan_path(name))
+        out = {}
+        for src, tgt in corpus_pairs(fan):
+            out[(src.label, tgt.label)] = (
+                restriction(src, tgt),
+                [restrict_monomial(src, tgt, u)
+                 for u in exponents(src.nvars, 3)],
+            )
+        return out
+
+    assert table() == table()
+
+
+def test_cache_is_keyed_by_basis_content():
+    """Rings with equal bases share one entry, whatever their labels and
+    towers; equal bases restrict by the identity."""
+    plane = ConeRing("A", 2, ((1, 0), (0, 1)))
+    ray = ConeRing(3, 1, ((1, 1),))
+    images = restriction(plane, ray)
+    assert images == (Poly.variable(1, 0), Poly.variable(1, 0))
+    twin = ConeRing("other", 1, tuple(tuple(b) for b in [[1, 1]]))
+    assert restriction(ConeRing(0, 2, ((1, 0), (0, 1))), twin) is images
+    assert restriction(ray, twin) is None
+    assert restrict_monomial(ray, twin, (3,)) == Poly(1, {(3,): Fraction(1)})
+    for key in modules._RESTRICTIONS:
+        assert all(
+            isinstance(basis, tuple)
+            and all(isinstance(a, int) for b in basis for a in b)
+            for basis in key
+        )
