@@ -10,13 +10,19 @@ Every routine first reads a row into a positive int multiple of it
 (denominators cleared) and then eliminates fraction-free with one step,
 _eliminate: a row becomes a*row - b*pivot_row, a/b the reduced ratio of
 the two entries in the pivot column (cf. Bareiss 1968), divided by its
-content, so every division is exact and entries stay small.  rank
-pivots freely (Markowitz 1957), since it keeps only the count.  Echelon
-keeps a forward-eliminated basis keyed by pivot column; rref, nullspace
-and solve add one back-substitution pass, which gives the canonical
-rational RREF scaled row by row to primitive int rows with positive
-pivot.  That form is unique, so what they return does not depend on the
-order of elimination.
+content, so every division is exact and entries stay small.
+
+triangulate is the engine of rank and of membership tests: it pivots
+freely in Markowitz order (Markowitz 1957; Duff, Erisman & Reid 1986),
+which keeps fill low, and keeps the pivot rows in elimination order.
+Later pivot rows have no entry in an earlier pivot's column, so
+forward_reduce decides membership in their span, and a nonzero residual
+can be appended as a new pivot.  Echelon keeps a leftmost-pivot basis
+keyed by pivot column, for callers that insert one vector at a time;
+rref, nullspace and solve add one back-substitution pass to it, which
+gives the canonical rational RREF scaled row by row to primitive int
+rows with positive pivot.  That form is unique, so what they return
+does not depend on the order of elimination.
 """
 
 from fractions import Fraction
@@ -80,12 +86,15 @@ def _eliminate(row, prow, c):
     return fill
 
 
-def rank(rows):
-    """Rank over Q of a list of sparse rows.
+def triangulate(rows):
+    """Triangular basis of the row span of a list of sparse rows.
 
     The pivot is taken from a shortest remaining row, in its column with
-    the fewest remaining entries (Markowitz 1957), ties broken by index.
-    Every other row with an entry there is eliminated against it.
+    the fewest remaining entries (Markowitz 1957), ties broken by row
+    index and then by column.  Every other row with an entry there is
+    eliminated against it.  Yields the pivot rows in elimination order
+    as (col, row) pairs with int rows; no row has an entry in an earlier
+    pair's column.  rows may be any iterable.
     """
     live = {}  # row index -> {col: nonzero int}
     col_rows = {}  # col -> indices of live rows with an entry there
@@ -94,15 +103,22 @@ def rank(rows):
             live[i] = _int_row(row)
             for j in row:
                 col_rows.setdefault(j, set()).add(i)
-    r = 0
+    # one heap key per live row, length * m + index: it orders rows by
+    # (length, index) without a tuple per entry.  A key whose row has
+    # since changed length or become a pivot is stale and skipped.
+    m = max(live, default=0) + 1
+    heap = [len(row) * m + i for i, row in live.items()]
+    heapify(heap)
     while live:
-        # live keeps rows in index order, so min breaks ties by index
-        i = min(live, key=lambda k: len(live[k]))
-        prow = live.pop(i)
+        n, i = divmod(heappop(heap), m)
+        prow = live.get(i)
+        if prow is None or len(prow) != n:
+            continue
+        del live[i]
         for j in prow:
             col_rows[j].discard(i)
         c = min(prow, key=lambda j: (len(col_rows[j]), j))
-        r += 1
+        yield c, prow
         for k in col_rows.pop(c):
             row = live[k]
             _eliminate(row, prow, c)
@@ -112,9 +128,37 @@ def rank(rows):
                         col_rows[j].add(k)
                     else:
                         col_rows[j].discard(k)
-            if not row:
+            if row:
+                heappush(heap, len(row) * m + k)
+            else:
                 del live[k]
-    return r
+
+
+def rank(rows):
+    """Rank over Q of a list of sparse rows."""
+    return sum(1 for _ in triangulate(rows))
+
+
+def forward_reduce(vec, pivots, index):
+    """Residual of vec against triangular pivot rows, as {col: nonzero
+    int}; empty iff vec lies in their span.
+
+    pivots are (col, row) pairs in which no row has an entry in an
+    earlier pair's column, as triangulate yields them, and index maps
+    each pivot column to its position.  Columns are cleared in pivot
+    order, so an elimination brings in only later pivot columns.
+    """
+    v = _int_row(vec)
+    todo = [index[c] for c in v if c in index]
+    heapify(todo)
+    while todo and v:
+        c, prow = pivots[heappop(todo)]
+        if c in v:
+            for j in _eliminate(v, prow, c):
+                k = index.get(j)
+                if k is not None:
+                    heappush(todo, k)
+    return v
 
 
 class Echelon:
@@ -131,10 +175,6 @@ class Echelon:
 
     def __init__(self):
         self.rows = {}
-
-    @property
-    def rank(self):
-        return len(self.rows)
 
     def reduce(self, vec):
         """Residual of vec as {col: nonzero int}; empty iff in the span."""
@@ -157,9 +197,6 @@ class Echelon:
             return False
         self.rows[min(v)] = _primitive(v)
         return True
-
-    def contains(self, vec):
-        return not self.reduce(vec)
 
 
 def rref(rows):

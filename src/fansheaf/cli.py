@@ -177,7 +177,7 @@ def _cmd_decompose(args, rep):
 
 
 def _cmd_verify(args, rep):
-    M = complex_from_text(Path(args.fan).read_text(), validate=False)
+    M = complex_from_text(Path(args.complex).read_text(), validate=False)
     if M.window is None:
         raise InputError("serialized complex has no window line")
     ok = True
@@ -283,7 +283,13 @@ def build_parser():
     verify = sub.add_parser(
         "verify", help="certificate suite on a serialized complex"
     )
-    verify.add_argument("--fan", required=True, help="serialized complex file")
+    verify.add_argument(
+        "--complex",
+        "--fan",
+        dest="complex",
+        required=True,
+        help="serialized complex file (--fan is an alias)",
+    )
     verify.set_defaults(func=_cmd_verify)
     _add_format(verify)
 

@@ -20,7 +20,7 @@ arbitrary complexes, not only the ones built by this package.
 from contextlib import contextmanager
 
 from fansheaf import _linalg
-from fansheaf.errors import CertificateError, InputError
+from fansheaf.errors import CertificateError, InputError, WindowExhausted
 from fansheaf.fans import line_keyword, parse_fan
 from fansheaf.modules import (
     DirectSumAmbient,
@@ -307,7 +307,12 @@ def _top_module(M, window, top_ids):
     fam = family_from_kernel(
         ambient, lambda d: assemble(M, top_ids, tgts, d), window
     )
-    cover = minimal_free_cover(fam, ring)
+    try:
+        cover = minimal_free_cover(fam, ring)
+    except WindowExhausted as exc:
+        raise WindowExhausted(
+            f"cone A: {exc}", cone="A", degree=exc.degree
+        ) from None
     free, offender = cover_is_free_certificate(cover)
     return TopModuleReport(free, tuple(cover.module.degrees), offender)
 

@@ -19,8 +19,9 @@ emit that form directly.  Subspace families store canonical primitive
 integer bases of a graded subspace degree by degree, and the
 minimal-generator machinery (completion of m*Z to Z) runs on top: each
 basis vector of Z(d-2) is multiplied by every base variable through
-cached sparse columns of mult_by_var, and span membership is tested
-with _linalg.Echelon.
+cached sparse columns of mult_by_var, and span membership is decided
+by forward reduction against one Markowitz triangulation per degree
+(_linalg.triangulate).
 """
 
 from fractions import Fraction
@@ -404,47 +405,51 @@ def family_from_kernel(ambient, rows_by_degree, window):
 def minimal_generators(family):
     """Minimal homogeneous generators of a subspace family as a module.
 
-    Completes m*Z(d-2) to Z(d) degree by degree: the images of Z(d-2)
-    under the base variables span (m*Z)(d) inside Z(d), and
-    representatives are rows of the canonical degree-d basis, scanned in
-    order, that enlarge that span.  Membership is exact, so the choice
-    does not depend on how the span is stored.  Raises WindowExhausted
-    when the top two window degrees still produce new generators, and
-    CertificateError when the family is not closed under multiplication
-    by the base ring variables.
+    Completes m*Z(d-2) to Z(d) degree by degree in one elimination: the
+    images of Z(d-2) under the base variables span (m*Z)(d), and are
+    triangulated once in Markowitz order.  Each row of the canonical
+    degree-d basis is then forward-reduced, in order, against the pivot
+    rows; a row with a nonzero residual is a new generator, and its
+    residual joins the pivots.  Membership is exact, so the choice does
+    not depend on the pivot order.  After the scan the pivot count is
+    rank(images + Z(d)), and the family is closed under multiplication
+    by the base ring variables exactly when that equals dim Z(d).
+
+    Raises CertificateError when closure fails, checked first, and
+    WindowExhausted when the top two window degrees still produce new
+    generators.
     """
     lo, hi = family.window
-    nvars = family.ambient.base_ring.nvars
+    amb = family.ambient
+    nvars = amb.base_ring.nvars
     gens = []
     for d in range(lo, hi + 1):
         zd = family.basis_at(d)
-        if not zd and family.ambient.dim_at(d) == 0:
+        if not zd and amb.dim_at(d) == 0:
             continue
         prev = family.basis_at(d - 2) if d - 2 >= lo else ()
-        # span of Z(d) itself, to certify closure of the family
-        zspan = _linalg.Echelon()
+        pivots = list(
+            _linalg.triangulate(
+                amb.apply_mult(i, d - 2, z) for i in range(nvars) for z in prev
+            )
+        )
+        index = {c: k for k, (c, _) in enumerate(pivots)}
+        new = []
         for z in zd:
-            zspan.insert(z)
-        reducer = _linalg.Echelon()
-        for i in range(nvars):
-            for z in prev:
-                img = family.ambient.apply_mult(i, d - 2, z)
-                if not img:
-                    continue
-                if zspan.insert(img):
-                    raise CertificateError(
-                        f"family not closed under multiplication at degree {d}"
-                    )
-                reducer.insert(img)
-        for z in zd:
-            if reducer.rank == len(zd):
-                break
-            if reducer.insert(z):
-                if d > hi - 2:
-                    raise WindowExhausted(
-                        f"new generator in guard zone at degree {d}", degree=d
-                    )
-                gens.append((d, z))
+            res = _linalg.forward_reduce(z, pivots, index)
+            if res:
+                index[min(res)] = len(pivots)
+                pivots.append((min(res), res))
+                new.append((d, z))
+        if len(pivots) != len(zd):
+            raise CertificateError(
+                f"family not closed under multiplication at degree {d}"
+            )
+        if new and d > hi - 2:
+            raise WindowExhausted(
+                f"new generator in guard zone at degree {d}", degree=d
+            )
+        gens += new
     return gens
 
 

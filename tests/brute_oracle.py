@@ -1,5 +1,5 @@
-"""Hand-rolled graded dimension counts for two small fans, and a naive
-polynomial substitution.
+"""Hand-rolled graded dimension counts for two small fans, a naive
+polynomial substitution, and the leftmost-pivot minimal-generator scan.
 
 Shares no code with the package: pieces are enumerated monomial by
 monomial and the defining linear systems are solved with plain Fraction
@@ -176,3 +176,71 @@ def substitute(terms, images, target_nvars):
         for e, x in term.items():
             out[e] = out.get(e, 0) + x
     return {e: c for e, c in out.items() if c}
+
+
+class _Leftmost:
+    """Span of sparse vectors kept as Fraction rows keyed by their
+    leftmost column, each scaled to 1 there."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def insert(self, vec):
+        """Add vec to the span; True if it enlarged it."""
+        v = {j: Fraction(x) for j, x in vec.items() if x}
+        while v:
+            c = min(v)
+            row = self.rows.get(c)
+            if row is None:
+                self.rows[c] = {j: x / v[c] for j, x in v.items()}
+                return True
+            f = v[c]
+            for j, x in row.items():
+                y = v.get(j, 0) - f * x
+                if y:
+                    v[j] = y
+                else:
+                    v.pop(j, None)
+        return False
+
+
+def leftmost_generators(window, nvars, basis_at, dim_at, mult):
+    """Minimal generators of a graded subspace family, one vector at a
+    time with leftmost pivots.
+
+    basis_at(d) lists the degree-d basis as sparse vectors, dim_at(d) is
+    the ambient dimension and mult(i, d, vec) the image of a degree-d
+    vector under base variable i.  In each degree every image must lie
+    in the span of the basis; then basis rows, scanned in order, that
+    enlarge the span of the images and of the rows chosen before are
+    generators.  Returns the (degree, row) list, or ("not closed", d)
+    or ("window exhausted", d) for the first degree that fails, with
+    the closure check first.
+    """
+    lo, hi = window
+    gens = []
+    for d in range(lo, hi + 1):
+        zd = basis_at(d)
+        if not zd and dim_at(d) == 0:
+            continue
+        prev = basis_at(d - 2) if d - 2 >= lo else ()
+        zspan = _Leftmost()
+        for z in zd:
+            zspan.insert(z)
+        reducer = _Leftmost()
+        for i in range(nvars):
+            for z in prev:
+                img = mult(i, d - 2, z)
+                if not img:
+                    continue
+                if zspan.insert(img):
+                    return ("not closed", d)
+                reducer.insert(img)
+        for z in zd:
+            if len(reducer.rows) == len(zd):
+                break
+            if reducer.insert(z):
+                if d > hi - 2:
+                    return ("window exhausted", d)
+                gens.append((d, z))
+    return gens

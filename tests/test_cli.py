@@ -212,6 +212,37 @@ def test_window_exhausted_names_retry_degree(capsys):
     assert "window-exhausted" not in out
 
 
+def test_window_exhausted_in_top_module_names_full_ring(capsys):
+    """Exhaustion while covering the top cohomology over the full ring
+    names that ring's key, A, as the cone."""
+    code, out = _run(
+        capsys, "--format", "machine", "ih", "--fan", str(fan_path("p3")),
+        "--degree-max", "2",
+    )
+    assert code == 3
+    (record,) = out.splitlines()
+    obj, cone, degree, value, certificate = record.split("\t")
+    assert (obj, cone, degree, certificate) == (
+        "error", "A", "1", "window-exhausted"
+    )
+    assert value.startswith("cone A: new generator in guard zone")
+
+
+def test_verify_complex_flag_and_fan_alias_agree(tmp_path, capsys):
+    """verify reads the complex from --complex; --fan is an alias, with
+    the same records and exit code, also on a failing complex."""
+    corrupt = tmp_path / "quadrant.cx"
+    text = (GOLDEN / "quadrant.complex").read_text()
+    corrupt.write_text(text.replace("entry 3 1 0 0: 1", "entry 3 1 0 0: 2"))
+    for path, want in ((GOLDEN / "quadrant.complex", 0), (corrupt, 1)):
+        runs = [
+            _run(capsys, "--format", "machine", "verify", flag, str(path))
+            for flag in ("--complex", "--fan")
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == want
+
+
 def test_degree_max_floor_enforced(capsys):
     code, out = _run(
         capsys,

@@ -1,8 +1,9 @@
 """CLI outputs compared byte for byte with committed golden files.
 
 tests/golden/ih-<fan>.tsv holds the `ih --format machine` records of each
-complete corpus fan, and tests/golden/<fan>.complex the `minimal build
---out` text of every corpus fan.  For the five subdivision pairs,
+complete corpus fan and of two dimension-4 fans outside the corpus, P^4
+and the face fan of the 4-cube, and tests/golden/<fan>.complex the
+`minimal build --out` text of every corpus fan.  For the five subdivision pairs,
 push-<src>-<tgt>.tsv holds the `pushforward --format machine` records
 (without the `serialized` line), push-<src>-<tgt>.out its `--out` text
 and decompose-<src>-<tgt>.tsv the `decompose --format machine` records.
@@ -18,8 +19,14 @@ from fansheaf.cli import main
 
 from conftest import fan_path
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 COMPLETE = ["p1", "p2", "p1xp1", "p3", "p2blow", "cubefan"]
+# complete fans outside the corpus whose IH is pinned too
+EXTRA_IH = {
+    "p4": TESTS.parent / "perfbench" / "inputs" / "p4.fan",
+    "cube4": TESTS / "cube4.fan",
+}
 PAIRS = [
     ("p2", "p2"),
     ("blowquad", "quadrant"),
@@ -33,12 +40,14 @@ CORPUS = sorted(p.stem for p in GOLDEN.glob("*.complex"))
 def test_golden_set_covers_corpus():
     fans = sorted(p.stem for p in fan_path("p1").parent.glob("*.fan"))
     assert CORPUS == fans
-    assert sorted(p.stem[3:] for p in GOLDEN.glob("ih-*.tsv")) == sorted(COMPLETE)
+    ih_golden = sorted(p.stem[3:] for p in GOLDEN.glob("ih-*.tsv"))
+    assert ih_golden == sorted(COMPLETE + list(EXTRA_IH))
 
 
-@pytest.mark.parametrize("name", COMPLETE)
+@pytest.mark.parametrize("name", COMPLETE + list(EXTRA_IH))
 def test_ih_records_match_golden(capsys, name):
-    code = main(["--format", "machine", "ih", "--fan", str(fan_path(name))])
+    path = EXTRA_IH.get(name) or fan_path(name)
+    code = main(["--format", "machine", "ih", "--fan", str(path)])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"ih-{name}.tsv").read_text()
 

@@ -1,8 +1,9 @@
 """Tests of the one exact kernel in fansheaf._linalg: canonical RREF,
-nullspace and solve, rank, the Echelon basis and matvec, all on sparse
-rows.  The reference below redoes everything densely with Fraction
-arithmetic and no shared code paths; test matrices are written densely
-and passed through sparse(), and results are compared after dense()."""
+nullspace and solve, rank and the triangulation under it, the Echelon
+basis and matvec, all on sparse rows.  The reference below redoes
+everything densely with Fraction arithmetic and no shared code paths;
+test matrices are written densely and passed through sparse(), and
+results are compared after dense()."""
 
 from fractions import Fraction
 from math import gcd
@@ -259,18 +260,58 @@ def test_echelon_tracks_rank_and_membership(stream):
     for v in vecs:
         before = _linalg.rank(seen) if seen else 0
         inside = in_rowspan(seen, v) if seen else not v
-        assert ech.contains(v) == inside
         assert (not ech.reduce(v)) == inside
         seen.append(v)
         after = _linalg.rank(seen)
         assert ech.insert(v) == (after > before)
         ref_rank = len(reference_rref(dense_vecs[: len(seen)])[1])
-        assert ech.rank == after == ref_rank
-        assert ech.contains(v)
+        assert len(ech.rows) == after == ref_rank
+        assert not ech.reduce(v)
     for lead, row in ech.rows.items():
         assert min(row) == lead and row[lead] > 0
         assert all(a for a in row.values())
         assert gcd(*row.values()) == 1
+
+
+def _index(pivots):
+    return {c: k for k, (c, _) in enumerate(pivots)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(mat=st.one_of(sparse_int_matrices, fraction_matrices))
+def test_triangulate_is_triangular_with_reference_rank(mat):
+    """One pivot per unit of the reference rank; each pivot row is a
+    nonzero int row with an entry at its pivot column and none at an
+    earlier pair's column."""
+    pivots = list(_linalg.triangulate(sparse(mat)))
+    assert len(pivots) == len(reference_rref(mat)[1])
+    for k, (c, row) in enumerate(pivots):
+        assert row.get(c) and all(type(x) is int and x for x in row.values())
+        assert not any(e in row for e, _ in pivots[:k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=echelon_streams())
+def test_forward_reduce_decides_membership(stream):
+    """Against a triangulation of the first rows, the forward residual
+    of a later row is empty exactly when the reference rank does not
+    grow with it; a nonzero residual avoids every pivot column and can
+    be appended as a pivot."""
+    _, dense_vecs = stream
+    vecs = sparse(dense_vecs)
+    half = len(vecs) // 2
+    pivots = list(_linalg.triangulate(vecs[:half]))
+    index = _index(pivots)
+    for k in range(half, len(vecs)):
+        res = _linalg.forward_reduce(vecs[k], pivots, index)
+        assert not any(c in res for c in index)
+        before = len(reference_rref(dense_vecs[:k])[1]) if k else 0
+        after = len(reference_rref(dense_vecs[: k + 1])[1])
+        assert (not res) == (after == before)
+        if res:
+            index[min(res)] = len(pivots)
+            pivots.append((min(res), res))
+        assert len(pivots) == after
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fansheaf.complexes import boundary_setup
 from fansheaf.errors import CertificateError, WindowExhausted
@@ -24,8 +26,9 @@ from fansheaf.modules import (
     restrict_monomial,
     restriction,
 )
-from fansheaf.polys import Poly, parse_poly
+from fansheaf.polys import Poly, monomials, parse_poly
 
+from brute_oracle import leftmost_generators
 from conftest import fan_path
 
 
@@ -159,6 +162,94 @@ def test_minimal_generators_closure_certificate():
     fam = GradedSubspaceFamily(amb, (0, 6), {0: [{0: 1}]})
     with pytest.raises(CertificateError):
         minimal_generators(fam)
+
+
+def _two_lines(window, bases):
+    """A family inside the free module on two degree-0 generators over
+    one variable; basis index 0 is t^k * e1 and index 1 is t^k * e2."""
+    m = FreeGradedModule(_ring(1), [0, 0])
+    amb = DirectSumAmbient(m.ring, (m,))
+    return GradedSubspaceFamily(amb, window, bases)
+
+
+def test_minimal_generators_closure_with_nonempty_degree():
+    """Z(2) is the line of t*e2, but t*e1, the image of Z(0), lies
+    outside it: closure fails although Z(2) is not empty."""
+    fam = _two_lines((0, 6), {0: [{0: 1}], 2: [{1: 1}]})
+    with pytest.raises(CertificateError, match="degree 2"):
+        minimal_generators(fam)
+
+
+def test_minimal_generators_closure_checked_before_guard_zone():
+    """Degree 2 is in the guard zone of the window (0, 2), and t*e2 is a
+    new generator there; the closure failure at the same degree is the
+    error raised."""
+    fam = _two_lines((0, 2), {0: [{0: 1}], 2: [{1: 1}]})
+    with pytest.raises(CertificateError, match="degree 2"):
+        minimal_generators(fam)
+    # closed, the same new generator exhausts the window
+    closed = _two_lines((0, 2), {0: [{0: 1}], 2: [{0: 1}, {1: 1}]})
+    with pytest.raises(WindowExhausted):
+        minimal_generators(closed)
+
+
+@st.composite
+def kernel_families(draw):
+    """The kernel of a random map of free modules over 1-3 variables on
+    a window, and sometimes one degree of it cut to its first rows so
+    that closure may fail."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    ring = _ring(nvars)
+    degs = st.sampled_from([-2, 0, 2])
+    src = draw(st.lists(degs, min_size=2, max_size=3))
+    tgt = [
+        d - 2 * draw(st.integers(min_value=0, max_value=1))
+        for d in draw(st.lists(degs, min_size=1, max_size=2))
+    ]
+    coeff = st.sampled_from([0, 0, 1, -1, 2])
+    entries = {}
+    for i, dt in enumerate(tgt):
+        for j, ds in enumerate(src):
+            terms = {
+                u: Fraction(c)
+                for u in monomials(nvars, ds - dt)
+                if (c := draw(coeff))
+            }
+            entries[(i, j)] = Poly(nvars, terms)
+    f = PolyMatrix(
+        FreeGradedModule(ring, src), FreeGradedModule(ring, tgt), entries
+    )
+    lo = min(src)
+    window = (lo, lo + draw(st.integers(min_value=2, max_value=10)))
+    amb = DirectSumAmbient(ring, (f.source,))
+    fam = family_from_kernel(amb, f.evaluate, window)
+    cut = draw(st.none() | st.sampled_from(sorted(fam.bases) or [None]))
+    if cut is not None:
+        rows = fam.bases[cut]
+        keep = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        bases = dict(fam.bases)
+        bases[cut] = rows[:keep]
+        fam = GradedSubspaceFamily(amb, window, bases)
+    return fam
+
+
+@settings(max_examples=80, deadline=None)
+@given(fam=kernel_families())
+def test_minimal_generators_match_leftmost_scan(fam):
+    """Degrees, representatives and the first failure agree with the
+    one-vector-at-a-time leftmost-pivot scan."""
+    amb = fam.ambient
+    want = leftmost_generators(
+        fam.window, amb.base_ring.nvars, fam.basis_at, amb.dim_at,
+        amb.apply_mult,
+    )
+    try:
+        got = minimal_generators(fam)
+    except CertificateError as exc:
+        got = ("not closed", int(str(exc).rsplit(" ", 1)[1]))
+    except WindowExhausted as exc:
+        got = ("window exhausted", exc.degree)
+    assert got == want
 
 
 def test_cover_entries_read_off():
