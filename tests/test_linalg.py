@@ -273,10 +273,6 @@ def test_echelon_tracks_rank_and_membership(stream):
         assert gcd(*row.values()) == 1
 
 
-def _index(pivots):
-    return {c: k for k, (c, _) in enumerate(pivots)}
-
-
 @settings(max_examples=200, deadline=None)
 @given(mat=st.one_of(sparse_int_matrices, fraction_matrices))
 def test_triangulate_is_triangular_with_reference_rank(mat):
@@ -301,7 +297,7 @@ def test_forward_reduce_decides_membership(stream):
     vecs = sparse(dense_vecs)
     half = len(vecs) // 2
     pivots = list(_linalg.triangulate(vecs[:half]))
-    index = _index(pivots)
+    index = {c: k for k, (c, _) in enumerate(pivots)}
     for k in range(half, len(vecs)):
         res = _linalg.forward_reduce(vecs[k], pivots, index)
         assert not any(c in res for c in index)
