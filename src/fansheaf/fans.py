@@ -8,6 +8,8 @@ runs over the same input produce identical ids, bases, and signs.
 All geometric predicates -- facets, face lattices, intersections,
 membership, coordinates, subdivision assignments -- are computed with
 exact rational arithmetic on top of the sparse exact kernel in _linalg.
+A fan is certified on its pairs of maximal cones: each pair must meet
+in a common face, which implies the same for every pair of cones.
 """
 
 from fractions import Fraction
@@ -297,8 +299,11 @@ class Fan:
     def from_cones(cls, n, ray_vectors, cone_ray_lists):
         """Build a fan from generating cones given by ray index lists.
 
-        Faces are added automatically; pairwise cone compatibility is
-        verified.
+        Faces are added automatically.  Each listed cone must be strictly
+        convex and list exactly its extreme rays, and any two maximal
+        cones must meet in a common face spanned by their common rays;
+        that certifies the same for every pair of cones (see
+        _validate_pairwise).  Raises InputError otherwise.
         """
         if n < 0:
             raise InputError("ambient dimension must be nonnegative")
@@ -377,7 +382,20 @@ class Fan:
         return fan
 
     def _validate_pairwise(self):
-        cones = [c for c in self.cones if c.dim >= 1]
+        """Certify that any two cones meet in a common face, checking only
+        pairs of maximal cones.
+
+        For maximal A and B the test is that the common rays span a face
+        F of both and that A and B meet in cone(F) and nothing more.  That
+        covers every pair of cones.  Write & for intersection and let
+        a <= A and b <= B be faces.  Then a & F and b & F are faces of F,
+        so a & b = (a & F) & (b & F) is a face of F, hence of a and of b,
+        and its rays are rays(a) & rays(b).  Two faces of one maximal cone
+        meet in a face of that cone.  Read the other way round: any
+        defect between two cones shows up between two maximal cones that
+        contain them.
+        """
+        cones = [self.cones[i] for i in self.maximal_cone_ids() if i]
         for a, b in combinations(cones, 2):
             common = frozenset(a.rays) & frozenset(b.rays)
             if (

@@ -1,9 +1,14 @@
 """Hand-rolled graded dimension counts for two small fans, a naive
-polynomial substitution, and the leftmost-pivot minimal-generator scan.
+polynomial substitution, the leftmost-pivot minimal-generator scan, and
+the all-pairs fan check.
 
-Shares no code with the package: pieces are enumerated monomial by
-monomial and the defining linear systems are solved with plain Fraction
-elimination.  Functions on a full cone are homogeneous polynomials in
+All but the last share no code with the package: pieces are enumerated
+monomial by monomial and the defining linear systems are solved with
+plain Fraction elimination.  The all-pairs fan check runs the package's
+own per-pair test on every pair of cones, so it checks the restriction
+to pairs of maximal cones, not the geometry of one pair.
+
+Functions on a full cone are homogeneous polynomials in
 the ambient coordinates; on a ray they are polynomials in one parameter
 via the parametrization t -> t * ray; at the origin only the ground
 field survives.  All generators sit in degree -(ambient dimension), and
@@ -12,6 +17,9 @@ holds the monomials of polynomial degree (d + n) / 2.
 """
 
 from fractions import Fraction
+from itertools import combinations
+
+from fansheaf.fans import intersect_cones
 
 
 def monos2(j):
@@ -244,3 +252,20 @@ def leftmost_generators(window, nvars, basis_at, dim_at, mult):
                     return ("window exhausted", d)
                 gens.append((d, z))
     return gens
+
+
+def all_pairs_valid(fan):
+    """Do all pairs of positive-dimensional cones of a fan meet along a
+    common face, spanned by their common rays?  The fan is built without
+    its own pair check; every pair gets the membership test and the
+    intersection test of Fan._validate_pairwise."""
+    cones = [c for c in fan.cones if c.dim >= 1]
+    for a, b in combinations(cones, 2):
+        common = frozenset(a.rays) & frozenset(b.rays)
+        if common not in a.face_ray_sets or common not in b.face_ray_sets:
+            return False
+        gens = [fan.rays[i] for i in a.rays]
+        want = tuple(sorted(fan.rays[i] for i in common))
+        if intersect_cones(gens, b) != want:
+            return False
+    return True

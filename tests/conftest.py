@@ -11,6 +11,19 @@ def fan_path(name):
     return DATA / f"{name}.fan"
 
 
+# Invalid fans whose defect lies between two maximal cones.  The ray
+# (1, 1), listed as its own cone, lies inside the listed quadrant.
+RAY_IN_QUADRANT = (
+    "dim 2\nray 0: 1 0\nray 1: 1 1\nray 2: 0 1\ncone: 0 2\ncone: 1\n"
+)
+# A diagonal of the cone over a square is a face of the simplicial
+# 3-cone listed second, but not of the square cone.
+SQUARE_DIAGONAL = (
+    "dim 3\nray 0: 1 1 1\nray 1: -1 1 1\nray 2: -1 -1 1\nray 3: 1 -1 1\n"
+    "ray 4: 1 -1 0\ncone: 0 1 2 3\ncone: 0 2 4\n"
+)
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """All corpus fans by short name, parsed once."""

@@ -9,7 +9,7 @@ from fansheaf import cli
 from fansheaf.cli import main
 from fansheaf.errors import CertificateError
 
-from conftest import fan_path
+from conftest import RAY_IN_QUADRANT, SQUARE_DIAGONAL, fan_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -66,6 +66,28 @@ def test_fan_check_overlap_exits_two(tmp_path, capsys):
     code, out = _run(capsys, "fan", "check", "--fan", str(bad))
     assert code == 2
     assert "overlap" in out
+
+
+@pytest.mark.parametrize(
+    "text, defect",
+    [
+        (RAY_IN_QUADRANT, "overlap beyond their common face"),
+        (SQUARE_DIAGONAL, "do not meet along a common face"),
+    ],
+)
+def test_fan_check_maximal_cone_defects_exit_two(
+    tmp_path, capsys, text, defect
+):
+    bad = tmp_path / "bad.fan"
+    bad.write_text(text)
+    code, out = _run(
+        capsys, "--format", "machine", "fan", "check", "--fan", str(bad)
+    )
+    assert code == 2
+    (record,) = out.strip().splitlines()
+    kind, cone, degree, value, certificate = record.split("\t")
+    assert (kind, certificate) == ("error", "input-error")
+    assert defect in value
 
 
 def test_build_serialize_verify_roundtrip(tmp_path, capsys):

@@ -1,20 +1,31 @@
 """Fan geometry: parsing, face lattices, signs, quotients, subdivisions."""
 
 import itertools
+import math
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fansheaf import fans
 from fansheaf.errors import InputError
 from fansheaf.fans import (
     Fan,
     is_complete,
     load_fan,
     parse_fan,
+    primitive,
     subdivision_map,
 )
 
-from conftest import fan_path
+from brute_oracle import all_pairs_valid
+from conftest import RAY_IN_QUADRANT, SQUARE_DIAGONAL, fan_path
 from quotient import quotient_fan
+from test_fuzz import FANS, FUZZ, mutated
+
+TESTS = Path(__file__).resolve().parent
 
 
 def test_parse_p2_counts(corpus):
@@ -68,6 +79,10 @@ def test_parse_errors():
             "dim 2\nray 0: 1 0\nray 1: 0 1\nray 2: 1 1\nray 3: -1 1\n"
             "cone: 0 1\ncone: 2 3\n"
         )
+    with pytest.raises(InputError, match="overlap"):
+        parse_fan(RAY_IN_QUADRANT)
+    with pytest.raises(InputError, match="do not meet along a common face"):
+        parse_fan(SQUARE_DIAGONAL)
     with pytest.raises(InputError):
         parse_fan("ray 0: 1 0\n")  # missing dim
     with pytest.raises(InputError):
@@ -285,3 +300,71 @@ def test_incidence_sign_cache_matches_fresh(corpus):
                 assert fan._signs[(cone.index, f)] == want
                 assert fan.incidence_sign(cone.index, f) == want
         assert not fresh._signs
+
+
+@pytest.mark.parametrize(
+    "path, pairs",
+    [(TESTS.parent / "perfbench" / "inputs" / "cubestar.fan", 276),
+     (TESTS / "cube4.fan", 28)],
+)
+def test_pair_check_intersects_each_pair_of_maximal_cones_once(
+    monkeypatch, path, pairs
+):
+    calls = []
+    real = fans.intersect_cones
+
+    def counted(gens, other):
+        calls.append(gens)
+        return real(gens, other)
+
+    monkeypatch.setattr(fans, "intersect_cones", counted)
+    fan = load_fan(path)
+    assert len(calls) == math.comb(len(fan.maximal_cone_ids()), 2) == pairs
+
+
+def _all_pairs_rejects(build):
+    """Does build() fail, with the pair check over all pairs of cones in
+    place of the one over maximal cones?"""
+    with patch.object(Fan, "_validate_pairwise", lambda self: None):
+        try:
+            fan = build()
+        except InputError:
+            return True
+    return not all_pairs_valid(fan)
+
+
+def _rejects(build):
+    try:
+        build()
+    except InputError:
+        return True
+    return False
+
+
+@st.composite
+def cone_lists(draw):
+    """Random cone lists over random small primitive rays in dimension 2
+    or 3.  A cone lists 1 to n + 1 rays, n most often; a fan with a cone
+    listing a non-extreme ray, or with two cones that overlap, is
+    rejected."""
+    n = draw(st.sampled_from([2, 3]))
+    vec = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(primitive)
+    rays = draw(st.lists(vec, min_size=n, max_size=7, unique=True))
+    ids = st.permutations(range(len(rays)))
+    size = st.sampled_from([1, 2, n, n, n + 1])
+    cone = st.tuples(ids, size).map(lambda t: t[0][: t[1]])
+    return n, rays, draw(st.lists(cone, min_size=2, max_size=6))
+
+
+@FUZZ
+@given(case=cone_lists())
+def test_maximal_pairs_agree_with_all_pairs_on_random_cones(case):
+    build = lambda: Fan.from_cones(*case)
+    assert _rejects(build) == _all_pairs_rejects(build)
+
+
+@FUZZ
+@given(text=mutated(FANS))
+def test_maximal_pairs_agree_with_all_pairs_on_mutated_corpus(text):
+    build = lambda: parse_fan(text)
+    assert _rejects(build) == _all_pairs_rejects(build)

@@ -11,11 +11,13 @@ A change that alters a generator choice, a serialized entry or a report
 record fails here.
 """
 
+import random
 from pathlib import Path
 
 import pytest
 
 from fansheaf.cli import main
+from fansheaf.fans import load_fan
 
 from conftest import fan_path
 
@@ -101,3 +103,40 @@ def test_decompose_records_match_golden(capsys, src, tgt):
     assert code == 0
     golden = (GOLDEN / f"decompose-{src}-{tgt}.tsv").read_text()
     assert capsys.readouterr().out == golden
+
+
+def _relabelled(fan, rng):
+    """The fan's file text with its rays relabelled and its cone lines,
+    and the rays within each, shuffled."""
+    label = list(range(len(fan.rays)))
+    rng.shuffle(label)
+    rays = [None] * len(fan.rays)
+    for old, new in enumerate(label):
+        rays[new] = fan.rays[old]
+    cones = [
+        [label[r] for r in fan.cones[i].rays]
+        for i in fan.maximal_cone_ids()
+        if i
+    ]
+    rng.shuffle(cones)
+    lines = [f"dim {fan.n}"]
+    lines += [f"ray {i}: " + " ".join(map(str, v)) for i, v in enumerate(rays)]
+    for c in cones:
+        rng.shuffle(c)
+        lines.append("cone: " + " ".join(map(str, c)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_ray_and_cone_order_is_immaterial(tmp_path, capsys, name):
+    """Relabelled rays and shuffled cones give the same canonical fan
+    and, for a complete fan, the same ih records."""
+    fan = load_fan(fan_path(name))
+    path = tmp_path / f"{name}.fan"
+    path.write_text(_relabelled(fan, random.Random(name)))
+    assert load_fan(path).to_text() == fan.to_text()
+    if name in COMPLETE:
+        code = main(["--format", "machine", "ih", "--fan", str(path)])
+        assert code == 0
+        golden = (GOLDEN / f"ih-{name}.tsv").read_text()
+        assert capsys.readouterr().out == golden
