@@ -1,13 +1,14 @@
 """Complexes of graded modules on a fan.
 
 A FanComplex places a free graded module on each cone (missing = zero)
-and an unsigned component map on each (cone, facet) pair; the actual
-differential multiplies each component by the fan's deterministic
-incidence sign, sending the sum of the dimension-i modules to the sum of
-the dimension-(i-1) modules.  Homological degree of a cone's slot is
-minus its dimension.
+and, on each (cone, facet) pair, the component of the differential
+between them; together they send the sum of the dimension-i modules to
+the sum of the dimension-(i-1) modules.  Homological degree of a cone's
+slot is minus its dimension.  The fan's incidence signs enter only the
+file format: a serialized complex stores each component divided by its
+sign.
 
-assemble gives the signed differential between listed cones on one
+assemble gives the differential between listed cones on one
 degree piece in _linalg's one matrix form, a list of sparse rows
 {col: value} with no stored zeros; kernels, ranks and the certificates
 below take it as it is.  check_complex certifies shapes, grading, and
@@ -32,13 +33,12 @@ from fansheaf.modules import (
     family_from_kernel,
     minimal_free_cover,
     pm_add,
-    pm_scale,
 )
 from fansheaf.polys import format_poly, parse_poly
 
 
 class FanComplex:
-    """Modules and unsigned facet maps on a fan's cones."""
+    """Modules on a fan's cones and the differential's facet components."""
 
     def __init__(self, fan, tower, modules, maps, window=None):
         self.fan = fan
@@ -64,12 +64,12 @@ class FanComplex:
 
 
 def assemble(M, src_ids, tgt_ids, d):
-    """Signed block matrix of the differential between listed cones.
+    """Block matrix of the differential between listed cones.
 
     Sparse rows, one per basis element of the targets' degree-d pieces
-    in tgt_ids order; columns follow src_ids order the same way.  Blocks
-    exist where the target is a facet of the source and a component map
-    is present.
+    in tgt_ids order; columns follow src_ids order the same way.  The
+    block of source s and target t is the stored map M.maps[(s, t)], the
+    differential's component, where present.
     """
     col_off, _ = _offsets(M, src_ids, d)
     row_off, nrows = _offsets(M, tgt_ids, d)
@@ -79,14 +79,13 @@ def assemble(M, src_ids, tgt_ids, d):
         for t in M.fan.cones[s].facet_ids:
             if t not in tgt_pos or (s, t) not in M.maps:
                 continue
-            sign = M.fan.incidence_sign(s, t)
             block = M.maps[(s, t)].evaluate(d)
             r0 = row_off[tgt_pos[t]]
             c0 = col_off[si]
             for r, brow in enumerate(block):
                 out = rows[r0 + r]
                 for c, x in brow.items():
-                    out[c0 + c] = sign * x
+                    out[c0 + c] = x
     return rows
 
 
@@ -145,10 +144,7 @@ def check_complex(M):
                     continue
                 if (s, t) not in M.maps or (t, rho_id) not in M.maps:
                     continue
-                sign = fan.incidence_sign(s, t) * fan.incidence_sign(t, rho_id)
-                term = pm_scale(
-                    compose(M.maps[(t, rho_id)], M.maps[(s, t)]), sign
-                )
+                term = compose(M.maps[(t, rho_id)], M.maps[(s, t)])
                 total = term if total is None else pm_add(total, term)
             if total is not None and not total.is_zero():
                 problems.append(
@@ -162,8 +158,8 @@ def boundary_setup(M, cone_id):
 
     Returns (ambient, facets, rows_at): the facet modules viewed over
     the cone's ring, the facet ids in part order, and the degreewise
-    constraint rows (signed maps from facets into codimension-2 faces
-    inside the cone).
+    constraint rows (the differential from facets into codimension-2
+    faces inside the cone).
     """
     fan = M.fan
     cone = fan.cones[cone_id]
@@ -190,7 +186,7 @@ def check_locally_exact(M, window):
     """Certify that each module surjects onto its boundary kernel.
 
     For every positive-dimensional cone and every window degree, the
-    image of the cone's module under the signed facet maps must span the
+    image of the cone's module under its facet maps must span the
     kernel of the next differential of the restricted complex.  The
     report's problems are (cone, degree, why) tuples.
     """
@@ -223,12 +219,11 @@ def check_locally_exact(M, window):
 
 
 class CohomologyReport:
-    """Degreewise cohomology dims, optionally with the top module data."""
+    """Degreewise cohomology dims."""
 
-    def __init__(self, window, table, top=None):
+    def __init__(self, window, table):
         self.window = window
         self.table = table  # {(p, d): dim}, zero entries omitted
-        self.top = top
 
     def dims_at(self, p):
         return {d: v for (q, d), v in self.table.items() if q == p}
@@ -243,13 +238,10 @@ class TopModuleReport:
         self.offender = offender
 
 
-def cohomology_degreewise(M, window, with_top=False):
+def cohomology_degreewise(M, window):
     """Cohomology dimensions per (slot, degree) over the window.
 
-    Slot p holds the cones of dimension -p.  When with_top is set, the
-    kernel at the lowest slot is additionally analyzed as a module over
-    the full coordinate ring: its minimal generators are computed and
-    degreewise freeness is certified by Hilbert comparison.
+    Slot p holds the cones of dimension -p.
     """
     lo, hi = window
     n = M.fan.n
@@ -290,18 +282,21 @@ def cohomology_degreewise(M, window, with_top=False):
                 )
             if h:
                 table[(p, d)] = h
-    top = None
-    if with_top:
-        top = _top_module(M, window, by_dim.get(n, []))
-    return CohomologyReport(window, table, top)
+    return CohomologyReport(window, table)
 
 
-def _top_module(M, window, top_ids):
+def top_module(M, window):
+    """The kernel at the lowest slot as a module over the full ring.
+
+    Its minimal generators are computed over the window and degreewise
+    freeness is certified by Hilbert comparison.
+    """
+    n = M.fan.n
+    top_ids = [i for i in M.fan.cones_of_dim(n) if M.rank_at(i)]
     if not top_ids:
         return TopModuleReport(False, (), "no top-dimensional modules")
     ring = M.tower.ring("A")
     ambient = DirectSumAmbient(ring, [M.modules[i] for i in top_ids])
-    n = M.fan.n
     tgts = [i for i in M.fan.cones_of_dim(n - 1) if M.rank_at(i)]
 
     fam = family_from_kernel(
@@ -323,8 +318,11 @@ FORMAT_LINE = "complex-format 1"
 
 
 def complex_to_text(M):
-    """Canonical text form embedding the fan, windows, modules, maps,
-    and the incidence signs actually used."""
+    """Canonical text form embedding the fan, window, modules and maps.
+
+    Each nonzero map is written as a `sign` line, the fan's incidence
+    sign, and `entry` lines holding the map divided by that sign.
+    """
     lines = [FORMAT_LINE]
     if M.window is not None:
         lines.append(f"window {M.window[0]} {M.window[1]}")
@@ -340,11 +338,11 @@ def complex_to_text(M):
         pm = M.maps[(s, t)]
         if pm.is_zero():
             continue
-        lines.append(f"sign {s} {t}: {M.fan.incidence_sign(s, t):+d}")
+        sign = M.fan.incidence_sign(s, t)
+        lines.append(f"sign {s} {t}: {sign:+d}")
         for (i, j) in sorted(pm.entries):
-            lines.append(
-                f"entry {s} {t} {i} {j}: {format_poly(pm.entries[(i, j)])}"
-            )
+            entry = format_poly(pm.entries[(i, j)].scale(sign))
+            lines.append(f"entry {s} {t} {i} {j}: {entry}")
     return "\n".join(lines) + "\n"
 
 
@@ -360,6 +358,7 @@ def _at_line(lineno, line):
 def complex_from_text(text, validate=True):
     """Parse complex_to_text output; signs are recomputed and verified.
 
+    Each map is stored as its entries times the fan's incidence sign.
     With validate=False the parsed complex is returned without running
     check_complex, so callers can run the certificate suite themselves
     and report failures instead of refusing the file.
@@ -382,7 +381,10 @@ def complex_from_text(text, validate=True):
         if keyword == "window":
             with _at_line(lineno, line):
                 parts = line.split()
-                window = (int(parts[1]), int(parts[2]))
+                lo, hi = int(parts[1]), int(parts[2])
+                if lo > hi:
+                    raise ValueError(f"window low end {lo} above high end {hi}")
+                window = (lo, hi)
         elif keyword in ("dim", "ray", "cone"):
             fan_lines[lineno - 1] = line
         elif keyword == "module":
@@ -421,7 +423,12 @@ def complex_from_text(text, validate=True):
     for (s, t), entries in entries_by_pair.items():
         if not fan.is_facet(t, s):
             raise InputError(f"map {s}->{t}: target is not a facet")
-        maps[(s, t)] = PolyMatrix(modules[s], modules[t], entries)
+        sign = fan.incidence_sign(s, t)
+        maps[(s, t)] = PolyMatrix(
+            modules[s],
+            modules[t],
+            {ij: p.scale(sign) for ij, p in entries.items()},
+        )
     for lineno, line in sign_lines:
         with _at_line(lineno, line):
             head, _, body = line.partition(":")

@@ -34,7 +34,6 @@ from fansheaf.modules import (
     entries_from_vectors,
     family_from_kernel,
     minimal_generators,
-    pm_scale,
 )
 from fansheaf.polys import Poly
 from fansheaf.pushforward import pushforward, verify_pushforward
@@ -138,16 +137,12 @@ def peel_summand(N, base_id, shift):
                     )
             continue
         ambient, facets, base_rows = boundary_setup(N, i)
-        true_blocks = []
-        for f in facets:
-            if (i, f) in N.maps:
-                true_blocks.append(
-                    pm_scale(N.maps[(i, f)], fan.incidence_sign(i, f))
-                )
-            else:
-                true_blocks.append(PolyMatrix(Nmod, N.modules[f], {}))
+        blocks = tuple(
+            N.maps.get((i, f)) or PolyMatrix(Nmod, N.modules[f], {})
+            for f in facets
+        )
         Z = family_from_kernel(ambient, base_rows, window)
-        cover = CoverMap(Nmod, Z, (), tuple(true_blocks))
+        cover = CoverMap(Nmod, Z, (), blocks)
 
         for f in facets:
             if S.rank_at(f) and f not in phi:
@@ -306,7 +301,7 @@ def peel_summand(N, base_id, shift):
                 fmod = NP.modules.get(f)
                 solutions = []
                 for dg, vec in n_vectors:
-                    img = _linalg.matvec(true_blocks[kf].evaluate(dg), vec)
+                    img = _linalg.matvec(blocks[kf].evaluate(dg), vec)
                     if not img:
                         solutions.append((dg, {}))
                         continue
@@ -329,7 +324,7 @@ def peel_summand(N, base_id, shift):
                 if entries:
                     mp = PolyMatrix(mod, fmod, entries)
                     mp.validate()
-                    NP.maps[(i, f)] = pm_scale(mp, fan.incidence_sign(i, f))
+                    NP.maps[(i, f)] = mp
 
     rep = check_complex(NP)
     if not rep.ok:
@@ -388,11 +383,9 @@ def _complement_rows(base_rows, ambient, facets, psi, NP, N):
 class DecompositionReport:
     """Multiplicities plus the record of a complete peel."""
 
-    def __init__(self, multiplicities, peel_sequence, exhausted, window):
+    def __init__(self, multiplicities, peel_sequence):
         self.multiplicities = multiplicities
         self.peel_sequence = peel_sequence
-        self.exhausted = exhausted
-        self.window = window
 
     @property
     def identity_summand_present(self):
@@ -420,7 +413,7 @@ def decompose_fully(N):
         raise CertificateError(
             f"peeling left modules at cones {cur.support_ids()}"
         )
-    return DecompositionReport(mult, sequence, True, N.window)
+    return DecompositionReport(mult, sequence)
 
 
 def decomposition_theorem_report(fan_map, window=None):

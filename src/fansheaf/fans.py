@@ -470,10 +470,12 @@ class Fan:
     def incidence_sign(self, i, j):
         """Orientation sign for facet j of cone i (+1 or -1).
 
-        Convention: express cone j's chosen basis followed by an interior
-        point of cone i in cone i's chosen basis and take the determinant
-        sign.  For a ray over the origin the sign is +1.  Signs are
-        cached per (i, j); a fan is not changed after construction.
+        It serves the serialized complex format, whose `entry` lines
+        hold each map divided by this sign.  Convention: express cone
+        j's chosen basis followed by an interior point of cone i in cone
+        i's chosen basis and take the determinant sign.  For a ray over
+        the origin the sign is +1.  Signs are cached per (i, j); a fan
+        is not changed after construction.
         """
         key = (i, j)
         if key not in self._signs:

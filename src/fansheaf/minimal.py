@@ -3,7 +3,7 @@
 The origin-based minimal complex starts from the ground field placed in
 degree minus the ambient dimension and walks the cones by increasing
 dimension: each cone's boundary kernel gets a minimal free cover, whose
-blocks (times the incidence signs) become the stored component maps.
+blocks become the differential's components.
 Shifted variants run the same induction over the star of a base cone.
 """
 
@@ -14,6 +14,7 @@ from fansheaf.complexes import (
     check_complex,
     check_locally_exact,
     cohomology_degreewise,
+    top_module,
 )
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
 from fansheaf.fans import is_complete
@@ -23,7 +24,6 @@ from fansheaf.modules import (
     default_window,
     minimal_free_cover,
     minimal_generators,
-    pm_scale,
 )
 
 
@@ -46,6 +46,8 @@ def build_shifted_minimal(fan, base_id, shift=0, window=None):
     degree -(ambient dim) + (base dim) - shift; support is the star of
     the base.
     """
+    if base_id not in range(len(fan.cones)):
+        raise InputError(f"no cone {base_id} to base the complex at")
     n = fan.n
     base = fan.cones[base_id]
     gen_degree = -n + base.dim - shift
@@ -81,11 +83,9 @@ def _extend(M, cone_ids):
         if cover.module.rank() == 0:
             continue
         M.modules[i] = cover.module
-        for k, rho in enumerate(facets):
-            block = cover.blocks[k]
-            if block.is_zero():
-                continue
-            M.maps[(i, rho)] = pm_scale(block, M.fan.incidence_sign(i, rho))
+        for rho, block in zip(facets, cover.blocks):
+            if not block.is_zero():
+                M.maps[(i, rho)] = block
 
 
 def stalk_report(M):
@@ -142,10 +142,9 @@ def verify_minimality(M, base_id=0, shift=0):
 class IHReport:
     """The top-slot cohomology viewed over the full coordinate ring."""
 
-    def __init__(self, generator_degrees, complete, table):
+    def __init__(self, generator_degrees, complete):
         self.generator_degrees = generator_degrees
         self.complete = complete
-        self.table = table
 
     @property
     def betti(self):
@@ -167,16 +166,17 @@ def ih_module(M, require_complete=False):
     if require_complete and not complete:
         raise InputError("fan is not complete")
     window = M.window or default_window(M.fan.n)
-    rep = cohomology_degreewise(M, window, with_top=True)
+    rep = cohomology_degreewise(M, window)
+    top = top_module(M, window)
     n = M.fan.n
     stray = sorted({p for (p, d) in rep.table if p != -n})
     if stray:
         raise CertificateError(
             f"cohomology not concentrated in the top slot: also at {stray}"
         )
-    if not rep.top.free:
+    if not top.free:
         raise CertificateError(
             f"top cohomology not free over the full ring at degree "
-            f"{rep.top.offender}"
+            f"{top.offender}"
         )
-    return IHReport(rep.top.generator_degrees, complete, rep.table)
+    return IHReport(top.generator_degrees, complete)

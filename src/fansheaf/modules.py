@@ -248,12 +248,6 @@ def pm_add(f, g):
     return PolyMatrix(f.source, f.target, entries)
 
 
-def pm_scale(f, c):
-    return PolyMatrix(
-        f.source, f.target, {ij: p.scale(c) for ij, p in f.entries.items()}
-    )
-
-
 def compose(second, first):
     """second after first: source of `second` must be target of `first`."""
     if second.source is not first.target:

@@ -2,7 +2,7 @@
 
 For each target cone the direct image module is carved out of the sum of
 the modules on its same-dimension preimage tiles: sections must glue
-across interior walls (their signed differential components cancel) and
+across interior walls (their differential components cancel) and
 must map into the already-built module on every target facet.  A minimal
 free cover of that kernel family gives the new module, with degreewise
 freeness certified by Hilbert comparison, and the induced differential
@@ -28,20 +28,18 @@ from fansheaf.modules import (
     entries_from_vectors,
     family_from_kernel,
     minimal_free_cover,
-    pm_scale,
 )
 
 
 class Pushforward:
     """Direct image complex plus the per-cone section data behind it."""
 
-    def __init__(self, complex, fan_map, source, families, covers, tiles):
+    def __init__(self, complex, fan_map, source, families, covers):
         self.complex = complex
         self.fan_map = fan_map
         self.source = source
         self.families = families
         self.covers = covers
-        self.tiles = tiles
 
 
 def pushforward(fan_map, M, window=None):
@@ -127,12 +125,10 @@ def pushforward(fan_map, M, window=None):
             entries = entries_from_vectors(fcover.module, solutions)
             if not entries:
                 continue
-            true_pm = PolyMatrix(cover.module, fcover.module, entries)
-            true_pm.validate()
-            N.maps[(s, f)] = pm_scale(
-                true_pm, tgt_fan.incidence_sign(s, f)
-            )
-    return Pushforward(N, fan_map, M, families, covers, tiles_map)
+            pm = PolyMatrix(cover.module, fcover.module, entries)
+            pm.validate()
+            N.maps[(s, f)] = pm
+    return Pushforward(N, fan_map, M, families, covers)
 
 
 def _constraints(block, ambient, tiles, interior_walls, facet_data):

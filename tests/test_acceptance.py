@@ -166,7 +166,6 @@ def test_criterion_6_decomposition_reports():
     for src, tgt in SUBDIVISIONS:
         _, fmap = _image(src, tgt)
         rep = decomposition_theorem_report(fmap, window=WINDOWS.get(src))
-        assert rep.exhausted, (src, tgt)
         assert rep.identity_summand_present, (src, tgt)
         others = [k for (b, k) in rep.multiplicities if b == 0 and k != 0]
         assert not others, (src, tgt, others)

@@ -149,6 +149,28 @@ def test_shifted_stalks_skip_oracle(capsys):
     assert "match" not in out
 
 
+@pytest.mark.parametrize(
+    "command, base",
+    [(("minimal", "build"), "99"), (("stalks",), "-1")],
+)
+def test_base_outside_the_fan_exits_two(capsys, command, base):
+    code, out = _run(
+        capsys,
+        "--format",
+        "machine",
+        *command,
+        "--fan",
+        str(fan_path("p2")),
+        "--base",
+        base,
+    )
+    assert code == 2
+    (record,) = out.splitlines()
+    assert record == (
+        f"error\t-\t-\tno cone {base} to base the complex at\tinput-error"
+    )
+
+
 def test_pushforward_command(tmp_path, capsys):
     out_file = tmp_path / "image.cx"
     code, out = _run(
@@ -283,6 +305,7 @@ def test_degree_max_floor_enforced(capsys):
 MALFORMED_WHY = {
     "sign 3 9: -1": "sign line for unknown cone 9",
     "entry 3 1 0 0: 1 + t1": "inhomogeneous polynomial",
+    "window 4 -2": "window low end 4 above high end -2",
 }
 
 
@@ -295,6 +318,7 @@ MALFORMED_WHY = {
         ("ray 1: 1 0", "ray 1: 1 x"),
         ("sign 3 2: -1", "sign 3 9: -1"),
         ("entry 3 1 0 0: 1", "entry 3 1 0 0: 1 + t1"),
+        ("window -2 6", "window 4 -2"),
     ],
 )
 def test_verify_malformed_complex_exits_two(tmp_path, capsys, old, new):

@@ -19,10 +19,12 @@ from fansheaf.complexes import (
     cohomology_degreewise,
     complex_from_text,
     complex_to_text,
+    top_module,
 )
+from fansheaf.decompose import decomposition_theorem_report
 from fansheaf.errors import InputError
-from fansheaf.fans import load_fan
-from fansheaf.minimal import build_minimal
+from fansheaf.fans import Fan, load_fan, subdivision_map
+from fansheaf.minimal import build_minimal, ih_module
 from fansheaf.modules import (
     FreeGradedModule,
     PolyMatrix,
@@ -38,20 +40,21 @@ def quadrant_complex():
     """Minimal complex on the first quadrant, written out by hand.
 
     Cones: 0 origin, 1 ray (0,1), 2 ray (1,0), 3 the quadrant.  Every
-    module has a single generator in degree -2 and every stored
-    component entry is the constant 1; the incidence signs carry the
-    cancellation.
+    module has a single generator in degree -2 and every component of
+    the differential is the constant 1, except cone 3 -> cone 2, whose
+    -1 carries the cancellation.
     """
     fan = load_fan(fan_path("quadrant"))
     tower = RingTower(fan)
     mods = {
         i: FreeGradedModule(tower.ring(i), [-2]) for i in range(4)
     }
-    one = lambda nv: Poly.const(nv, Fraction(1))
     maps = {}
-    for s, t in [(1, 0), (2, 0), (3, 1), (3, 2)]:
+    for s, t, c in [(1, 0, 1), (2, 0, 1), (3, 1, 1), (3, 2, -1)]:
         nv = tower.ring(t).nvars
-        maps[(s, t)] = PolyMatrix(mods[s], mods[t], {(0, 0): one(nv)})
+        maps[(s, t)] = PolyMatrix(
+            mods[s], mods[t], {(0, 0): Poly.const(nv, Fraction(c))}
+        )
     return FanComplex(fan, tower, mods, maps, window=default_window(2))
 
 
@@ -81,7 +84,7 @@ def test_corrupted_entry_breaks_d_squared():
     M = quadrant_complex()
     bad = dict(M.maps)
     bad[(3, 2)] = PolyMatrix(
-        M.modules[3], M.modules[2], {(0, 0): Poly.const(1, Fraction(-1))}
+        M.modules[3], M.modules[2], {(0, 0): Poly.const(1, Fraction(1))}
     )
     report = check_complex(FanComplex(M.fan, M.tower, M.modules, bad))
     assert not report.ok
@@ -132,21 +135,23 @@ def test_missing_top_module_fails_exactness():
 
 def test_cohomology_quadrant():
     M = quadrant_complex()
-    rep = cohomology_degreewise(M, M.window, with_top=True)
+    rep = cohomology_degreewise(M, M.window)
     assert rep.dims_at(-2) == {2: 1, 4: 2, 6: 3}
     assert rep.dims_at(-1) == {}
     assert rep.dims_at(0) == {}
-    assert rep.top.free
-    assert rep.top.generator_degrees == (2,)
+    top = top_module(M, M.window)
+    assert top.free
+    assert top.generator_degrees == (2,)
 
 
 def test_cohomology_complete_line_fan():
     M = halfline_pair_complex()
-    rep = cohomology_degreewise(M, M.window, with_top=True)
+    rep = cohomology_degreewise(M, M.window)
     assert rep.dims_at(-1) == {-1: 1, 1: 2, 3: 2, 5: 2}
     assert rep.dims_at(0) == {}
-    assert rep.top.free
-    assert rep.top.generator_degrees == (-1, 1)
+    top = top_module(M, M.window)
+    assert top.free
+    assert top.generator_degrees == (-1, 1)
 
 
 def test_euler_identity():
@@ -225,6 +230,26 @@ def test_serialization_round_trip():
     for key in M.maps:
         assert N.maps[key].entries == M.maps[key].entries
     assert complex_to_text(N) == text
+
+
+def test_orientation_signs_serve_only_the_file_format(monkeypatch):
+    """Building, IH and decomposition compute no orientation sign; only
+    writing a complex to text does."""
+    calls = []
+    orientation_sign = Fan._orientation_sign
+
+    def counting(fan, i, j):
+        calls.append((i, j))
+        return orientation_sign(fan, i, j)
+
+    monkeypatch.setattr(Fan, "_orientation_sign", counting)
+    M = build_minimal(load_fan(fan_path("cubefan")))
+    ih_module(M)
+    src, tgt = load_fan(fan_path("starsq")), load_fan(fan_path("conesquare"))
+    decomposition_theorem_report(subdivision_map(src, tgt))
+    assert calls == []
+    complex_to_text(M)
+    assert calls
 
 
 def test_serialization_rejects_wrong_sign():

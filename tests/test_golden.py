@@ -7,8 +7,10 @@ and the face fan of the 4-cube, and tests/golden/<fan>.complex the
 push-<src>-<tgt>.tsv holds the `pushforward --format machine` records
 (without the `serialized` line), push-<src>-<tgt>.out its `--out` text
 and decompose-<src>-<tgt>.tsv the `decompose --format machine` records.
-A change that alters a generator choice, a serialized entry or a report
-record fails here.
+verify-<fan>.tsv holds the `verify --format machine` records of each
+<fan>.complex followed by an `exit` line with the exit code.  A change
+that alters a generator choice, a serialized entry or a report record
+fails here.
 """
 
 import random
@@ -44,6 +46,8 @@ def test_golden_set_covers_corpus():
     assert CORPUS == fans
     ih_golden = sorted(p.stem[3:] for p in GOLDEN.glob("ih-*.tsv"))
     assert ih_golden == sorted(COMPLETE + list(EXTRA_IH))
+    verify_golden = sorted(p.stem[7:] for p in GOLDEN.glob("verify-*.tsv"))
+    assert verify_golden == CORPUS
 
 
 @pytest.mark.parametrize("name", COMPLETE + list(EXTRA_IH))
@@ -63,6 +67,14 @@ def test_minimal_build_text_matches_golden(tmp_path, capsys, name):
     capsys.readouterr()
     assert code == 0
     assert out.read_text() == (GOLDEN / f"{name}.complex").read_text()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_verify_records_match_golden(capsys, name):
+    path = GOLDEN / f"{name}.complex"
+    code = main(["--format", "machine", "verify", "--complex", str(path)])
+    got = capsys.readouterr().out + f"exit\t{code}\n"
+    assert got == (GOLDEN / f"verify-{name}.tsv").read_text()
 
 
 @pytest.mark.parametrize("src,tgt", PAIRS)

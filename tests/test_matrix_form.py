@@ -83,11 +83,7 @@ def test_producers_emit_sparse_rows(corpus, name):
             for b, s in enumerate(srcs):
                 for a, t in enumerate(tgts):
                     if (s, t) in M.maps:
-                        sign = fan.incidence_sign(s, t)
-                        blocks[(a, b)] = [
-                            [sign * x for x in row]
-                            for row in poly_matrix(M.maps[(s, t)], d)
-                        ]
+                        blocks[(a, b)] = poly_matrix(M.maps[(s, t)], d)
             row_dims = [M.dim_at(t, d) for t in tgts]
             col_dims = [M.dim_at(s, d) for s in srcs]
             got = dense(

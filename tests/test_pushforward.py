@@ -3,7 +3,7 @@
 import pytest
 
 from fansheaf import pushforward as pushforward_module
-from fansheaf.complexes import assemble, cohomology_degreewise
+from fansheaf.complexes import assemble, top_module
 from fansheaf.errors import InputError
 from fansheaf.fans import load_fan, subdivision_map
 from fansheaf.minimal import build_minimal, stalk_report, verify_minimality
@@ -45,9 +45,9 @@ def test_blowup_verifies():
 
 def test_blowup_top_cohomology():
     P, _ = _push("blowquad", "quadrant")
-    rep = cohomology_degreewise(P.complex, P.complex.window, with_top=True)
-    assert rep.top.free
-    assert rep.top.generator_degrees == (0, 2)
+    top = top_module(P.complex, P.complex.window)
+    assert top.free
+    assert top.generator_degrees == (0, 2)
 
 
 def test_pushforward_not_minimal_in_general():
