@@ -14,14 +14,15 @@ content, so every division is exact and entries stay small.
 
 triangulate is the engine of rank and of membership tests: it pivots
 freely in Markowitz order (Markowitz 1957; Duff, Erisman & Reid 1986),
-which keeps fill low, and keeps the pivot rows in elimination order.
-Later pivot rows have no entry in an earlier pivot's column, so
-forward_reduce decides membership in their span, and a nonzero residual
-can be appended as a new pivot.  Echelon keeps a leftmost-pivot basis
-keyed by pivot column, for callers that insert one vector at a time;
-rref, nullspace and solve add one back-substitution pass to it, which
-gives the canonical rational RREF scaled row by row to primitive int
-rows with positive pivot.  That form is unique, so what they return
+which keeps fill low, and yields the pivot rows in elimination order.
+Later pivot rows have no entry in an earlier pivot's column, so forward
+elimination in that order decides membership in their span.  Echelon is
+the one incremental basis: it starts from a triangulation, reduce() is
+the one forward-elimination loop, and insert() appends a nonzero
+residual as a new pivot at its leftmost entry.  rref, nullspace and
+solve insert one row at a time and add one back-substitution pass,
+which gives the canonical rational RREF scaled row by row to primitive
+int rows with positive pivot.  That form is unique, so what they return
 does not depend on the order of elimination.
 """
 
@@ -139,55 +140,38 @@ def rank(rows):
     return sum(1 for _ in triangulate(rows))
 
 
-def forward_reduce(vec, pivots, index):
-    """Residual of vec against triangular pivot rows, as {col: nonzero
-    int}; empty iff vec lies in their span.
-
-    pivots are (col, row) pairs in which no row has an entry in an
-    earlier pair's column, as triangulate yields them, and index maps
-    each pivot column to its position.  Columns are cleared in pivot
-    order, so an elimination brings in only later pivot columns.
-    """
-    v = _int_row(vec)
-    todo = [index[c] for c in v if c in index]
-    heapify(todo)
-    while todo and v:
-        c, prow = pivots[heappop(todo)]
-        if c in v:
-            for j in _eliminate(v, prow, c):
-                k = index.get(j)
-                if k is not None:
-                    heappush(todo, k)
-    return v
-
-
 class Echelon:
-    """Incrementally maintained sparse int row-echelon basis.
+    """Incrementally maintained triangular sparse int basis of a span.
 
-    Each row is a primitive {col: int} dict keyed by its pivot column,
-    its leftmost entry, which is positive.  reduce() runs forward
-    elimination only, which is enough for membership tests: it
-    eliminates at the pivot columns present in the residual, lowest
-    first.
+    rows holds (pivot column, int row) pairs in elimination order, and
+    no row has an entry in an earlier pair's column; index maps each
+    pivot column to its position.  The basis starts as triangulate(rows)
+    and insert() appends a residual, primitive and pivoted at its
+    leftmost entry, which is positive.  reduce() runs forward
+    elimination only, which is enough for membership tests: it clears
+    pivot columns in elimination order, so an elimination brings in only
+    later pivot columns.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "index")
 
-    def __init__(self):
-        self.rows = {}
+    def __init__(self, rows=()):
+        self.rows = list(triangulate(rows))
+        self.index = {c: k for k, (c, _) in enumerate(self.rows)}
 
     def reduce(self, vec):
         """Residual of vec as {col: nonzero int}; empty iff in the span."""
         v = _int_row(vec)
-        rows = self.rows
-        todo = [c for c in v if c in rows]
+        rows, index = self.rows, self.index
+        todo = [index[c] for c in v if c in index]
         heapify(todo)
         while todo and v:
-            c = heappop(todo)
+            c, prow = rows[heappop(todo)]
             if c in v:
-                for j in _eliminate(v, rows[c], c):
-                    if j in rows:
-                        heappush(todo, j)
+                for j in _eliminate(v, prow, c):
+                    k = index.get(j)
+                    if k is not None:
+                        heappush(todo, k)
         return v
 
     def insert(self, vec):
@@ -195,7 +179,9 @@ class Echelon:
         v = self.reduce(vec)
         if not v:
             return False
-        self.rows[min(v)] = _primitive(v)
+        c = min(v)
+        self.index[c] = len(self.rows)
+        self.rows.append((c, _primitive(v)))
         return True
 
 
@@ -209,7 +195,7 @@ def rref(rows):
     for row in rows:
         if row:
             ech.insert(row)
-    basis = ech.rows
+    basis = dict(ech.rows)
     pivots = sorted(basis)
     # back substitution: the rows below a pivot are already reduced, so
     # clearing their pivots brings in no other pivot column

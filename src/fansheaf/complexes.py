@@ -221,8 +221,7 @@ def check_locally_exact(M, window):
 class CohomologyReport:
     """Degreewise cohomology dims."""
 
-    def __init__(self, window, table):
-        self.window = window
+    def __init__(self, table):
         self.table = table  # {(p, d): dim}, zero entries omitted
 
     def dims_at(self, p):
@@ -282,7 +281,7 @@ def cohomology_degreewise(M, window):
                 )
             if h:
                 table[(p, d)] = h
-    return CohomologyReport(window, table)
+    return CohomologyReport(table)
 
 
 def top_module(M, window):
@@ -358,7 +357,10 @@ def _at_line(lineno, line):
 def complex_from_text(text, validate=True):
     """Parse complex_to_text output; signs are recomputed and verified.
 
-    Each map is stored as its entries times the fan's incidence sign.
+    Each keyed line appears once: one window line, one module line per
+    cone, one entry line per map and position, and exactly one sign line
+    per map with entries.  Each map is stored as its entries times the
+    fan's incidence sign.
     With validate=False the parsed complex is returned without running
     check_complex, so callers can run the certificate suite themselves
     and report failures instead of refusing the file.
@@ -384,6 +386,8 @@ def complex_from_text(text, validate=True):
                 lo, hi = int(parts[1]), int(parts[2])
                 if lo > hi:
                     raise ValueError(f"window low end {lo} above high end {hi}")
+                if window is not None:
+                    raise ValueError("repeated window line")
                 window = (lo, hi)
         elif keyword in ("dim", "ray", "cone"):
             fan_lines[lineno - 1] = line
@@ -405,8 +409,11 @@ def complex_from_text(text, validate=True):
             degs = [int(t) for t in body.split()]
             if not 0 <= i < len(fan.cones):
                 raise InputError(f"module line for unknown cone {i}")
+            if i in modules:
+                raise ValueError(f"repeated module line for cone {i}")
             modules[i] = FreeGradedModule(tower.ring(i), degs)
     entries_by_pair = {}
+    first_entry = {}  # (s, t) -> (lineno, line) of the map's first entry
     for lineno, line in entry_lines:
         with _at_line(lineno, line):
             head, _, body = line.partition(":")
@@ -418,7 +425,11 @@ def complex_from_text(text, validate=True):
                 raise InputError(f"entry ({i},{j}) out of range")
             poly = parse_poly(body, tower.ring(t).nvars)
             poly.degree()  # ValueError when inhomogeneous
-            entries_by_pair.setdefault((s, t), {})[(i, j)] = poly
+            entries = entries_by_pair.setdefault((s, t), {})
+            if (i, j) in entries:
+                raise ValueError(f"repeated entry ({i},{j}) of map {s}->{t}")
+            entries[(i, j)] = poly
+            first_entry.setdefault((s, t), (lineno, line))
     maps = {}
     for (s, t), entries in entries_by_pair.items():
         if not fan.is_facet(t, s):
@@ -429,6 +440,7 @@ def complex_from_text(text, validate=True):
             modules[t],
             {ij: p.scale(sign) for ij, p in entries.items()},
         )
+    signed = set()
     for lineno, line in sign_lines:
         with _at_line(lineno, line):
             head, _, body = line.partition(":")
@@ -438,11 +450,20 @@ def complex_from_text(text, validate=True):
             for i in (s, t):
                 if not 0 <= i < len(fan.cones):
                     raise InputError(f"sign line for unknown cone {i}")
+            if (s, t) in signed:
+                raise ValueError(f"repeated sign line for map {s}->{t}")
+            if (s, t) not in entries_by_pair:
+                raise ValueError(f"sign line for map {s}->{t} with no entries")
+            signed.add((s, t))
             want = fan.incidence_sign(s, t)
             if got != want:
                 raise InputError(
                     f"sign {s} {t} is {got}, convention gives {want}"
                 )
+    for (s, t), (lineno, line) in first_entry.items():
+        if (s, t) not in signed:
+            with _at_line(lineno, line):
+                raise ValueError(f"map {s}->{t} has entries but no sign line")
     M = FanComplex(fan, tower, modules, maps, window=window)
     if validate:
         report = check_complex(M)

@@ -75,13 +75,12 @@ def decomposition_multiplicities(N):
 
 class PeelResult:
     """One summand split off a complex: the summand, the complement,
-    and the per-cone embeddings of both into the original complex."""
+    and the per-cone embedding of the summand into the original complex."""
 
-    def __init__(self, summand, complement, embed_summand, embed_complement):
+    def __init__(self, summand, complement, embed_summand):
         self.summand = summand
         self.complement = complement
         self.embed_summand = embed_summand
-        self.embed_complement = embed_complement
 
 
 def _gen_columns(module, d):
@@ -215,18 +214,20 @@ def peel_summand(N, base_id, shift):
 
         # kernel completion: summands based here (the one being peeled at
         # its base cone included) have zero boundary, so their generators
-        # are cocycles picked to extend the reduced generator basis
+        # are cocycles picked to extend the reduced generator basis; the
+        # same basis certifies that every chosen generator is independent
         ndegs = Counter(Nmod.degrees)
         sdegs = Counter(S.degrees_at(i))
         taken = Counter(d for d, _ in n_vectors)
         reducers = {}
         for d in sorted(ndegs):
             gcols = _gen_columns(Nmod, d)
-            red = _linalg.Echelon()
+            red = reducers[d] = _linalg.Echelon()
             for dd, vec in k_vectors + n_vectors:
-                if dd == d:
-                    red.insert(_at_columns(vec, gcols))
-            reducers[d] = red
+                if dd == d and not red.insert(_at_columns(vec, gcols)):
+                    raise CertificateError(
+                        f"cone {i}: chosen generators dependent at degree {d}"
+                    )
         base_pick = None
         for d in sorted(ndegs):
             need = ndegs[d] - sdegs[d] - taken[d]
@@ -272,19 +273,6 @@ def peel_summand(N, base_id, shift):
             raise CertificateError(
                 f"cone {i}: generator counts do not add up"
             )
-        for d in sorted(ndegs):
-            gcols = _gen_columns(Nmod, d)
-            red = _linalg.Echelon()
-            count = 0
-            for dd, vec in k_vectors + n_vectors:
-                if dd == d:
-                    count += 1
-                    if not red.insert(_at_columns(vec, gcols)):
-                        raise CertificateError(
-                            f"cone {i}: chosen generators dependent "
-                            f"at degree {d}"
-                        )
-            assert count == ndegs[d]
 
         phi[i] = PolyMatrix(
             S.modules[i], Nmod, entries_from_vectors(Nmod, k_vectors)
@@ -331,7 +319,7 @@ def peel_summand(N, base_id, shift):
         raise CertificateError(
             "complement is not a valid complex: " + "; ".join(rep.problems)
         )
-    return PeelResult(S, NP, phi, psi)
+    return PeelResult(S, NP, phi)
 
 
 def _summand_boundary_columns(S, phi, i, facets, ambient, d):

@@ -20,8 +20,8 @@ integer bases of a graded subspace degree by degree, and the
 minimal-generator machinery (completion of m*Z to Z) runs on top: each
 basis vector of Z(d-2) is multiplied by every base variable through
 cached sparse columns of mult_by_var, and span membership is decided
-by forward reduction against one Markowitz triangulation per degree
-(_linalg.triangulate).
+by one _linalg.Echelon per degree, started from the Markowitz
+triangulation of those images.
 """
 
 from fractions import Fraction
@@ -400,14 +400,14 @@ def minimal_generators(family):
     """Minimal homogeneous generators of a subspace family as a module.
 
     Completes m*Z(d-2) to Z(d) degree by degree in one elimination: the
-    images of Z(d-2) under the base variables span (m*Z)(d), and are
-    triangulated once in Markowitz order.  Each row of the canonical
-    degree-d basis is then forward-reduced, in order, against the pivot
-    rows; a row with a nonzero residual is a new generator, and its
-    residual joins the pivots.  Membership is exact, so the choice does
-    not depend on the pivot order.  After the scan the pivot count is
-    rank(images + Z(d)), and the family is closed under multiplication
-    by the base ring variables exactly when that equals dim Z(d).
+    images of Z(d-2) under the base variables span (m*Z)(d), and one
+    Echelon starts from their Markowitz triangulation.  Each row of the
+    canonical degree-d basis is then inserted, in order; a row that
+    enlarges the span is a new generator.  Membership is exact, so the
+    choice does not depend on the pivot order.  After the scan the basis
+    size is rank(images + Z(d)), and the family is closed under
+    multiplication by the base ring variables exactly when that equals
+    dim Z(d).
 
     Raises CertificateError when closure fails, checked first, and
     WindowExhausted when the top two window degrees still produce new
@@ -422,20 +422,11 @@ def minimal_generators(family):
         if not zd and amb.dim_at(d) == 0:
             continue
         prev = family.basis_at(d - 2) if d - 2 >= lo else ()
-        pivots = list(
-            _linalg.triangulate(
-                amb.apply_mult(i, d - 2, z) for i in range(nvars) for z in prev
-            )
+        span = _linalg.Echelon(
+            amb.apply_mult(i, d - 2, z) for i in range(nvars) for z in prev
         )
-        index = {c: k for k, (c, _) in enumerate(pivots)}
-        new = []
-        for z in zd:
-            res = _linalg.forward_reduce(z, pivots, index)
-            if res:
-                index[min(res)] = len(pivots)
-                pivots.append((min(res), res))
-                new.append((d, z))
-        if len(pivots) != len(zd):
+        new = [(d, z) for z in zd if span.insert(z)]
+        if len(span.rows) != len(zd):
             raise CertificateError(
                 f"family not closed under multiplication at degree {d}"
             )

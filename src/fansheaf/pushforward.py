@@ -34,9 +34,8 @@ from fansheaf.modules import (
 class Pushforward:
     """Direct image complex plus the per-cone section data behind it."""
 
-    def __init__(self, complex, fan_map, source, families, covers):
+    def __init__(self, complex, source, families, covers):
         self.complex = complex
-        self.fan_map = fan_map
         self.source = source
         self.families = families
         self.covers = covers
@@ -128,7 +127,7 @@ def pushforward(fan_map, M, window=None):
             pm = PolyMatrix(cover.module, fcover.module, entries)
             pm.validate()
             N.maps[(s, f)] = pm
-    return Pushforward(N, fan_map, M, families, covers)
+    return Pushforward(N, M, families, covers)
 
 
 def _constraints(block, ambient, tiles, interior_walls, facet_data):

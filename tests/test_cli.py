@@ -287,6 +287,32 @@ def test_verify_complex_flag_and_fan_alias_agree(tmp_path, capsys):
         assert runs[0][0] == want
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("entry 3 1 0 0: 1\n", "entry 3 1 0 0: t1\n"),
+        ("module 3: -2", "module 3: 0"),
+    ],
+)
+def test_verify_wrongly_graded_complex_skips_later_certificates(
+    tmp_path, capsys, old, new
+):
+    """A complex that fails the shape check is not evaluated further: the
+    records are the failed shape certificate and its problems."""
+    path = tmp_path / "quadrant.cx"
+    text = (GOLDEN / "quadrant.complex").read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    code, out = _run(
+        capsys, "--format", "machine", "verify", "--complex", str(path)
+    )
+    assert code == 1
+    head, *problems = out.splitlines()
+    assert head == "complex\t-\t-\t-\tfail"
+    assert problems
+    assert all(r.startswith("problem\t") and "degree" in r for r in problems)
+
+
 def test_degree_max_floor_enforced(capsys):
     code, out = _run(
         capsys,
@@ -306,6 +332,12 @@ MALFORMED_WHY = {
     "sign 3 9: -1": "sign line for unknown cone 9",
     "entry 3 1 0 0: 1 + t1": "inhomogeneous polynomial",
     "window 4 -2": "window low end 4 above high end -2",
+    "": "map 3->2 has entries but no sign line",
+    "sign 2 1: +1\nsign 3 2: -1": "sign line for map 2->1 with no entries",
+    "sign 3 1: +1\nsign 3 2: -1": "repeated sign line for map 3->1",
+    "module 2: -2\nmodule 3: -2": "repeated module line for cone 2",
+    "entry 3 1 0 0: 1\nentry 3 2 0 0: 1": "repeated entry (0,0) of map 3->1",
+    "window -2 8\ndim 2": "repeated window line",
 }
 
 
@@ -319,6 +351,13 @@ MALFORMED_WHY = {
         ("sign 3 2: -1", "sign 3 9: -1"),
         ("entry 3 1 0 0: 1", "entry 3 1 0 0: 1 + t1"),
         ("window -2 6", "window 4 -2"),
+        # the entry line moves up to the deleted sign line's number
+        ("sign 3 2: -1\n", ""),
+        ("sign 3 2: -1", "sign 2 1: +1\nsign 3 2: -1"),
+        ("sign 3 2: -1", "sign 3 1: +1\nsign 3 2: -1"),
+        ("module 3: -2", "module 2: -2\nmodule 3: -2"),
+        ("entry 3 2 0 0: 1", "entry 3 1 0 0: 1\nentry 3 2 0 0: 1"),
+        ("dim 2", "window -2 8\ndim 2"),
     ],
 )
 def test_verify_malformed_complex_exits_two(tmp_path, capsys, old, new):
@@ -339,7 +378,7 @@ def test_verify_malformed_complex_exits_two(tmp_path, capsys, old, new):
         capsys, "--format", "machine", "verify", "--fan", str(out_file)
     )
     assert code == 2
-    lineno = text.splitlines().index(old) + 1
+    lineno = text[: text.index(old)].count("\n") + 1
     (record,) = out.splitlines()
     assert record.startswith(f"error\t-\t-\tline {lineno}: ")
     assert record.endswith("\tinput-error")

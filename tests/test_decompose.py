@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from fansheaf import decompose
 from fansheaf.complexes import FanComplex
 from fansheaf.decompose import (
     decompose_fully,
@@ -99,6 +100,20 @@ def test_peel_with_wrong_shift_rejected():
     top = P.complex.fan.cones_of_dim(2)[0]
     with pytest.raises(CertificateError):
         peel_summand(P.complex, top, 1)
+
+
+def test_peel_rejects_dependent_complement_generators(monkeypatch):
+    P, _ = _image("blowquad", "quadrant")
+    top = P.complex.fan.cones_of_dim(2)[0]
+    real = decompose.minimal_generators
+
+    def doubled(family):
+        gens = real(family)
+        return gens[:1] + gens
+
+    monkeypatch.setattr(decompose, "minimal_generators", doubled)
+    with pytest.raises(CertificateError, match="chosen generators dependent"):
+        peel_summand(P.complex, top, 0)
 
 
 def test_peel_requires_supported_base():

@@ -267,7 +267,7 @@ def test_echelon_tracks_rank_and_membership(stream):
         ref_rank = len(reference_rref(dense_vecs[: len(seen)])[1])
         assert len(ech.rows) == after == ref_rank
         assert not ech.reduce(v)
-    for lead, row in ech.rows.items():
+    for lead, row in ech.rows:
         assert min(row) == lead and row[lead] > 0
         assert all(a for a in row.values())
         assert gcd(*row.values()) == 1
@@ -288,26 +288,23 @@ def test_triangulate_is_triangular_with_reference_rank(mat):
 
 @settings(max_examples=200, deadline=None)
 @given(stream=echelon_streams())
-def test_forward_reduce_decides_membership(stream):
-    """Against a triangulation of the first rows, the forward residual
-    of a later row is empty exactly when the reference rank does not
-    grow with it; a nonzero residual avoids every pivot column and can
-    be appended as a pivot."""
+def test_echelon_from_triangulation_decides_membership(stream):
+    """Against an Echelon started from a triangulation of the first
+    rows, the residual of a later row avoids every pivot column and is
+    empty exactly when the reference rank does not grow with it; insert
+    appends it, so the pivot count follows the reference rank."""
     _, dense_vecs = stream
     vecs = sparse(dense_vecs)
     half = len(vecs) // 2
-    pivots = list(_linalg.triangulate(vecs[:half]))
-    index = {c: k for k, (c, _) in enumerate(pivots)}
+    ech = _linalg.Echelon(vecs[:half])
     for k in range(half, len(vecs)):
-        res = _linalg.forward_reduce(vecs[k], pivots, index)
-        assert not any(c in res for c in index)
+        res = ech.reduce(vecs[k])
+        assert not any(c in res for c in ech.index)
         before = len(reference_rref(dense_vecs[:k])[1]) if k else 0
         after = len(reference_rref(dense_vecs[: k + 1])[1])
         assert (not res) == (after == before)
-        if res:
-            index[min(res)] = len(pivots)
-            pivots.append((min(res), res))
-        assert len(pivots) == after
+        assert ech.insert(vecs[k]) == bool(res)
+        assert len(ech.rows) == after
 
 
 @settings(max_examples=100, deadline=None)
