@@ -375,10 +375,6 @@ class DecompositionReport:
         self.multiplicities = multiplicities
         self.peel_sequence = peel_sequence
 
-    @property
-    def identity_summand_present(self):
-        return self.multiplicities.get((0, 0), 0) == 1
-
     def sorted_items(self):
         return sorted(self.multiplicities.items())
 

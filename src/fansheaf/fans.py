@@ -462,11 +462,6 @@ class Fan:
             return False
         return all(dot(f, vec) >= 0 for f in c.facet_normals)
 
-    def contains_point(self, vec):
-        return any(
-            self.contains_vector(c.index, vec) for c in self.cones
-        )
-
     def incidence_sign(self, i, j):
         """Orientation sign for facet j of cone i (+1 or -1).
 

@@ -3,25 +3,27 @@
 A cone's ring is the polynomial ring on the coordinates dual to its
 chosen ray basis, graded with linear part in degree 2.  A map between
 two cone rings is the restriction of functions from the larger span to
-the smaller one, so it is fixed by the two bases: restriction and
-restrict_monomial compute it from the two rings alone and cache it once,
-in one table keyed by the bases' content, which rings of different
-towers and fans share.  Free modules carry generator degrees; maps
-between them are PolyMatrix objects whose entries live in the target
-ring.
+the smaller one, so it is fixed by the two bases and by the images of
+the source ring's variables: restriction computes those from the two
+rings alone and caches them once, in one table keyed by the bases'
+content, which rings of different towers and fans share.  Free modules
+carry generator degrees; maps between them are PolyMatrix objects whose
+entries live in the target ring.
 
 Degree by degree everything is in _linalg's one matrix form: a matrix
 is a list of sparse rows {col: value} storing no zeros, and a vector
 (a family's basis vector, a generator representative, an apply_mult
 image) is one such row, indexed by the (part, generator, monomial)
-basis of a degree piece.  PolyMatrix.evaluate and CoverMap.evaluate
-emit that form directly.  Subspace families store canonical primitive
-integer bases of a graded subspace degree by degree, and the
-minimal-generator machinery (completion of m*Z to Z) runs on top: each
-basis vector of Z(d-2) is multiplied by every base variable through
-cached sparse columns of mult_by_var, and span membership is decided
-by one _linalg.Echelon per degree, started from the Markowitz
-triangulation of those images.
+basis of a degree piece.  Multiplication by a variable is the one
+module multiplication, DirectSumAmbient.apply_mult: families use it,
+and PolyMatrix.evaluate uses it to read degree d off degree d - 2.
+PolyMatrix.evaluate and CoverMap.evaluate emit the one form directly.
+Subspace families store canonical primitive integer bases of a graded
+subspace degree by degree, and the minimal-generator machinery
+(completion of m*Z to Z) runs on top: each basis vector of Z(d-2) is
+multiplied by every base variable through cached sparse columns of
+mult_by_var, and span membership is decided by one _linalg.Echelon per
+degree, started from the Markowitz triangulation of those images.
 """
 
 from fractions import Fraction
@@ -78,41 +80,10 @@ class RingTower:
         return self._rings[key]
 
 
-# (source basis, target basis) -> (variable images or None, {monomial:
-# image}).  Keyed by content, never by object identity: the ids of freed
-# objects are reused.
+# (source basis, target basis) -> images of the source ring's variables,
+# or None for equal bases.  Keyed by content, never by object identity:
+# the ids of freed objects are reused.
 _RESTRICTIONS = {}
-
-
-def _pair(source, target):
-    key = (source.basis, target.basis)
-    pair = _RESTRICTIONS.get(key)
-    if pair is None:
-        images = None
-        if source.basis != target.basis:
-            # column j: target basis vector j in source coordinates
-            cols = span_coords(source.basis, target.basis)
-            images = tuple(
-                Poly.linear(target.nvars, [col[i] for col in cols])
-                for i in range(source.nvars)
-            )
-        one = Poly.const(target.nvars, 1)
-        pair = _RESTRICTIONS[key] = (images, {(0,) * source.nvars: one})
-    return pair
-
-
-def _monomial(pair, u):
-    images, monos = pair
-    p = monos.get(u)
-    if p is None:
-        if images is None:
-            p = Poly(len(u), {u: Fraction(1)})
-        else:
-            # degree by degree: image(u) = image(u / t_i) * image(t_i)
-            i = next(k for k, e in enumerate(u) if e)
-            p = _monomial(pair, u[:i] + (u[i] - 1,) + u[i + 1:]) * images[i]
-        monos[u] = p
-    return p
 
 
 def restriction(source, target):
@@ -124,12 +95,18 @@ def restriction(source, target):
     Variable i maps to the linear form whose value on target basis
     vector b_j is the i-th coordinate of b_j in the source basis.
     """
-    return _pair(source, target)[0]
-
-
-def restrict_monomial(source, target, u):
-    """Image in the target ring of the source ring's monomial u."""
-    return _monomial(_pair(source, target), u)
+    key = (source.basis, target.basis)
+    if key not in _RESTRICTIONS:
+        images = None
+        if source.basis != target.basis:
+            # column j: target basis vector j in source coordinates
+            cols = span_coords(source.basis, target.basis)
+            images = tuple(
+                Poly.linear(target.nvars, [col[i] for col in cols])
+                for i in range(source.nvars)
+            )
+        _RESTRICTIONS[key] = images
+    return _RESTRICTIONS[key]
 
 
 class FreeGradedModule:
@@ -166,10 +143,6 @@ class FreeGradedModule:
             len(monomials(self.ring.nvars, d - g)) for g in self.degrees
         )
 
-    def hilbert(self, window):
-        lo, hi = window
-        return {d: self.dim_at(d) for d in range(lo, hi + 1)}
-
     def __repr__(self):
         return f"FreeGradedModule({self.ring.label}, {list(self.degrees)})"
 
@@ -177,9 +150,9 @@ class FreeGradedModule:
 class PolyMatrix:
     """Graded map between free modules, entries in the target ring.
 
-    A source monomial reaches the target ring by restriction between
-    the two modules' rings.  Entry (i, j) sends generator j of the
-    source to a multiple of generator i of the target, and must be
+    The source ring acts on the target module through restriction
+    between the two modules' rings.  Entry (i, j) sends generator j of
+    the source to a multiple of generator i of the target, and must be
     homogeneous of degree source.degrees[j] - target.degrees[i].
     """
 
@@ -207,25 +180,43 @@ class PolyMatrix:
 
     def evaluate(self, d):
         """Sparse rows of the map on degree-d pieces, one per target
-        basis element."""
+        basis element.
+
+        The image of source basis element (j, u) is column j's entries
+        when u = 1.  Otherwise it is t_k times the image of (j, u / t_k),
+        read off degree d - 2, where t_k is the first variable of u: the
+        map is linear over the source ring, which acts on the target
+        through restriction.
+        """
         if d in self._eval:
             return self._eval[d]
         tgt_index = self.target.index_at(d)
         rows = [{} for _ in range(self.target.dim_at(d))]
-        by_col = {}
-        for (i, j), p in self.entries.items():
-            by_col.setdefault(j, []).append((i, p))
-        pair = _pair(self.source.ring, self.target.ring)
+        below = None
         for col, (j, u) in enumerate(self.source.piece_basis(d)):
-            if j not in by_col:
-                continue
-            ru = _monomial(pair, u)
-            for i, p in by_col[j]:
-                # distinct (i, mono) pairs: each entry is written once
-                for mono, c in (ru * p).terms.items():
-                    rows[tgt_index[(i, mono)]][col] = (
-                        int(c) if c.denominator == 1 else c
+            k = next((k for k, e in enumerate(u) if e), None)
+            if k is None:
+                image = {
+                    tgt_index[(i, mono)]: c
+                    for (i, jj), p in self.entries.items()
+                    if jj == j
+                    for mono, c in p.terms.items()
+                }
+            else:
+                if below is None:
+                    below = _linalg.transpose(
+                        self.evaluate(d - 2), self.source.dim_at(d - 2)
                     )
+                    below_index = self.source.index_at(d - 2)
+                    multiplier = DirectSumAmbient(
+                        self.source.ring, [self.target]
+                    )
+                v = u[:k] + (u[k] - 1,) + u[k + 1:]
+                image = multiplier.apply_mult(
+                    k, d - 2, below[below_index[(j, v)]]
+                )
+            for r, x in image.items():
+                rows[r][col] = int(x) if x.denominator == 1 else x
         self._eval[d] = rows
         return rows
 
@@ -237,37 +228,6 @@ class PolyMatrix:
             f"PolyMatrix({self.source!r} -> {self.target!r}, "
             f"{len(self.entries)} entries)"
         )
-
-
-def pm_add(f, g):
-    if f.source is not g.source or f.target is not g.target:
-        raise InputError("can only add matrices with identical shape data")
-    entries = dict(f.entries)
-    for ij, p in g.entries.items():
-        entries[ij] = entries.get(ij, Poly(p.nvars)) + p
-    return PolyMatrix(f.source, f.target, entries)
-
-
-def compose(second, first):
-    """second after first: source of `second` must be target of `first`."""
-    if second.source is not first.target:
-        raise InputError("composition shape mismatch")
-    nv = second.target.ring.nvars
-    pair = _pair(second.source.ring, second.target.ring)
-    entries = {}
-    for (i, j), q in first.entries.items():
-        q_moved = Poly(nv)
-        for u, c in q.terms.items():
-            q_moved = q_moved + _monomial(pair, u).scale(c)
-        for (k, i2), p in second.entries.items():
-            if i2 != i:
-                continue
-            add = p * q_moved
-            if add.is_zero():
-                continue
-            key = (k, j)
-            entries[key] = entries.get(key, Poly(nv)) + add
-    return PolyMatrix(first.source, second.target, entries)
 
 
 class DirectSumAmbient:
@@ -377,10 +337,6 @@ class GradedSubspaceFamily:
 
     def dim_at(self, d):
         return len(self.bases.get(d, ()))
-
-    def hilbert(self, window=None):
-        lo, hi = window or self.window
-        return {d: self.dim_at(d) for d in range(lo, hi + 1)}
 
 
 def family_from_kernel(ambient, rows_by_degree, window):

@@ -20,10 +20,6 @@ class Poly:
         self.terms = {} if terms is None else terms
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def const(cls, nvars, c):
         c = Fraction(c)
         if c == 0:
@@ -69,26 +65,6 @@ class Poly:
                 terms.pop(exp, None)
             else:
                 terms[exp] = s
-        return Poly(self.nvars, terms)
-
-    def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return self.scale(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
         return Poly(self.nvars, terms)
 
     def scale(self, c):

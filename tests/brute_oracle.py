@@ -1,5 +1,6 @@
 """Hand-rolled graded dimension counts for two small fans, a naive
-polynomial substitution, the leftmost-pivot minimal-generator scan, and
+polynomial product and substitution, the symbolic composite of a
+complex's differential, the leftmost-pivot minimal-generator scan, and
 the all-pairs fan check.
 
 All but the last share no code with the package: pieces are enumerated
@@ -159,7 +160,7 @@ def quadrant_image_dims(window):
     return out
 
 
-def _mul(a, b):
+def mul(a, b):
     """Product of two polynomials given as {exponent tuple: coefficient}."""
     out = {}
     for e1, c1 in a.items():
@@ -180,10 +181,52 @@ def substitute(terms, images, target_nvars):
         term = {(0,) * target_nvars: Fraction(c)}
         for i, e in enumerate(exp):
             for _ in range(e):
-                term = _mul(term, images[i])
+                term = mul(term, images[i])
         for e, x in term.items():
             out[e] = out.get(e, 0) + x
     return {e: c for e, c in out.items() if c}
+
+
+def nonzero_composites(M, var_images):
+    """(sigma, rho) pairs of a complex whose composite differential
+    sigma -> rho, summed over the facets between them, is nonzero.
+
+    Composes symbolically: each entry of the first map is moved into the
+    face's ring by substitute and multiplied by the second map's
+    entries.  var_images(source ring, target ring) gives the source
+    variables' images as {exponent tuple: coefficient} dicts, or None
+    when the two rings share a basis.  Only the fan's face lists and the
+    maps' entries are read.
+    """
+    fan = M.fan
+    out = set()
+    for sigma in fan.cones:
+        s = sigma.index
+        for rho in sigma.face_ids:
+            if fan.cones[rho].dim != sigma.dim - 2:
+                continue
+            total = {}
+            for t in sigma.facet_ids:
+                if (s, t) not in M.maps or (t, rho) not in M.maps:
+                    continue
+                first, second = M.maps[(s, t)], M.maps[(t, rho)]
+                images = var_images(first.target.ring, second.target.ring)
+                nv = second.target.ring.nvars
+                for (i, j), q in first.entries.items():
+                    moved = (
+                        dict(q.terms)
+                        if images is None
+                        else substitute(q.terms, images, nv)
+                    )
+                    for (k, i2), p in second.entries.items():
+                        if i2 != i:
+                            continue
+                        acc = total.setdefault((k, j), {})
+                        for e, c in mul(p.terms, moved).items():
+                            acc[e] = acc.get(e, 0) + c
+            if any(c for acc in total.values() for c in acc.values()):
+                out.add((s, rho))
+    return out
 
 
 class _Leftmost:

@@ -166,7 +166,7 @@ def test_criterion_6_decomposition_reports():
     for src, tgt in SUBDIVISIONS:
         _, fmap = _image(src, tgt)
         rep = decomposition_theorem_report(fmap, window=WINDOWS.get(src))
-        assert rep.identity_summand_present, (src, tgt)
+        assert rep.multiplicities.get((0, 0)) == 1, (src, tgt)
         others = [k for (b, k) in rep.multiplicities if b == 0 and k != 0]
         assert not others, (src, tgt, others)
         if src == "blowquad":

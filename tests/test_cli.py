@@ -338,6 +338,9 @@ MALFORMED_WHY = {
     "module 2: -2\nmodule 3: -2": "repeated module line for cone 2",
     "entry 3 1 0 0: 1\nentry 3 2 0 0: 1": "repeated entry (0,0) of map 3->1",
     "window -2 8\ndim 2": "repeated window line",
+    "entry 1 2 0 0: 1\nsign 1 2: +1\nentry 3 2 0 0: 1": (
+        "map 1->2: target is not a facet"
+    ),
 }
 
 
@@ -358,6 +361,11 @@ MALFORMED_WHY = {
         ("module 3: -2", "module 2: -2\nmodule 3: -2"),
         ("entry 3 2 0 0: 1", "entry 3 1 0 0: 1\nentry 3 2 0 0: 1"),
         ("dim 2", "window -2 8\ndim 2"),
+        # a map whose target is not a facet is named by its first entry
+        (
+            "entry 3 2 0 0: 1",
+            "entry 1 2 0 0: 1\nsign 1 2: +1\nentry 3 2 0 0: 1",
+        ),
     ],
 )
 def test_verify_malformed_complex_exits_two(tmp_path, capsys, old, new):

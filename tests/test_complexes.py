@@ -4,8 +4,10 @@ The two reference complexes here are written out by hand, entry by
 entry, so later builder output can be compared against them.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,10 +32,14 @@ from fansheaf.modules import (
     PolyMatrix,
     RingTower,
     default_window,
+    restriction,
 )
 from fansheaf.polys import Poly
 
+from brute_oracle import nonzero_composites
 from conftest import fan_path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def quadrant_complex():
@@ -91,6 +97,42 @@ def test_corrupted_entry_breaks_d_squared():
     assert any("composite" in p for p in report.problems)
 
 
+COMPOSITE = re.compile(r"composite differential (\d+) -> (\d+) is nonzero")
+
+
+def _var_images(source, target):
+    images = restriction(source, target)
+    return None if images is None else [p.terms for p in images]
+
+
+@pytest.mark.parametrize("name", ["cubefan", "conecube"])
+def test_corrupted_entries_flagged_as_symbolic_composition_finds(name):
+    """Each entry of a golden complex in turn is scaled by 2; the pairs
+    check_complex flags, one problem each, are exactly those whose
+    composite the symbolic reference finds nonzero.  The golden modules
+    have up to two generators and the restrictions of these fans are
+    not all simplicial."""
+    M = complex_from_text((GOLDEN / f"{name}.complex").read_text())
+    assert nonzero_composites(M, _var_images) == set()
+    flagged = 0
+    for key, pm in M.maps.items():
+        for ij, p in pm.entries.items():
+            maps = dict(M.maps)
+            maps[key] = PolyMatrix(
+                pm.source, pm.target, {**pm.entries, ij: p.scale(2)}
+            )
+            bad = FanComplex(M.fan, M.tower, M.modules, maps)
+            problems = check_complex(bad).problems
+            got = set()
+            for why in problems:
+                match = COMPOSITE.fullmatch(why)
+                got.add((int(match[1]), int(match[2])))
+            assert len(got) == len(problems)
+            assert got == nonzero_composites(bad, _var_images), (key, ij)
+            flagged += bool(got)
+    assert flagged
+
+
 def test_inhomogeneous_entry_rejected():
     M = quadrant_complex()
     bad = dict(M.maps)
@@ -136,9 +178,7 @@ def test_missing_top_module_fails_exactness():
 def test_cohomology_quadrant():
     M = quadrant_complex()
     rep = cohomology_degreewise(M, M.window)
-    assert rep.dims_at(-2) == {2: 1, 4: 2, 6: 3}
-    assert rep.dims_at(-1) == {}
-    assert rep.dims_at(0) == {}
+    assert rep.table == {(-2, 2): 1, (-2, 4): 2, (-2, 6): 3}
     top = top_module(M, M.window)
     assert top.free
     assert top.generator_degrees == (2,)
@@ -147,8 +187,7 @@ def test_cohomology_quadrant():
 def test_cohomology_complete_line_fan():
     M = halfline_pair_complex()
     rep = cohomology_degreewise(M, M.window)
-    assert rep.dims_at(-1) == {-1: 1, 1: 2, 3: 2, 5: 2}
-    assert rep.dims_at(0) == {}
+    assert rep.table == {(-1, -1): 1, (-1, 1): 2, (-1, 3): 2, (-1, 5): 2}
     top = top_module(M, M.window)
     assert top.free
     assert top.generator_degrees == (-1, 1)

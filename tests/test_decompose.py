@@ -91,7 +91,7 @@ def test_full_peel_exhausts():
 def test_theorem_report_pipeline():
     _, fmap = _image("starsq", "conesquare")
     rep = decomposition_theorem_report(fmap)
-    assert rep.identity_summand_present
+    assert rep.multiplicities.get((0, 0)) == 1
     assert len(rep.peel_sequence) == 3
 
 

@@ -2,19 +2,33 @@
 
 The sparse rows that PolyMatrix.evaluate, CoverMap.evaluate and assemble
 emit store no zeros, hold int values where integral, and densify to the
-matrices computed here column by column with Poly arithmetic.
+matrices computed here column by column with brute_oracle's product and
+substitution.
 """
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fansheaf.complexes import assemble, boundary_kernel
+from fansheaf.decompose import peel_summand
+from fansheaf.fans import load_fan, subdivision_map
 from fansheaf.minimal import build_minimal
-from fansheaf.modules import minimal_free_cover, restriction
-from fansheaf.polys import Poly
+from fansheaf.modules import (
+    FreeGradedModule,
+    PolyMatrix,
+    minimal_free_cover,
+    restriction,
+)
+from fansheaf.polys import Poly, monomials
+from fansheaf.pushforward import pushforward
 
-from brute_oracle import substitute
+from brute_oracle import mul, substitute
+from conftest import fan_path
+from test_restriction import CORPUS, SUBDIVISIONS, corpus_pairs, tile_pairs
 
 
 def dense(rows, nrows, ncols):
@@ -31,8 +45,8 @@ def dense(rows, nrows, ncols):
 def poly_matrix(pm, d):
     """Dense matrix of pm on degree-d pieces: each source basis monomial
     is moved into the target ring by the naive substitution of
-    brute_oracle, multiplied by the column's entries, and read off in
-    the target basis."""
+    brute_oracle, multiplied by the column's entries with brute_oracle's
+    product, and read off in the target basis."""
     src = pm.source.piece_basis(d)
     tgt = pm.target.piece_basis(d)
     mat = [[0] * len(src) for _ in tgt]
@@ -40,15 +54,25 @@ def poly_matrix(pm, d):
     var_images = restriction(pm.source.ring, pm.target.ring)
     for c, (j, u) in enumerate(src):
         if var_images is None:
-            mono = Poly(nv, {u: Fraction(1)})
+            mono = {u: Fraction(1)}
         else:
-            terms = [p.terms for p in var_images]
-            mono = Poly(nv, substitute({u: 1}, terms, nv))
-        images = {i: mono * p for (i, jj), p in pm.entries.items() if jj == j}
+            mono = substitute({u: 1}, [p.terms for p in var_images], nv)
+        images = {
+            i: mul(mono, p.terms)
+            for (i, jj), p in pm.entries.items()
+            if jj == j
+        }
         for r, (i, v) in enumerate(tgt):
             if i in images:
-                mat[r][c] = images[i].terms.get(v, 0)
+                mat[r][c] = images[i].get(v, 0)
     return mat
+
+
+def check_evaluate(pm, degrees):
+    """pm.evaluate against the oracle, degrees taken in the given order."""
+    for d in degrees:
+        got = dense(pm.evaluate(d), pm.target.dim_at(d), pm.source.dim_at(d))
+        assert got == poly_matrix(pm, d), d
 
 
 def block_matrix(blocks, row_dims, col_dims):
@@ -70,11 +94,7 @@ def test_producers_emit_sparse_rows(corpus, name):
     lo, hi = M.window
     degrees = range(lo, hi + 1)
     for pm in M.maps.values():
-        for d in degrees:
-            got = dense(
-                pm.evaluate(d), pm.target.dim_at(d), pm.source.dim_at(d)
-            )
-            assert got == poly_matrix(pm, d)
+        check_evaluate(pm, degrees)
     for k in range(1, fan.n + 1):
         srcs = [i for i in fan.cones_of_dim(k) if M.rank_at(i)]
         tgts = [i for i in fan.cones_of_dim(k - 1) if M.rank_at(i)]
@@ -105,3 +125,95 @@ def test_producers_emit_sparse_rows(corpus, name):
             ncols = cover.module.dim_at(d)
             got = dense(cover.evaluate(d), sum(row_dims), ncols)
             assert got == block_matrix(blocks, row_dims, [ncols])
+
+
+@pytest.mark.parametrize("src,tgt", SUBDIVISIONS)
+def test_pushforward_maps_match_oracle(src, tgt):
+    """Maps read off exact solves: the direct image's differential, and
+    the cover blocks from target cone rings into the rings of tiles of
+    another fan."""
+    fmap = subdivision_map(load_fan(fan_path(src)), load_fan(fan_path(tgt)))
+    P = pushforward(fmap, build_minimal(fmap.source))
+    lo, hi = P.complex.window
+    for pm in P.complex.maps.values():
+        check_evaluate(pm, range(lo, hi + 1))
+    for cover in P.covers.values():
+        for pm in cover.blocks:
+            check_evaluate(pm, range(lo, hi + 1))
+
+
+def test_peeled_summand_maps_match_oracle():
+    """The summand, the complement and the embedding of one peel."""
+    fmap = subdivision_map(
+        load_fan(fan_path("starsq")), load_fan(fan_path("conesquare"))
+    )
+    N = pushforward(fmap, build_minimal(fmap.source)).complex
+    res = peel_summand(N, N.fan.cones_of_dim(3)[0], 1)
+    lo, hi = N.window
+    maps = (
+        list(res.summand.maps.values())
+        + list(res.complement.maps.values())
+        + list(res.embed_summand.values())
+    )
+    assert res.complement.maps and res.embed_summand
+    for pm in maps:
+        check_evaluate(pm, range(lo, hi + 1))
+
+
+@cache
+def ring_pairs():
+    """The (source, target) ring pairs of test_restriction: (cone, face)
+    and ("A", cone) of every corpus fan, and (target cone, tile) of the
+    five subdivision pairs."""
+    pairs = []
+    for name in CORPUS:
+        pairs += corpus_pairs(load_fan(fan_path(name)))
+    for src, tgt in SUBDIVISIONS:
+        fan_map = subdivision_map(
+            load_fan(fan_path(src)), load_fan(fan_path(tgt))
+        )
+        pairs += tile_pairs(fan_map)
+    return tuple(pairs)
+
+
+@st.composite
+def poly_matrices(draw):
+    """A random map of free modules of rank 1-2 between the rings of
+    one pair, entries homogeneous with rational coefficients, and a
+    random order of the degrees of its window."""
+    src_ring, tgt_ring = draw(st.sampled_from(ring_pairs()))
+    src_degs = draw(
+        st.lists(st.sampled_from([-2, -1, 0, 2]), min_size=1, max_size=2)
+    )
+    shifted = draw(st.lists(st.sampled_from(src_degs), min_size=1, max_size=2))
+    tgt_degs = [
+        d - 2 * draw(st.integers(min_value=0, max_value=2)) for d in shifted
+    ]
+    coeff = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    entries = {}
+    for i, dt in enumerate(tgt_degs):
+        for j, ds in enumerate(src_degs):
+            terms = {
+                u: Fraction(c)
+                for u in monomials(tgt_ring.nvars, ds - dt)
+                if (c := draw(coeff))
+            }
+            entries[(i, j)] = Poly(tgt_ring.nvars, terms)
+    pm = PolyMatrix(
+        FreeGradedModule(src_ring, src_degs),
+        FreeGradedModule(tgt_ring, tgt_degs),
+        entries,
+    )
+    lo = min(src_degs)
+    order = draw(st.permutations(range(lo, lo + 7)))
+    return pm, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=poly_matrices())
+def test_random_poly_matrix_matches_oracle(case):
+    """Degrees evaluated in random order, each read off a lower one's
+    cached rows, agree with the oracle."""
+    pm, order = case
+    pm.validate()
+    check_evaluate(pm, order)

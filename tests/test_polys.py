@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fansheaf.errors import InputError
-from fansheaf.modules import ConeRing, restriction, restrict_monomial
+from fansheaf.modules import ConeRing, restriction
 from fansheaf.polys import Poly, format_poly, monomials, parse_poly
 
 from brute_oracle import substitute
@@ -14,10 +14,11 @@ from brute_oracle import substitute
 def test_arithmetic_basics():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
-    p = (x + y) * (x - y)
-    assert p == x * x - y * y
-    assert p.degree() == 4
-    assert (p - p).is_zero()
+    p = x + y.scale(-1)
+    assert p == Poly.linear(2, [1, -1])
+    assert p.degree() == 2
+    assert (p + p.scale(-1)).is_zero()
+    assert p.scale(0).is_zero()
     assert Poly.const(2, 0).is_zero()
 
 
@@ -25,8 +26,8 @@ def test_degree_grading():
     x = Poly.variable(3, 0)
     assert Poly.const(3, 5).degree() == 0
     assert x.degree() == 2
-    assert (x * x * x).degree() == 6
-    assert Poly.zero(3).degree() is None
+    assert Poly(3, {(1, 2, 0): Fraction(1)}).degree() == 6
+    assert Poly(3).degree() is None
     with pytest.raises(ValueError):
         (x + Poly.const(3, 1)).degree()
 
@@ -37,18 +38,12 @@ def test_substitute_linear():
     f = Poly.linear(2, [1, 1])
     assert substitute(f.terms, [t.terms, t.terms], 1) == t.scale(2).terms
     # quadratic: (x*y) under x->t, y->2t gives 2t^2
-    q = Poly.variable(2, 0) * Poly.variable(2, 1)
-    r = substitute(q.terms, [t.terms, t.scale(2).terms], 1)
+    r = substitute({(1, 1): 1}, [t.terms, t.scale(2).terms], 1)
     assert r == {(2,): Fraction(2)}
-    # the plane's restriction to the ray through (1, 2) is that map, and
-    # restrict_monomial agrees with the naive substitution up to degree 4
+    # the plane's restriction to the ray through (1, 2) is that map
     plane = ConeRing("A", 2, ((1, 0), (0, 1)))
     ray = ConeRing(1, 1, ((1, 2),))
-    images = restriction(plane, ray)
-    assert images == (t, t.scale(2))
-    for u in [(a, b) for a in range(5) for b in range(5 - a)]:
-        want = substitute({u: 1}, [p.terms for p in images], 1)
-        assert restrict_monomial(plane, ray, u).terms == want
+    assert restriction(plane, ray) == (t, t.scale(2))
 
 
 def test_monomials_counts():
@@ -74,7 +69,7 @@ def test_format_and_parse_round_trip():
     assert txt == "5 + t3 - 3/2 t1^2 t2"
     assert parse_poly(txt, 3) == p
     assert parse_poly("0", 2).is_zero()
-    assert format_poly(Poly.zero(2)) == "0"
+    assert format_poly(Poly(2)) == "0"
     assert parse_poly("-t1 + t1", 1).is_zero()
 
 
@@ -91,14 +86,6 @@ exps = st.tuples(
 polys2 = st.dictionaries(exps, coef, max_size=5).map(
     lambda d: Poly(2, {e: c for e, c in d.items() if c != 0})
 )
-
-
-@settings(max_examples=100, deadline=None)
-@given(p=polys2, q=polys2, r=polys2)
-def test_ring_axioms(p, q, r):
-    assert (p + q) * r == p * r + q * r
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
 
 
 @settings(max_examples=100, deadline=None)

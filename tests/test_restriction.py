@@ -1,9 +1,11 @@
 """Restriction between cone rings against an evaluation oracle.
 
-restrict_monomial(source, target, u) is checked by value: at random
-integer points x of the target ring's coordinates, the image of u must
-equal u evaluated at the source-basis coordinates of the same vector
-sum(x_j b_j), which this file solves with plain Fraction elimination.
+The image of a source monomial u in the target ring is read off column
+(0, u) of PolyMatrix.evaluate for the map between rank-one modules whose
+one entry is 1, and checked by value: at random integer points x of the
+target ring's coordinates, the image of u must equal u evaluated at the
+source-basis coordinates of the same vector sum(x_j b_j), which this
+file solves with plain Fraction elimination.
 The pairs are every (cone, face) of the corpus fans, every ("A", cone),
 and every (target cone, tile) of the five subdivision pairs.
 """
@@ -15,8 +17,14 @@ import pytest
 
 from fansheaf import modules
 from fansheaf.fans import load_fan, subdivision_map
-from fansheaf.modules import ConeRing, RingTower, restrict_monomial, restriction
-from fansheaf.polys import Poly, monomials
+from fansheaf.modules import (
+    ConeRing,
+    FreeGradedModule,
+    PolyMatrix,
+    RingTower,
+    restriction,
+)
+from fansheaf.polys import Poly
 
 from conftest import fan_path
 
@@ -34,9 +42,26 @@ SUBDIVISIONS = [
 MAX_DEGREE = 6
 
 
-def exponents(nvars, top):
-    """Exponent tuples of total degree at most top."""
-    return [u for e in range(top + 1) for u in monomials(nvars, 2 * e)]
+def monomial_images(src, tgt, top):
+    """Image in the target ring of every source monomial of total degree
+    at most top, by evaluating the one-entry map with entry 1."""
+    pm = PolyMatrix(
+        FreeGradedModule(src, [0]),
+        FreeGradedModule(tgt, [0]),
+        {(0, 0): Poly.const(tgt.nvars, 1)},
+    )
+    out = {}
+    for d in range(0, 2 * top + 1, 2):
+        rows = pm.evaluate(d)
+        tgt_basis = pm.target.piece_basis(d)
+        for col, (_, u) in enumerate(pm.source.piece_basis(d)):
+            terms = {
+                v: Fraction(row[col])
+                for (_, v), row in zip(tgt_basis, rows)
+                if col in row
+            }
+            out[u] = Poly(tgt.nvars, terms)
+    return out
 
 
 def coords(basis, v):
@@ -79,8 +104,7 @@ def check_pair(src, tgt, n, rng):
         y = coords(src.basis, v)
         assert y is not None, "target span outside source span"
         samples.append((x, y))
-    for u in exponents(src.nvars, MAX_DEGREE):
-        img = restrict_monomial(src, tgt, u)
+    for u, img in monomial_images(src, tgt, MAX_DEGREE).items():
         assert img.nvars == tgt.nvars
         assert img.is_zero() or img.degree() == 2 * sum(u)
         for x, y in samples:
@@ -99,6 +123,15 @@ def corpus_pairs(fan):
             yield tower.ring(sigma.index), tower.ring(rho)
 
 
+def tile_pairs(fmap):
+    """(target cone, tile) rings of a subdivision map; the tiles' rings
+    live in another fan and another tower."""
+    tiles, targets = RingTower(fmap.source), RingTower(fmap.target)
+    for sigma in fmap.target.cones:
+        for tile in fmap.preimage_cones(sigma.index):
+            yield targets.ring(sigma.index), tiles.ring(tile)
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_restriction_matches_evaluation_oracle(corpus, name):
     rng = random.Random(name)
@@ -113,23 +146,11 @@ def test_tile_restriction_matches_evaluation_oracle(src, tgt):
     live in another fan and another tower."""
     rng = random.Random(f"{src}-{tgt}")
     fmap = subdivision_map(load_fan(fan_path(src)), load_fan(fan_path(tgt)))
-    tiles, targets = RingTower(fmap.source), RingTower(fmap.target)
     checked = 0
-    for sigma in fmap.target.cones:
-        for tile in fmap.preimage_cones(sigma.index):
-            check_pair(
-                targets.ring(sigma.index), tiles.ring(tile),
-                fmap.target.n, rng,
-            )
-            checked += 1
+    for sigma_ring, tile_ring in tile_pairs(fmap):
+        check_pair(sigma_ring, tile_ring, fmap.target.n, rng)
+        checked += 1
     assert checked >= len(fmap.target.cones)
-
-
-def restrict(src, tgt, p):
-    out = Poly(tgt.nvars)
-    for u, c in p.terms.items():
-        out = out + restrict_monomial(src, tgt, u).scale(c)
-    return out
 
 
 @pytest.mark.parametrize("name", ["p2blow", "p3", "cubefan", "conecube"])
@@ -140,11 +161,15 @@ def test_restriction_is_functorial(corpus, name):
     amb = tower.ring("A")
     for sigma in fan.cones:
         sig = tower.ring(sigma.index)
+        to_sig = monomial_images(amb, sig, 4)
         for rho in sigma.face_ids:
             r = tower.ring(rho)
-            for u in exponents(fan.n, 4):
-                two_steps = restrict(sig, r, restrict_monomial(amb, sig, u))
-                assert two_steps == restrict_monomial(amb, r, u)
+            sig_to_r = monomial_images(sig, r, 4)
+            for u, p in monomial_images(amb, r, 4).items():
+                two_steps = Poly(r.nvars)
+                for v, c in to_sig[u].terms.items():
+                    two_steps = two_steps + sig_to_r[v].scale(c)
+                assert two_steps == p
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -158,8 +183,7 @@ def test_two_parses_give_equal_restrictions(monkeypatch, name):
         for src, tgt in corpus_pairs(fan):
             out[(src.label, tgt.label)] = (
                 restriction(src, tgt),
-                [restrict_monomial(src, tgt, u)
-                 for u in exponents(src.nvars, 3)],
+                monomial_images(src, tgt, 3),
             )
         return out
 
@@ -176,7 +200,7 @@ def test_cache_is_keyed_by_basis_content():
     twin = ConeRing("other", 1, tuple(tuple(b) for b in [[1, 1]]))
     assert restriction(ConeRing(0, 2, ((1, 0), (0, 1))), twin) is images
     assert restriction(ray, twin) is None
-    assert restrict_monomial(ray, twin, (3,)) == Poly(1, {(3,): Fraction(1)})
+    assert monomial_images(ray, twin, 3)[(3,)] == Poly(1, {(3,): Fraction(1)})
     for key in modules._RESTRICTIONS:
         assert all(
             isinstance(basis, tuple)
