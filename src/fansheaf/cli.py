@@ -178,8 +178,6 @@ def _cmd_decompose(args, rep):
 
 def _cmd_verify(args, rep):
     M = complex_from_text(Path(args.complex).read_text(), validate=False)
-    if M.window is None:
-        raise InputError("serialized complex has no window line")
     # each certificate runs only on a complex that passed the ones before
     shape = check_complex(M)
     rep.add("complex", certificate="pass" if shape.ok else "fail")
@@ -187,13 +185,13 @@ def _cmd_verify(args, rep):
         rep.add("problem", value=p)
     if not shape.ok:
         return 1
-    exact = check_locally_exact(M, M.window)
+    exact = check_locally_exact(M)
     rep.add("local-exactness", certificate="pass" if exact.ok else "fail")
     for i, d, why in exact.problems:
         rep.add("problem", cone=i, degree=d, value=why)
     if not exact.ok:
         return 1
-    table = cohomology_degreewise(M, M.window)
+    table = cohomology_degreewise(M)
     for (p, d), dim in sorted(table.table.items()):
         if dim:
             rep.add(f"h[{p}]", degree=d, value=dim)

@@ -4,9 +4,10 @@ A FanComplex places a free graded module on each cone (missing = zero)
 and, on each (cone, facet) pair, the component of the differential
 between them; together they send the sum of the dimension-i modules to
 the sum of the dimension-(i-1) modules.  Homological degree of a cone's
-slot is minus its dimension.  The fan's incidence signs enter only the
-file format: a serialized complex stores each component divided by its
-sign.
+slot is minus its dimension.  A complex owns its degree window
+M.window, which the kernels, certificates and cohomology below run on.
+The fan's incidence signs enter only the file format: a serialized
+complex stores each component divided by its sign.
 
 assemble gives the differential between listed cones on one
 degree piece in _linalg's one matrix form, a list of sparse rows
@@ -21,7 +22,7 @@ run on arbitrary complexes, not only the ones built by this package.
 from contextlib import contextmanager
 
 from fansheaf import _linalg
-from fansheaf.errors import CertificateError, InputError, WindowExhausted
+from fansheaf.errors import CertificateError, InputError
 from fansheaf.fans import line_keyword, parse_fan
 from fansheaf.modules import (
     DirectSumAmbient,
@@ -36,9 +37,10 @@ from fansheaf.polys import format_poly, parse_poly
 
 
 class FanComplex:
-    """Modules on a fan's cones and the differential's facet components."""
+    """Modules on a fan's cones, the differential's facet components,
+    and the degree window (lo, hi)."""
 
-    def __init__(self, fan, tower, modules, maps, window=None):
+    def __init__(self, fan, tower, modules, maps, window):
         self.fan = fan
         self.tower = tower
         self.modules = dict(modules)
@@ -197,14 +199,14 @@ def boundary_setup(M, cone_id):
     return ambient, facets, lambda d: assemble(M, facets, codim2, d)
 
 
-def boundary_kernel(M, cone_id, window):
+def boundary_kernel(M, cone_id):
     """Kernel family of the restricted complex at a cone's own slot."""
     ambient, facets, rows_at = boundary_setup(M, cone_id)
-    fam = family_from_kernel(ambient, rows_at, window)
+    fam = family_from_kernel(ambient, rows_at, M.window)
     return fam, facets
 
 
-def check_locally_exact(M, window):
+def check_locally_exact(M):
     """Certify that each module surjects onto its boundary kernel.
 
     For every positive-dimensional cone and every window degree, the
@@ -212,13 +214,13 @@ def check_locally_exact(M, window):
     kernel of the next differential of the restricted complex.  The
     report's problems are (cone, degree, why) tuples.
     """
-    lo, hi = window
+    lo, hi = M.window
     failures = []
     for cone in M.fan.cones:
         if cone.dim == 0:
             continue
         i = cone.index
-        fam, facets = boundary_kernel(M, i, window)
+        fam, facets = boundary_kernel(M, i)
         has_module = M.rank_at(i) > 0
         for d in range(lo, hi + 1):
             zdim = fam.dim_at(d)
@@ -256,12 +258,12 @@ class TopModuleReport:
         self.offender = offender
 
 
-def cohomology_degreewise(M, window):
+def cohomology_degreewise(M):
     """Cohomology dimensions per (slot, degree) over the window.
 
     Slot p holds the cones of dimension -p.
     """
-    lo, hi = window
+    lo, hi = M.window
     n = M.fan.n
     table = {}
     by_dim = {
@@ -303,7 +305,7 @@ def cohomology_degreewise(M, window):
     return CohomologyReport(table)
 
 
-def top_module(M, window):
+def top_module(M):
     """The kernel at the lowest slot as a module over the full ring.
 
     Its minimal generators are computed over the window and degreewise
@@ -318,14 +320,9 @@ def top_module(M, window):
     tgts = [i for i in M.fan.cones_of_dim(n - 1) if M.rank_at(i)]
 
     fam = family_from_kernel(
-        ambient, lambda d: assemble(M, top_ids, tgts, d), window
+        ambient, lambda d: assemble(M, top_ids, tgts, d), M.window
     )
-    try:
-        cover = minimal_free_cover(fam, ring)
-    except WindowExhausted as exc:
-        raise WindowExhausted(
-            f"cone A: {exc}", cone="A", degree=exc.degree
-        ) from None
+    cover = minimal_free_cover(fam, ring)
     free, offender = cover_is_free_certificate(cover)
     return TopModuleReport(free, tuple(cover.module.degrees), offender)
 
@@ -341,10 +338,8 @@ def complex_to_text(M):
     Each nonzero map is written as a `sign` line, the fan's incidence
     sign, and `entry` lines holding the map divided by that sign.
     """
-    lines = [FORMAT_LINE]
-    if M.window is not None:
-        lines.append(f"window {M.window[0]} {M.window[1]}")
-    lines.append(M.fan.to_text().rstrip("\n"))
+    window = f"window {M.window[0]} {M.window[1]}"
+    lines = [FORMAT_LINE, window, M.fan.to_text().rstrip("\n")]
     for i in sorted(M.modules):
         m = M.modules[i]
         if m.rank() == 0:
@@ -376,10 +371,10 @@ def _at_line(lineno, line):
 def complex_from_text(text, validate=True):
     """Parse complex_to_text output; signs are recomputed and verified.
 
-    Each keyed line appears once: one window line, one module line per
-    cone, one entry line per map and position, and exactly one sign line
-    per map with entries.  Each map is stored as its entries times the
-    fan's incidence sign.
+    Each keyed line appears once: one window line, which is required,
+    one module line per cone, one entry line per map and position, and
+    exactly one sign line per map with entries.  Each map is stored as
+    its entries times the fan's incidence sign.
     With validate=False the parsed complex is returned without running
     check_complex, so callers can run the certificate suite themselves
     and report failures instead of refusing the file.
@@ -484,7 +479,9 @@ def complex_from_text(text, validate=True):
         if (s, t) not in signed:
             with _at_line(lineno, line):
                 raise ValueError(f"map {s}->{t} has entries but no sign line")
-    M = FanComplex(fan, tower, modules, maps, window=window)
+    if window is None:
+        raise InputError("serialized complex has no window line")
+    M = FanComplex(fan, tower, modules, maps, window)
     if validate:
         report = check_complex(M)
         if not report.ok:

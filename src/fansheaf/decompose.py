@@ -5,17 +5,17 @@ walking cones by dimension, any degrees not explained by the summands
 assigned so far start new summands based at the current cone.
 
 peel_summand certifies one summand: it builds the shifted minimal
-complex, embeds it by a chain map (degreewise exact solves against the
-differential), constructs an explicit complement subcomplex, and checks
-at every cone that summand and complement generators together form a
-basis of the module modulo the irrelevant ideal with matching counts.
+complex, embeds it by a chain map (exact lifts through the
+differential), constructs an explicit complement subcomplex, which is N
+itself outside the summand's star, and checks at every cone that
+summand and complement generators together form a basis of the module
+modulo the irrelevant ideal with matching counts.
 By graded Nakayama that pins down a direct sum decomposition, so a
 complex equals its claimed summand list exactly when iterated peeling
 ends with the zero complex.
 """
 
 from collections import Counter
-from fractions import Fraction
 
 from fansheaf import _linalg
 from fansheaf.complexes import (
@@ -31,8 +31,8 @@ from fansheaf.modules import (
     FreeGradedModule,
     GradedSubspaceFamily,
     PolyMatrix,
-    entries_from_vectors,
     family_from_kernel,
+    lift,
     minimal_generators,
 )
 from fansheaf.polys import Poly
@@ -104,7 +104,7 @@ def peel_summand(N, base_id, shift):
     lo, hi = window
     S = build_shifted_minimal(fan, base_id, shift, window=window)
     star = set(fan.star(base_id))
-    NP = FanComplex(fan, tower, {}, {}, window=window)
+    NP = FanComplex(fan, tower, {}, {}, window)
     phi = {}
     psi = {}
     for cone in fan.cones:
@@ -118,22 +118,16 @@ def peel_summand(N, base_id, shift):
         Nmod = N.modules[i]
         ring = Nmod.ring
         if i not in star:
-            # untouched by the summand: copy verbatim
-            mod = FreeGradedModule(ring, Nmod.degrees)
-            NP.modules[i] = mod
+            # untouched by the summand, and so are its faces: keep N's
+            # module and maps, embedded by the identity
+            NP.modules[i] = Nmod
+            unit = Poly.const(ring.nvars, 1)
             psi[i] = PolyMatrix(
-                mod,
-                Nmod,
-                {
-                    (j, j): Poly.const(ring.nvars, Fraction(1))
-                    for j in range(mod.rank())
-                },
+                Nmod, Nmod, {(j, j): unit for j in range(Nmod.rank())}
             )
             for f in cone.facet_ids:
-                if (i, f) in N.maps and f in NP.modules:
-                    NP.maps[(i, f)] = PolyMatrix(
-                        mod, NP.modules[f], dict(N.maps[(i, f)].entries)
-                    )
+                if (i, f) in N.maps:
+                    NP.maps[(i, f)] = N.maps[(i, f)]
             continue
         ambient, facets, base_rows = boundary_setup(N, i)
         blocks = tuple(
@@ -190,27 +184,19 @@ def peel_summand(N, base_id, shift):
         k_vectors = []
         if i != base_id:
             smod = S.modules[i]
-            for j, dg in enumerate(smod.degrees):
-                idx = smod.index_at(dg)[(j, (0,) * smod.ring.nvars)]
-                w = summand_cols(dg)[idx]
-                sol = _linalg.solve(cover.evaluate(dg), w, Nmod.dim_at(dg))
-                if sol is None:
-                    raise CertificateError(
-                        f"cone {i}: summand boundary has no preimage "
-                        f"at degree {dg}"
-                    )
-                k_vectors.append((dg, sol))
-
-        gn = minimal_generators(ZN)
-        n_vectors = []
-        for dg, vec in gn:
-            sol = _linalg.solve(cover.evaluate(dg), vec, Nmod.dim_at(dg))
-            if sol is None:
-                raise CertificateError(
-                    f"cone {i}: complement section has no preimage "
-                    f"at degree {dg}"
-                )
-            n_vectors.append((dg, sol))
+            one = (0,) * smod.ring.nvars
+            images = [
+                (dg, summand_cols(dg)[smod.index_at(dg)[(j, one)]])
+                for j, dg in enumerate(smod.degrees)
+            ]
+            k_vectors = lift(
+                cover.evaluate, Nmod, images,
+                f"cone {i}: summand boundary has no preimage",
+            )
+        n_vectors = lift(
+            cover.evaluate, Nmod, minimal_generators(ZN),
+            f"cone {i}: complement section has no preimage",
+        )
 
         # kernel completion: summands based here (the one being peeled at
         # its base cone included) have zero boundary, so their generators
@@ -274,44 +260,30 @@ def peel_summand(N, base_id, shift):
                 f"cone {i}: generator counts do not add up"
             )
 
-        phi[i] = PolyMatrix(
-            S.modules[i], Nmod, entries_from_vectors(Nmod, k_vectors)
-        )
-        phi[i].validate()
+        phi[i] = PolyMatrix.from_columns(S.modules[i], Nmod, k_vectors)
         if n_vectors:
             mod = FreeGradedModule(ring, [d for d, _ in n_vectors])
             NP.modules[i] = mod
-            psi[i] = PolyMatrix(
-                mod, Nmod, entries_from_vectors(Nmod, n_vectors)
-            )
-            psi[i].validate()
+            psi[i] = PolyMatrix.from_columns(mod, Nmod, n_vectors)
             for kf, f in enumerate(facets):
+                images = [
+                    (dg, _linalg.matvec(blocks[kf].evaluate(dg), vec))
+                    for dg, vec in n_vectors
+                ]
                 fmod = NP.modules.get(f)
-                solutions = []
-                for dg, vec in n_vectors:
-                    img = _linalg.matvec(blocks[kf].evaluate(dg), vec)
-                    if not img:
-                        solutions.append((dg, {}))
-                        continue
-                    if fmod is None:
+                if fmod is None:
+                    if any(img for _, img in images):
                         raise CertificateError(
                             f"cone {i}: complement leaks into facet {f}"
                         )
-                    sol = _linalg.solve(
-                        psi[f].evaluate(dg), img, fmod.dim_at(dg)
-                    )
-                    if sol is None:
-                        raise CertificateError(
-                            f"cone {i}: complement differential into facet "
-                            f"{f} not expressible at degree {dg}"
-                        )
-                    solutions.append((dg, sol))
-                if fmod is None:
                     continue
-                entries = entries_from_vectors(fmod, solutions)
-                if entries:
-                    mp = PolyMatrix(mod, fmod, entries)
-                    mp.validate()
+                columns = lift(
+                    psi[f].evaluate, fmod, images,
+                    f"cone {i}: complement differential into facet {f} "
+                    f"not expressible",
+                )
+                mp = PolyMatrix.from_columns(mod, fmod, columns)
+                if not mp.is_zero():
                     NP.maps[(i, f)] = mp
 
     rep = check_complex(NP)

@@ -33,7 +33,7 @@ def build_minimal(fan, window=None):
     if window is None:
         window = default_window(n)
     tower = RingTower(fan)
-    M = FanComplex(fan, tower, {}, {}, window=window)
+    M = FanComplex(fan, tower, {}, {}, window)
     M.modules[0] = FreeGradedModule(tower.ring(0), [-n])
     _extend(M, [c.index for c in fan.cones if c.dim >= 1])
     return M
@@ -44,7 +44,7 @@ def build_shifted_minimal(fan, base_id, shift=0, window=None):
 
     The base cone carries a free rank-one module whose generator sits in
     degree -(ambient dim) + (base dim) - shift; support is the star of
-    the base.
+    the base.  A generator not below the guard zone is WindowExhausted.
     """
     if base_id not in range(len(fan.cones)):
         raise InputError(f"no cone {base_id} to base the complex at")
@@ -57,8 +57,13 @@ def build_shifted_minimal(fan, base_id, shift=0, window=None):
         raise InputError(
             f"window low end {window[0]} above base generator {gen_degree}"
         )
+    if gen_degree > window[1] - 2:
+        raise WindowExhausted(
+            f"cone {base_id}: base generator at degree {gen_degree} is "
+            f"not below the guard zone", cone=base_id, degree=gen_degree,
+        )
     tower = RingTower(fan)
-    M = FanComplex(fan, tower, {}, {}, window=window)
+    M = FanComplex(fan, tower, {}, {}, window)
     M.modules[base_id] = FreeGradedModule(tower.ring(base_id), [gen_degree])
     _extend(M, [i for i in fan.star(base_id) if i != base_id])
     return M
@@ -69,17 +74,9 @@ def _extend(M, cone_ids):
 
     Cone ids are canonical (dimension-sorted), so plain order works.
     """
-    lo, hi = M.window
     for i in cone_ids:
-        fam, facets = boundary_kernel(M, i, M.window)
-        if all(fam.dim_at(d) == 0 for d in range(lo, hi + 1)):
-            continue
-        try:
-            cover = minimal_free_cover(fam, M.tower.ring(i))
-        except WindowExhausted as exc:
-            raise WindowExhausted(
-                f"cone {i}: {exc}", cone=i, degree=exc.degree
-            ) from None
+        fam, facets = boundary_kernel(M, i)
+        cover = minimal_free_cover(fam, M.tower.ring(i))
         if cover.module.rank() == 0:
             continue
         M.modules[i] = cover.module
@@ -121,7 +118,7 @@ def verify_minimality(M, base_id=0, shift=0):
     outside = [i for i in M.support_ids() if i not in star]
     if outside:
         problems.append(f"support leaves the base star at cones {outside}")
-    exact = check_locally_exact(M, M.window)
+    exact = check_locally_exact(M)
     problems.extend(
         f"not exact at cone {i} degree {d}: {why}"
         for i, d, why in exact.problems
@@ -129,7 +126,7 @@ def verify_minimality(M, base_id=0, shift=0):
     for i in M.support_ids():
         if i == base_id:
             continue
-        fam, _ = boundary_kernel(M, i, M.window)
+        fam, _ = boundary_kernel(M, i)
         gens = tuple(sorted(d for d, _ in minimal_generators(fam)))
         have = tuple(sorted(M.degrees_at(i)))
         if gens != have:
@@ -165,9 +162,8 @@ def ih_module(M, require_complete=False):
     complete = is_complete(M.fan)
     if require_complete and not complete:
         raise InputError("fan is not complete")
-    window = M.window or default_window(M.fan.n)
-    rep = cohomology_degreewise(M, window)
-    top = top_module(M, window)
+    rep = cohomology_degreewise(M)
+    top = top_module(M)
     n = M.fan.n
     stray = sorted({p for (p, d) in rep.table if p != -n})
     if stray:

@@ -10,6 +10,10 @@ content, which rings of different towers and fans share.  Free modules
 carry generator degrees; maps between them are PolyMatrix objects whose
 entries live in the target ring.
 
+Every map between complexes is PolyMatrix.from_columns of its
+generators' images: a cover's representatives as they are, or exact
+preimages (lift) of images under a surjection onto the target.
+
 Degree by degree everything is in _linalg's one matrix form: a matrix
 is a list of sparse rows {col: value} storing no zeros, and a vector
 (a family's basis vector, a generator representative, an apply_mult
@@ -165,6 +169,22 @@ class PolyMatrix:
             ij: p for ij, p in entries.items() if not p.is_zero()
         }
         self._eval = {}
+
+    @classmethod
+    def from_columns(cls, source, target, columns):
+        """The validated map sending source generator j to columns[j],
+        a (degree, sparse vector) of target: the vector's coordinates in
+        the (generator, monomial) basis are the column's coefficients."""
+        terms = {}
+        for col, (d, vec) in enumerate(columns):
+            basis = target.piece_basis(d)
+            for c, x in vec.items():
+                i, u = basis[c]
+                terms.setdefault((i, col), {})[u] = Fraction(x)
+        nv = target.ring.nvars
+        pm = cls(source, target, {k: Poly(nv, t) for k, t in terms.items()})
+        pm.validate()
+        return pm
 
     def validate(self):
         for (i, j), p in self.entries.items():
@@ -367,7 +387,7 @@ def minimal_generators(family):
 
     Raises CertificateError when closure fails, checked first, and
     WindowExhausted when the top two window degrees still produce new
-    generators.
+    generators; its cone is the base ring's label, a cone id or "A".
     """
     lo, hi = family.window
     amb = family.ambient
@@ -387,8 +407,10 @@ def minimal_generators(family):
                 f"family not closed under multiplication at degree {d}"
             )
         if new and d > hi - 2:
+            cone = amb.base_ring.label
             raise WindowExhausted(
-                f"new generator in guard zone at degree {d}", degree=d
+                f"cone {cone}: new generator in guard zone at degree {d}",
+                cone=cone, degree=d,
             )
         gens += new
     return gens
@@ -417,22 +439,19 @@ class CoverMap:
         return self._eval[d]
 
 
-def entries_from_vectors(module, vectors):
-    """PolyMatrix entries of a map into `module` from coordinate vectors.
-
-    vectors lists (degree, sparse vector) per source generator; a
-    vector's coordinates in the (generator, monomial) basis of the
-    module's degree piece are exactly the coefficients of the column's
-    entries.
-    """
-    nv = module.ring.nvars
-    terms = {}
-    for col, (d, vec) in enumerate(vectors):
-        basis = module.piece_basis(d)
-        for c, x in vec.items():
-            j, u = basis[c]
-            terms.setdefault((j, col), {})[u] = Fraction(x)
-    return {key: Poly(nv, t) for key, t in terms.items()}
+def lift(rows_at, module, images, what):
+    """Exact preimages in `module` of (degree, sparse vector) images
+    under the matrices rows_at(degree), in order.  A zero image lifts to
+    {}; one with no preimage raises CertificateError(what at degree)."""
+    out = []
+    for d, img in images:
+        sol = {}
+        if img:
+            sol = _linalg.solve(rows_at(d), img, module.dim_at(d))
+            if sol is None:
+                raise CertificateError(f"{what} at degree {d}")
+        out.append((d, sol))
+    return out
 
 
 def minimal_free_cover(family, base_ring):
@@ -453,10 +472,7 @@ def minimal_free_cover(family, base_ring):
             stop = start + part.dim_at(d)
             seg = {c - start: x for c, x in vec.items() if start <= c < stop}
             segments.append((d, seg))
-        entries = entries_from_vectors(part, segments)
-        block = PolyMatrix(module, part, entries)
-        block.validate()
-        blocks.append(block)
+        blocks.append(PolyMatrix.from_columns(module, part, segments))
     return CoverMap(module, family, gens, tuple(blocks))
 
 

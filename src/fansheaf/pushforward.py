@@ -6,7 +6,7 @@ across interior walls (their differential components cancel) and
 must map into the already-built module on every target facet.  A minimal
 free cover of that kernel family gives the new module, with degreewise
 freeness certified by Hilbert comparison, and the induced differential
-is read off by exact solves against the facet covers.
+lifts each generator's image through the facet's cover.
 """
 
 from fansheaf import _linalg
@@ -18,15 +18,14 @@ from fansheaf.complexes import (
     check_locally_exact,
     cohomology_degreewise,
 )
-from fansheaf.errors import CertificateError, InputError, WindowExhausted
+from fansheaf.errors import CertificateError, InputError
 from fansheaf.modules import (
     DirectSumAmbient,
     PolyMatrix,
     RingTower,
     cover_is_free_certificate,
-    default_window,
-    entries_from_vectors,
     family_from_kernel,
+    lift,
     minimal_free_cover,
 )
 
@@ -41,17 +40,16 @@ class Pushforward:
         self.covers = covers
 
 
-def pushforward(fan_map, M, window=None):
-    """Direct image of a complex along a proper subdivision map."""
+def pushforward(fan_map, M):
+    """Direct image of a complex along a proper subdivision map, on M's
+    window."""
     if not fan_map.proper:
         raise InputError("direct image requires a proper subdivision map")
     if M.fan is not fan_map.source:
         raise InputError("complex does not live on the map's source fan")
-    if window is None:
-        window = M.window or default_window(fan_map.target.n)
     src_fan, tgt_fan = fan_map.source, fan_map.target
     tower = RingTower(tgt_fan)
-    N = FanComplex(tgt_fan, tower, {}, {}, window=window)
+    N = FanComplex(tgt_fan, tower, {}, {}, M.window)
     families, covers, tiles_map = {}, {}, {}
     # blocks of the current target cone, shared by its constraints and
     # its induced differential
@@ -83,13 +81,8 @@ def pushforward(fan_map, M, window=None):
         rows_at = _constraints(
             block, ambient, tiles, walls.get(s, []), facet_data
         )
-        fam = family_from_kernel(ambient, rows_at, window)
-        try:
-            cover = minimal_free_cover(fam, ring)
-        except WindowExhausted as exc:
-            raise WindowExhausted(
-                f"target cone {s}: {exc}", cone=s, degree=exc.degree
-            ) from None
+        fam = family_from_kernel(ambient, rows_at, M.window)
+        cover = minimal_free_cover(fam, ring)
         ok, offender = cover_is_free_certificate(cover)
         if not ok:
             raise CertificateError(
@@ -106,27 +99,17 @@ def pushforward(fan_map, M, window=None):
             if f not in N.modules:
                 continue
             fcover = covers[f]
-            solutions = []
-            for dg, vec in cover.gens:
-                img = _linalg.matvec(block(tiles, ftiles, dg), vec)
-                if not img:
-                    solutions.append((dg, {}))
-                    continue
-                sol = _linalg.solve(
-                    fcover.evaluate(dg), img, fcover.module.dim_at(dg)
-                )
-                if sol is None:
-                    raise CertificateError(
-                        f"direct image differential {s}->{f} misses the "
-                        f"facet module at degree {dg}"
-                    )
-                solutions.append((dg, sol))
-            entries = entries_from_vectors(fcover.module, solutions)
-            if not entries:
-                continue
-            pm = PolyMatrix(cover.module, fcover.module, entries)
-            pm.validate()
-            N.maps[(s, f)] = pm
+            images = [
+                (dg, _linalg.matvec(block(tiles, ftiles, dg), vec))
+                for dg, vec in cover.gens
+            ]
+            columns = lift(
+                fcover.evaluate, fcover.module, images,
+                f"direct image differential {s}->{f} misses the facet module",
+            )
+            pm = PolyMatrix.from_columns(cover.module, fcover.module, columns)
+            if not pm.is_zero():
+                N.maps[(s, f)] = pm
     return Pushforward(N, M, families, covers)
 
 
@@ -161,8 +144,7 @@ def verify_pushforward(P):
     problems = [
         "invalid complex: " + p for p in check_complex(P.complex).problems
     ]
-    window = P.complex.window
-    exact = check_locally_exact(P.complex, window)
+    exact = check_locally_exact(P.complex)
     problems += [
         f"not exact at cone {i} degree {d}: {why}"
         for i, d, why in exact.problems
@@ -173,8 +155,8 @@ def verify_pushforward(P):
             problems.append(
                 f"module over cone {s} not free at degree {offender}"
             )
-    src_table = cohomology_degreewise(P.source, window).table
-    tgt_table = cohomology_degreewise(P.complex, window).table
+    src_table = cohomology_degreewise(P.source).table
+    tgt_table = cohomology_degreewise(P.complex).table
     if src_table != tgt_table:
         diff = {
             k: (src_table.get(k, 0), tgt_table.get(k, 0))

@@ -71,7 +71,7 @@ def test_criterion_1_acyclic_outside_top_slot():
     checked = 0
     for name in COMPLETE + FULL_CONES:
         M = _built(name)
-        rep = cohomology_degreewise(M, M.window)
+        rep = cohomology_degreewise(M)
         slots = {p for (p, d) in rep.table}
         assert slots == {-M.fan.n}, (name, sorted(slots))
         assert rep.table, name
@@ -192,7 +192,7 @@ def test_criterion_7_iterated_peel_with_valid_intermediates():
                 res = peel_summand(cur, b, k)
                 assert check_complex(res.summand).ok, (src, b, k)
                 assert check_complex(res.complement).ok, (src, b, k)
-                exact = check_locally_exact(res.complement, cur.window)
+                exact = check_locally_exact(res.complement)
                 assert exact.ok, (src, b, k, exact.problems)
                 peeled[(b, k)] += 1
                 cur = res.complement
@@ -223,8 +223,8 @@ def test_criterion_8_reversed_build_order_is_immaterial():
         fan = _fan(src)
         M1, M2 = _reversed_order_build(fan, WINDOWS.get(src))
         assert stalk_report(M1) == stalk_report(M2), src
-        r1 = cohomology_degreewise(M1, M1.window)
-        r2 = cohomology_degreewise(M2, M2.window)
+        r1 = cohomology_degreewise(M1)
+        r2 = cohomology_degreewise(M2)
         assert r1.table == r2.table, src
         assert complex_to_text(M1) == complex_to_text(M2), src
         fmap = subdivision_map(fan, _fan(tgt))
@@ -261,7 +261,7 @@ def test_criterion_9_brute_force_micro_oracle():
         for d in range(lo, hi + 1):
             want = mods.get((labels[cone.index], d), 0)
             assert M.dim_at(cone.index, d) == want, (cone.index, d)
-    rep = cohomology_degreewise(M, M.window)
+    rep = cohomology_degreewise(M)
     assert rep.table == coh
 
     # subdivided quadrant: modules, cohomology, and the direct image
@@ -273,7 +273,7 @@ def test_criterion_9_brute_force_micro_oracle():
         for d in range(lo, hi + 1):
             want = mods.get((rayset, d), 0)
             assert M.dim_at(i, d) == want, (sorted(rayset), d)
-    rep = cohomology_degreewise(M, M.window)
+    rep = cohomology_degreewise(M)
     assert rep.table == coh
 
     P, _ = _image("blowquad", "quadrant")

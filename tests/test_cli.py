@@ -272,6 +272,68 @@ def test_window_exhausted_in_top_module_names_full_ring(capsys):
     assert value.startswith("cone A: new generator in guard zone")
 
 
+def test_shifted_base_above_guard_zone_exits_three(capsys):
+    """A base generator above the window's guard zone is window
+    exhaustion at the base cone, not a build with its stalks cut off.
+    p2's window is (-2, 6); shift -5 at ray 1 puts the generator at 4,
+    the top degree below the guard zone, and shift -8 puts it at 7."""
+    p2 = str(fan_path("p2"))
+    code, out = _run(
+        capsys, "--format", "machine", "minimal", "build", "--fan", p2,
+        "--base", "1", "--shift", "-5",
+    )
+    assert code == 0
+    stalks = [r.split("\t")[1] for r in out.splitlines() if "stalk" in r]
+    assert stalks == ["1", "4", "5"]
+    for argv, cone, degree in (
+        (["minimal", "build", "--base", "1", "--shift", "-8"], 1, 7),
+        (["stalks", "--base", "6", "--shift", "-20"], 6, 20),
+    ):
+        code, out = _run(capsys, "--format", "machine", *argv, "--fan", p2)
+        assert code == 3
+        (record,) = out.splitlines()
+        obj, got_cone, got_degree, value, certificate = record.split("\t")
+        assert (obj, got_cone, got_degree, certificate) == (
+            "error", str(cone), str(degree), "window-exhausted"
+        )
+        assert value.endswith(f"raise --degree-max to at least {degree + 2}")
+
+
+@pytest.mark.parametrize("command", ["pushforward", "decompose"])
+def test_window_exhausted_at_target_cone(capsys, command):
+    """Exhaustion while building the direct image names the target cone
+    and the degree."""
+    code, out = _run(
+        capsys, "--format", "machine", command,
+        "--fan", str(fan_path("quadrant")),
+        "--subdivision", str(fan_path("blowquad")),
+        "--degree-max", "0",
+    )
+    assert code == 3
+    (record,) = out.splitlines()
+    obj, cone, degree, value, certificate = record.split("\t")
+    assert (obj, cone, degree, certificate) == (
+        "error", "3", "0", "window-exhausted"
+    )
+    assert value.startswith("cone 3: new generator in guard zone at degree 0")
+
+
+def test_verify_complex_without_window_exits_two(tmp_path, capsys):
+    """A serialized complex must carry its window; the one record names
+    no line, since the fault is a line that is absent."""
+    text = (GOLDEN / "quadrant.complex").read_text()
+    assert "window -2 6\n" in text
+    path = tmp_path / "quadrant.cx"
+    path.write_text(text.replace("window -2 6\n", ""))
+    code, out = _run(
+        capsys, "--format", "machine", "verify", "--complex", str(path)
+    )
+    assert code == 2
+    assert out.splitlines() == [
+        "error\t-\t-\tserialized complex has no window line\tinput-error"
+    ]
+
+
 def test_verify_complex_flag_and_fan_alias_agree(tmp_path, capsys):
     """verify reads the complex from --complex; --fan is an alias, with
     the same records and exit code, also on a failing complex."""

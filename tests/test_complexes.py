@@ -92,7 +92,9 @@ def test_corrupted_entry_breaks_d_squared():
     bad[(3, 2)] = PolyMatrix(
         M.modules[3], M.modules[2], {(0, 0): Poly.const(1, Fraction(1))}
     )
-    report = check_complex(FanComplex(M.fan, M.tower, M.modules, bad))
+    report = check_complex(
+        FanComplex(M.fan, M.tower, M.modules, bad, M.window)
+    )
     assert not report.ok
     assert any("composite" in p for p in report.problems)
 
@@ -121,7 +123,7 @@ def test_corrupted_entries_flagged_as_symbolic_composition_finds(name):
             maps[key] = PolyMatrix(
                 pm.source, pm.target, {**pm.entries, ij: p.scale(2)}
             )
-            bad = FanComplex(M.fan, M.tower, M.modules, maps)
+            bad = FanComplex(M.fan, M.tower, M.modules, maps, M.window)
             problems = check_complex(bad).problems
             got = set()
             for why in problems:
@@ -139,7 +141,9 @@ def test_inhomogeneous_entry_rejected():
     bad[(3, 1)] = PolyMatrix(
         M.modules[3], M.modules[1], {(0, 0): Poly.variable(1, 0)}
     )
-    report = check_complex(FanComplex(M.fan, M.tower, M.modules, bad))
+    report = check_complex(
+        FanComplex(M.fan, M.tower, M.modules, bad, M.window)
+    )
     assert not report.ok
 
 
@@ -153,7 +157,7 @@ def test_assembled_differential_layout():
 
 def test_boundary_kernel_dims_quadrant():
     M = quadrant_complex()
-    fam, facets = boundary_kernel(M, 3, (-2, 6))
+    fam, facets = boundary_kernel(M, 3)
     assert facets == [1, 2]
     assert [fam.dim_at(d) for d in (-2, 0, 2, 4, 6)] == [1, 2, 2, 2, 2]
     assert fam.basis_at(-2) == ({0: 1, 1: -1},)
@@ -161,7 +165,7 @@ def test_boundary_kernel_dims_quadrant():
 
 def test_local_exactness_quadrant():
     M = quadrant_complex()
-    report = check_locally_exact(M, M.window)
+    report = check_locally_exact(M)
     assert report.ok, report.problems
 
 
@@ -170,32 +174,32 @@ def test_missing_top_module_fails_exactness():
     mods = {i: m for i, m in M.modules.items() if i != 3}
     maps = {k: v for k, v in M.maps.items() if k[0] != 3}
     N = FanComplex(M.fan, M.tower, mods, maps, window=M.window)
-    report = check_locally_exact(N, M.window)
+    report = check_locally_exact(N)
     assert not report.ok
     assert any(cone == 3 for cone, _, _ in report.problems)
 
 
 def test_cohomology_quadrant():
     M = quadrant_complex()
-    rep = cohomology_degreewise(M, M.window)
+    rep = cohomology_degreewise(M)
     assert rep.table == {(-2, 2): 1, (-2, 4): 2, (-2, 6): 3}
-    top = top_module(M, M.window)
+    top = top_module(M)
     assert top.free
     assert top.generator_degrees == (2,)
 
 
 def test_cohomology_complete_line_fan():
     M = halfline_pair_complex()
-    rep = cohomology_degreewise(M, M.window)
+    rep = cohomology_degreewise(M)
     assert rep.table == {(-1, -1): 1, (-1, 1): 2, (-1, 3): 2, (-1, 5): 2}
-    top = top_module(M, M.window)
+    top = top_module(M)
     assert top.free
     assert top.generator_degrees == (-1, 1)
 
 
 def test_euler_identity():
     M = quadrant_complex()
-    rep = cohomology_degreewise(M, M.window)
+    rep = cohomology_degreewise(M)
     lo, hi = M.window
     for d in range(lo, hi + 1):
         chi_mod = sum(
@@ -253,7 +257,7 @@ def test_cohomology_ranks_each_differential_once(corpus, monkeypatch, name):
 
     monkeypatch.setattr(complexes, "assemble", tagging_assemble)
     monkeypatch.setattr(_linalg, "rank", counting_rank)
-    rep = cohomology_degreewise(M, M.window)
+    rep = cohomology_degreewise(M)
     assert ranked
     assert max(Counter(ranked).values()) == 1
     assert rep.table == expected

@@ -54,6 +54,23 @@ def test_identity_subdivision_multiplicities():
     assert decomposition_multiplicities(P.complex) == {(0, 0): 1}
 
 
+def test_peel_keeps_cones_outside_the_star():
+    """Outside the star of the summand's base the complement is N as it
+    is: the very module and map objects, not copies."""
+    P, _ = _image("blowquad", "quadrant")
+    N = P.complex
+    top = N.fan.cones_of_dim(2)[0]
+    res = peel_summand(N, top, 0)
+    star = set(N.fan.star(top))
+    outside = [i for i in N.support_ids() if i not in star]
+    kept = [(s, t) for s, t in N.maps if s not in star]
+    assert outside and kept
+    for i in outside:
+        assert res.complement.modules[i] is N.modules[i]
+    for key in kept:
+        assert res.complement.maps[key] is N.maps[key]
+
+
 def test_peel_top_summand_leaves_minimal_complex():
     P, _ = _image("blowquad", "quadrant")
     top = P.complex.fan.cones_of_dim(2)[0]

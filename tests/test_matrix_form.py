@@ -113,7 +113,7 @@ def test_producers_emit_sparse_rows(corpus, name):
     for cone in fan.cones:
         if cone.dim == 0 or not M.rank_at(cone.index):
             continue
-        fam, _ = boundary_kernel(M, cone.index, M.window)
+        fam, _ = boundary_kernel(M, cone.index)
         cover = minimal_free_cover(fam, M.tower.ring(cone.index))
         parts = fam.ambient.parts
         for d in degrees:

@@ -21,6 +21,7 @@ from fansheaf.modules import (
     RingTower,
     cover_is_free_certificate,
     family_from_kernel,
+    lift,
     minimal_free_cover,
     minimal_generators,
     restriction,
@@ -99,6 +100,36 @@ def test_polymatrix_degree_validation():
         bad.validate()
 
 
+def test_from_columns_reads_entries_and_checks_grading():
+    """Column j is the image of source generator j in the target's
+    piece; a column in the wrong degree piece is a wrongly graded map."""
+    r = _ring(1)
+    a0 = FreeGradedModule(r, [0])
+    a2 = FreeGradedModule(r, [-2])
+    # target piece 0 has the one basis element (gen', t)
+    f = PolyMatrix.from_columns(a0, a2, [(0, {0: 3})])
+    assert f.entries == {(0, 0): Poly.variable(1, 0).scale(3)}
+    with pytest.raises(CertificateError, match="expected 2"):
+        PolyMatrix.from_columns(a0, a2, [(2, {0: 1})])
+
+
+def test_lift_zero_image_and_missing_preimage():
+    """A zero image lifts to {}, an image in the span lifts exactly, and
+    an image outside it raises naming its degree."""
+    r = _ring(1)
+    a0 = FreeGradedModule(r, [0])
+    a2 = FreeGradedModule(r, [-2])
+    f = PolyMatrix(a0, a2, {(0, 0): Poly.variable(1, 0).scale(2)})
+    images = [(0, {}), (0, {0: 4}), (2, {0: 1})]
+    assert lift(f.evaluate, a0, images, "unused") == [
+        (0, {}), (0, {0: 2}), (2, {0: Fraction(1, 2)})
+    ]
+    zero = PolyMatrix(a0, a2, {})
+    assert lift(zero.evaluate, a0, [(2, {})], "unused") == [(2, {})]
+    with pytest.raises(CertificateError, match=r"^no preimage at degree 2$"):
+        lift(zero.evaluate, a0, [(0, {}), (2, {0: 1})], "no preimage")
+
+
 def test_kernel_degreewise_simple():
     """Kernel families of one PolyMatrix over its source module."""
 
@@ -153,8 +184,9 @@ def test_minimal_generators_guard_zone():
     fam = _full_family(m, (0, 8))
     # shrink the window so the generator at 0 falls in the guard zone
     small = GradedSubspaceFamily(fam.ambient, (-1, 0), {0: fam.basis_at(0)})
-    with pytest.raises(WindowExhausted):
+    with pytest.raises(WindowExhausted) as exc:
         minimal_generators(small)
+    assert exc.value.cone == r.label
 
 
 def test_minimal_generators_closure_certificate():
@@ -192,8 +224,9 @@ def test_minimal_generators_closure_checked_before_guard_zone():
         minimal_generators(fam)
     # closed, the same new generator exhausts the window
     closed = _two_lines((0, 2), {0: [{0: 1}], 2: [{0: 1}, {1: 1}]})
-    with pytest.raises(WindowExhausted):
+    with pytest.raises(WindowExhausted) as exc:
         minimal_generators(closed)
+    assert exc.value.cone == closed.ambient.base_ring.label
 
 
 @st.composite
@@ -248,10 +281,12 @@ def test_minimal_generators_match_leftmost_scan(fam):
     )
     try:
         got = minimal_generators(fam)
-    except CertificateError as exc:
-        got = ("not closed", int(str(exc).rsplit(" ", 1)[1]))
-    except WindowExhausted as exc:
-        got = ("window exhausted", exc.degree)
+    except (CertificateError, WindowExhausted) as exc:
+        if isinstance(exc, WindowExhausted):
+            assert exc.cone == amb.base_ring.label
+            got = ("window exhausted", exc.degree)
+        else:
+            got = ("not closed", int(str(exc).rsplit(" ", 1)[1]))
     assert got == want
 
 
