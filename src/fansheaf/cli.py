@@ -76,11 +76,7 @@ def _degs(degs):
 
 def _build(args, fan):
     window = _window(args, fan)
-    base = getattr(args, "base", 0)
-    shift = getattr(args, "shift", 0)
-    if base == 0 and shift == 0:
-        return build_minimal(fan, window=window)
-    return build_shifted_minimal(fan, base, shift, window=window)
+    return build_shifted_minimal(fan, args.base, args.shift, window=window)
 
 
 def _cmd_fan_check(args, rep):

@@ -33,7 +33,7 @@ from fansheaf.modules import (
     family_from_kernel,
     minimal_free_cover,
 )
-from fansheaf.polys import format_poly, parse_poly
+from fansheaf.polys import degree, format_poly, parse_poly
 
 
 class FanComplex:
@@ -354,7 +354,9 @@ def complex_to_text(M):
         sign = M.fan.incidence_sign(s, t)
         lines.append(f"sign {s} {t}: {sign:+d}")
         for (i, j) in sorted(pm.entries):
-            entry = format_poly(pm.entries[(i, j)].scale(sign))
+            entry = format_poly(
+                {u: sign * c for u, c in pm.entries[(i, j)].items()}
+            )
             lines.append(f"entry {s} {t} {i} {j}: {entry}")
     return "\n".join(lines) + "\n"
 
@@ -373,8 +375,10 @@ def complex_from_text(text, validate=True):
 
     Each keyed line appears once: one window line, which is required,
     one module line per cone, one entry line per map and position, and
-    exactly one sign line per map with entries.  Each map is stored as
-    its entries times the fan's incidence sign.
+    exactly one sign line per map with entries.  Generator degrees lie
+    in [lo, hi - 2] of the window lo hi, the range every builder
+    writes.  Each map is stored as its entries times the fan's incidence
+    sign.
     With validate=False the parsed complex is returned without running
     check_complex, so callers can run the certificate suite themselves
     and report failures instead of refusing the file.
@@ -397,6 +401,8 @@ def complex_from_text(text, validate=True):
         if keyword == "window":
             with _at_line(lineno, line):
                 parts = line.split()
+                if len(parts) != 3:
+                    raise ValueError("a window line is 'window lo hi'")
                 lo, hi = int(parts[1]), int(parts[2])
                 if lo > hi:
                     raise ValueError(f"window low end {lo} above high end {hi}")
@@ -413,6 +419,9 @@ def complex_from_text(text, validate=True):
             sign_lines.append((lineno, line))
         else:
             raise InputError(f"line {lineno}: unrecognized line: {raw.strip()!r}")
+    if window is None:
+        raise InputError("serialized complex has no window line")
+    lo, hi = window
     fan = parse_fan("\n".join(fan_lines))
     tower = RingTower(fan)
     modules = {}
@@ -425,6 +434,12 @@ def complex_from_text(text, validate=True):
                 raise InputError(f"module line for unknown cone {i}")
             if i in modules:
                 raise ValueError(f"repeated module line for cone {i}")
+            outside = [d for d in degs if not lo <= d <= hi - 2]
+            if outside:
+                raise ValueError(
+                    f"generator degree {outside[0]} outside the window's "
+                    f"generator range [{lo}, {hi - 2}]"
+                )
             modules[i] = FreeGradedModule(tower.ring(i), degs)
     entries_by_pair = {}
     first_entry = {}  # (s, t) -> (lineno, line) of the map's first entry
@@ -438,7 +453,7 @@ def complex_from_text(text, validate=True):
             if not (0 <= i < modules[t].rank() and 0 <= j < modules[s].rank()):
                 raise InputError(f"entry ({i},{j}) out of range")
             poly = parse_poly(body, tower.ring(t).nvars)
-            poly.degree()  # ValueError when inhomogeneous
+            degree(poly)  # ValueError when inhomogeneous
             entries = entries_by_pair.setdefault((s, t), {})
             if (i, j) in entries:
                 raise ValueError(f"repeated entry ({i},{j}) of map {s}->{t}")
@@ -453,7 +468,10 @@ def complex_from_text(text, validate=True):
         maps[(s, t)] = PolyMatrix(
             modules[s],
             modules[t],
-            {ij: p.scale(sign) for ij, p in entries.items()},
+            {
+                ij: {u: sign * c for u, c in p.items()}
+                for ij, p in entries.items()
+            },
         )
     signed = set()
     for lineno, line in sign_lines:
@@ -479,8 +497,6 @@ def complex_from_text(text, validate=True):
         if (s, t) not in signed:
             with _at_line(lineno, line):
                 raise ValueError(f"map {s}->{t} has entries but no sign line")
-    if window is None:
-        raise InputError("serialized complex has no window line")
     M = FanComplex(fan, tower, modules, maps, window)
     if validate:
         report = check_complex(M)

@@ -35,7 +35,6 @@ from fansheaf.modules import (
     lift,
     minimal_generators,
 )
-from fansheaf.polys import Poly
 from fansheaf.pushforward import pushforward, verify_pushforward
 
 
@@ -121,7 +120,7 @@ def peel_summand(N, base_id, shift):
             # untouched by the summand, and so are its faces: keep N's
             # module and maps, embedded by the identity
             NP.modules[i] = Nmod
-            unit = Poly.const(ring.nvars, 1)
+            unit = {(0,) * ring.nvars: 1}
             psi[i] = PolyMatrix(
                 Nmod, Nmod, {(j, j): unit for j in range(Nmod.rank())}
             )

@@ -534,7 +534,10 @@ def parse_fan(text):
             if keyword == "dim":
                 if n is not None:
                     raise InputError("duplicate dim line")
-                n = int(line.split()[1])
+                parts = line.split()
+                if len(parts) != 2:
+                    raise InputError("a dim line is 'dim n'")
+                n = int(parts[1])
             elif keyword == "ray":
                 head, _, body = line.partition(":")
                 idx = int(head.split()[1])

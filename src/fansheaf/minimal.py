@@ -1,10 +1,11 @@
 """Builders for minimal complexes on a fan.
 
-The origin-based minimal complex starts from the ground field placed in
-degree minus the ambient dimension and walks the cones by increasing
-dimension: each cone's boundary kernel gets a minimal free cover, whose
-blocks become the differential's components.
-Shifted variants run the same induction over the star of a base cone.
+A minimal complex based at a cone starts from a free rank-one module on
+that cone and walks the cones of its star by increasing dimension: each
+cone's boundary kernel gets a minimal free cover, whose blocks become
+the differential's components.  The origin-based complex is the one
+based at the origin without shift: the ground field placed in degree
+minus the ambient dimension, and the whole fan as the star.
 """
 
 from fansheaf.complexes import (
@@ -29,14 +30,7 @@ from fansheaf.modules import (
 
 def build_minimal(fan, window=None):
     """Minimal complex based at the origin cone."""
-    n = fan.n
-    if window is None:
-        window = default_window(n)
-    tower = RingTower(fan)
-    M = FanComplex(fan, tower, {}, {}, window)
-    M.modules[0] = FreeGradedModule(tower.ring(0), [-n])
-    _extend(M, [c.index for c in fan.cones if c.dim >= 1])
-    return M
+    return build_shifted_minimal(fan, 0, 0, window=window)
 
 
 def build_shifted_minimal(fan, base_id, shift=0, window=None):

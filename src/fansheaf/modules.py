@@ -6,9 +6,10 @@ two cone rings is the restriction of functions from the larger span to
 the smaller one, so it is fixed by the two bases and by the images of
 the source ring's variables: restriction computes those from the two
 rings alone and caches them once, in one table keyed by the bases'
-content, which rings of different towers and fans share.  Free modules
-carry generator degrees; maps between them are PolyMatrix objects whose
-entries live in the target ring.
+content, which rings of different towers and fans share.  A polynomial
+is a term dict {exponent tuple: coefficient}, int where integral (see
+polys).  Free modules carry generator degrees; maps between them are
+PolyMatrix objects whose entries are term dicts in the target ring.
 
 Every map between complexes is PolyMatrix.from_columns of its
 generators' images: a cover's representatives as they are, or exact
@@ -30,12 +31,10 @@ mult_by_var, and span membership is decided by one _linalg.Echelon per
 degree, started from the Markowitz triangulation of those images.
 """
 
-from fractions import Fraction
-
 from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
 from fansheaf.fans import span_coords
-from fansheaf.polys import Poly, monomials
+from fansheaf.polys import degree, monomials
 
 
 def default_window(n):
@@ -84,6 +83,11 @@ class RingTower:
         return self._rings[key]
 
 
+def _unit(nvars, i):
+    """Exponent tuple of the variable t_{i+1}."""
+    return tuple(int(k == i) for k in range(nvars))
+
+
 # (source basis, target basis) -> images of the source ring's variables,
 # or None for equal bases.  Keyed by content, never by object identity:
 # the ids of freed objects are reused.
@@ -91,8 +95,9 @@ _RESTRICTIONS = {}
 
 
 def restriction(source, target):
-    """Images of the source ring's variables in the target ring, or None
-    when the two rings have the same basis.
+    """Images of the source ring's variables in the target ring, as
+    linear forms in term-dict form, or None when the two rings have the
+    same basis.
 
     Defined when the target basis spans a subspace of the source span;
     the rings may come from different fans in the same lattice.
@@ -106,7 +111,11 @@ def restriction(source, target):
             # column j: target basis vector j in source coordinates
             cols = span_coords(source.basis, target.basis)
             images = tuple(
-                Poly.linear(target.nvars, [col[i] for col in cols])
+                {
+                    _unit(target.nvars, j): col[i]
+                    for j, col in enumerate(cols)
+                    if col[i]
+                }
                 for i in range(source.nvars)
             )
         _RESTRICTIONS[key] = images
@@ -152,7 +161,8 @@ class FreeGradedModule:
 
 
 class PolyMatrix:
-    """Graded map between free modules, entries in the target ring.
+    """Graded map between free modules; entries are term dicts in the
+    target ring.
 
     The source ring acts on the target module through restriction
     between the two modules' rings.  Entry (i, j) sends generator j of
@@ -165,9 +175,7 @@ class PolyMatrix:
     def __init__(self, source, target, entries):
         self.source = source
         self.target = target
-        self.entries = {
-            ij: p for ij, p in entries.items() if not p.is_zero()
-        }
+        self.entries = {ij: p for ij, p in entries.items() if p}
         self._eval = {}
 
     @classmethod
@@ -180,9 +188,8 @@ class PolyMatrix:
             basis = target.piece_basis(d)
             for c, x in vec.items():
                 i, u = basis[c]
-                terms.setdefault((i, col), {})[u] = Fraction(x)
-        nv = target.ring.nvars
-        pm = cls(source, target, {k: Poly(nv, t) for k, t in terms.items()})
+                terms.setdefault((i, col), {})[u] = x
+        pm = cls(source, target, terms)
         pm.validate()
         return pm
 
@@ -191,11 +198,11 @@ class PolyMatrix:
             if not 0 <= i < self.target.rank() or not 0 <= j < self.source.rank():
                 raise InputError(f"entry ({i},{j}) out of range")
             want = self.source.degrees[j] - self.target.degrees[i]
-            if p.degree() != want:
+            if degree(p) != want:
                 raise CertificateError(
-                    f"entry ({i},{j}) has degree {p.degree()}, expected {want}"
+                    f"entry ({i},{j}) has degree {degree(p)}, expected {want}"
                 )
-            if p.nvars != self.target.ring.nvars:
+            if any(len(e) != self.target.ring.nvars for e in p):
                 raise InputError(f"entry ({i},{j}) lives in the wrong ring")
 
     def evaluate(self, d):
@@ -220,7 +227,7 @@ class PolyMatrix:
                     tgt_index[(i, mono)]: c
                     for (i, jj), p in self.entries.items()
                     if jj == j
-                    for mono, c in p.terms.items()
+                    for mono, c in p.items()
                 }
             else:
                 if below is None:
@@ -307,22 +314,16 @@ class DirectSumAmbient:
         images = []
         for part in self.parts:
             var_images = restriction(self.base_ring, part.ring)
-            image = (
-                Poly.variable(part.ring.nvars, i)
+            images.append(
+                {_unit(part.ring.nvars, i): 1}
                 if var_images is None
                 else var_images[i]
-            )
-            images.append(
-                tuple(
-                    (exp, int(c) if c.denominator == 1 else c)
-                    for exp, c in image.terms.items()
-                )
             )
         tgt_index = self.index_at(d + 2)
         cols = tuple(
             tuple(
                 (tgt_index[(k, j, tuple(a + b for a, b in zip(u, exp)))], c)
-                for exp, c in images[k]
+                for exp, c in images[k].items()
             )
             for k, j, u in self.piece_basis(d)
         )

@@ -1,9 +1,12 @@
-"""Graded polynomials with exact rational coefficients.
+"""Graded polynomials with exact rational coefficients, as term dicts.
 
 Variables t1..t_nvars are the coordinates dual to a cone's chosen ray
 basis; every linear function has internal degree 2, so a monomial with
-exponent sum e has degree 2e.  Polynomials are dicts from exponent
-tuples to nonzero Fractions and are treated as immutable.
+exponent sum e has degree 2e.  A polynomial is a dict from exponent
+tuples to nonzero coefficients, int where integral and Fraction
+otherwise (the rule of _linalg's sparse rows), and is treated as
+immutable.  This module holds the polynomial text format, degree and
+the monomial bases.
 """
 
 from fractions import Fraction
@@ -12,85 +15,16 @@ from functools import lru_cache
 from fansheaf.errors import InputError
 
 
-class Poly:
-    __slots__ = ("nvars", "terms")
+def degree(terms):
+    """Internal degree of a homogeneous polynomial, None when zero.
 
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {} if terms is None else terms
-
-    @classmethod
-    def const(cls, nvars, c):
-        c = Fraction(c)
-        if c == 0:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, nvars, i):
-        exp = [0] * nvars
-        exp[i] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
-
-    @classmethod
-    def linear(cls, nvars, coeffs):
-        """Sum of coeffs[i] * t_{i+1}."""
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = Fraction(c)
-            if c != 0:
-                exp = [0] * nvars
-                exp[i] = 1
-                terms[tuple(exp)] = c
-        return cls(nvars, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, 0) + c
-            if s == 0:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
-        return Poly(self.nvars, terms)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return Poly(self.nvars)
-        return Poly(self.nvars, {e: c * k for e, k in self.terms.items()})
-
-    def degree(self):
-        """Internal degree for homogeneous polynomials, None when zero.
-
-        Raises ValueError on inhomogeneous input; everything in the
-        pipeline is graded, so mixed degrees signal a bug.
-        """
-        if not self.terms:
-            return None
-        degs = {2 * sum(e) for e in self.terms}
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous polynomial: degrees {sorted(degs)}")
-        return degs.pop()
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def __repr__(self):
-        return f"Poly({self.nvars}, {format_poly(self)!r})"
+    Raises ValueError on inhomogeneous input; everything in the
+    pipeline is graded, so mixed degrees signal a bug.
+    """
+    degs = {2 * sum(e) for e in terms}
+    if len(degs) > 1:
+        raise ValueError(f"inhomogeneous polynomial: degrees {sorted(degs)}")
+    return degs.pop() if degs else None
 
 
 @lru_cache(maxsize=None)
@@ -113,12 +47,12 @@ def monomials(nvars, degree):
     return tuple(sorted(gen(total, nvars)))
 
 
-def format_poly(p):
+def format_poly(terms):
     """Canonical text form, e.g. '-3/2 t1^2 t2 + t3 + 1'."""
-    if p.is_zero():
+    if not terms:
         return "0"
     parts = []
-    for exp, c in p.sorted_terms():
+    for exp, c in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
         vars_txt = " ".join(
             f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}"
             for i, e in enumerate(exp)
@@ -141,6 +75,9 @@ def format_poly(p):
 def parse_poly(text, nvars):
     """Inverse of format_poly; accepts any +/- separated monomial list.
 
+    Returns the term dict: like terms merged, zero terms dropped,
+    integral coefficients as int.
+
     Raises InputError on a token that is not a number or a variable
     t1..t_nvars with an optional ^exponent.
     """
@@ -155,7 +92,7 @@ def parse_poly(text, nvars):
 
     text = text.strip()
     if text in ("0", ""):
-        return Poly(nvars)
+        return {}
     tokens = text.replace("+", " + ").replace("-", " - ").split()
     terms = []
     sign = 1
@@ -186,7 +123,10 @@ def parse_poly(text, nvars):
             current[3] = True
     if current is not None:
         terms.append(current)
-    out = Poly(nvars)
+    out = {}
     for sgn, coef, exp, _ in terms:
-        out = out + Poly(nvars, {tuple(exp): Fraction(sgn) * coef})
-    return out
+        exp = tuple(exp)
+        out[exp] = out.get(exp, 0) + sgn * coef
+    return {
+        e: int(c) if c.denominator == 1 else c for e, c in out.items() if c
+    }

@@ -214,15 +214,15 @@ def nonzero_composites(M, var_images):
                 nv = second.target.ring.nvars
                 for (i, j), q in first.entries.items():
                     moved = (
-                        dict(q.terms)
+                        dict(q)
                         if images is None
-                        else substitute(q.terms, images, nv)
+                        else substitute(q, images, nv)
                     )
                     for (k, i2), p in second.entries.items():
                         if i2 != i:
                             continue
                         acc = total.setdefault((k, j), {})
-                        for e, c in mul(p.terms, moved).items():
+                        for e, c in mul(p, moved).items():
                             acc[e] = acc.get(e, 0) + c
             if any(c for acc in total.values() for c in acc.values()):
                 out.add((s, rho))

@@ -394,6 +394,11 @@ MALFORMED_WHY = {
     "sign 3 9: -1": "sign line for unknown cone 9",
     "entry 3 1 0 0: 1 + t1": "inhomogeneous polynomial",
     "window 4 -2": "window low end 4 above high end -2",
+    "window -2 6 9": "a window line is 'window lo hi'",
+    "dim 2 3": "a dim line is 'dim n'",
+    "module 0: -4": "generator degree -4 outside the window's generator "
+    "range [-2, 4]",
+    "module 3: -2 6": "generator degree 6 outside",
     "": "map 3->2 has entries but no sign line",
     "sign 2 1: +1\nsign 3 2: -1": "sign line for map 2->1 with no entries",
     "sign 3 1: +1\nsign 3 2: -1": "repeated sign line for map 3->1",
@@ -416,6 +421,11 @@ MALFORMED_WHY = {
         ("sign 3 2: -1", "sign 3 9: -1"),
         ("entry 3 1 0 0: 1", "entry 3 1 0 0: 1 + t1"),
         ("window -2 6", "window 4 -2"),
+        ("window -2 6", "window -2 6 9"),
+        ("dim 2", "dim 2 3"),
+        # generators outside the window's range [lo, hi - 2]
+        ("module 0: -2", "module 0: -4"),
+        ("module 3: -2", "module 3: -2 6"),
         # the entry line moves up to the deleted sign line's number
         ("sign 3 2: -1\n", ""),
         ("sign 3 2: -1", "sign 2 1: +1\nsign 3 2: -1"),

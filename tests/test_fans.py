@@ -85,6 +85,8 @@ def test_parse_errors():
         parse_fan(SQUARE_DIAGONAL)
     with pytest.raises(InputError):
         parse_fan("ray 0: 1 0\n")  # missing dim
+    with pytest.raises(InputError, match=r"^line 1: a dim line is 'dim n'"):
+        parse_fan("dim 2 3\nray 0: 1 0\nray 1: 0 1\ncone: 0 1\n")
     with pytest.raises(InputError):
         parse_fan("dim 2\nsphere 1\n")  # unknown directive
 

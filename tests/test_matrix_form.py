@@ -23,7 +23,7 @@ from fansheaf.modules import (
     minimal_free_cover,
     restriction,
 )
-from fansheaf.polys import Poly, monomials
+from fansheaf.polys import monomials
 from fansheaf.pushforward import pushforward
 
 from brute_oracle import mul, substitute
@@ -56,9 +56,9 @@ def poly_matrix(pm, d):
         if var_images is None:
             mono = {u: Fraction(1)}
         else:
-            mono = substitute({u: 1}, [p.terms for p in var_images], nv)
+            mono = substitute({u: 1}, var_images, nv)
         images = {
-            i: mul(mono, p.terms)
+            i: mul(mono, p)
             for (i, jj), p in pm.entries.items()
             if jj == j
         }
@@ -193,12 +193,11 @@ def poly_matrices(draw):
     entries = {}
     for i, dt in enumerate(tgt_degs):
         for j, ds in enumerate(src_degs):
-            terms = {
-                u: Fraction(c)
+            entries[(i, j)] = {
+                u: c
                 for u in monomials(tgt_ring.nvars, ds - dt)
                 if (c := draw(coeff))
             }
-            entries[(i, j)] = Poly(tgt_ring.nvars, terms)
     pm = PolyMatrix(
         FreeGradedModule(src_ring, src_degs),
         FreeGradedModule(tgt_ring, tgt_degs),

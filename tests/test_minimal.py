@@ -125,6 +125,13 @@ def test_shifted_window_must_reach_base_degree():
         build_shifted_minimal(fan, ray, shift=3, window=(-3, 5))
 
 
+def test_window_must_reach_origin_generator():
+    """The origin-based builder is the shifted one at the origin, so a
+    window above the generator in degree -n is refused, not built empty."""
+    with pytest.raises(InputError, match="above base generator -2"):
+        build_minimal(load_fan(fan_path("p2")), window=(0, 6))
+
+
 def test_ih_complete_line():
     M = build_minimal(load_fan(fan_path("p1")))
     rep = ih_module(M, require_complete=True)

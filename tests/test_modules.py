@@ -26,7 +26,7 @@ from fansheaf.modules import (
     minimal_generators,
     restriction,
 )
-from fansheaf.polys import Poly, monomials, parse_poly
+from fansheaf.polys import monomials, parse_poly
 
 from brute_oracle import leftmost_generators, mul, substitute
 from conftest import fan_path
@@ -57,21 +57,19 @@ def test_restriction_along_diagonal(corpus):
     )
     rho = fan.cone_by_rays([fan.rays.index((1, 1))])
     amb, sig, r = tower.ring("A"), tower.ring(sigma), tower.ring(rho)
-    amb_to_sigma = restriction(amb, sig)
-    x_plus_y = amb_to_sigma[0] + amb_to_sigma[1]
-    sig_to_r = [p.terms for p in restriction(sig, r)]
-    restricted = Poly(1, substitute(x_plus_y.terms, sig_to_r, 1))
-    assert restricted == Poly.variable(1, 0).scale(2)
+    x_plus_y = {(1, 0): 1, (0, 1): 1}
+    on_sigma = substitute(x_plus_y, restriction(amb, sig), sig.nvars)
+    restricted = substitute(on_sigma, restriction(sig, r), 1)
+    assert restricted == {(1,): 2}
     # functoriality: ambient -> rho directly gives the same answer
-    amb_to_rho = restriction(amb, r)
-    assert amb_to_rho[0] + amb_to_rho[1] == restricted
+    assert substitute(x_plus_y, restriction(amb, r), 1) == restricted
 
 
 def test_polymatrix_evaluate_and_compose():
     r = _ring(1)
     a0 = FreeGradedModule(r, [0])
     a2 = FreeGradedModule(r, [-2])
-    t = Poly.variable(1, 0)
+    t = {(1,): 1}
     f = PolyMatrix(a0, a2, {(0, 0): t})  # gen |-> t * gen'
     f.validate()
     m0 = f.evaluate(0)
@@ -82,7 +80,7 @@ def test_polymatrix_evaluate_and_compose():
     a4 = FreeGradedModule(r, [-4])
     g = PolyMatrix(a2, a4, {(0, 0): t})
     g.validate()
-    gf = PolyMatrix(a0, a4, {(0, 0): Poly(1, {(2,): Fraction(1)})})
+    gf = PolyMatrix(a0, a4, {(0, 0): {(2,): 1}})
     gf.validate()
     for d in (0, 2, 4):
         cols = _linalg.transpose(f.evaluate(d), a0.dim_at(d))
@@ -95,7 +93,7 @@ def test_polymatrix_degree_validation():
     r = _ring(1)
     a0 = FreeGradedModule(r, [0])
     a2 = FreeGradedModule(r, [-2])
-    bad = PolyMatrix(a0, a2, {(0, 0): Poly.const(1, 1)})
+    bad = PolyMatrix(a0, a2, {(0, 0): {(0,): 1}})
     with pytest.raises(CertificateError):
         bad.validate()
 
@@ -108,7 +106,7 @@ def test_from_columns_reads_entries_and_checks_grading():
     a2 = FreeGradedModule(r, [-2])
     # target piece 0 has the one basis element (gen', t)
     f = PolyMatrix.from_columns(a0, a2, [(0, {0: 3})])
-    assert f.entries == {(0, 0): Poly.variable(1, 0).scale(3)}
+    assert f.entries == {(0, 0): {(1,): 3}}
     with pytest.raises(CertificateError, match="expected 2"):
         PolyMatrix.from_columns(a0, a2, [(2, {0: 1})])
 
@@ -119,7 +117,7 @@ def test_lift_zero_image_and_missing_preimage():
     r = _ring(1)
     a0 = FreeGradedModule(r, [0])
     a2 = FreeGradedModule(r, [-2])
-    f = PolyMatrix(a0, a2, {(0, 0): Poly.variable(1, 0).scale(2)})
+    f = PolyMatrix(a0, a2, {(0, 0): {(1,): 2}})
     images = [(0, {}), (0, {0: 4}), (2, {0: 1})]
     assert lift(f.evaluate, a0, images, "unused") == [
         (0, {}), (0, {0: 2}), (2, {0: Fraction(1, 2)})
@@ -141,7 +139,7 @@ def test_kernel_degreewise_simple():
     r = _ring(1)
     a0 = FreeGradedModule(r, [0])
     a2 = FreeGradedModule(r, [-2])
-    f = PolyMatrix(a0, a2, {(0, 0): Poly.variable(1, 0)})
+    f = PolyMatrix(a0, a2, {(0, 0): {(1,): 1}})
     fam = kernel(f, (0, 6))
     assert all(fam.dim_at(d) == 0 for d in range(0, 7))
     # the zero map has everything as kernel
@@ -246,12 +244,11 @@ def kernel_families(draw):
     entries = {}
     for i, dt in enumerate(tgt):
         for j, ds in enumerate(src):
-            terms = {
-                u: Fraction(c)
+            entries[(i, j)] = {
+                u: c
                 for u in monomials(nvars, ds - dt)
                 if (c := draw(coeff))
             }
-            entries[(i, j)] = Poly(nvars, terms)
     f = PolyMatrix(
         FreeGradedModule(ring, src), FreeGradedModule(ring, tgt), entries
     )
@@ -301,7 +298,7 @@ def test_cover_entries_read_off():
     cover = minimal_free_cover(fam, r)
     assert cover.module.degrees == (2,)
     block = cover.blocks[0]
-    assert block.entries[(0, 0)] == Poly.variable(1, 0)
+    assert block.entries[(0, 0)] == {(1,): 1}
     ok, _ = cover_is_free_certificate(cover)
     assert ok
 
@@ -327,8 +324,12 @@ def _oracle_image(ambient, i, d, col):
     ring = ambient.parts[k].ring
     nv = ring.nvars
     images = restriction(ambient.base_ring, ring)
-    var = Poly.variable(nv, i) if images is None else images[i]
-    prod = mul(var.terms, {u: Fraction(1)})
+    var = (
+        {tuple(int(k == i) for k in range(nv)): 1}
+        if images is None
+        else images[i]
+    )
+    prod = mul(var, {u: 1})
     return [
         prod.get(u2, 0) if (k2, j2) == (k, j) else 0
         for k2, j2, u2 in ambient.piece_basis(d + 2)
@@ -351,7 +352,7 @@ def _oracle_ambients(name):
 
 @pytest.mark.parametrize("name", ["p3", "cubefan"])
 def test_apply_mult_matches_poly_oracle(name):
-    """apply_mult on unit vectors against the Poly oracle, and linearity
+    """apply_mult on unit vectors against the product oracle, and linearity
     on random integer vectors; images are sparse with no stored zeros."""
     rng = random.Random(0)
     for ambient, (lo, hi) in _oracle_ambients(name):

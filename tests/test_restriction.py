@@ -24,7 +24,7 @@ from fansheaf.modules import (
     RingTower,
     restriction,
 )
-from fansheaf.polys import Poly
+from fansheaf.polys import degree
 
 from conftest import fan_path
 
@@ -48,19 +48,18 @@ def monomial_images(src, tgt, top):
     pm = PolyMatrix(
         FreeGradedModule(src, [0]),
         FreeGradedModule(tgt, [0]),
-        {(0, 0): Poly.const(tgt.nvars, 1)},
+        {(0, 0): {(0,) * tgt.nvars: 1}},
     )
     out = {}
     for d in range(0, 2 * top + 1, 2):
         rows = pm.evaluate(d)
         tgt_basis = pm.target.piece_basis(d)
         for col, (_, u) in enumerate(pm.source.piece_basis(d)):
-            terms = {
-                v: Fraction(row[col])
+            out[u] = {
+                v: row[col]
                 for (_, v), row in zip(tgt_basis, rows)
                 if col in row
             }
-            out[u] = Poly(tgt.nvars, terms)
     return out
 
 
@@ -86,7 +85,7 @@ def coords(basis, v):
 def value(poly, x):
     """poly at the integer point x."""
     total = Fraction(0)
-    for e, c in poly.terms.items():
+    for e, c in poly.items():
         m = 1
         for xi, ei in zip(x, e):
             m *= xi ** ei
@@ -105,8 +104,8 @@ def check_pair(src, tgt, n, rng):
         assert y is not None, "target span outside source span"
         samples.append((x, y))
     for u, img in monomial_images(src, tgt, MAX_DEGREE).items():
-        assert img.nvars == tgt.nvars
-        assert img.is_zero() or img.degree() == 2 * sum(u)
+        assert all(len(e) == tgt.nvars for e in img)
+        assert degree(img) in (None, 2 * sum(u))
         for x, y in samples:
             want = Fraction(1)
             for yi, ui in zip(y, u):
@@ -166,10 +165,11 @@ def test_restriction_is_functorial(corpus, name):
             r = tower.ring(rho)
             sig_to_r = monomial_images(sig, r, 4)
             for u, p in monomial_images(amb, r, 4).items():
-                two_steps = Poly(r.nvars)
-                for v, c in to_sig[u].terms.items():
-                    two_steps = two_steps + sig_to_r[v].scale(c)
-                assert two_steps == p
+                two_steps = {}
+                for v, c in to_sig[u].items():
+                    for e, x in sig_to_r[v].items():
+                        two_steps[e] = two_steps.get(e, 0) + c * x
+                assert {e: x for e, x in two_steps.items() if x} == p
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -196,11 +196,11 @@ def test_cache_is_keyed_by_basis_content():
     plane = ConeRing("A", 2, ((1, 0), (0, 1)))
     ray = ConeRing(3, 1, ((1, 1),))
     images = restriction(plane, ray)
-    assert images == (Poly.variable(1, 0), Poly.variable(1, 0))
+    assert images == ({(1,): 1}, {(1,): 1})
     twin = ConeRing("other", 1, tuple(tuple(b) for b in [[1, 1]]))
     assert restriction(ConeRing(0, 2, ((1, 0), (0, 1))), twin) is images
     assert restriction(ray, twin) is None
-    assert monomial_images(ray, twin, 3)[(3,)] == Poly(1, {(3,): Fraction(1)})
+    assert monomial_images(ray, twin, 3)[(3,)] == {(3,): 1}
     for key in modules._RESTRICTIONS:
         assert all(
             isinstance(basis, tuple)
