@@ -156,7 +156,8 @@ class Echelon:
     __slots__ = ("rows", "index")
 
     def __init__(self, rows=()):
-        self.rows = list(triangulate(rows))
+        # an empty basis, the start of every rref, skips the triangulation
+        self.rows = list(triangulate(rows)) if rows else []
         self.index = {c: k for k, (c, _) in enumerate(self.rows)}
 
     def reduce(self, vec):

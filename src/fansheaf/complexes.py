@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError
-from fansheaf.fans import line_keyword, parse_fan
+from fansheaf.fans import line_fields, line_keyword, parse_fan
 from fansheaf.modules import (
     DirectSumAmbient,
     FreeGradedModule,
@@ -400,10 +400,8 @@ def complex_from_text(text, validate=True):
         keyword = line_keyword(line)
         if keyword == "window":
             with _at_line(lineno, line):
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ValueError("a window line is 'window lo hi'")
-                lo, hi = int(parts[1]), int(parts[2])
+                keys, _ = line_fields(line, "window lo hi")
+                lo, hi = int(keys[0]), int(keys[1])
                 if lo > hi:
                     raise ValueError(f"window low end {lo} above high end {hi}")
                 if window is not None:
@@ -427,8 +425,8 @@ def complex_from_text(text, validate=True):
     modules = {}
     for lineno, line in module_lines:
         with _at_line(lineno, line):
-            head, _, body = line.partition(":")
-            i = int(head.split()[1])
+            keys, body = line_fields(line, "module i: d1 ... dk")
+            i = int(keys[0])
             degs = [int(t) for t in body.split()]
             if not 0 <= i < len(fan.cones):
                 raise InputError(f"module line for unknown cone {i}")
@@ -445,9 +443,8 @@ def complex_from_text(text, validate=True):
     first_entry = {}  # (s, t) -> (lineno, line) of the map's first entry
     for lineno, line in entry_lines:
         with _at_line(lineno, line):
-            head, _, body = line.partition(":")
-            _, s, t, i, j = head.split()
-            s, t, i, j = int(s), int(t), int(i), int(j)
+            keys, body = line_fields(line, "entry s t i j: p")
+            s, t, i, j = [int(k) for k in keys]
             if s not in modules or t not in modules:
                 raise InputError(f"entry for cones without modules: {s}->{t}")
             if not (0 <= i < modules[t].rank() and 0 <= j < modules[s].rank()):
@@ -476,9 +473,8 @@ def complex_from_text(text, validate=True):
     signed = set()
     for lineno, line in sign_lines:
         with _at_line(lineno, line):
-            head, _, body = line.partition(":")
-            _, s, t = head.split()
-            s, t = int(s), int(t)
+            keys, body = line_fields(line, "sign s t: e")
+            s, t = int(keys[0]), int(keys[1])
             got = int(body)
             for i in (s, t):
                 if not 0 <= i < len(fan.cones):

@@ -6,15 +6,17 @@ order (rays sorted lexicographically, cones by (dim, ray tuple)), so two
 runs over the same input produce identical ids, bases, and signs.
 
 All geometric predicates -- facets, face lattices, intersections,
-membership, coordinates, subdivision assignments -- are computed with
-exact rational arithmetic on top of the sparse exact kernel in _linalg.
+membership, subdivision assignments -- are computed with exact
+integer arithmetic on top of the sparse exact kernel in _linalg.
 A fan is certified on its pairs of maximal cones: each pair must meet
 in a common face, which implies the same for every pair of cones.
+For a pair, double description generates the intersection, and every
+generator must satisfy the span equations of the face on the common
+rays (see Fan._validate_pairwise).
 """
 
-from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError
@@ -28,16 +30,6 @@ def primitive(vec):
     if g == 0:
         raise InputError("zero vector cannot be a ray")
     return tuple(a // g for a in vec)
-
-
-def _primitive_from_rational(vec):
-    """Primitive integer vector on the same ray as a rational vector."""
-    den = 1
-    for a in vec:
-        d = Fraction(a).denominator
-        den = den * d // gcd(den, d)
-    ints = [int(Fraction(a) * den) for a in vec]
-    return primitive(ints)
 
 
 def dot(u, v):
@@ -81,12 +73,6 @@ class ConeData:
     )
 
 
-def _chosen_basis(vectors):
-    """Lex-first maximal linearly independent subset, greedy by rank."""
-    span = _linalg.Echelon()
-    return tuple(v for v in sorted(vectors) if span.insert(_sparse(v)))
-
-
 def span_coords(basis, vectors):
     """Coordinates of vectors in a basis of a span containing them: one
     dense tuple per vector, int where integral, else Fraction.  Raises
@@ -102,15 +88,23 @@ def span_coords(basis, vectors):
     return out
 
 
-def _left_inverse_rows(basis):
-    """Rows L_i with L_i . basis_j = delta_ij, free coords zero."""
-    n = len(basis[0])
-    bt = [_sparse(b) for b in basis]
-    return [_dense(_linalg.solve(bt, {i: 1}, n), n) for i in range(len(basis))]
+def _primitive_solution(rows, rhs, n):
+    """Primitive integer vector on the ray of the solution, free
+    coordinates zero, of rows @ x = rhs (a solvable system)."""
+    sol = _linalg.solve(rows, rhs, n)
+    den = lcm(*[a.denominator for a in sol.values()])
+    return primitive(_dense({j: int(a * den) for j, a in sol.items()}, n))
 
 
 def cone_data(vectors, n, allow_redundant=False):
     """Geometry of the cone generated by integer vectors in Z^n.
+
+    One rref of the sorted generators as columns gives the lex-first
+    basis, its pivot columns, and each generator's int coordinates in
+    it, its columns scaled by the lcm of the pivots.  Facets are the
+    hyperplanes through d - 1 generators with all of them on one side;
+    once their normals span (strict convexity), a generator is extreme
+    iff the facets containing it meet in it alone.
 
     Raises InputError when the cone is not strictly convex, and, unless
     allow_redundant is set, when the listed generators are not exactly
@@ -124,110 +118,95 @@ def cone_data(vectors, n, allow_redundant=False):
     if not allow_redundant and len(gens) != len(vectors):
         raise InputError("duplicate or non-primitive generators listed")
     data = ConeData()
+    data.span_eqs = tuple(
+        _dense(r, n) for r in _linalg.nullspace([_sparse(g) for g in gens], n)
+    )
     if not gens:
         data.extreme = ()
         data.dim = 0
         data.basis = ()
-        data.span_eqs = tuple(_dense(r, n) for r in _linalg.nullspace([], n))
         data.facet_normals = ()
         data.facet_rays = ()
         data.face_sets = frozenset([frozenset()])
         return data
 
-    basis = _chosen_basis(gens)
+    gens.sort()
+    red, pivots = _linalg.rref([_sparse(g[i] for g in gens) for i in range(n)])
+    basis = tuple(gens[p] for p in pivots)
+    basis_rows = [_sparse(b) for b in basis]
     d = len(basis)
-    span_eqs = tuple(
-        _dense(r, n) for r in _linalg.nullspace([_sparse(g) for g in gens], n)
-    )
 
-    if d == 1:
-        if len(gens) > 1:
-            # two distinct primitive generators of rank 1 are opposite
-            raise InputError("cone contains a line")
-        extreme = [gens[0]]
-        left = _left_inverse_rows(basis)
-        facet_normals = (_primitive_from_rational(left[0]),)
-        facet_rays = (frozenset(),)
-        face_sets = frozenset([frozenset(), frozenset(extreme)])
-    else:
-        coords = span_coords(basis, gens)
-        # candidate facet hyperplanes from (d-1)-subsets of generators
-        normals = {}
-        for sub in combinations(range(len(gens)), d - 1):
-            ker = _linalg.nullspace([_sparse(coords[i]) for i in sub], d)
-            if len(ker) != 1:
-                continue
-            f = _dense(ker[0], d)
-            vals = [dot(f, c) for c in coords]
-            if all(v >= 0 for v in vals):
-                pass
-            elif all(v <= 0 for v in vals):
-                f = tuple(-a for a in f)
-                vals = [-v for v in vals]
-            else:
-                continue
-            onset = frozenset(i for i, v in enumerate(vals) if v == 0)
-            normals[f] = onset
-        if _linalg.rank([_sparse(f) for f in normals]) != d:
-            raise InputError("cone is not strictly convex")
-        # extreme generators: minimal face containing the generator is a ray
-        extreme = []
-        for i, g in enumerate(gens):
-            containing = [onset for f, onset in normals.items() if i in onset]
-            if containing:
-                member = set.intersection(*map(set, containing))
-            else:
-                member = set(range(len(gens)))
-            if _linalg.rank([_sparse(gens[j]) for j in member]) == 1:
-                extreme.append(g)
-        if not allow_redundant and len(extreme) != len(gens):
-            raise InputError("listed generators are not the extreme rays")
-        extreme.sort()
-        eset = set(extreme)
-        left = _left_inverse_rows(basis)
-        facet_normals = []
-        facet_rays = []
-        seen = set()
-        for f, onset in normals.items():
-            rayset = frozenset(gens[i] for i in onset) & eset
-            if rayset in seen:
-                continue
-            seen.add(rayset)
-            amb = [sum(Fraction(f[i]) * left[i][j] for i in range(d)) for j in range(n)]
-            facet_normals.append(_primitive_from_rational(amb))
-            facet_rays.append(rayset)
-        order = sorted(range(len(facet_rays)), key=lambda k: sorted(facet_rays[k]))
-        facet_normals = tuple(facet_normals[k] for k in order)
-        facet_rays = tuple(facet_rays[k] for k in order)
-        # face lattice: closure of the cone under intersections with facets
-        faces = {frozenset(extreme)}
-        work = [frozenset(extreme)]
-        while work:
-            cur = work.pop()
-            for fr in facet_rays:
-                nxt = cur & fr
-                if nxt not in faces:
-                    faces.add(nxt)
-                    work.append(nxt)
-        faces.add(frozenset())
-        face_sets = frozenset(faces)
-
-    data.extreme = tuple(sorted(extreme))
+    if d == 1 and len(gens) > 1:
+        # two distinct primitive generators of rank 1 are opposite
+        raise InputError("cone contains a line")
+    scale = lcm(*[row[p] for row, p in zip(red, pivots)])
+    mults = [(row, scale // row[p]) for row, p in zip(red, pivots)]
+    coords = [
+        tuple(m * row.get(j, 0) for row, m in mults) for j in range(len(gens))
+    ]
+    # candidate facet hyperplanes from (d-1)-subsets of generators
+    normals = {}
+    for sub in combinations(range(len(gens)), d - 1):
+        ker = _linalg.nullspace([_sparse(coords[i]) for i in sub], d)
+        if len(ker) != 1:
+            continue
+        f = _dense(ker[0], d)
+        vals = [dot(f, c) for c in coords]
+        if all(v >= 0 for v in vals):
+            pass
+        elif all(v <= 0 for v in vals):
+            f = tuple(-a for a in f)
+            vals = [-v for v in vals]
+        else:
+            continue
+        onset = frozenset(i for i, v in enumerate(vals) if v == 0)
+        normals[f] = onset
+    if _linalg.rank([_sparse(f) for f in normals]) != d:
+        raise InputError("cone is not strictly convex")
+    # a generator is extreme iff its minimal face holds no other one
+    extreme = []
+    for i, g in enumerate(gens):
+        member = set(range(len(gens)))
+        for onset in normals.values():
+            if i in onset:
+                member &= onset
+        if len(member) == 1:
+            extreme.append(g)
+    if not allow_redundant and len(extreme) != len(gens):
+        raise InputError("listed generators are not the extreme rays")
+    eset = set(extreme)
+    facets = {}  # extreme rays on the facet -> ambient normal
+    for f, onset in normals.items():
+        rayset = frozenset(gens[i] for i in onset) & eset
+        if rayset not in facets:
+            facets[rayset] = _primitive_solution(basis_rows, _sparse(f), n)
+    data.facet_rays = tuple(sorted(facets, key=sorted))
+    data.facet_normals = tuple(facets[fr] for fr in data.facet_rays)
+    # face lattice: closure of the cone under intersections with facets
+    faces = {frozenset(extreme)}
+    work = [frozenset(extreme)]
+    while work:
+        cur = work.pop()
+        for fr in data.facet_rays:
+            nxt = cur & fr
+            if nxt not in faces:
+                faces.add(nxt)
+                work.append(nxt)
+    faces.add(frozenset())
+    data.face_sets = frozenset(faces)
+    data.extreme = tuple(extreme)
     data.dim = d
     data.basis = basis
-    data.span_eqs = span_eqs
-    data.facet_normals = tuple(tuple(a) for a in facet_normals)
-    data.facet_rays = tuple(facet_rays)
-    data.face_sets = face_sets
     return data
 
 
-def intersect_cones(gens, other):
-    """Extreme rays of cone(gens) intersected with another cone.
+def intersection_generators(gens, other):
+    """Generators of cone(gens) intersected with another cone, not
+    necessarily extreme.
 
     Only other's span_eqs and facet_normals are read.  Double
-    description: impose the other cone's span equations, then its facet
-    halfspaces.  Returns a sorted tuple of primitive rays.
+    description (Fukuda & Prodon 1996): impose the other cone's span
+    equations, then its facet halfspaces.
     """
     cur = [tuple(g) for g in gens]
 
@@ -253,10 +232,7 @@ def intersect_cones(gens, other):
         step(eq, True)
     for f in other.facet_normals:
         step(f, False)
-    if not cur:
-        return ()
-    n = len(gens[0])
-    return cone_data(cur, n, allow_redundant=True).extreme
+    return cur
 
 
 class Cone:
@@ -394,6 +370,13 @@ class Fan:
         meet in a face of that cone.  Read the other way round: any
         defect between two cones shows up between two maximal cones that
         contain them.
+
+        The intersection test needs no geometry of A & B.  Double
+        description gives generators of A & B.  F lies in A & B, since it
+        is a face of both, and F = A & span(F), since F is a face of A.
+        So every generator lies in span(F), that is satisfies F's span
+        equations, exactly when A & B = F, which is when the extreme rays
+        of A & B are the common rays.
         """
         cones = [self.cones[i] for i in self.maximal_cone_ids() if i]
         for a, b in combinations(cones, 2):
@@ -405,10 +388,13 @@ class Fan:
                 raise InputError(
                     f"cones {a.index} and {b.index} do not meet along a common face"
                 )
+            eqs = self.cones[self._by_rayset[common]].span_eqs
             gens = [self.rays[i] for i in a.rays]
-            got = intersect_cones(gens, b)
-            want = tuple(sorted(self.rays[i] for i in common))
-            if got != want:
+            if any(
+                dot(eq, v)
+                for v in intersection_generators(gens, b)
+                for eq in eqs
+            ):
                 raise InputError(
                     f"cones {a.index} and {b.index} overlap beyond their common face"
                 )
@@ -515,12 +501,28 @@ def line_keyword(line):
     return head[0] if head else ""
 
 
+def line_fields(line, form):
+    """Keys and body of a line shaped like form, e.g. 'ray i: a1 ... an'
+    or 'dim n': the tokens after the keyword up to any colon, and the
+    text after it.  ValueError naming the form unless the line has the
+    form's number of keys and a colon exactly where the form has one."""
+    form_head, form_colon, _ = form.partition(":")
+    head, colon, body = line.partition(":")
+    keys = head.split()[1:]
+    if colon != form_colon or len(keys) != len(form_head.split()) - 1:
+        keyword = form_head.split()[0]
+        article = "an" if keyword[0] in "aeiou" else "a"
+        raise ValueError(f"{article} {keyword} line is {form!r}")
+    return keys, body
+
+
 def parse_fan(text):
     """Parse the fan file format; returns the Fan.
 
     Format: a `dim n` line, then `ray i: a1 ... an` lines with ids
     0,1,2,..., then `cone: i1 ... ik` lines listing generating cones by
-    ray ids.  Keywords match exactly.  '#' starts a comment.
+    ray ids.  Keywords and the number of tokens before the colon match
+    exactly.  '#' starts a comment.
     """
     n = None
     ray_list = []
@@ -534,13 +536,11 @@ def parse_fan(text):
             if keyword == "dim":
                 if n is not None:
                     raise InputError("duplicate dim line")
-                parts = line.split()
-                if len(parts) != 2:
-                    raise InputError("a dim line is 'dim n'")
-                n = int(parts[1])
+                keys, _ = line_fields(line, "dim n")
+                n = int(keys[0])
             elif keyword == "ray":
-                head, _, body = line.partition(":")
-                idx = int(head.split()[1])
+                keys, body = line_fields(line, "ray i: a1 ... an")
+                idx = int(keys[0])
                 if idx != len(ray_list):
                     raise InputError(f"ray ids must be consecutive, got {idx}")
                 vec = tuple(int(t) for t in body.split())
@@ -548,7 +548,7 @@ def parse_fan(text):
                     raise InputError("ray before dim line or wrong length")
                 ray_list.append(vec)
             elif keyword == "cone":
-                _, _, body = line.partition(":")
+                _, body = line_fields(line, "cone: i1 ... ik")
                 cone_lists.append([int(t) for t in body.split()])
             else:
                 raise InputError(f"unrecognized line: {raw.strip()!r}")
@@ -620,13 +620,6 @@ class FanMap:
         )
 
 
-def _cone_within(fan_src, i, fan_tgt, j):
-    """Is every ray of source cone i inside target cone j?"""
-    return all(
-        fan_tgt.contains_vector(j, fan_src.rays[r]) for r in fan_src.cones[i].rays
-    )
-
-
 def subdivision_map(source, target):
     """Build the FanMap sending each source cone to the smallest target
     cone containing it.
@@ -638,13 +631,15 @@ def subdivision_map(source, target):
     """
     if source.n != target.n:
         raise InputError("source and target fans live in different lattices")
+    every = frozenset(range(len(target.cones)))
+    # per source ray, the target cones containing it
+    inside = [
+        frozenset(j for j in every if target.contains_vector(j, v))
+        for v in source.rays
+    ]
     assignment = []
     for c in source.cones:
-        candidates = [
-            j
-            for j in range(len(target.cones))
-            if _cone_within(source, c.index, target, j)
-        ]
+        candidates = sorted(every.intersection(*[inside[r] for r in c.rays]))
         if not candidates:
             raise InputError(
                 f"source cone {c.index} is not contained in the target support"

@@ -1,13 +1,17 @@
 """Hand-rolled graded dimension counts for two small fans, a naive
 polynomial product and substitution, the symbolic composite of a
-complex's differential, the leftmost-pivot minimal-generator scan, and
-the all-pairs fan check.
+complex's differential, the leftmost-pivot minimal-generator scan, the
+reference cone geometry and the all-pairs fan check.
 
-All but the last share no code with the package: pieces are enumerated
+The first four share no code with the package: pieces are enumerated
 monomial by monomial and the defining linear systems are solved with
-plain Fraction elimination.  The all-pairs fan check runs the package's
-own per-pair test on every pair of cones, so it checks the restriction
-to pairs of maximal cones, not the geometry of one pair.
+plain Fraction elimination.  The reference cone geometry, cone_data and
+intersect_cones, is the package's earlier construction kept as it was:
+one rank or solve per question in Fraction arithmetic, and each cone
+intersection built as a cone with its own extreme rays.  The all-pairs
+fan check runs that full intersection test on every pair of cones, so
+it checks the restriction to pairs of maximal cones, not the geometry
+of one pair.
 
 Functions on a full cone are homogeneous polynomials in
 the ambient coordinates; on a ray they are polynomials in one parameter
@@ -19,8 +23,11 @@ holds the monomials of polynomial degree (d + n) / 2.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from fansheaf.fans import intersect_cones
+from fansheaf import _linalg
+from fansheaf.errors import InputError
+from fansheaf.fans import ConeData, _dense, _sparse, dot, primitive, span_coords
 
 
 def monos2(j):
@@ -297,11 +304,184 @@ def leftmost_generators(window, nvars, basis_at, dim_at, mult):
     return gens
 
 
+def _chosen_basis(vectors):
+    """Lex-first maximal linearly independent subset, greedy by rank."""
+    span = _linalg.Echelon()
+    return tuple(v for v in sorted(vectors) if span.insert(_sparse(v)))
+
+
+def _left_inverse_rows(basis):
+    """Rows L_i with L_i . basis_j = delta_ij, free coords zero."""
+    n = len(basis[0])
+    bt = [_sparse(b) for b in basis]
+    return [_dense(_linalg.solve(bt, {i: 1}, n), n) for i in range(len(basis))]
+
+
+def _primitive_from_rational(vec):
+    """Primitive integer vector on the same ray as a rational vector."""
+    den = 1
+    for a in vec:
+        d = Fraction(a).denominator
+        den = den * d // gcd(den, d)
+    ints = [int(Fraction(a) * den) for a in vec]
+    return primitive(ints)
+
+
+def cone_data(vectors, n, allow_redundant=False):
+    """Reference geometry of the cone generated by integer vectors in
+    Z^n, with the fields and errors of fansheaf.fans.cone_data.
+
+    Generators stay in input order; coordinates come from one solve per
+    generator, extremeness from one rank per generator, and facet
+    normals from a left inverse of the basis in Fraction arithmetic.
+    """
+    gens = []
+    for v in vectors:
+        p = primitive(v)
+        if p not in gens:
+            gens.append(p)
+    if not allow_redundant and len(gens) != len(vectors):
+        raise InputError("duplicate or non-primitive generators listed")
+    data = ConeData()
+    if not gens:
+        data.extreme = ()
+        data.dim = 0
+        data.basis = ()
+        data.span_eqs = tuple(_dense(r, n) for r in _linalg.nullspace([], n))
+        data.facet_normals = ()
+        data.facet_rays = ()
+        data.face_sets = frozenset([frozenset()])
+        return data
+
+    basis = _chosen_basis(gens)
+    d = len(basis)
+    span_eqs = tuple(
+        _dense(r, n) for r in _linalg.nullspace([_sparse(g) for g in gens], n)
+    )
+
+    if d == 1:
+        if len(gens) > 1:
+            raise InputError("cone contains a line")
+        extreme = [gens[0]]
+        left = _left_inverse_rows(basis)
+        facet_normals = (_primitive_from_rational(left[0]),)
+        facet_rays = (frozenset(),)
+        face_sets = frozenset([frozenset(), frozenset(extreme)])
+    else:
+        coords = span_coords(basis, gens)
+        normals = {}
+        for sub in combinations(range(len(gens)), d - 1):
+            ker = _linalg.nullspace([_sparse(coords[i]) for i in sub], d)
+            if len(ker) != 1:
+                continue
+            f = _dense(ker[0], d)
+            vals = [dot(f, c) for c in coords]
+            if all(v >= 0 for v in vals):
+                pass
+            elif all(v <= 0 for v in vals):
+                f = tuple(-a for a in f)
+                vals = [-v for v in vals]
+            else:
+                continue
+            onset = frozenset(i for i, v in enumerate(vals) if v == 0)
+            normals[f] = onset
+        if _linalg.rank([_sparse(f) for f in normals]) != d:
+            raise InputError("cone is not strictly convex")
+        extreme = []
+        for i, g in enumerate(gens):
+            containing = [onset for f, onset in normals.items() if i in onset]
+            if containing:
+                member = set.intersection(*map(set, containing))
+            else:
+                member = set(range(len(gens)))
+            if _linalg.rank([_sparse(gens[j]) for j in member]) == 1:
+                extreme.append(g)
+        if not allow_redundant and len(extreme) != len(gens):
+            raise InputError("listed generators are not the extreme rays")
+        extreme.sort()
+        eset = set(extreme)
+        left = _left_inverse_rows(basis)
+        facet_normals = []
+        facet_rays = []
+        seen = set()
+        for f, onset in normals.items():
+            rayset = frozenset(gens[i] for i in onset) & eset
+            if rayset in seen:
+                continue
+            seen.add(rayset)
+            amb = [
+                sum(Fraction(f[i]) * left[i][j] for i in range(d))
+                for j in range(n)
+            ]
+            facet_normals.append(_primitive_from_rational(amb))
+            facet_rays.append(rayset)
+        order = sorted(range(len(facet_rays)), key=lambda k: sorted(facet_rays[k]))
+        facet_normals = tuple(facet_normals[k] for k in order)
+        facet_rays = tuple(facet_rays[k] for k in order)
+        faces = {frozenset(extreme)}
+        work = [frozenset(extreme)]
+        while work:
+            cur = work.pop()
+            for fr in facet_rays:
+                nxt = cur & fr
+                if nxt not in faces:
+                    faces.add(nxt)
+                    work.append(nxt)
+        faces.add(frozenset())
+        face_sets = frozenset(faces)
+
+    data.extreme = tuple(sorted(extreme))
+    data.dim = d
+    data.basis = basis
+    data.span_eqs = span_eqs
+    data.facet_normals = tuple(tuple(a) for a in facet_normals)
+    data.facet_rays = tuple(facet_rays)
+    data.face_sets = face_sets
+    return data
+
+
+def intersect_cones(gens, other):
+    """Extreme rays of cone(gens) intersected with another cone, a
+    sorted tuple of primitive rays.
+
+    Double description: impose other's span equations, then its facet
+    halfspaces; then the reference cone_data of the result.
+    """
+    cur = [tuple(g) for g in gens]
+
+    def step(functional, equation):
+        nonlocal cur
+        pos, zero, neg = [], [], []
+        for v in cur:
+            s = dot(functional, v)
+            (pos if s > 0 else zero if s == 0 else neg).append((v, s))
+        nxt = [v for v, _ in zero]
+        if not equation:
+            nxt.extend(v for v, _ in pos)
+        for p, sp in pos:
+            for m, sm in neg:
+                w = tuple(sp * b - sm * a for a, b in zip(p, m))
+                if any(w):
+                    w = primitive(w)
+                    if w not in nxt:
+                        nxt.append(w)
+        cur = nxt
+
+    for eq in other.span_eqs:
+        step(eq, True)
+    for f in other.facet_normals:
+        step(f, False)
+    if not cur:
+        return ()
+    return cone_data(cur, len(gens[0]), allow_redundant=True).extreme
+
+
 def all_pairs_valid(fan):
     """Do all pairs of positive-dimensional cones of a fan meet along a
     common face, spanned by their common rays?  The fan is built without
-    its own pair check; every pair gets the membership test and the
-    intersection test of Fan._validate_pairwise."""
+    its own pair check; every pair gets the face membership test of
+    Fan._validate_pairwise, and the extreme rays of its intersection
+    must be the common rays."""
     cones = [c for c in fan.cones if c.dim >= 1]
     for a, b in combinations(cones, 2):
         common = frozenset(a.rays) & frozenset(b.rays)

@@ -396,6 +396,11 @@ MALFORMED_WHY = {
     "window 4 -2": "window low end 4 above high end -2",
     "window -2 6 9": "a window line is 'window lo hi'",
     "dim 2 3": "a dim line is 'dim n'",
+    "dim: 2": "a dim line is 'dim n'",
+    "window: -2 6": "a window line is 'window lo hi'",
+    "ray 0 9: 0 1": "a ray line is 'ray i: a1 ... an'",
+    "module 0 9: -2": "a module line is 'module i: d1 ... dk'",
+    "entry 3 1 0 0 7: 1": "an entry line is 'entry s t i j: p'",
     "module 0: -4": "generator degree -4 outside the window's generator "
     "range [-2, 4]",
     "module 3: -2 6": "generator degree 6 outside",
@@ -423,6 +428,12 @@ MALFORMED_WHY = {
         ("window -2 6", "window 4 -2"),
         ("window -2 6", "window -2 6 9"),
         ("dim 2", "dim 2 3"),
+        # keyed lines: exactly the form's tokens before the colon
+        ("dim 2", "dim: 2"),
+        ("window -2 6", "window: -2 6"),
+        ("ray 0: 0 1", "ray 0 9: 0 1"),
+        ("module 0: -2", "module 0 9: -2"),
+        ("entry 3 1 0 0: 1", "entry 3 1 0 0 7: 1"),
         # generators outside the window's range [lo, hi - 2]
         ("module 0: -2", "module 0: -4"),
         ("module 3: -2", "module 3: -2 6"),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fansheaf import fans
 from fansheaf.errors import InputError
 from fansheaf.fans import (
+    Cone,
     Fan,
     is_complete,
     load_fan,
@@ -20,6 +21,7 @@ from fansheaf.fans import (
     subdivision_map,
 )
 
+import brute_oracle
 from brute_oracle import all_pairs_valid
 from conftest import RAY_IN_QUADRANT, SQUARE_DIAGONAL, fan_path
 from quotient import quotient_fan
@@ -89,6 +91,13 @@ def test_parse_errors():
         parse_fan("dim 2 3\nray 0: 1 0\nray 1: 0 1\ncone: 0 1\n")
     with pytest.raises(InputError):
         parse_fan("dim 2\nsphere 1\n")  # unknown directive
+    # a keyed line has exactly its form's tokens before the colon
+    with pytest.raises(InputError, match=r"^line 2: a ray line is 'ray i: "):
+        parse_fan("dim 2\nray 0 9: 0 1\nray 1: 1 0\ncone: 0 1\n")
+    with pytest.raises(InputError, match=r"^line 1: a dim line is 'dim n'"):
+        parse_fan("dim: 2\nray 0: 0 1\nray 1: 1 0\ncone: 0 1\n")
+    with pytest.raises(InputError, match=r"^line 4: a cone line is 'cone: "):
+        parse_fan("dim 2\nray 0: 0 1\nray 1: 1 0\ncone 5: 0 1\n")
 
 
 def test_face_relations(corpus):
@@ -284,6 +293,66 @@ def test_subdivision_star_square(corpus):
         assert len(fm.preimage_cones(w)) == 1
 
 
+def _brute_subdivision(source, target):
+    """(assignment, proper) by scanning every target cone for every
+    source cone, or the expected InputError message; proper is read off
+    equal supports on an integer grid and every cone's interior point."""
+    assignment = []
+    for c in source.cones:
+        rays = [source.rays[r] for r in c.rays]
+        candidates = [
+            t.index
+            for t in target.cones
+            if all(target.contains_vector(t.index, v) for v in rays)
+        ]
+        if not candidates:
+            return f"source cone {c.index} is not contained in the target support"
+        best = min(candidates, key=lambda j: target.cones[j].dim)
+        if not all(target.is_face(best, j) for j in candidates):
+            return f"no unique smallest target cone for source cone {c.index}"
+        assignment.append(best)
+    points = list(itertools.product(range(-2, 3), repeat=source.n))
+    points += [f.interior_point(c.index) for f in (source, target) for c in f.cones]
+
+    def covered(fan, v):
+        return any(fan.contains_vector(c.index, v) for c in fan.cones)
+
+    proper = all(covered(source, v) == covered(target, v) for v in points)
+    return tuple(assignment), proper
+
+
+def _subdivision_outcome(source, target):
+    try:
+        fm = subdivision_map(source, target)
+    except InputError as exc:
+        return str(exc)
+    return fm.assignment, fm.proper
+
+
+SUBDIVISION_PAIRS = [
+    ("blowquad", "quadrant"),
+    ("twostep", "quadrant"),
+    ("starsq", "conesquare"),
+    ("p2blow", "p2"),
+    ("p2", "p2"),
+]
+
+
+def test_subdivision_map_matches_brute_scan(corpus):
+    half = parse_fan("dim 2\nray 0: 1 0\nray 1: 1 1\ncone: 0 1\n")
+    outside = parse_fan("dim 2\nray 0: -1 0\nray 1: 0 1\ncone: 0 1\n")
+    cubestar = load_fan(TESTS.parent / "perfbench" / "inputs" / "cubestar.fan")
+    cases = [(corpus[a], corpus[b]) for a, b in SUBDIVISION_PAIRS]
+    cases += [(cubestar, corpus["cubefan"])]
+    cases += [(fan, fan) for fan in corpus.values()]
+    cases += [(half, corpus["quadrant"]), (outside, corpus["quadrant"])]
+    for source, target in cases:
+        want = _brute_subdivision(source, target)
+        assert _subdivision_outcome(source, target) == want, (source, target)
+    assert _brute_subdivision(half, corpus["quadrant"])[1] is False
+    assert "not contained" in _brute_subdivision(outside, corpus["quadrant"])
+
+
 def test_fan_of_origin_only():
     fan = parse_fan("dim 2\n")
     assert len(fan.cones) == 1
@@ -316,15 +385,70 @@ def test_pair_check_intersects_each_pair_of_maximal_cones_once(
     monkeypatch, path, pairs
 ):
     calls = []
-    real = fans.intersect_cones
+    real = fans.intersection_generators
 
     def counted(gens, other):
         calls.append(gens)
         return real(gens, other)
 
-    monkeypatch.setattr(fans, "intersect_cones", counted)
+    monkeypatch.setattr(fans, "intersection_generators", counted)
     fan = load_fan(path)
     assert len(calls) == math.comb(len(fan.maximal_cone_ids()), 2) == pairs
+
+
+GEOMETRY_FANS = FANS + [
+    TESTS.parent / "perfbench" / "inputs" / "cubestar.fan",
+    TESTS.parent / "perfbench" / "inputs" / "p4.fan",
+    TESTS / "cube4.fan",
+]
+
+
+def _typed(value):
+    """A field value with the type of every number in it spelled out."""
+    if isinstance(value, (tuple, frozenset)):
+        return type(value)(_typed(v) for v in value)
+    return type(value).__name__, value
+
+
+@pytest.mark.parametrize("path", GEOMETRY_FANS, ids=lambda p: p.name)
+def test_cone_fields_match_reference_geometry(monkeypatch, path):
+    """Every field of every cone equals the one built on the reference
+    cone_data of brute_oracle, number types included."""
+    fan = load_fan(path)
+    monkeypatch.setattr(fans, "cone_data", brute_oracle.cone_data)
+    ref = load_fan(path)
+    assert fan.rays == ref.rays
+    assert len(fan.cones) == len(ref.cones)
+    for got, want in zip(fan.cones, ref.cones):
+        for field in Cone.__slots__:
+            a, b = getattr(got, field), getattr(want, field)
+            assert _typed(a) == _typed(b), (path.name, got.index, field)
+
+
+def _outcome(build, *args):
+    """The fields of build(*args), or the message of its InputError."""
+    try:
+        data = build(*args)
+    except InputError as exc:
+        return str(exc)
+    return [(field, _typed(getattr(data, field))) for field in data.__slots__]
+
+
+@st.composite
+def generator_sets(draw):
+    """1 to 6 integer vectors in dimension 1 to 4, entries in [-3, 3]."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    return n, draw(st.lists(vec, min_size=1, max_size=6))
+
+
+@FUZZ
+@given(case=generator_sets(), allow_redundant=st.booleans())
+def test_cone_data_matches_reference_on_random_generators(case, allow_redundant):
+    n, vectors = case
+    got = _outcome(fans.cone_data, vectors, n, allow_redundant)
+    want = _outcome(brute_oracle.cone_data, vectors, n, allow_redundant)
+    assert got == want
 
 
 def _all_pairs_rejects(build):
