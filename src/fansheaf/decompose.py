@@ -4,12 +4,13 @@ decomposition_multiplicities reads the answer off generator degrees:
 walking cones by dimension, any degrees not explained by the summands
 assigned so far start new summands based at the current cone.
 
-peel_summand certifies one summand: it builds the shifted minimal
-complex, embeds it by a chain map (exact lifts through the
-differential), constructs an explicit complement subcomplex, which is N
-itself outside the summand's star, and checks at every cone that
-summand and complement generators together form a basis of the module
-modulo the irrelevant ideal with matching counts.
+peel_summand certifies one summand: it takes the shifted minimal
+complex (decompose_fully passes the one built for the multiplicities,
+one per (base cone, shift)), embeds it by a chain map (exact lifts
+through the differential), constructs an explicit complement
+subcomplex, which is N itself outside the summand's star, and checks at
+every cone that summand and complement generators together form a basis
+of the module modulo the irrelevant ideal with matching counts.
 By graded Nakayama that pins down a direct sum decomposition, so a
 complex equals its claimed summand list exactly when iterated peeling
 ends with the zero complex.
@@ -38,8 +39,12 @@ from fansheaf.modules import (
 from fansheaf.pushforward import pushforward, verify_pushforward
 
 
-def decomposition_multiplicities(N):
+def decomposition_multiplicities(N, summands=None):
     """Multiplicities {(base cone, shift): count} explaining N's stalks.
+
+    Each assigned summand's shifted minimal complex is built once, on
+    N's window; when `summands` is a dict, it receives them under their
+    (base cone, shift) keys, for peel_summand.
 
     Raises when an assigned summand's stalk fails to appear in a later
     cone's generator degrees, which means no decomposition of this shape
@@ -66,9 +71,10 @@ def decomposition_multiplicities(N):
         for d in sorted(residual):
             k = -n + cone.dim - d
             mult[(i, k)] = residual[d]
-            stalks[(i, k)] = stalk_report(
-                build_shifted_minimal(fan, i, k, window=N.window)
-            )
+            S = build_shifted_minimal(fan, i, k, window=N.window)
+            stalks[(i, k)] = stalk_report(S)
+            if summands is not None:
+                summands[(i, k)] = S
     return mult
 
 
@@ -97,11 +103,17 @@ def _at_columns(vec, cols):
     return {k: vec[c] for k, c in enumerate(cols) if c in vec}
 
 
-def peel_summand(N, base_id, shift):
-    """Split one copy of the shifted minimal complex off of N."""
+def peel_summand(N, base_id, shift, summand=None):
+    """Split one copy of the shifted minimal complex off of N.
+
+    `summand` is that complex on N's window when already built; without
+    it the complex is built here.
+    """
     fan, tower, window = N.fan, N.tower, N.window
     lo, hi = window
-    S = build_shifted_minimal(fan, base_id, shift, window=window)
+    S = summand
+    if S is None:
+        S = build_shifted_minimal(fan, base_id, shift, window=window)
     star = set(fan.star(base_id))
     NP = FanComplex(fan, tower, {}, {}, window)
     phi = {}
@@ -356,12 +368,14 @@ def decompose_fully(N):
     Returns the report; raises if any peel certificate fails or if
     peeling everything leaves a nonzero complex.
     """
-    mult = decomposition_multiplicities(N)
+    summands = {}
+    mult = decomposition_multiplicities(N, summands)
     cur = N
     sequence = []
     for (b, k) in sorted(mult):
+        S = summands.pop((b, k))
         for _ in range(mult[(b, k)]):
-            res = peel_summand(cur, b, k)
+            res = peel_summand(cur, b, k, S)
             cur = res.complement
             sequence.append((b, k))
     if cur.support_ids():

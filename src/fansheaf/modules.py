@@ -19,17 +19,26 @@ Degree by degree everything is in _linalg's one matrix form: a matrix
 is a list of sparse rows {col: value} storing no zeros, and a vector
 (a family's basis vector, a generator representative, an apply_mult
 image) is one such row, indexed by the (part, generator, monomial)
-basis of a degree piece.  Multiplication by a variable is the one
-module multiplication, DirectSumAmbient.apply_mult: families use it,
-and PolyMatrix.evaluate uses it to read degree d off degree d - 2.
-PolyMatrix.evaluate and CoverMap.evaluate emit the one form directly.
-Subspace families store canonical primitive integer bases of a graded
-subspace degree by degree, and the minimal-generator machinery
-(completion of m*Z to Z) runs on top: each basis vector of Z(d-2) is
-multiplied by every base variable through cached sparse columns of
-mult_by_var, and span membership is decided by one _linalg.Echelon per
-degree, started from the Markowitz triangulation of those images.
+basis of a degree piece.  Multiplication by a variable is an index
+operation: _successors gives, for each monomial u, the position of
+u * t_m one degree up (and _divisors the way back), and _mult_columns
+turns a linear form (the image of a variable under restriction) into
+the sparse columns that multiply a free module's piece by it.
+DirectSumAmbient.mult_by_var stacks those columns part by part and
+caches them on the ambient, for families; PolyMatrix.evaluate builds
+them for the target module afresh on each call and reads degree d off
+degree d - 2 with them.  Both apply columns through one routine,
+_apply_columns.  PolyMatrix.evaluate and
+CoverMap.evaluate emit the one form directly.  Subspace families store
+canonical primitive integer bases of a graded subspace degree by
+degree, and the minimal-generator machinery (completion of m*Z to Z)
+runs on top: each basis vector of Z(d-2) is multiplied by every base
+variable through DirectSumAmbient.apply_mult, and span membership is
+decided by one _linalg.Echelon per degree, started from the Markowitz
+triangulation of those images.
 """
+
+from functools import lru_cache
 
 from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
@@ -122,6 +131,68 @@ def restriction(source, target):
     return _RESTRICTIONS[key]
 
 
+def _linear_form(source, target, i):
+    """Image of the source ring's variable i in the target ring, as
+    (target variable, coefficient) pairs."""
+    images = restriction(source, target)
+    if images is None:
+        return ((i, 1),)
+    return tuple((exp.index(1), c) for exp, c in images[i].items())
+
+
+@lru_cache(maxsize=None)
+def _successors(nvars, e):
+    """For each monomial u of internal degree e, in the order of
+    polys.monomials, the positions of u * t_1, ..., u * t_nvars among
+    the monomials of degree e + 2."""
+    index = {u: p for p, u in enumerate(monomials(nvars, e + 2))}
+    return tuple(
+        tuple(index[u[:m] + (u[m] + 1,) + u[m + 1:]] for m in range(nvars))
+        for u in monomials(nvars, e)
+    )
+
+
+@lru_cache(maxsize=None)
+def _divisors(nvars, e):
+    """For each monomial u of internal degree e, in the order of
+    polys.monomials: None when u = 1, else (k, q) with t_k the first
+    variable of u and q the position of u / t_k among the monomials of
+    degree e - 2.  Of the divisors u / t_m, the first variable gives the
+    lex-smallest, so it is the first one met in ascending order."""
+    out = [None] * len(monomials(nvars, e))
+    for q, succ in enumerate(_successors(nvars, e - 2)):
+        for k, p in enumerate(succ):
+            if out[p] is None:
+                out[p] = (k, q)
+    return tuple(out)
+
+
+def _mult_columns(module, d, form, offset=0):
+    """Multiplication by a linear form from a free module's piece d to
+    its piece d + 2: one sparse column per basis element of piece d, a
+    tuple of (row, coefficient) pairs, rows shifted by offset.  The form
+    is (variable, coefficient) pairs in the module's ring."""
+    nvars = module.ring.nvars
+    cols = []
+    for g in module.degrees:
+        cols += [
+            tuple([(offset + succ[m], c) for m, c in form])
+            for succ in _successors(nvars, d - g)
+        ]
+        offset += len(monomials(nvars, d + 2 - g))
+    return cols
+
+
+def _apply_columns(cols, vec):
+    """Image of a sparse vector under sparse columns; integer vectors
+    and columns have integer images."""
+    out = {}
+    for col, x in vec.items():
+        for r, c in cols[col]:
+            out[r] = out.get(r, 0) + c * x
+    return {r: y for r, y in out.items() if y}
+
+
 class FreeGradedModule:
     """Free graded module with listed generator degrees."""
 
@@ -144,17 +215,17 @@ class FreeGradedModule:
                 for u in monomials(self.ring.nvars, d - g):
                     basis.append((j, u))
             self._piece[d] = tuple(basis)
-            self._index[d] = {bu: k for k, bu in enumerate(basis)}
         return self._piece[d]
 
     def index_at(self, d):
-        self.piece_basis(d)
+        if d not in self._index:
+            self._index[d] = {
+                bu: k for k, bu in enumerate(self.piece_basis(d))
+            }
         return self._index[d]
 
     def dim_at(self, d):
-        return sum(
-            len(monomials(self.ring.nvars, d - g)) for g in self.degrees
-        )
+        return len(self.piece_basis(d))
 
     def __repr__(self):
         return f"FreeGradedModule({self.ring.label}, {list(self.degrees)})"
@@ -213,37 +284,43 @@ class PolyMatrix:
         when u = 1.  Otherwise it is t_k times the image of (j, u / t_k),
         read off degree d - 2, where t_k is the first variable of u: the
         map is linear over the source ring, which acts on the target
-        through restriction.
+        through restriction.  The columns of each t_k on the target's
+        piece d - 2 are built once per call and not kept.
         """
         if d in self._eval:
             return self._eval[d]
-        tgt_index = self.target.index_at(d)
-        rows = [{} for _ in range(self.target.dim_at(d))]
+        source, target = self.source, self.target
+        nvars = source.ring.nvars
+        rows = [{} for _ in range(target.dim_at(d))]
         below = None
-        for col, (j, u) in enumerate(self.source.piece_basis(d)):
-            k = next((k for k, e in enumerate(u) if e), None)
-            if k is None:
-                image = {
-                    tgt_index[(i, mono)]: c
-                    for (i, jj), p in self.entries.items()
-                    if jj == j
-                    for mono, c in p.items()
-                }
-            else:
-                if below is None:
-                    below = _linalg.transpose(
-                        self.evaluate(d - 2), self.source.dim_at(d - 2)
-                    )
-                    below_index = self.source.index_at(d - 2)
-                    multiplier = DirectSumAmbient(
-                        self.source.ring, [self.target]
-                    )
-                v = u[:k] + (u[k] - 1,) + u[k + 1:]
-                image = multiplier.apply_mult(
-                    k, d - 2, below[below_index[(j, v)]]
-                )
-            for r, x in image.items():
-                rows[r][col] = int(x) if x.denominator == 1 else x
+        mult = {}
+        col = below_off = 0
+        for j, g in enumerate(source.degrees):
+            for div in _divisors(nvars, d - g):
+                if div is None:
+                    tgt_index = target.index_at(d)
+                    image = {
+                        tgt_index[(i, mono)]: c
+                        for (i, jj), p in self.entries.items()
+                        if jj == j
+                        for mono, c in p.items()
+                    }
+                else:
+                    k, q = div
+                    if below is None:
+                        below = _linalg.transpose(
+                            self.evaluate(d - 2), source.dim_at(d - 2)
+                        )
+                    if k not in mult:
+                        mult[k] = _mult_columns(
+                            target, d - 2,
+                            _linear_form(source.ring, target.ring, k),
+                        )
+                    image = _apply_columns(mult[k], below[below_off + q])
+                for r, x in image.items():
+                    rows[r][col] = int(x) if x.denominator == 1 else x
+                col += 1
+            below_off += len(monomials(nvars, d - 2 - g))
         self._eval[d] = rows
         return rows
 
@@ -263,33 +340,18 @@ class DirectSumAmbient:
     part's ring.
 
     Multiplication by a base variable is cached per (variable, degree)
-    as sparse columns; apply_mult touches only the nonzero entries of a
-    vector.
+    as sparse columns, each part's block built by _mult_columns at the
+    part's offset; apply_mult touches only the nonzero entries of a
+    vector.  Families multiply through it; PolyMatrix.evaluate does not
+    construct one.
     """
 
-    __slots__ = ("base_ring", "parts", "_piece", "_index", "_mult")
+    __slots__ = ("base_ring", "parts", "_mult")
 
     def __init__(self, base_ring, parts):
         self.base_ring = base_ring
         self.parts = tuple(parts)
-        self._piece = {}
-        self._index = {}
         self._mult = {}
-
-    def piece_basis(self, d):
-        """Basis [(part, generator, monomial)] of the degree-d piece."""
-        if d not in self._piece:
-            basis = []
-            for k, part in enumerate(self.parts):
-                for j, u in part.piece_basis(d):
-                    basis.append((k, j, u))
-            self._piece[d] = tuple(basis)
-            self._index[d] = {x: i for i, x in enumerate(basis)}
-        return self._piece[d]
-
-    def index_at(self, d):
-        self.piece_basis(d)
-        return self._index[d]
 
     def dim_at(self, d):
         return sum(part.dim_at(d) for part in self.parts)
@@ -309,38 +371,21 @@ class DirectSumAmbient:
         (target row, coefficient) pairs, coefficients int when integral.
         """
         key = (i, d)
-        if key in self._mult:
-            return self._mult[key]
-        images = []
-        for part in self.parts:
-            var_images = restriction(self.base_ring, part.ring)
-            images.append(
-                {_unit(part.ring.nvars, i): 1}
-                if var_images is None
-                else var_images[i]
-            )
-        tgt_index = self.index_at(d + 2)
-        cols = tuple(
-            tuple(
-                (tgt_index[(k, j, tuple(a + b for a, b in zip(u, exp)))], c)
-                for exp, c in images[k].items()
-            )
-            for k, j, u in self.piece_basis(d)
-        )
-        self._mult[key] = cols
-        return cols
+        if key not in self._mult:
+            offs, _ = self.part_offsets(d + 2)
+            cols = []
+            for part, off in zip(self.parts, offs):
+                form = _linear_form(self.base_ring, part.ring, i)
+                cols += _mult_columns(part, d, form, off)
+            self._mult[key] = tuple(cols)
+        return self._mult[key]
 
     def apply_mult(self, i, d, vec):
         """Image of a sparse degree-d vector under base variable i.
 
         Integer vectors have integer images.
         """
-        cols = self.mult_by_var(i, d)
-        out = {}
-        for col, x in vec.items():
-            for r, c in cols[col]:
-                out[r] = out.get(r, 0) + c * x
-        return {r: y for r, y in out.items() if y}
+        return _apply_columns(self.mult_by_var(i, d), vec)
 
 
 class GradedSubspaceFamily:

@@ -1,11 +1,14 @@
 """Hand-rolled graded dimension counts for two small fans, a naive
 polynomial product and substitution, the symbolic composite of a
 complex's differential, the leftmost-pivot minimal-generator scan, the
+exponent-arithmetic columns of multiplication by a variable, the
 reference cone geometry and the all-pairs fan check.
 
 The first four share no code with the package: pieces are enumerated
 monomial by monomial and the defining linear systems are solved with
-plain Fraction elimination.  The reference cone geometry, cone_data and
+plain Fraction elimination.  The multiplication columns read only
+the variables' images (modules.restriction) and the parts' piece bases
+from the package, and multiply monomials by adding exponents.  The reference cone geometry, cone_data and
 intersect_cones, is the package's earlier construction kept as it was:
 one rank or solve per question in Fraction arithmetic, and each cone
 intersection built as a cone with its own extreme rays.  The all-pairs
@@ -28,6 +31,7 @@ from math import gcd
 from fansheaf import _linalg
 from fansheaf.errors import InputError
 from fansheaf.fans import ConeData, _dense, _sparse, dot, primitive, span_coords
+from fansheaf.modules import restriction
 
 
 def monos2(j):
@@ -234,6 +238,41 @@ def nonzero_composites(M, var_images):
             if any(c for acc in total.values() for c in acc.values()):
                 out.add((s, rho))
     return out
+
+
+def ambient_basis(ambient, d):
+    """Basis [(part, generator, monomial)] of a DirectSumAmbient's
+    degree-d piece: the parts' piece bases, part after part."""
+    return [
+        (k, j, u)
+        for k, part in enumerate(ambient.parts)
+        for j, u in part.piece_basis(d)
+    ]
+
+
+def mult_by_var_columns(ambient, i, d):
+    """Multiplication by base variable i from piece d to piece d + 2 of
+    a DirectSumAmbient, built the way the package once did: each basis
+    monomial times each term of the variable's image in the part's ring,
+    exponents added and the product looked up in the degree-(d + 2)
+    basis.  One tuple of (row, coefficient) pairs per column."""
+    index = {x: r for r, x in enumerate(ambient_basis(ambient, d + 2))}
+    images = []
+    for part in ambient.parts:
+        nv = part.ring.nvars
+        var_images = restriction(ambient.base_ring, part.ring)
+        images.append(
+            {tuple(int(m == i) for m in range(nv)): 1}
+            if var_images is None
+            else var_images[i]
+        )
+    return tuple(
+        tuple(
+            (index[(k, j, tuple(a + b for a, b in zip(u, exp)))], c)
+            for exp, c in images[k].items()
+        )
+        for k, j, u in ambient_basis(ambient, d)
+    )
 
 
 class _Leftmost:

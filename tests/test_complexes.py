@@ -5,6 +5,7 @@ entry, so later builder output can be compared against them.
 """
 
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -22,11 +23,13 @@ from fansheaf.complexes import (
     complex_to_text,
     top_module,
 )
+from fansheaf.cli import main
 from fansheaf.decompose import decomposition_theorem_report
 from fansheaf.errors import InputError
 from fansheaf.fans import Fan, load_fan, subdivision_map
 from fansheaf.minimal import build_minimal, ih_module
 from fansheaf.modules import (
+    DirectSumAmbient,
     FreeGradedModule,
     PolyMatrix,
     RingTower,
@@ -310,3 +313,29 @@ def test_serialization_rejects_generators_outside_window():
     bad = text.replace("window -2 6", "window 0 6")
     with pytest.raises(InputError, match=r"^line 7: generator degree -2 "):
         complex_from_text(bad, validate=False)
+
+
+def test_verify_builds_ambients_only_in_boundary_setup(monkeypatch, capsys):
+    """verify of a golden complex evaluates its maps without a
+    multiplier per evaluation: every DirectSumAmbient comes from
+    boundary_setup, and none multiplies by a variable."""
+    callers = Counter()
+    applied = []
+    init, apply_mult = DirectSumAmbient.__init__, DirectSumAmbient.apply_mult
+
+    def counting_init(self, base_ring, parts):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        init(self, base_ring, parts)
+
+    def counting_apply(self, i, d, vec):
+        applied.append((i, d))
+        return apply_mult(self, i, d, vec)
+
+    monkeypatch.setattr(DirectSumAmbient, "__init__", counting_init)
+    monkeypatch.setattr(DirectSumAmbient, "apply_mult", counting_apply)
+    path = GOLDEN / "cubefan.complex"
+    code = main(["--format", "machine", "verify", "--complex", str(path)])
+    assert code == 0
+    assert "complex\t" in capsys.readouterr().out
+    assert set(callers) == {"boundary_setup"}
+    assert not applied

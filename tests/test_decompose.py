@@ -105,6 +105,26 @@ def test_full_peel_exhausts():
         assert len(rep.peel_sequence) == total
 
 
+def test_full_peel_builds_each_summand_once(monkeypatch):
+    """decompose_fully builds one shifted minimal complex per distinct
+    (base cone, shift) key, for the stalk check and every peel of it:
+    twostep -> quadrant has the summand (top, 0) twice."""
+    P, _ = _image("twostep", "quadrant")
+    top = P.complex.fan.cones_of_dim(2)[0]
+    built = []
+    build = decompose.build_shifted_minimal
+
+    def counting(fan, base_id, shift=0, window=None):
+        built.append((base_id, shift))
+        return build(fan, base_id, shift, window=window)
+
+    monkeypatch.setattr(decompose, "build_shifted_minimal", counting)
+    rep = decompose_fully(P.complex)
+    assert rep.multiplicities == {(0, 0): 1, (top, 0): 2}
+    assert rep.peel_sequence == [(0, 0), (top, 0), (top, 0)]
+    assert sorted(built) == [(0, 0), (top, 0)]
+
+
 def test_theorem_report_pipeline():
     _, fmap = _image("starsq", "conesquare")
     rep = decomposition_theorem_report(fmap)

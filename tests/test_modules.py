@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,13 @@ from fansheaf.modules import (
 )
 from fansheaf.polys import monomials, parse_poly
 
-from brute_oracle import leftmost_generators, mul, substitute
+from brute_oracle import (
+    ambient_basis,
+    leftmost_generators,
+    mul,
+    mult_by_var_columns,
+    substitute,
+)
 from conftest import fan_path
 
 
@@ -320,7 +327,7 @@ def _sparse(dense):
 def _oracle_image(ambient, i, d, col):
     """Dense coefficient vector of (image of variable i) * basis monomial
     col, multiplied out with brute_oracle's product."""
-    k, j, u = ambient.piece_basis(d)[col]
+    k, j, u = ambient_basis(ambient, d)[col]
     ring = ambient.parts[k].ring
     nv = ring.nvars
     images = restriction(ambient.base_ring, ring)
@@ -332,7 +339,7 @@ def _oracle_image(ambient, i, d, col):
     prod = mul(var, {u: 1})
     return [
         prod.get(u2, 0) if (k2, j2) == (k, j) else 0
-        for k2, j2, u2 in ambient.piece_basis(d + 2)
+        for k2, j2, u2 in ambient_basis(ambient, d + 2)
     ]
 
 
@@ -383,3 +390,36 @@ def test_apply_mult_matches_poly_oracle(name):
                     sum(x[c] * images[c][r] for c in range(dim))
                     for r in range(out_dim)
                 )
+
+
+CUBESTAR = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    / "cubestar.fan"
+)
+ORACLE_FANS = [
+    "p1", "p2", "p1xp1", "p3", "p2blow", "cubefan", "quadrant",
+    "conesquare", "conecube", "blowquad", "starsq", "twostep", "cubestar",
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_FANS)
+def test_mult_by_var_matches_exponent_oracle(name):
+    """The index-table columns of mult_by_var equal, column for column,
+    the exponent-arithmetic construction of brute_oracle: on every
+    boundary_setup ambient of the minimal complex and on the ambient of
+    its top modules over the full ring "A", for every base variable and
+    every window degree."""
+    path = CUBESTAR if name == "cubestar" else fan_path(name)
+    M = build_minimal(load_fan(path))
+    n = M.fan.n
+    ambients = [boundary_setup(M, c.index)[0] for c in M.fan.cones]
+    top = [i for i in M.fan.cones_of_dim(n) if M.rank_at(i)]
+    ambients.append(
+        DirectSumAmbient(M.tower.ring("A"), [M.modules[i] for i in top])
+    )
+    lo, hi = M.window
+    for ambient in ambients:
+        for i in range(ambient.base_ring.nvars):
+            for d in range(lo, hi + 1):
+                want = mult_by_var_columns(ambient, i, d)
+                assert ambient.mult_by_var(i, d) == want, (i, d)
