@@ -1,22 +1,23 @@
 """Complexes of graded modules on a fan.
 
-A FanComplex places a free graded module on each cone (missing = zero)
-and, on each (cone, facet) pair, the component of the differential
-between them; together they send the sum of the dimension-i modules to
-the sum of the dimension-(i-1) modules.  Homological degree of a cone's
-slot is minus its dimension.  A complex owns its degree window
-M.window, which the kernels, certificates and cohomology below run on.
-The fan's incidence signs enter only the file format: a serialized
-complex stores each component divided by its sign.
+A FanComplex places a free graded module on each cone (missing = zero),
+over the cone's ring, which the fan fixes (modules.cone_ring), and, on
+each (cone, facet) pair, the component of the differential between
+them; together they send the sum of the dimension-i modules to the sum
+of the dimension-(i-1) modules.  Homological degree of a cone's slot is
+minus its dimension.  A complex owns its degree window M.window, which
+the kernels, certificates and cohomology below run on.  The fan's
+incidence signs enter only the file format: a serialized complex stores
+each component divided by its sign.
 
-assemble gives the differential between listed cones on one
-degree piece in _linalg's one matrix form, a list of sparse rows
-{col: value} with no stored zeros; kernels, ranks and the certificates
-below take it as it is.  check_complex certifies shapes, grading, and
-the vanishing of the composite differential on each module's
-generators; check_locally_exact certifies the surjectivity of each
-module onto the boundary kernel of its own cone degree by degree.  Both
-run on arbitrary complexes, not only the ones built by this package.
+assemble gives the differential between listed cones on one degree
+piece in _linalg's one matrix form, a list of sparse rows {col: value}
+with no stored zeros; kernels, ranks and the certificates below take it
+as it is.  check_complex certifies shapes, grading, and the vanishing
+of the composite differential on each module's generators;
+check_locally_exact certifies, cone by cone (local_exactness), the
+surjectivity of each module onto its own cone's boundary kernel degree
+by degree.  Both run on arbitrary complexes, not only this package's.
 """
 
 from contextlib import contextmanager
@@ -28,7 +29,7 @@ from fansheaf.modules import (
     DirectSumAmbient,
     FreeGradedModule,
     PolyMatrix,
-    RingTower,
+    cone_ring,
     cover_is_free_certificate,
     family_from_kernel,
     minimal_free_cover,
@@ -40,9 +41,8 @@ class FanComplex:
     """Modules on a fan's cones, the differential's facet components,
     and the degree window (lo, hi)."""
 
-    def __init__(self, fan, tower, modules, maps, window):
+    def __init__(self, fan, modules, maps, window):
         self.fan = fan
-        self.tower = tower
         self.modules = dict(modules)
         self.maps = dict(maps)
         self.window = window
@@ -188,7 +188,7 @@ def boundary_setup(M, cone_id):
     fan = M.fan
     cone = fan.cones[cone_id]
     facets = [i for i in cone.facet_ids if M.rank_at(i)]
-    ring = M.tower.ring(cone_id)
+    ring = cone_ring(fan, cone_id)
     ambient = DirectSumAmbient(ring, [M.modules[i] for i in facets])
     codim2 = [
         i
@@ -206,6 +206,32 @@ def boundary_kernel(M, cone_id):
     return fam, facets
 
 
+def local_exactness(M, i):
+    """A positive-dimensional cone's boundary kernel family, and the
+    (cone, degree, why) failures of its module to surject onto it."""
+    lo, hi = M.window
+    fam, facets = boundary_kernel(M, i)
+    failures = []
+    for d in range(lo, hi + 1):
+        zdim = fam.dim_at(d)
+        if not M.rank_at(i):
+            if zdim:
+                failures.append((i, d, f"kernel dim {zdim}, no module"))
+            continue
+        # image vectors are the columns of the assembled map, so the
+        # image rank is its (row) rank
+        mat = assemble(M, [i], facets, d)
+        ri = _linalg.rank(mat)
+        if ri != zdim:
+            failures.append((i, d, f"image rank {ri}, kernel dim {zdim}"))
+            continue
+        if zdim:
+            img_rows = _linalg.transpose(mat, M.dim_at(i, d))
+            if _linalg.rank(img_rows + list(fam.basis_at(d))) != zdim:
+                failures.append((i, d, "image not inside kernel"))
+    return fam, failures
+
+
 def check_locally_exact(M):
     """Certify that each module surjects onto its boundary kernel.
 
@@ -214,52 +240,16 @@ def check_locally_exact(M):
     kernel of the next differential of the restricted complex.  The
     report's problems are (cone, degree, why) tuples.
     """
-    lo, hi = M.window
-    failures = []
-    for cone in M.fan.cones:
-        if cone.dim == 0:
-            continue
-        i = cone.index
-        fam, facets = boundary_kernel(M, i)
-        has_module = M.rank_at(i) > 0
-        for d in range(lo, hi + 1):
-            zdim = fam.dim_at(d)
-            if not has_module:
-                if zdim:
-                    failures.append((i, d, f"kernel dim {zdim}, no module"))
-                continue
-            # image vectors are the columns of the assembled map, so the
-            # image rank is its (row) rank
-            mat = assemble(M, [i], facets, d)
-            ri = _linalg.rank(mat)
-            if ri != zdim:
-                failures.append((i, d, f"image rank {ri}, kernel dim {zdim}"))
-                continue
-            if zdim:
-                img_rows = _linalg.transpose(mat, M.dim_at(i, d))
-                if _linalg.rank(img_rows + list(fam.basis_at(d))) != zdim:
-                    failures.append((i, d, "image not inside kernel"))
-    return CertificateReport(failures)
-
-
-class CohomologyReport:
-    """Degreewise cohomology dims."""
-
-    def __init__(self, table):
-        self.table = table  # {(p, d): dim}, zero entries omitted
-
-
-class TopModuleReport:
-    """H at the top slot viewed over the full coordinate ring."""
-
-    def __init__(self, free, generator_degrees, offender):
-        self.free = free
-        self.generator_degrees = generator_degrees
-        self.offender = offender
+    return CertificateReport([
+        failure
+        for cone in M.fan.cones if cone.dim
+        for failure in local_exactness(M, cone.index)[1]
+    ])
 
 
 def cohomology_degreewise(M):
-    """Cohomology dimensions per (slot, degree) over the window.
+    """Cohomology dimensions {(slot, degree): dim} over the window, zero
+    entries omitted.
 
     Slot p holds the cones of dimension -p.
     """
@@ -302,29 +292,29 @@ def cohomology_degreewise(M):
                 )
             if h:
                 table[(p, d)] = h
-    return CohomologyReport(table)
+    return table
 
 
 def top_module(M):
     """The kernel at the lowest slot as a module over the full ring.
 
     Its minimal generators are computed over the window and degreewise
-    freeness is certified by Hilbert comparison.
+    freeness is certified by Hilbert comparison.  Returns (generator
+    degrees, offender), the offender None when the module is free, as
+    in cover_is_free_certificate.
     """
     n = M.fan.n
     top_ids = [i for i in M.fan.cones_of_dim(n) if M.rank_at(i)]
     if not top_ids:
-        return TopModuleReport(False, (), "no top-dimensional modules")
-    ring = M.tower.ring("A")
+        return (), "no top-dimensional modules"
+    ring = cone_ring(M.fan, "A")
     ambient = DirectSumAmbient(ring, [M.modules[i] for i in top_ids])
     tgts = [i for i in M.fan.cones_of_dim(n - 1) if M.rank_at(i)]
-
     fam = family_from_kernel(
         ambient, lambda d: assemble(M, top_ids, tgts, d), M.window
     )
-    cover = minimal_free_cover(fam, ring)
-    free, offender = cover_is_free_certificate(cover)
-    return TopModuleReport(free, tuple(cover.module.degrees), offender)
+    cover = minimal_free_cover(fam)
+    return cover.module.degrees, cover_is_free_certificate(cover)[1]
 
 
 # ----- serialization -----
@@ -421,7 +411,6 @@ def complex_from_text(text, validate=True):
         raise InputError("serialized complex has no window line")
     lo, hi = window
     fan = parse_fan("\n".join(fan_lines))
-    tower = RingTower(fan)
     modules = {}
     for lineno, line in module_lines:
         with _at_line(lineno, line):
@@ -438,7 +427,7 @@ def complex_from_text(text, validate=True):
                     f"generator degree {outside[0]} outside the window's "
                     f"generator range [{lo}, {hi - 2}]"
                 )
-            modules[i] = FreeGradedModule(tower.ring(i), degs)
+            modules[i] = FreeGradedModule(cone_ring(fan, i), degs)
     entries_by_pair = {}
     first_entry = {}  # (s, t) -> (lineno, line) of the map's first entry
     for lineno, line in entry_lines:
@@ -449,7 +438,7 @@ def complex_from_text(text, validate=True):
                 raise InputError(f"entry for cones without modules: {s}->{t}")
             if not (0 <= i < modules[t].rank() and 0 <= j < modules[s].rank()):
                 raise InputError(f"entry ({i},{j}) out of range")
-            poly = parse_poly(body, tower.ring(t).nvars)
+            poly = parse_poly(body, modules[t].ring.nvars)
             degree(poly)  # ValueError when inhomogeneous
             entries = entries_by_pair.setdefault((s, t), {})
             if (i, j) in entries:
@@ -493,7 +482,7 @@ def complex_from_text(text, validate=True):
         if (s, t) not in signed:
             with _at_line(lineno, line):
                 raise ValueError(f"map {s}->{t} has entries but no sign line")
-    M = FanComplex(fan, tower, modules, maps, window)
+    M = FanComplex(fan, modules, maps, window)
     if validate:
         report = check_complex(M)
         if not report.ok:

@@ -6,7 +6,7 @@ assigned so far start new summands based at the current cone.
 
 peel_summand certifies one summand: it takes the shifted minimal
 complex (decompose_fully passes the one built for the multiplicities,
-one per (base cone, shift)), embeds it by a chain map (exact lifts
+one per (base cone, shift)) and embeds it by a chain map (exact lifts
 through the differential), constructs an explicit complement
 subcomplex, which is N itself outside the summand's star, and checks at
 every cone that summand and complement generators together form a basis
@@ -103,25 +103,19 @@ def _at_columns(vec, cols):
     return {k: vec[c] for k, c in enumerate(cols) if c in vec}
 
 
-def peel_summand(N, base_id, shift, summand=None):
-    """Split one copy of the shifted minimal complex off of N.
-
-    `summand` is that complex on N's window when already built; without
-    it the complex is built here.
-    """
-    fan, tower, window = N.fan, N.tower, N.window
+def peel_summand(N, base_id, shift, summand):
+    """Split one copy of the shifted minimal complex off of N; `summand`
+    is that complex, built on N's window."""
+    fan, window = N.fan, N.window
     lo, hi = window
-    S = summand
-    if S is None:
-        S = build_shifted_minimal(fan, base_id, shift, window=window)
     star = set(fan.star(base_id))
-    NP = FanComplex(fan, tower, {}, {}, window)
+    NP = FanComplex(fan, {}, {}, window)
     phi = {}
     psi = {}
     for cone in fan.cones:
         i = cone.index
         if not N.rank_at(i):
-            if S.rank_at(i):
+            if summand.rank_at(i):
                 raise CertificateError(
                     f"summand needs a module at cone {i}, complex has none"
                 )
@@ -149,7 +143,7 @@ def peel_summand(N, base_id, shift, summand=None):
         cover = CoverMap(Nmod, Z, (), blocks)
 
         for f in facets:
-            if S.rank_at(f) and f not in phi:
+            if summand.rank_at(f) and f not in phi:
                 raise CertificateError(
                     f"summand support at cone {f} was never embedded"
                 )
@@ -159,7 +153,7 @@ def peel_summand(N, base_id, shift, summand=None):
         def summand_cols(d):
             if d not in cols_at:
                 cols_at[d] = _summand_boundary_columns(
-                    S, phi, i, facets, ambient, d
+                    summand, phi, i, facets, ambient, d
                 )
             return cols_at[d]
 
@@ -194,7 +188,7 @@ def peel_summand(N, base_id, shift, summand=None):
         # boundary vanishes, so the generator is a completing cocycle
         k_vectors = []
         if i != base_id:
-            smod = S.modules[i]
+            smod = summand.modules[i]
             one = (0,) * smod.ring.nvars
             images = [
                 (dg, summand_cols(dg)[smod.index_at(dg)[(j, one)]])
@@ -214,7 +208,7 @@ def peel_summand(N, base_id, shift, summand=None):
         # are cocycles picked to extend the reduced generator basis; the
         # same basis certifies that every chosen generator is independent
         ndegs = Counter(Nmod.degrees)
-        sdegs = Counter(S.degrees_at(i))
+        sdegs = Counter(summand.degrees_at(i))
         taken = Counter(d for d, _ in n_vectors)
         reducers = {}
         for d in sorted(ndegs):
@@ -271,7 +265,7 @@ def peel_summand(N, base_id, shift, summand=None):
                 f"cone {i}: generator counts do not add up"
             )
 
-        phi[i] = PolyMatrix.from_columns(S.modules[i], Nmod, k_vectors)
+        phi[i] = PolyMatrix.from_columns(summand.modules[i], Nmod, k_vectors)
         if n_vectors:
             mod = FreeGradedModule(ring, [d for d, _ in n_vectors])
             NP.modules[i] = mod
@@ -302,7 +296,7 @@ def peel_summand(N, base_id, shift, summand=None):
         raise CertificateError(
             "complement is not a valid complex: " + "; ".join(rep.problems)
         )
-    return PeelResult(S, NP, phi)
+    return PeelResult(summand, NP, phi)
 
 
 def _summand_boundary_columns(S, phi, i, facets, ambient, d):

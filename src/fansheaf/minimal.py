@@ -13,15 +13,15 @@ from fansheaf.complexes import (
     FanComplex,
     boundary_kernel,
     check_complex,
-    check_locally_exact,
     cohomology_degreewise,
+    local_exactness,
     top_module,
 )
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
 from fansheaf.fans import is_complete
 from fansheaf.modules import (
     FreeGradedModule,
-    RingTower,
+    cone_ring,
     default_window,
     minimal_free_cover,
     minimal_generators,
@@ -56,9 +56,10 @@ def build_shifted_minimal(fan, base_id, shift=0, window=None):
             f"cone {base_id}: base generator at degree {gen_degree} is "
             f"not below the guard zone", cone=base_id, degree=gen_degree,
         )
-    tower = RingTower(fan)
-    M = FanComplex(fan, tower, {}, {}, window)
-    M.modules[base_id] = FreeGradedModule(tower.ring(base_id), [gen_degree])
+    M = FanComplex(fan, {}, {}, window)
+    M.modules[base_id] = FreeGradedModule(
+        cone_ring(fan, base_id), [gen_degree]
+    )
     _extend(M, [i for i in fan.star(base_id) if i != base_id])
     return M
 
@@ -70,7 +71,7 @@ def _extend(M, cone_ids):
     """
     for i in cone_ids:
         fam, facets = boundary_kernel(M, i)
-        cover = minimal_free_cover(fam, M.tower.ring(i))
+        cover = minimal_free_cover(fam)
         if cover.module.rank() == 0:
             continue
         M.modules[i] = cover.module
@@ -95,7 +96,8 @@ def verify_minimality(M, base_id=0, shift=0):
     valid; the base module is free of rank one with the right generator
     degree; support lies in the star of the base; every module surjects
     onto its boundary kernel; and every non-base module's generator
-    degrees agree with the minimal generators of that kernel.
+    degrees agree with the minimal generators of that kernel, computed
+    from M once for both checks.
     """
     problems = []
     fan = M.fan
@@ -112,15 +114,17 @@ def verify_minimality(M, base_id=0, shift=0):
     outside = [i for i in M.support_ids() if i not in star]
     if outside:
         problems.append(f"support leaves the base star at cones {outside}")
-    exact = check_locally_exact(M)
+    exact = {c.index: local_exactness(M, c.index) for c in fan.cones if c.dim}
     problems.extend(
         f"not exact at cone {i} degree {d}: {why}"
-        for i, d, why in exact.problems
+        for _, failures in exact.values()
+        for i, d, why in failures
     )
     for i in M.support_ids():
         if i == base_id:
             continue
-        fam, _ = boundary_kernel(M, i)
+        # the origin has no exactness check to share a kernel with
+        fam = exact[i][0] if i in exact else boundary_kernel(M, i)[0]
         gens = tuple(sorted(d for d, _ in minimal_generators(fam)))
         have = tuple(sorted(M.degrees_at(i)))
         if gens != have:
@@ -156,17 +160,17 @@ def ih_module(M, require_complete=False):
     complete = is_complete(M.fan)
     if require_complete and not complete:
         raise InputError("fan is not complete")
-    rep = cohomology_degreewise(M)
-    top = top_module(M)
+    table = cohomology_degreewise(M)
+    degrees, offender = top_module(M)
     n = M.fan.n
-    stray = sorted({p for (p, d) in rep.table if p != -n})
+    stray = sorted({p for (p, d) in table if p != -n})
     if stray:
         raise CertificateError(
             f"cohomology not concentrated in the top slot: also at {stray}"
         )
-    if not top.free:
+    if offender is not None:
         raise CertificateError(
             f"top cohomology not free over the full ring at degree "
-            f"{top.offender}"
+            f"{offender}"
         )
-    return IHReport(top.generator_degrees, complete)
+    return IHReport(degrees, complete)

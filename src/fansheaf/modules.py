@@ -1,15 +1,16 @@
 """Graded modules over cone rings and exact degreewise linear algebra.
 
 A cone's ring is the polynomial ring on the coordinates dual to its
-chosen ray basis, graded with linear part in degree 2.  A map between
-two cone rings is the restriction of functions from the larger span to
-the smaller one, so it is fixed by the two bases and by the images of
-the source ring's variables: restriction computes those from the two
-rings alone and caches them once, in one table keyed by the bases'
-content, which rings of different towers and fans share.  A polynomial
-is a term dict {exponent tuple: coefficient}, int where integral (see
-polys).  Free modules carry generator degrees; maps between them are
-PolyMatrix objects whose entries are term dicts in the target ring.
+chosen ray basis, graded with linear part in degree 2, so the fan fixes
+it: cone_ring builds it where one is needed.  A map between two cone
+rings is the restriction of functions from the larger span to the
+smaller one, fixed by the two bases: restriction gives each source
+variable's image as (target variable, coefficient) pairs, cached once
+in one table keyed by the bases' content, which rings of different fans
+share.  A polynomial is a term dict {exponent tuple: coefficient}, int
+where integral (see polys).  Free modules carry generator degrees; maps
+between them are PolyMatrix objects whose entries are term dicts in the
+target ring.
 
 Every map between complexes is PolyMatrix.from_columns of its
 generators' images: a cover's representatives as they are, or exact
@@ -22,14 +23,12 @@ image) is one such row, indexed by the (part, generator, monomial)
 basis of a degree piece.  Multiplication by a variable is an index
 operation: _successors gives, for each monomial u, the position of
 u * t_m one degree up (and _divisors the way back), and _mult_columns
-turns a linear form (the image of a variable under restriction) into
-the sparse columns that multiply a free module's piece by it.
-DirectSumAmbient.mult_by_var stacks those columns part by part and
-caches them on the ambient, for families; PolyMatrix.evaluate builds
-them for the target module afresh on each call and reads degree d off
-degree d - 2 with them.  Both apply columns through one routine,
-_apply_columns.  PolyMatrix.evaluate and
-CoverMap.evaluate emit the one form directly.  Subspace families store
+turns a variable's image under restriction into the sparse columns that
+multiply a free module's piece by it.  DirectSumAmbient.mult_by_var
+stacks those columns part by part and caches them on the ambient, for
+families; PolyMatrix.evaluate builds them for the target module afresh
+on each call and reads degree d off degree d - 2 with them.  Both apply
+columns through one routine, _apply_columns.  Subspace families store
 canonical primitive integer bases of a graded subspace degree by
 degree, and the minimal-generator machinery (completion of m*Z to Z)
 runs on top: each basis vector of Z(d-2) is multiplied by every base
@@ -66,78 +65,50 @@ class ConeRing:
         return f"ConeRing({self.label}, nvars={self.nvars})"
 
 
-class RingTower:
-    """Rings of one fan, cached and deterministic.
-
-    Keys are cone ids; the key "A" denotes the ring of the full ambient
-    space in the standard basis (used for module structures over the
-    total coordinate ring).
-    """
-
-    def __init__(self, fan):
-        self.fan = fan
-        self._rings = {}
-
-    def ring(self, key):
-        if key not in self._rings:
-            if key == "A":
-                basis = tuple(
-                    tuple(1 if i == j else 0 for j in range(self.fan.n))
-                    for i in range(self.fan.n)
-                )
-            else:
-                c = self.fan.cones[key]
-                basis = tuple(self.fan.rays[r] for r in c.basis_rays)
-            self._rings[key] = ConeRing(key, len(basis), basis)
-        return self._rings[key]
+def cone_ring(fan, key):
+    """The ring of a fan's cone, by cone id in the basis of the cone's
+    basis rays; the key "A" denotes the ring of the full ambient space
+    in the standard basis (module structures over the total coordinate
+    ring)."""
+    if key == "A":
+        basis = tuple(
+            tuple(int(i == j) for j in range(fan.n)) for i in range(fan.n)
+        )
+    else:
+        basis = tuple(fan.rays[r] for r in fan.cones[key].basis_rays)
+    return ConeRing(key, len(basis), basis)
 
 
-def _unit(nvars, i):
-    """Exponent tuple of the variable t_{i+1}."""
-    return tuple(int(k == i) for k in range(nvars))
-
-
-# (source basis, target basis) -> images of the source ring's variables,
-# or None for equal bases.  Keyed by content, never by object identity:
-# the ids of freed objects are reused.
+# (source basis, target basis) -> images of the source ring's variables.
+# Keyed by content, never by object identity: the ids of freed objects
+# are reused.
 _RESTRICTIONS = {}
 
 
 def restriction(source, target):
-    """Images of the source ring's variables in the target ring, as
-    linear forms in term-dict form, or None when the two rings have the
-    same basis.
+    """Images of the source ring's variables in the target ring: one
+    tuple per source variable of (target variable, coefficient) pairs.
 
     Defined when the target basis spans a subspace of the source span;
     the rings may come from different fans in the same lattice.
     Variable i maps to the linear form whose value on target basis
-    vector b_j is the i-th coordinate of b_j in the source basis.
+    vector b_j is the i-th coordinate of b_j in the source basis; equal
+    bases give the identity.
     """
     key = (source.basis, target.basis)
     if key not in _RESTRICTIONS:
-        images = None
-        if source.basis != target.basis:
+        if source.basis == target.basis:
+            # also the origin's ring, whose empty basis span_coords refuses
+            images = tuple(((i, 1),) for i in range(source.nvars))
+        else:
             # column j: target basis vector j in source coordinates
             cols = span_coords(source.basis, target.basis)
             images = tuple(
-                {
-                    _unit(target.nvars, j): col[i]
-                    for j, col in enumerate(cols)
-                    if col[i]
-                }
+                tuple((j, col[i]) for j, col in enumerate(cols) if col[i])
                 for i in range(source.nvars)
             )
         _RESTRICTIONS[key] = images
     return _RESTRICTIONS[key]
-
-
-def _linear_form(source, target, i):
-    """Image of the source ring's variable i in the target ring, as
-    (target variable, coefficient) pairs."""
-    images = restriction(source, target)
-    if images is None:
-        return ((i, 1),)
-    return tuple((exp.index(1), c) for exp, c in images[i].items())
 
 
 @lru_cache(maxsize=None)
@@ -291,6 +262,7 @@ class PolyMatrix:
             return self._eval[d]
         source, target = self.source, self.target
         nvars = source.ring.nvars
+        forms = restriction(source.ring, target.ring)
         rows = [{} for _ in range(target.dim_at(d))]
         below = None
         mult = {}
@@ -312,10 +284,7 @@ class PolyMatrix:
                             self.evaluate(d - 2), source.dim_at(d - 2)
                         )
                     if k not in mult:
-                        mult[k] = _mult_columns(
-                            target, d - 2,
-                            _linear_form(source.ring, target.ring, k),
-                        )
+                        mult[k] = _mult_columns(target, d - 2, forms[k])
                     image = _apply_columns(mult[k], below[below_off + q])
                 for r, x in image.items():
                     rows[r][col] = int(x) if x.denominator == 1 else x
@@ -375,7 +344,7 @@ class DirectSumAmbient:
             offs, _ = self.part_offsets(d + 2)
             cols = []
             for part, off in zip(self.parts, offs):
-                form = _linear_form(self.base_ring, part.ring, i)
+                form = restriction(self.base_ring, part.ring)[i]
                 cols += _mult_columns(part, d, form, off)
             self._mult[key] = tuple(cols)
         return self._mult[key]
@@ -500,15 +469,15 @@ def lift(rows_at, module, images, what):
     return out
 
 
-def minimal_free_cover(family, base_ring):
+def minimal_free_cover(family):
     """Free module on the minimal generators plus the covering map.
 
     The covering map is returned as one PolyMatrix per ambient part,
     read off from each part's segment of the generator representatives.
     """
     gens = minimal_generators(family)
-    module = FreeGradedModule(base_ring, [d for d, _ in gens])
     amb = family.ambient
+    module = FreeGradedModule(amb.base_ring, [d for d, _ in gens])
     offsets = {d: amb.part_offsets(d)[0] for d, _ in gens}
     blocks = []
     for k, part in enumerate(amb.parts):

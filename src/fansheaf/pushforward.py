@@ -22,7 +22,7 @@ from fansheaf.errors import CertificateError, InputError
 from fansheaf.modules import (
     DirectSumAmbient,
     PolyMatrix,
-    RingTower,
+    cone_ring,
     cover_is_free_certificate,
     family_from_kernel,
     lift,
@@ -48,8 +48,7 @@ def pushforward(fan_map, M):
     if M.fan is not fan_map.source:
         raise InputError("complex does not live on the map's source fan")
     src_fan, tgt_fan = fan_map.source, fan_map.target
-    tower = RingTower(tgt_fan)
-    N = FanComplex(tgt_fan, tower, {}, {}, M.window)
+    N = FanComplex(tgt_fan, {}, {}, M.window)
     families, covers, tiles_map = {}, {}, {}
     # blocks of the current target cone, shared by its constraints and
     # its induced differential
@@ -71,7 +70,7 @@ def pushforward(fan_map, M):
         tiles = [i for i in fan_map.preimage_cones(s) if M.rank_at(i)]
         if not tiles:
             continue
-        ring = tower.ring(s)
+        ring = cone_ring(tgt_fan, s)
         ambient = DirectSumAmbient(ring, [M.modules[i] for i in tiles])
         facet_data = [
             (f, tiles_map[f], families[f])
@@ -82,7 +81,7 @@ def pushforward(fan_map, M):
             block, ambient, tiles, walls.get(s, []), facet_data
         )
         fam = family_from_kernel(ambient, rows_at, M.window)
-        cover = minimal_free_cover(fam, ring)
+        cover = minimal_free_cover(fam)
         ok, offender = cover_is_free_certificate(cover)
         if not ok:
             raise CertificateError(
@@ -155,8 +154,8 @@ def verify_pushforward(P):
             problems.append(
                 f"module over cone {s} not free at degree {offender}"
             )
-    src_table = cohomology_degreewise(P.source).table
-    tgt_table = cohomology_degreewise(P.complex).table
+    src_table = cohomology_degreewise(P.source)
+    tgt_table = cohomology_degreewise(P.complex)
     if src_table != tgt_table:
         diff = {
             k: (src_table.get(k, 0), tgt_table.get(k, 0))

@@ -7,8 +7,10 @@ reference cone geometry and the all-pairs fan check.
 The first four share no code with the package: pieces are enumerated
 monomial by monomial and the defining linear systems are solved with
 plain Fraction elimination.  The multiplication columns read only
-the variables' images (modules.restriction) and the parts' piece bases
-from the package, and multiply monomials by adding exponents.  The reference cone geometry, cone_data and
+the variables' images (modules.restriction, turned into linear term
+dicts by linear_images, which the symbolic composite also uses) and the
+parts' piece bases from the package, and multiply monomials by adding
+exponents.  The reference cone geometry, cone_data and
 intersect_cones, is the package's earlier construction kept as it was:
 one rank or solve per question in Fraction arithmetic, and each cone
 intersection built as a cone with its own extreme rays.  The all-pairs
@@ -181,6 +183,17 @@ def mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def linear_images(source, target):
+    """Images of the source ring's variables as linear term dicts in the
+    target ring, read off the (target variable, coefficient) pairs of
+    modules.restriction."""
+    nv = target.nvars
+    return tuple(
+        {tuple(int(m == j) for m in range(nv)): c for j, c in form}
+        for form in restriction(source, target)
+    )
+
+
 def substitute(terms, images, target_nvars):
     """Ring map t_i -> images[i] by expanding every power afresh.
 
@@ -198,16 +211,14 @@ def substitute(terms, images, target_nvars):
     return {e: c for e, c in out.items() if c}
 
 
-def nonzero_composites(M, var_images):
+def nonzero_composites(M):
     """(sigma, rho) pairs of a complex whose composite differential
     sigma -> rho, summed over the facets between them, is nonzero.
 
     Composes symbolically: each entry of the first map is moved into the
-    face's ring by substitute and multiplied by the second map's
-    entries.  var_images(source ring, target ring) gives the source
-    variables' images as {exponent tuple: coefficient} dicts, or None
-    when the two rings share a basis.  Only the fan's face lists and the
-    maps' entries are read.
+    face's ring by substitute, the variables' images taken from
+    linear_images, and multiplied by the second map's entries.  Only the
+    fan's face lists, the rings and the maps' entries are read.
     """
     fan = M.fan
     out = set()
@@ -221,14 +232,10 @@ def nonzero_composites(M, var_images):
                 if (s, t) not in M.maps or (t, rho) not in M.maps:
                     continue
                 first, second = M.maps[(s, t)], M.maps[(t, rho)]
-                images = var_images(first.target.ring, second.target.ring)
+                images = linear_images(first.target.ring, second.target.ring)
                 nv = second.target.ring.nvars
                 for (i, j), q in first.entries.items():
-                    moved = (
-                        dict(q)
-                        if images is None
-                        else substitute(q, images, nv)
-                    )
+                    moved = substitute(q, images, nv)
                     for (k, i2), p in second.entries.items():
                         if i2 != i:
                             continue
@@ -257,15 +264,10 @@ def mult_by_var_columns(ambient, i, d):
     exponents added and the product looked up in the degree-(d + 2)
     basis.  One tuple of (row, coefficient) pairs per column."""
     index = {x: r for r, x in enumerate(ambient_basis(ambient, d + 2))}
-    images = []
-    for part in ambient.parts:
-        nv = part.ring.nvars
-        var_images = restriction(ambient.base_ring, part.ring)
-        images.append(
-            {tuple(int(m == i) for m in range(nv)): 1}
-            if var_images is None
-            else var_images[i]
-        )
+    images = [
+        linear_images(ambient.base_ring, part.ring)[i]
+        for part in ambient.parts
+    ]
     return tuple(
         tuple(
             (index[(k, j, tuple(a + b for a, b in zip(u, exp)))], c)

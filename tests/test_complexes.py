@@ -32,9 +32,8 @@ from fansheaf.modules import (
     DirectSumAmbient,
     FreeGradedModule,
     PolyMatrix,
-    RingTower,
+    cone_ring,
     default_window,
-    restriction,
 )
 
 from brute_oracle import nonzero_composites
@@ -52,32 +51,30 @@ def quadrant_complex():
     -1 carries the cancellation.
     """
     fan = load_fan(fan_path("quadrant"))
-    tower = RingTower(fan)
     mods = {
-        i: FreeGradedModule(tower.ring(i), [-2]) for i in range(4)
+        i: FreeGradedModule(cone_ring(fan, i), [-2]) for i in range(4)
     }
     maps = {}
     for s, t, c in [(1, 0, 1), (2, 0, 1), (3, 1, 1), (3, 2, -1)]:
-        nv = tower.ring(t).nvars
+        nv = mods[t].ring.nvars
         maps[(s, t)] = PolyMatrix(
             mods[s], mods[t], {(0, 0): {(0,) * nv: c}}
         )
-    return FanComplex(fan, tower, mods, maps, window=default_window(2))
+    return FanComplex(fan, mods, maps, window=default_window(2))
 
 
 def halfline_pair_complex():
     """Minimal complex on the complete fan in one dimension."""
     fan = load_fan(fan_path("p1"))
-    tower = RingTower(fan)
     mods = {
-        i: FreeGradedModule(tower.ring(i), [-1]) for i in range(3)
+        i: FreeGradedModule(cone_ring(fan, i), [-1]) for i in range(3)
     }
     maps = {}
     for s in (1, 2):
         maps[(s, 0)] = PolyMatrix(
             mods[s], mods[0], {(0, 0): {(): 1}}
         )
-    return FanComplex(fan, tower, mods, maps, window=default_window(1))
+    return FanComplex(fan, mods, maps, window=default_window(1))
 
 
 def test_quadrant_is_valid_complex():
@@ -94,7 +91,7 @@ def test_corrupted_entry_breaks_d_squared():
         M.modules[3], M.modules[2], {(0, 0): {(0,): 1}}
     )
     report = check_complex(
-        FanComplex(M.fan, M.tower, M.modules, bad, M.window)
+        FanComplex(M.fan, M.modules, bad, M.window)
     )
     assert not report.ok
     assert any("composite" in p for p in report.problems)
@@ -111,7 +108,7 @@ def test_corrupted_entries_flagged_as_symbolic_composition_finds(name):
     have up to two generators and the restrictions of these fans are
     not all simplicial."""
     M = complex_from_text((GOLDEN / f"{name}.complex").read_text())
-    assert nonzero_composites(M, restriction) == set()
+    assert nonzero_composites(M) == set()
     flagged = 0
     for key, pm in M.maps.items():
         for ij, p in pm.entries.items():
@@ -119,14 +116,14 @@ def test_corrupted_entries_flagged_as_symbolic_composition_finds(name):
             maps[key] = PolyMatrix(
                 pm.source, pm.target, {**pm.entries, ij: {u: 2 * c for u, c in p.items()}}
             )
-            bad = FanComplex(M.fan, M.tower, M.modules, maps, M.window)
+            bad = FanComplex(M.fan, M.modules, maps, M.window)
             problems = check_complex(bad).problems
             got = set()
             for why in problems:
                 match = COMPOSITE.fullmatch(why)
                 got.add((int(match[1]), int(match[2])))
             assert len(got) == len(problems)
-            assert got == nonzero_composites(bad, restriction), (key, ij)
+            assert got == nonzero_composites(bad), (key, ij)
             flagged += bool(got)
     assert flagged
 
@@ -138,7 +135,7 @@ def test_inhomogeneous_entry_rejected():
         M.modules[3], M.modules[1], {(0, 0): {(1,): 1}}
     )
     report = check_complex(
-        FanComplex(M.fan, M.tower, M.modules, bad, M.window)
+        FanComplex(M.fan, M.modules, bad, M.window)
     )
     assert not report.ok
 
@@ -169,7 +166,7 @@ def test_missing_top_module_fails_exactness():
     M = quadrant_complex()
     mods = {i: m for i, m in M.modules.items() if i != 3}
     maps = {k: v for k, v in M.maps.items() if k[0] != 3}
-    N = FanComplex(M.fan, M.tower, mods, maps, window=M.window)
+    N = FanComplex(M.fan, mods, maps, window=M.window)
     report = check_locally_exact(N)
     assert not report.ok
     assert any(cone == 3 for cone, _, _ in report.problems)
@@ -177,25 +174,20 @@ def test_missing_top_module_fails_exactness():
 
 def test_cohomology_quadrant():
     M = quadrant_complex()
-    rep = cohomology_degreewise(M)
-    assert rep.table == {(-2, 2): 1, (-2, 4): 2, (-2, 6): 3}
-    top = top_module(M)
-    assert top.free
-    assert top.generator_degrees == (2,)
+    assert cohomology_degreewise(M) == {(-2, 2): 1, (-2, 4): 2, (-2, 6): 3}
+    assert top_module(M) == ((2,), None)
 
 
 def test_cohomology_complete_line_fan():
     M = halfline_pair_complex()
-    rep = cohomology_degreewise(M)
-    assert rep.table == {(-1, -1): 1, (-1, 1): 2, (-1, 3): 2, (-1, 5): 2}
-    top = top_module(M)
-    assert top.free
-    assert top.generator_degrees == (-1, 1)
+    table = cohomology_degreewise(M)
+    assert table == {(-1, -1): 1, (-1, 1): 2, (-1, 3): 2, (-1, 5): 2}
+    assert top_module(M) == ((-1, 1), None)
 
 
 def test_euler_identity():
     M = quadrant_complex()
-    rep = cohomology_degreewise(M)
+    table = cohomology_degreewise(M)
     lo, hi = M.window
     for d in range(lo, hi + 1):
         chi_mod = sum(
@@ -203,7 +195,7 @@ def test_euler_identity():
             for p in range(-2, 1)
         )
         chi_h = sum(
-            (-1) ** p * rep.table.get((p, d), 0) for p in range(-2, 1)
+            (-1) ** p * table.get((p, d), 0) for p in range(-2, 1)
         )
         assert chi_mod == chi_h
 
@@ -253,10 +245,10 @@ def test_cohomology_ranks_each_differential_once(corpus, monkeypatch, name):
 
     monkeypatch.setattr(complexes, "assemble", tagging_assemble)
     monkeypatch.setattr(_linalg, "rank", counting_rank)
-    rep = cohomology_degreewise(M)
+    table = cohomology_degreewise(M)
     assert ranked
     assert max(Counter(ranked).values()) == 1
-    assert rep.table == expected
+    assert table == expected
 
 
 def test_serialization_round_trip():

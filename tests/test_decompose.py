@@ -14,7 +14,12 @@ from fansheaf.decompose import (
 )
 from fansheaf.errors import CertificateError
 from fansheaf.fans import load_fan, subdivision_map
-from fansheaf.minimal import build_minimal, stalk_report, verify_minimality
+from fansheaf.minimal import (
+    build_minimal,
+    build_shifted_minimal,
+    stalk_report,
+    verify_minimality,
+)
 from fansheaf.pushforward import pushforward
 
 from conftest import fan_path
@@ -26,6 +31,12 @@ def _image(src_name, tgt_name):
     fmap = subdivision_map(src, tgt)
     M = build_minimal(src)
     return pushforward(fmap, M), fmap
+
+
+def _peel(N, base_id, shift):
+    """peel_summand with the summand built on N's window."""
+    S = build_shifted_minimal(N.fan, base_id, shift, window=N.window)
+    return peel_summand(N, base_id, shift, S)
 
 
 def test_blowup_multiplicities():
@@ -60,7 +71,7 @@ def test_peel_keeps_cones_outside_the_star():
     P, _ = _image("blowquad", "quadrant")
     N = P.complex
     top = N.fan.cones_of_dim(2)[0]
-    res = peel_summand(N, top, 0)
+    res = _peel(N, top, 0)
     star = set(N.fan.star(top))
     outside = [i for i in N.support_ids() if i not in star]
     kept = [(s, t) for s, t in N.maps if s not in star]
@@ -74,7 +85,7 @@ def test_peel_keeps_cones_outside_the_star():
 def test_peel_top_summand_leaves_minimal_complex():
     P, _ = _image("blowquad", "quadrant")
     top = P.complex.fan.cones_of_dim(2)[0]
-    res = peel_summand(P.complex, top, 0)
+    res = _peel(P.complex, top, 0)
     assert stalk_report(res.summand) == {top: (0,)}
     # what remains is exactly the minimal complex, certified from scratch
     rep = verify_minimality(res.complement)
@@ -86,7 +97,7 @@ def test_peel_partitions_generator_degrees():
     P, _ = _image("starsq", "conesquare")
     N = P.complex
     top = N.fan.cones_of_dim(3)[0]
-    res = peel_summand(N, top, 1)
+    res = _peel(N, top, 1)
     assert set(res.embed_summand) == {top}
     for c in N.fan.cones:
         i = c.index
@@ -136,7 +147,7 @@ def test_peel_with_wrong_shift_rejected():
     P, _ = _image("blowquad", "quadrant")
     top = P.complex.fan.cones_of_dim(2)[0]
     with pytest.raises(CertificateError):
-        peel_summand(P.complex, top, 1)
+        _peel(P.complex, top, 1)
 
 
 def test_peel_rejects_dependent_complement_generators(monkeypatch):
@@ -150,7 +161,7 @@ def test_peel_rejects_dependent_complement_generators(monkeypatch):
 
     monkeypatch.setattr(decompose, "minimal_generators", doubled)
     with pytest.raises(CertificateError, match="chosen generators dependent"):
-        peel_summand(P.complex, top, 0)
+        _peel(P.complex, top, 0)
 
 
 def test_peel_requires_supported_base():
@@ -159,13 +170,12 @@ def test_peel_requires_supported_base():
     top = quadrant.cones_of_dim(2)[0]
     hollow = FanComplex(
         M.fan,
-        M.tower,
         {i: m for i, m in M.modules.items() if i != top},
         {k: v for k, v in M.maps.items() if top not in k},
         window=M.window,
     )
     with pytest.raises(CertificateError):
-        peel_summand(hollow, 0, 0)
+        _peel(hollow, 0, 0)
 
 
 def test_missing_stalk_rejected():
@@ -174,7 +184,6 @@ def test_missing_stalk_rejected():
     ray = quadrant.cones_of_dim(1)[0]
     hollow = FanComplex(
         M.fan,
-        M.tower,
         {i: m for i, m in M.modules.items() if i != ray},
         {k: v for k, v in M.maps.items() if ray not in k},
         window=M.window,

@@ -16,17 +16,12 @@ from hypothesis import strategies as st
 from fansheaf.complexes import assemble, boundary_kernel
 from fansheaf.decompose import peel_summand
 from fansheaf.fans import load_fan, subdivision_map
-from fansheaf.minimal import build_minimal
-from fansheaf.modules import (
-    FreeGradedModule,
-    PolyMatrix,
-    minimal_free_cover,
-    restriction,
-)
+from fansheaf.minimal import build_minimal, build_shifted_minimal
+from fansheaf.modules import FreeGradedModule, PolyMatrix, minimal_free_cover
 from fansheaf.polys import monomials
 from fansheaf.pushforward import pushforward
 
-from brute_oracle import mul, substitute
+from brute_oracle import linear_images, mul, substitute
 from conftest import fan_path
 from test_restriction import CORPUS, SUBDIVISIONS, corpus_pairs, tile_pairs
 
@@ -51,12 +46,9 @@ def poly_matrix(pm, d):
     tgt = pm.target.piece_basis(d)
     mat = [[0] * len(src) for _ in tgt]
     nv = pm.target.ring.nvars
-    var_images = restriction(pm.source.ring, pm.target.ring)
+    var_images = linear_images(pm.source.ring, pm.target.ring)
     for c, (j, u) in enumerate(src):
-        if var_images is None:
-            mono = {u: Fraction(1)}
-        else:
-            mono = substitute({u: 1}, var_images, nv)
+        mono = substitute({u: 1}, var_images, nv)
         images = {
             i: mul(mono, p)
             for (i, jj), p in pm.entries.items()
@@ -114,7 +106,7 @@ def test_producers_emit_sparse_rows(corpus, name):
         if cone.dim == 0 or not M.rank_at(cone.index):
             continue
         fam, _ = boundary_kernel(M, cone.index)
-        cover = minimal_free_cover(fam, M.tower.ring(cone.index))
+        cover = minimal_free_cover(fam)
         parts = fam.ambient.parts
         for d in degrees:
             blocks = {
@@ -148,7 +140,9 @@ def test_peeled_summand_maps_match_oracle():
         load_fan(fan_path("starsq")), load_fan(fan_path("conesquare"))
     )
     N = pushforward(fmap, build_minimal(fmap.source)).complex
-    res = peel_summand(N, N.fan.cones_of_dim(3)[0], 1)
+    top = N.fan.cones_of_dim(3)[0]
+    S = build_shifted_minimal(N.fan, top, 1, window=N.window)
+    res = peel_summand(N, top, 1, S)
     lo, hi = N.window
     maps = (
         list(res.summand.maps.values())

@@ -1,8 +1,11 @@
 """Minimal complex builders against hand-derived and lattice oracles."""
 
+from collections import Counter
+
 import pytest
 
-from fansheaf.complexes import complex_to_text
+from fansheaf import complexes, minimal
+from fansheaf.complexes import FanComplex, complex_to_text
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
 from fansheaf.fans import Fan, load_fan
 from fansheaf.minimal import (
@@ -12,6 +15,7 @@ from fansheaf.minimal import (
     stalk_report,
     verify_minimality,
 )
+from fansheaf.modules import FreeGradedModule, PolyMatrix
 
 from conftest import fan_path
 from quotient import quotient_fan
@@ -32,6 +36,58 @@ def test_verify_minimality_quadrant_and_complete_line():
         M = build_minimal(load_fan(fan_path(name)))
         rep = verify_minimality(M)
         assert rep.ok, rep.problems
+
+
+def _count_boundary_kernels(monkeypatch):
+    """Counter of boundary_kernel calls per cone, wherever it is bound."""
+    calls = Counter()
+    real = complexes.boundary_kernel
+
+    def counting(M, cone_id):
+        calls[cone_id] += 1
+        return real(M, cone_id)
+
+    monkeypatch.setattr(complexes, "boundary_kernel", counting)
+    monkeypatch.setattr(minimal, "boundary_kernel", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, base, shift", [("p3", 0, 0), ("cubefan", 0, 0), ("cubefan", 7, 1)]
+)
+def test_verify_minimality_takes_each_boundary_kernel_once(
+    monkeypatch, name, base, shift
+):
+    """The exactness and generator-degree checks share one boundary
+    kernel per positive-dimensional cone, computed from the complex."""
+    fan = load_fan(fan_path(name))
+    M = build_shifted_minimal(fan, base, shift)
+    calls = _count_boundary_kernels(monkeypatch)
+    rep = verify_minimality(M, base_id=base, shift=shift)
+    assert rep.ok, rep.problems
+    assert calls == Counter(c.index for c in fan.cones if c.dim)
+
+
+def test_verify_minimality_reports_exactness_before_degrees(monkeypatch):
+    """The quadrant complex without its top module, and with a spare
+    generator in degree 0 at ray 1 that maps to zero: exactness fails at
+    the top cone, then ray 1's degrees disagree with its kernel's
+    generators, in that order, each kernel still taken once."""
+    M = build_minimal(load_fan(fan_path("quadrant")))
+    top = M.fan.cones_of_dim(2)[0]
+    spare = FreeGradedModule(M.modules[1].ring, [-2, 0])
+    modules = {i: m for i, m in M.modules.items() if i != top}
+    modules[1] = spare
+    maps = {k: pm for k, pm in M.maps.items() if top not in k}
+    maps[(1, 0)] = PolyMatrix(spare, M.modules[0], M.maps[(1, 0)].entries)
+    N = FanComplex(M.fan, modules, maps, M.window)
+    calls = _count_boundary_kernels(monkeypatch)
+    problems = verify_minimality(N).problems
+    assert calls == Counter(c.index for c in M.fan.cones if c.dim)
+    assert problems[-1] == "cone 1: module degrees (-2, 0), kernel needs (-2,)"
+    assert problems[:-1] and all(
+        p.startswith(f"not exact at cone {top} ") for p in problems[:-1]
+    )
 
 
 def test_simplicial_stalks_are_single_bottom_generators():

@@ -19,19 +19,19 @@ from fansheaf.modules import (
     FreeGradedModule,
     GradedSubspaceFamily,
     PolyMatrix,
-    RingTower,
+    cone_ring,
     cover_is_free_certificate,
     family_from_kernel,
     lift,
     minimal_free_cover,
     minimal_generators,
-    restriction,
 )
 from fansheaf.polys import monomials, parse_poly
 
 from brute_oracle import (
     ambient_basis,
     leftmost_generators,
+    linear_images,
     mul,
     mult_by_var_columns,
     substitute,
@@ -58,18 +58,17 @@ def test_free_module_dims():
 def test_restriction_along_diagonal(corpus):
     """x + y restricts to 2t along the ray through (1,1)."""
     fan = corpus["blowquad"]
-    tower = RingTower(fan)
     sigma = fan.cone_by_rays(
         [fan.rays.index((1, 0)), fan.rays.index((1, 1))]
     )
     rho = fan.cone_by_rays([fan.rays.index((1, 1))])
-    amb, sig, r = tower.ring("A"), tower.ring(sigma), tower.ring(rho)
+    amb, sig, r = (cone_ring(fan, key) for key in ("A", sigma, rho))
     x_plus_y = {(1, 0): 1, (0, 1): 1}
-    on_sigma = substitute(x_plus_y, restriction(amb, sig), sig.nvars)
-    restricted = substitute(on_sigma, restriction(sig, r), 1)
+    on_sigma = substitute(x_plus_y, linear_images(amb, sig), sig.nvars)
+    restricted = substitute(on_sigma, linear_images(sig, r), 1)
     assert restricted == {(1,): 2}
     # functoriality: ambient -> rho directly gives the same answer
-    assert substitute(x_plus_y, restriction(amb, r), 1) == restricted
+    assert substitute(x_plus_y, linear_images(amb, r), 1) == restricted
 
 
 def test_polymatrix_evaluate_and_compose():
@@ -166,7 +165,7 @@ def test_minimal_generators_free_module():
     fam = _full_family(m, (-2, 6))
     gens = minimal_generators(fam)
     assert [d for d, _ in gens] == [-2, 0]
-    cover = minimal_free_cover(fam, r)
+    cover = minimal_free_cover(fam)
     assert cover.module.degrees == (-2, 0)
     ok, bad = cover_is_free_certificate(cover)
     assert ok and bad is None
@@ -302,7 +301,7 @@ def test_cover_entries_read_off():
     amb = DirectSumAmbient(r, (m,))
     bases = {d: [{i: 1} for i in range(m.dim_at(d))] for d in range(2, 9)}
     fam = GradedSubspaceFamily(amb, (0, 8), bases)
-    cover = minimal_free_cover(fam, r)
+    cover = minimal_free_cover(fam)
     assert cover.module.degrees == (2,)
     block = cover.blocks[0]
     assert block.entries[(0, 0)] == {(1,): 1}
@@ -328,14 +327,7 @@ def _oracle_image(ambient, i, d, col):
     """Dense coefficient vector of (image of variable i) * basis monomial
     col, multiplied out with brute_oracle's product."""
     k, j, u = ambient_basis(ambient, d)[col]
-    ring = ambient.parts[k].ring
-    nv = ring.nvars
-    images = restriction(ambient.base_ring, ring)
-    var = (
-        {tuple(int(k == i) for k in range(nv)): 1}
-        if images is None
-        else images[i]
-    )
+    var = linear_images(ambient.base_ring, ambient.parts[k].ring)[i]
     prod = mul(var, {u: 1})
     return [
         prod.get(u2, 0) if (k2, j2) == (k, j) else 0
@@ -352,7 +344,7 @@ def _oracle_ambients(name):
     if name == "cubefan":
         top = [i for i in M.fan.cones_of_dim(M.fan.n) if M.rank_at(i)]
         ambient = DirectSumAmbient(
-            M.tower.ring("A"), tuple(M.modules[i] for i in top)
+            cone_ring(M.fan, "A"), tuple(M.modules[i] for i in top)
         )
         yield ambient, M.window
 
@@ -415,7 +407,7 @@ def test_mult_by_var_matches_exponent_oracle(name):
     ambients = [boundary_setup(M, c.index)[0] for c in M.fan.cones]
     top = [i for i in M.fan.cones_of_dim(n) if M.rank_at(i)]
     ambients.append(
-        DirectSumAmbient(M.tower.ring("A"), [M.modules[i] for i in top])
+        DirectSumAmbient(cone_ring(M.fan, "A"), [M.modules[i] for i in top])
     )
     lo, hi = M.window
     for ambient in ambients:

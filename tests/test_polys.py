@@ -10,7 +10,7 @@ from fansheaf.minimal import build_minimal
 from fansheaf.modules import ConeRing, restriction
 from fansheaf.polys import degree, format_poly, monomials, parse_poly
 
-from brute_oracle import substitute
+from brute_oracle import linear_images, substitute
 from conftest import fan_path
 
 
@@ -35,7 +35,7 @@ def test_substitute_linear():
     # the plane's restriction to the ray through (1, 2) is that map
     plane = ConeRing("A", 2, ((1, 0), (0, 1)))
     ray = ConeRing(1, 1, ((1, 2),))
-    assert restriction(plane, ray) == (t, {(1,): 2})
+    assert linear_images(plane, ray) == (t, {(1,): 2})
 
 
 def test_polynomials_are_term_dicts():
@@ -48,12 +48,16 @@ def test_polynomials_are_term_dicts():
     assert merged == {(1, 0): 2} and type(merged[(1, 0)]) is int
     plane = ConeRing("A", 2, ((1, 0), (0, 1)))
     images = restriction(plane, ConeRing(1, 1, ((2, 1),)))
-    assert all(type(p) is dict for p in images)
-    assert images == ({(1,): 2}, {(1,): 1})
-    assert type(images[0][(1,)]) is int
+    assert images == (((0, 2),), ((0, 1),))
     wide = ConeRing(2, 2, ((2, 0), (0, 1)))
     half = restriction(wide, ConeRing(1, 1, ((1, 0),)))
-    assert half == ({(1,): Fraction(1, 2)}, {})
+    assert half == (((0, Fraction(1, 2)),), ())
+    same = restriction(wide, ConeRing(3, 2, ((2, 0), (0, 1))))
+    assert same == (((0, 1),), ((1, 1),))
+    for form in images + half + same:
+        for j, c in form:
+            assert type(j) is int
+            assert type(c) is int or c.denominator != 1
     M = build_minimal(load_fan(fan_path("cubefan")))
     coefficients = [
         c

@@ -21,7 +21,7 @@ from fansheaf.modules import (
     ConeRing,
     FreeGradedModule,
     PolyMatrix,
-    RingTower,
+    cone_ring,
     restriction,
 )
 from fansheaf.polys import degree
@@ -115,20 +115,21 @@ def check_pair(src, tgt, n, rng):
 
 def corpus_pairs(fan):
     """(source, target) rings: (cone, face) and ("A", cone)."""
-    tower = RingTower(fan)
     for sigma in fan.cones:
-        yield tower.ring("A"), tower.ring(sigma.index)
+        yield cone_ring(fan, "A"), cone_ring(fan, sigma.index)
         for rho in sigma.face_ids:
-            yield tower.ring(sigma.index), tower.ring(rho)
+            yield cone_ring(fan, sigma.index), cone_ring(fan, rho)
 
 
 def tile_pairs(fmap):
     """(target cone, tile) rings of a subdivision map; the tiles' rings
-    live in another fan and another tower."""
-    tiles, targets = RingTower(fmap.source), RingTower(fmap.target)
+    live in another fan."""
     for sigma in fmap.target.cones:
         for tile in fmap.preimage_cones(sigma.index):
-            yield targets.ring(sigma.index), tiles.ring(tile)
+            yield (
+                cone_ring(fmap.target, sigma.index),
+                cone_ring(fmap.source, tile),
+            )
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -142,7 +143,7 @@ def test_restriction_matches_evaluation_oracle(corpus, name):
 @pytest.mark.parametrize("src,tgt", SUBDIVISIONS)
 def test_tile_restriction_matches_evaluation_oracle(src, tgt):
     """Target cone rings restricted to the rings of their tiles, which
-    live in another fan and another tower."""
+    live in another fan."""
     rng = random.Random(f"{src}-{tgt}")
     fmap = subdivision_map(load_fan(fan_path(src)), load_fan(fan_path(tgt)))
     checked = 0
@@ -156,13 +157,12 @@ def test_tile_restriction_matches_evaluation_oracle(src, tgt):
 def test_restriction_is_functorial(corpus, name):
     """A -> sigma -> rho equals A -> rho on every monomial up to degree 4."""
     fan = corpus[name]
-    tower = RingTower(fan)
-    amb = tower.ring("A")
+    amb = cone_ring(fan, "A")
     for sigma in fan.cones:
-        sig = tower.ring(sigma.index)
+        sig = cone_ring(fan, sigma.index)
         to_sig = monomial_images(amb, sig, 4)
         for rho in sigma.face_ids:
-            r = tower.ring(rho)
+            r = cone_ring(fan, rho)
             sig_to_r = monomial_images(sig, r, 4)
             for u, p in monomial_images(amb, r, 4).items():
                 two_steps = {}
@@ -192,14 +192,15 @@ def test_two_parses_give_equal_restrictions(monkeypatch, name):
 
 def test_cache_is_keyed_by_basis_content():
     """Rings with equal bases share one entry, whatever their labels and
-    towers; equal bases restrict by the identity."""
+    fans; equal bases restrict by the identity pairs."""
     plane = ConeRing("A", 2, ((1, 0), (0, 1)))
     ray = ConeRing(3, 1, ((1, 1),))
     images = restriction(plane, ray)
-    assert images == ({(1,): 1}, {(1,): 1})
+    assert images == (((0, 1),), ((0, 1),))
     twin = ConeRing("other", 1, tuple(tuple(b) for b in [[1, 1]]))
     assert restriction(ConeRing(0, 2, ((1, 0), (0, 1))), twin) is images
-    assert restriction(ray, twin) is None
+    assert restriction(ray, twin) == (((0, 1),),)
+    assert restriction(plane, plane) == (((0, 1),), ((1, 1),))
     assert monomial_images(ray, twin, 3)[(3,)] == {(3,): 1}
     for key in modules._RESTRICTIONS:
         assert all(
@@ -207,3 +208,20 @@ def test_cache_is_keyed_by_basis_content():
             and all(isinstance(a, int) for b in basis for a in b)
             for basis in key
         )
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_origin_ring_restricts_by_empty_forms(monkeypatch, name):
+    """The origin's ring has no variables and an empty basis: restricted
+    to itself it gives (), and every source variable restricts to it as
+    the empty form.  From an empty cache, so the equal-basis case is
+    computed here and not read off an earlier entry."""
+    monkeypatch.setattr(modules, "_RESTRICTIONS", {})
+    fan = load_fan(fan_path(name))
+    origin = cone_ring(fan, 0)
+    assert origin.basis == () and origin.nvars == 0
+    assert restriction(origin, origin) == ()
+    for key in ["A"] + [c.index for c in fan.cones if c.dim]:
+        ring = cone_ring(fan, key)
+        assert restriction(ring, origin) == ((),) * ring.nvars
+    assert monomial_images(origin, origin, 3) == {(): {(): 1}}
