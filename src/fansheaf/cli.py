@@ -12,6 +12,7 @@ plus 2 to retry with).
 """
 
 import argparse
+from collections import Counter
 from pathlib import Path
 
 from fansheaf.combinatorics import predicted_ih_degrees, predicted_stalks
@@ -95,14 +96,14 @@ def _cmd_minimal_build(args, rep):
     M = _build(args, fan)
     for i, degs in sorted(stalk_report(M).items()):
         rep.add("stalk", cone=i, value=_degs(degs))
-    ver = verify_minimality(M, base_id=args.base, shift=args.shift)
-    rep.add("minimal", certificate="pass" if ver.ok else "fail")
-    for p in ver.problems:
+    problems = verify_minimality(M, base_id=args.base, shift=args.shift)
+    rep.add("minimal", certificate="fail" if problems else "pass")
+    for p in problems:
         rep.add("problem", value=p)
     if args.out:
         Path(args.out).write_text(complex_to_text(M))
         rep.add("serialized", value=args.out)
-    return 0 if ver.ok else 1
+    return 1 if problems else 0
 
 
 def _cmd_stalks(args, rep):
@@ -127,14 +128,17 @@ def _cmd_stalks(args, rep):
 def _cmd_ih(args, rep):
     fan = load_fan(args.fan)
     M = build_minimal(fan, window=_window(args, fan))
-    result = ih_module(M, require_complete=args.require_complete)
-    for d, count in sorted(result.betti.items()):
+    complete = is_complete(fan)
+    if args.require_complete and not complete:
+        raise InputError("fan is not complete")
+    degrees = ih_module(M)
+    for d, count in sorted(Counter(degrees).items()):
         rep.add("ih", degree=d, value=count)
-    if not result.complete:
+    if not complete:
         rep.add("ih-oracle", value="fan not complete, no prediction")
         return 0
     pred = predicted_ih_degrees(fan)
-    cert = "match" if pred == result.generator_degrees else "mismatch"
+    cert = "match" if pred == degrees else "mismatch"
     rep.add("ih-oracle", value=_degs(pred), certificate=cert)
     return 0 if cert == "match" else 1
 
@@ -147,26 +151,26 @@ def _cmd_pushforward(args, rep):
     P = pushforward(fmap, M)
     for i, degs in sorted(stalk_report(P.complex).items()):
         rep.add("module", cone=i, value=_degs(degs))
-    ver = verify_pushforward(P)
-    rep.add("pushforward", certificate="pass" if ver.ok else "fail")
-    for p in ver.problems:
+    problems = verify_pushforward(P)
+    rep.add("pushforward", certificate="fail" if problems else "pass")
+    for p in problems:
         rep.add("problem", value=p)
     if args.out:
         Path(args.out).write_text(complex_to_text(P.complex))
         rep.add("serialized", value=args.out)
-    return 0 if ver.ok else 1
+    return 1 if problems else 0
 
 
 def _cmd_decompose(args, rep):
     tgt = load_fan(args.fan)
     src = load_fan(args.subdivision)
     fmap = subdivision_map(src, tgt)
-    result = decomposition_theorem_report(fmap, window=_window(args, src))
-    for (b, k), m in result.sorted_items():
+    mult = decomposition_theorem_report(fmap, window=_window(args, src))
+    for (b, k), m in sorted(mult.items()):
         rep.add("summand", cone=b, degree=k, value=m, certificate="peeled")
     rep.add(
         "decomposition",
-        value=f"{len(result.peel_sequence)} summands",
+        value=f"{sum(mult.values())} summands",
         certificate="complete",
     )
     return 0
@@ -175,17 +179,17 @@ def _cmd_decompose(args, rep):
 def _cmd_verify(args, rep):
     M = complex_from_text(Path(args.complex).read_text(), validate=False)
     # each certificate runs only on a complex that passed the ones before
-    shape = check_complex(M)
-    rep.add("complex", certificate="pass" if shape.ok else "fail")
-    for p in shape.problems:
+    problems = check_complex(M)
+    rep.add("complex", certificate="fail" if problems else "pass")
+    for p in problems:
         rep.add("problem", value=p)
-    if not shape.ok:
+    if problems:
         return 1
-    exact = check_locally_exact(M)
-    rep.add("local-exactness", certificate="pass" if exact.ok else "fail")
-    for i, d, why in exact.problems:
+    failures = check_locally_exact(M)
+    rep.add("local-exactness", certificate="fail" if failures else "pass")
+    for i, d, why in failures:
         rep.add("problem", cone=i, degree=d, value=why)
-    if not exact.ok:
+    if failures:
         return 1
     table = cohomology_degreewise(M)
     for (p, d), dim in sorted(table.items()):
@@ -297,6 +301,7 @@ FAILURES = {
     WindowExhausted: (3, "window-exhausted"),
     InputError: (2, "input-error"),
     OSError: (2, "input-error"),
+    UnicodeDecodeError: (2, "input-error"),
     CertificateError: (1, "certificate-failure"),
 }
 

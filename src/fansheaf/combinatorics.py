@@ -19,17 +19,26 @@ def _shifted_binomial(m):
     return [comb(m, i) * (-1) ** (m - i) for i in range(m + 1)]
 
 
-def _add_scaled(acc, poly, shift_poly):
-    prod = [0] * (len(poly) + len(shift_poly) - 1)
-    for i, a in enumerate(poly):
-        if a:
-            for j, b in enumerate(shift_poly):
-                prod[i + j] += a * b
-    for i, a in enumerate(prod):
-        if i >= len(acc):
-            acc.extend([0] * (i - len(acc) + 1))
-        acc[i] += a
-    return acc
+def _accumulate(fan, cone_ids, top, cache):
+    """Sum of g(c) (t - 1)^(top - dim c) over the listed cones, trailing
+    zeros stripped."""
+    acc = [0] * (top + 1)
+    for c in cone_ids:
+        shift = _shifted_binomial(top - fan.cones[c].dim)
+        for i, a in enumerate(g_vector(fan, c, cache)):
+            for j, b in enumerate(shift):
+                acc[i + j] += a * b
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return tuple(acc)
+
+
+def _degrees(n, coeffs, problem):
+    """c_i copies of degree -n + 2i for each coefficient c_i; a negative
+    coefficient raises InputError with the message `problem`."""
+    if any(c < 0 for c in coeffs):
+        raise InputError(problem)
+    return tuple(-n + 2 * i for i, c in enumerate(coeffs) for _ in range(c))
 
 
 def h_vector(fan, cone_id, _cache=None):
@@ -37,18 +46,10 @@ def h_vector(fan, cone_id, _cache=None):
     if _cache is None:
         _cache = {}
     cone = fan.cones[cone_id]
-    k = cone.dim
-    if k == 0:
+    if cone.dim == 0:
         return (1,)
-    acc = [0] * k
-    for f in cone.face_ids:
-        if f == cone_id:
-            continue
-        g = g_vector(fan, f, _cache)
-        _add_scaled(acc, list(g), _shifted_binomial(k - 1 - fan.cones[f].dim))
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return tuple(acc)
+    faces = [f for f in cone.face_ids if f != cone_id]
+    return _accumulate(fan, faces, cone.dim - 1, _cache)
 
 
 def g_vector(fan, cone_id, _cache=None):
@@ -80,15 +81,11 @@ def g_vector(fan, cone_id, _cache=None):
 def predicted_stalk_degrees(fan, cone_id, _cache=None):
     """Generator degrees the minimal complex must show at this cone."""
     g = g_vector(fan, cone_id, _cache)
-    if any(c < 0 for c in g):
-        raise InputError(
-            f"cone {cone_id}: difference polynomial {g} has negative entries"
-        )
-    n = fan.n
-    out = []
-    for i, c in enumerate(g):
-        out.extend([-n + 2 * i] * c)
-    return tuple(out)
+    return _degrees(
+        fan.n,
+        g,
+        f"cone {cone_id}: difference polynomial {g} has negative entries",
+    )
 
 
 def predicted_stalks(fan):
@@ -108,26 +105,12 @@ def complete_fan_h_vector(fan):
     palindromic for complete fans, which the tests exploit as an extra
     consistency check.
     """
-    cache = {}
-    acc = [0] * (fan.n + 1)
-    for c in fan.cones:
-        _add_scaled(
-            acc,
-            list(g_vector(fan, c.index, cache)),
-            _shifted_binomial(fan.n - c.dim),
-        )
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return tuple(acc)
+    return _accumulate(fan, range(len(fan.cones)), fan.n, {})
 
 
 def predicted_ih_degrees(fan):
     """Generator degrees the top cohomology must show, for complete fans."""
     h = complete_fan_h_vector(fan)
-    if any(c < 0 for c in h):
-        raise InputError(f"accumulated polynomial {h} has negative entries")
-    n = fan.n
-    out = []
-    for i, c in enumerate(h):
-        out.extend([-n + 2 * i] * c)
-    return tuple(out)
+    return _degrees(
+        fan.n, h, f"accumulated polynomial {h} has negative entries"
+    )

@@ -17,7 +17,8 @@ as it is.  check_complex certifies shapes, grading, and the vanishing
 of the composite differential on each module's generators;
 check_locally_exact certifies, cone by cone (local_exactness), the
 surjectivity of each module onto its own cone's boundary kernel degree
-by degree.  Both run on arbitrary complexes, not only this package's.
+by degree.  Both run on arbitrary complexes, not only this package's,
+and return their problems: an empty list means the complex passes.
 """
 
 from contextlib import contextmanager
@@ -98,22 +99,6 @@ def _offsets(M, ids, d):
     return offs, total
 
 
-class CertificateReport:
-    """Outcome of a certificate: it passes exactly when no problem was
-    found.  Problems are strings, or (cone, degree, why) tuples for
-    check_locally_exact."""
-
-    def __init__(self, problems):
-        self.problems = problems
-
-    @property
-    def ok(self):
-        return not self.problems
-
-    def __bool__(self):
-        return self.ok
-
-
 def check_complex(M):
     """Certify shapes, grading, and d after d = 0 on generators.
 
@@ -122,7 +107,8 @@ def check_complex(M):
     face is cone to face.  A map of free modules vanishes exactly when
     it vanishes on the generators, so applying the two stored components
     to each generator, at its own degree, certifies d after d = 0 in
-    every degree, whatever the window.
+    every degree, whatever the window.  Returns the list of problems,
+    empty when the complex passes.
     """
     problems = []
     fan = M.fan
@@ -138,7 +124,7 @@ def check_complex(M):
         except (CertificateError, InputError) as exc:
             problems.append(f"map {s}->{t}: {exc}")
     if problems:
-        return CertificateReport(problems)
+        return problems
     for sigma in M.fan.cones:
         s = sigma.index
         if M.rank_at(s) == 0 or sigma.dim < 2:
@@ -163,7 +149,7 @@ def check_complex(M):
                 problems.append(
                     f"composite differential {s} -> {rho_id} is nonzero"
                 )
-    return CertificateReport(problems)
+    return problems
 
 
 def _composite(paths, d, vec):
@@ -237,14 +223,14 @@ def check_locally_exact(M):
 
     For every positive-dimensional cone and every window degree, the
     image of the cone's module under its facet maps must span the
-    kernel of the next differential of the restricted complex.  The
-    report's problems are (cone, degree, why) tuples.
+    kernel of the next differential of the restricted complex.  Returns
+    the (cone, degree, why) failures, empty when the complex passes.
     """
-    return CertificateReport([
+    return [
         failure
         for cone in M.fan.cones if cone.dim
         for failure in local_exactness(M, cone.index)[1]
-    ])
+    ]
 
 
 def cohomology_degreewise(M):
@@ -314,7 +300,7 @@ def top_module(M):
         ambient, lambda d: assemble(M, top_ids, tgts, d), M.window
     )
     cover = minimal_free_cover(fam)
-    return cover.module.degrees, cover_is_free_certificate(cover)[1]
+    return cover.module.degrees, cover_is_free_certificate(cover)
 
 
 # ----- serialization -----
@@ -484,10 +470,9 @@ def complex_from_text(text, validate=True):
                 raise ValueError(f"map {s}->{t} has entries but no sign line")
     M = FanComplex(fan, modules, maps, window)
     if validate:
-        report = check_complex(M)
-        if not report.ok:
+        problems = check_complex(M)
+        if problems:
             raise InputError(
-                "serialized complex fails validity: "
-                + "; ".join(report.problems)
+                "serialized complex fails validity: " + "; ".join(problems)
             )
     return M

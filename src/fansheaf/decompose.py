@@ -26,7 +26,7 @@ from fansheaf.complexes import (
     check_complex,
 )
 from fansheaf.errors import CertificateError
-from fansheaf.minimal import build_minimal, build_shifted_minimal, stalk_report
+from fansheaf.minimal import build_minimal, build_shifted_minimal
 from fansheaf.modules import (
     CoverMap,
     FreeGradedModule,
@@ -39,12 +39,12 @@ from fansheaf.modules import (
 from fansheaf.pushforward import pushforward, verify_pushforward
 
 
-def decomposition_multiplicities(N, summands=None):
-    """Multiplicities {(base cone, shift): count} explaining N's stalks.
+def decomposition_multiplicities(N):
+    """Multiplicities {(base cone, shift): count} explaining N's stalks,
+    and the summands {(base cone, shift): shifted minimal complex}.
 
     Each assigned summand's shifted minimal complex is built once, on
-    N's window; when `summands` is a dict, it receives them under their
-    (base cone, shift) keys, for peel_summand.
+    N's window, and returned for peel_summand.
 
     Raises when an assigned summand's stalk fails to appear in a later
     cone's generator degrees, which means no decomposition of this shape
@@ -53,13 +53,13 @@ def decomposition_multiplicities(N, summands=None):
     fan = N.fan
     n = fan.n
     mult = {}
-    stalks = {}
+    summands = {}
     for cone in fan.cones:
         i = cone.index
         have = Counter(N.degrees_at(i))
         expected = Counter()
         for key, m in mult.items():
-            for d in stalks[key].get(i, ()):
+            for d in summands[key].degrees_at(i):
                 expected[d] += m
         missing = expected - have
         if missing:
@@ -71,21 +71,10 @@ def decomposition_multiplicities(N, summands=None):
         for d in sorted(residual):
             k = -n + cone.dim - d
             mult[(i, k)] = residual[d]
-            S = build_shifted_minimal(fan, i, k, window=N.window)
-            stalks[(i, k)] = stalk_report(S)
-            if summands is not None:
-                summands[(i, k)] = S
-    return mult
-
-
-class PeelResult:
-    """One summand split off a complex: the summand, the complement,
-    and the per-cone embedding of the summand into the original complex."""
-
-    def __init__(self, summand, complement, embed_summand):
-        self.summand = summand
-        self.complement = complement
-        self.embed_summand = embed_summand
+            summands[(i, k)] = build_shifted_minimal(
+                fan, i, k, window=N.window
+            )
+    return mult, summands
 
 
 def _gen_columns(module, d):
@@ -105,7 +94,11 @@ def _at_columns(vec, cols):
 
 def peel_summand(N, base_id, shift, summand):
     """Split one copy of the shifted minimal complex off of N; `summand`
-    is that complex, built on N's window."""
+    is that complex, built on N's window.
+
+    Returns (complement, embedding): the complement subcomplex, and the
+    summand's embedding into N as {cone id: PolyMatrix}.
+    """
     fan, window = N.fan, N.window
     lo, hi = window
     star = set(fan.star(base_id))
@@ -291,12 +284,12 @@ def peel_summand(N, base_id, shift, summand):
                 if not mp.is_zero():
                     NP.maps[(i, f)] = mp
 
-    rep = check_complex(NP)
-    if not rep.ok:
+    problems = check_complex(NP)
+    if problems:
         raise CertificateError(
-            "complement is not a valid complex: " + "; ".join(rep.problems)
+            "complement is not a valid complex: " + "; ".join(problems)
         )
-    return PeelResult(summand, NP, phi)
+    return NP, phi
 
 
 def _summand_boundary_columns(S, phi, i, facets, ambient, d):
@@ -345,48 +338,39 @@ def _complement_rows(base_rows, ambient, facets, psi, NP, N):
     return rows_at
 
 
-class DecompositionReport:
-    """Multiplicities plus the record of a complete peel."""
-
-    def __init__(self, multiplicities, peel_sequence):
-        self.multiplicities = multiplicities
-        self.peel_sequence = peel_sequence
-
-    def sorted_items(self):
-        return sorted(self.multiplicities.items())
-
-
 def decompose_fully(N):
-    """Compute multiplicities, then peel every claimed summand off.
+    """Compute multiplicities, then peel every claimed summand off, in
+    sorted (base cone, shift) order, each as many times as it occurs.
 
-    Returns the report; raises if any peel certificate fails or if
-    peeling everything leaves a nonzero complex.
+    Returns the multiplicities {(base cone, shift): count}; raises if
+    any peel certificate fails or if peeling everything leaves a nonzero
+    complex.
     """
-    summands = {}
-    mult = decomposition_multiplicities(N, summands)
+    mult, summands = decomposition_multiplicities(N)
     cur = N
-    sequence = []
     for (b, k) in sorted(mult):
         S = summands.pop((b, k))
         for _ in range(mult[(b, k)]):
-            res = peel_summand(cur, b, k, S)
-            cur = res.complement
-            sequence.append((b, k))
+            cur, _ = peel_summand(cur, b, k, S)
     if cur.support_ids():
         raise CertificateError(
             f"peeling left modules at cones {cur.support_ids()}"
         )
-    return DecompositionReport(mult, sequence)
+    return mult
 
 
 def decomposition_theorem_report(fan_map, window=None):
     """Full pipeline: minimal complex on the source, direct image,
-    verification, multiplicities, and complete certified peeling."""
+    verification, multiplicities, and complete certified peeling.
+
+    Returns the multiplicities {(base cone, shift): count} of
+    decompose_fully.
+    """
     M = build_minimal(fan_map.source, window=window)
     P = pushforward(fan_map, M)
-    ver = verify_pushforward(P)
-    if not ver.ok:
+    problems = verify_pushforward(P)
+    if problems:
         raise CertificateError(
-            "direct image failed verification: " + "; ".join(ver.problems)
+            "direct image failed verification: " + "; ".join(problems)
         )
     return decompose_fully(P.complex)

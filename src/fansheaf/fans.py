@@ -96,7 +96,7 @@ def _primitive_solution(rows, rhs, n):
     return primitive(_dense({j: int(a * den) for j, a in sol.items()}, n))
 
 
-def cone_data(vectors, n, allow_redundant=False):
+def cone_data(vectors, n):
     """Geometry of the cone generated by integer vectors in Z^n.
 
     One rref of the sorted generators as columns gives the lex-first
@@ -106,16 +106,15 @@ def cone_data(vectors, n, allow_redundant=False):
     once their normals span (strict convexity), a generator is extreme
     iff the facets containing it meet in it alone.
 
-    Raises InputError when the cone is not strictly convex, and, unless
-    allow_redundant is set, when the listed generators are not exactly
-    the extreme rays.
+    Raises InputError when the cone is not strictly convex, or when the
+    listed generators are not exactly the extreme rays.
     """
     gens = []
     for v in vectors:
         p = primitive(v)
         if p not in gens:
             gens.append(p)
-    if not allow_redundant and len(gens) != len(vectors):
+    if len(gens) != len(vectors):
         raise InputError("duplicate or non-primitive generators listed")
     data = ConeData()
     data.span_eqs = tuple(
@@ -164,27 +163,23 @@ def cone_data(vectors, n, allow_redundant=False):
     if _linalg.rank([_sparse(f) for f in normals]) != d:
         raise InputError("cone is not strictly convex")
     # a generator is extreme iff its minimal face holds no other one
-    extreme = []
-    for i, g in enumerate(gens):
+    for i in range(len(gens)):
         member = set(range(len(gens)))
         for onset in normals.values():
             if i in onset:
                 member &= onset
-        if len(member) == 1:
-            extreme.append(g)
-    if not allow_redundant and len(extreme) != len(gens):
-        raise InputError("listed generators are not the extreme rays")
-    eset = set(extreme)
-    facets = {}  # extreme rays on the facet -> ambient normal
+        if len(member) != 1:
+            raise InputError("listed generators are not the extreme rays")
+    facets = {}  # rays on the facet -> ambient normal
     for f, onset in normals.items():
-        rayset = frozenset(gens[i] for i in onset) & eset
+        rayset = frozenset(gens[i] for i in onset)
         if rayset not in facets:
             facets[rayset] = _primitive_solution(basis_rows, _sparse(f), n)
     data.facet_rays = tuple(sorted(facets, key=sorted))
     data.facet_normals = tuple(facets[fr] for fr in data.facet_rays)
     # face lattice: closure of the cone under intersections with facets
-    faces = {frozenset(extreme)}
-    work = [frozenset(extreme)]
+    faces = {frozenset(gens)}
+    work = [frozenset(gens)]
     while work:
         cur = work.pop()
         for fr in data.facet_rays:
@@ -194,7 +189,7 @@ def cone_data(vectors, n, allow_redundant=False):
                 work.append(nxt)
     faces.add(frozenset())
     data.face_sets = frozenset(faces)
-    data.extreme = tuple(extreme)
+    data.extreme = tuple(gens)
     data.dim = d
     data.basis = basis
     return data
@@ -400,12 +395,6 @@ class Fan:
                 )
 
     # ----- queries -----
-
-    def cone_by_rays(self, ray_indices):
-        key = frozenset(ray_indices)
-        if key not in self._by_rayset:
-            raise InputError(f"no cone with rays {sorted(key)}")
-        return self._by_rayset[key]
 
     def is_face(self, i, j):
         """Is cone i a face of cone j?"""

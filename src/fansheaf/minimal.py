@@ -9,7 +9,6 @@ minus the ambient dimension, and the whole fan as the star.
 """
 
 from fansheaf.complexes import (
-    CertificateReport,
     FanComplex,
     boundary_kernel,
     check_complex,
@@ -18,7 +17,6 @@ from fansheaf.complexes import (
     top_module,
 )
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
-from fansheaf.fans import is_complete
 from fansheaf.modules import (
     FreeGradedModule,
     cone_ring,
@@ -97,14 +95,14 @@ def verify_minimality(M, base_id=0, shift=0):
     degree; support lies in the star of the base; every module surjects
     onto its boundary kernel; and every non-base module's generator
     degrees agree with the minimal generators of that kernel, computed
-    from M once for both checks.
+    from M once for both checks.  Returns the list of problems, empty
+    when M passes.
     """
-    problems = []
+    problems = ["invalid complex: " + p for p in check_complex(M)]
+    if problems:
+        return problems
     fan = M.fan
     n = fan.n
-    rep = check_complex(M)
-    if not rep.ok:
-        return CertificateReport(["invalid complex: " + p for p in rep.problems])
     want = -n + fan.cones[base_id].dim - shift
     if M.degrees_at(base_id) != (want,):
         problems.append(
@@ -131,35 +129,17 @@ def verify_minimality(M, base_id=0, shift=0):
             problems.append(
                 f"cone {i}: module degrees {have}, kernel needs {gens}"
             )
-    return CertificateReport(problems)
+    return problems
 
 
-class IHReport:
-    """The top-slot cohomology viewed over the full coordinate ring."""
-
-    def __init__(self, generator_degrees, complete):
-        self.generator_degrees = generator_degrees
-        self.complete = complete
-
-    @property
-    def betti(self):
-        counts = {}
-        for d in self.generator_degrees:
-            counts[d] = counts.get(d, 0) + 1
-        return counts
-
-
-def ih_module(M, require_complete=False):
-    """Generator degrees of the top cohomology over the full ring.
+def ih_module(M):
+    """Generator degrees of the top cohomology over the full ring, as a
+    tuple.
 
     Requires the complex to be acyclic away from the top slot and the
     top module to be degreewise free; both are certified and violations
-    raise.  With require_complete, non-complete fans are rejected up
-    front.
+    raise.
     """
-    complete = is_complete(M.fan)
-    if require_complete and not complete:
-        raise InputError("fan is not complete")
     table = cohomology_degreewise(M)
     degrees, offender = top_module(M)
     n = M.fan.n
@@ -173,4 +153,4 @@ def ih_module(M, require_complete=False):
             f"top cohomology not free over the full ring at degree "
             f"{offender}"
         )
-    return IHReport(degrees, complete)
+    return degrees

@@ -495,10 +495,11 @@ def cover_is_free_certificate(cover):
     """Hilbert equality of the free module and the family on the window.
 
     Surjectivity of the cover holds by construction; equal dimensions in
-    every window degree therefore certify degreewise freeness.
+    every window degree therefore certify degreewise freeness.  Returns
+    the lowest degree where they differ, or None when the cover is free.
     """
     lo, hi = cover.family.window
     for d in range(lo, hi + 1):
         if cover.module.dim_at(d) != cover.family.dim_at(d):
-            return False, d
-    return True, None
+            return d
+    return None

@@ -11,7 +11,6 @@ lifts each generator's image through the facet's cover.
 
 from fansheaf import _linalg
 from fansheaf.complexes import (
-    CertificateReport,
     FanComplex,
     assemble,
     check_complex,
@@ -31,12 +30,12 @@ from fansheaf.modules import (
 
 
 class Pushforward:
-    """Direct image complex plus the per-cone section data behind it."""
+    """Direct image complex, the source complex, and the minimal free
+    cover of the section family over each target cone with sections."""
 
-    def __init__(self, complex, source, families, covers):
+    def __init__(self, complex, source, covers):
         self.complex = complex
         self.source = source
-        self.families = families
         self.covers = covers
 
 
@@ -49,7 +48,7 @@ def pushforward(fan_map, M):
         raise InputError("complex does not live on the map's source fan")
     src_fan, tgt_fan = fan_map.source, fan_map.target
     N = FanComplex(tgt_fan, {}, {}, M.window)
-    families, covers, tiles_map = {}, {}, {}
+    covers, tiles_map = {}, {}
     # blocks of the current target cone, shared by its constraints and
     # its induced differential
     blocks = {}
@@ -73,22 +72,21 @@ def pushforward(fan_map, M):
         ring = cone_ring(tgt_fan, s)
         ambient = DirectSumAmbient(ring, [M.modules[i] for i in tiles])
         facet_data = [
-            (f, tiles_map[f], families[f])
+            (f, tiles_map[f], covers[f].family)
             for f in sigma.facet_ids
-            if f in families
+            if f in covers
         ]
         rows_at = _constraints(
             block, ambient, tiles, walls.get(s, []), facet_data
         )
         fam = family_from_kernel(ambient, rows_at, M.window)
         cover = minimal_free_cover(fam)
-        ok, offender = cover_is_free_certificate(cover)
-        if not ok:
+        offender = cover_is_free_certificate(cover)
+        if offender is not None:
             raise CertificateError(
                 f"direct image over cone {s} is not degreewise free "
                 f"at degree {offender}"
             )
-        families[s] = fam
         covers[s] = cover
         tiles_map[s] = tiles
         if cover.module.rank() == 0:
@@ -109,7 +107,7 @@ def pushforward(fan_map, M):
             pm = PolyMatrix.from_columns(cover.module, fcover.module, columns)
             if not pm.is_zero():
                 N.maps[(s, f)] = pm
-    return Pushforward(N, M, families, covers)
+    return Pushforward(N, M, covers)
 
 
 def _constraints(block, ambient, tiles, interior_walls, facet_data):
@@ -139,18 +137,16 @@ def _constraints(block, ambient, tiles, interior_walls, facet_data):
 def verify_pushforward(P):
     """Certify the direct image: valid complex, locally exact, modules
     degreewise free, and global cohomology equal to the source's.
+    Returns the list of problems, empty when the direct image passes.
     """
-    problems = [
-        "invalid complex: " + p for p in check_complex(P.complex).problems
-    ]
-    exact = check_locally_exact(P.complex)
+    problems = ["invalid complex: " + p for p in check_complex(P.complex)]
     problems += [
         f"not exact at cone {i} degree {d}: {why}"
-        for i, d, why in exact.problems
+        for i, d, why in check_locally_exact(P.complex)
     ]
     for s, cover in P.covers.items():
-        ok, offender = cover_is_free_certificate(cover)
-        if not ok:
+        offender = cover_is_free_certificate(cover)
+        if offender is not None:
             problems.append(
                 f"module over cone {s} not free at degree {offender}"
             )
@@ -163,4 +159,4 @@ def verify_pushforward(P):
             if src_table.get(k, 0) != tgt_table.get(k, 0)
         }
         problems.append(f"global cohomology changed: {diff}")
-    return CertificateReport(problems)
+    return problems

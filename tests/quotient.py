@@ -6,7 +6,19 @@ quotient and compare.  The package itself never forms quotients.
 """
 
 from fansheaf.errors import CertificateError
-from fansheaf.fans import Fan, cone_data, dot, primitive
+from fansheaf.fans import Fan, dot, primitive
+
+from brute_oracle import cone_data
+
+
+def cone_by_rays(fan, ray_indices):
+    """Id of the cone of a fan whose rays are exactly the listed ray
+    indices."""
+    key = frozenset(ray_indices)
+    for c in fan.cones:
+        if frozenset(c.rays) == key:
+            return c.index
+    raise CertificateError(f"no cone with rays {sorted(key)}")
 
 
 def quotient_fan(fan, cone_id):
@@ -46,7 +58,7 @@ def quotient_fan(fan, cone_id):
     cone_map = {}
     for t in star:
         idxs = [qfan.rays.index(v) for v in image_sets[t]]
-        cone_map[t] = qfan.cone_by_rays(idxs)
+        cone_map[t] = cone_by_rays(qfan, idxs)
         if qfan.cones[cone_map[t]].dim != fan.cones[t].dim - c.dim:
             raise CertificateError("quotient image has wrong dimension")
     if len(set(cone_map.values())) != len(star) or len(qfan.cones) != len(star):

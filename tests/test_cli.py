@@ -504,6 +504,45 @@ def test_keywords_match_exactly(tmp_path, capsys, kind, old, new):
     assert record.endswith("\tinput-error")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["fan", "check", "--fan"], ["verify", "--complex"]],
+    ids=["fan-check", "verify"],
+)
+def test_non_utf8_input_exits_two(tmp_path, capsys, argv):
+    """A file that is not UTF-8 text is bad input: exit 2 and one
+    input-error record, no traceback."""
+    path = tmp_path / "binary.fan"
+    path.write_bytes(b"dim 2\nray 0: 1 0\n\xd0\x00\xff\n")
+    code = main(["--format", "machine", *argv, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    (record,) = out.splitlines()
+    assert record.startswith("error\t-\t-\t")
+    assert record.endswith("\tinput-error")
+    assert "Traceback" not in out + err
+
+
+def test_ih_require_complete_refuses_incomplete_fan(capsys):
+    """ih --require-complete refuses the quadrant with exit 2; without
+    the flag the quadrant's top module is reported with no prediction."""
+    quadrant = str(fan_path("quadrant"))
+    code, out = _run(
+        capsys, "--format", "machine",
+        "ih", "--require-complete", "--fan", quadrant,
+    )
+    assert code == 2
+    assert out.splitlines() == [
+        "error\t-\t-\tfan is not complete\tinput-error"
+    ]
+    code, out = _run(capsys, "--format", "machine", "ih", "--fan", quadrant)
+    assert code == 0
+    assert out.splitlines() == [
+        "ih\t-\t2\t1\t-",
+        "ih-oracle\t-\t-\tfan not complete, no prediction\t-",
+    ]
+
+
 def _readme_exit_codes():
     """{code: meaning} read from the README's "Exit codes: ..." sentence."""
     text = " ".join(README.read_text().split())
@@ -546,7 +585,7 @@ def test_exit_codes_match_readme(tmp_path, capsys, monkeypatch):
     documented = _readme_exit_codes()
     assert sorted(documented) == sorted(cases)
 
-    def failing_ih(M, require_complete=False):
+    def failing_ih(M):
         raise CertificateError("top cohomology not free")
 
     for code, (runs, meaning) in cases.items():

@@ -79,8 +79,7 @@ def halfline_pair_complex():
 
 def test_quadrant_is_valid_complex():
     M = quadrant_complex()
-    report = check_complex(M)
-    assert report.ok, report.problems
+    assert check_complex(M) == []
     assert M.support_ids() == (0, 1, 2, 3)
 
 
@@ -90,11 +89,9 @@ def test_corrupted_entry_breaks_d_squared():
     bad[(3, 2)] = PolyMatrix(
         M.modules[3], M.modules[2], {(0, 0): {(0,): 1}}
     )
-    report = check_complex(
-        FanComplex(M.fan, M.modules, bad, M.window)
-    )
-    assert not report.ok
-    assert any("composite" in p for p in report.problems)
+    problems = check_complex(FanComplex(M.fan, M.modules, bad, M.window))
+    assert problems
+    assert any("composite" in p for p in problems)
 
 
 COMPOSITE = re.compile(r"composite differential (\d+) -> (\d+) is nonzero")
@@ -117,7 +114,7 @@ def test_corrupted_entries_flagged_as_symbolic_composition_finds(name):
                 pm.source, pm.target, {**pm.entries, ij: {u: 2 * c for u, c in p.items()}}
             )
             bad = FanComplex(M.fan, M.modules, maps, M.window)
-            problems = check_complex(bad).problems
+            problems = check_complex(bad)
             got = set()
             for why in problems:
                 match = COMPOSITE.fullmatch(why)
@@ -134,10 +131,7 @@ def test_inhomogeneous_entry_rejected():
     bad[(3, 1)] = PolyMatrix(
         M.modules[3], M.modules[1], {(0, 0): {(1,): 1}}
     )
-    report = check_complex(
-        FanComplex(M.fan, M.modules, bad, M.window)
-    )
-    assert not report.ok
+    assert check_complex(FanComplex(M.fan, M.modules, bad, M.window))
 
 
 def test_assembled_differential_layout():
@@ -158,8 +152,7 @@ def test_boundary_kernel_dims_quadrant():
 
 def test_local_exactness_quadrant():
     M = quadrant_complex()
-    report = check_locally_exact(M)
-    assert report.ok, report.problems
+    assert check_locally_exact(M) == []
 
 
 def test_missing_top_module_fails_exactness():
@@ -167,9 +160,9 @@ def test_missing_top_module_fails_exactness():
     mods = {i: m for i, m in M.modules.items() if i != 3}
     maps = {k: v for k, v in M.maps.items() if k[0] != 3}
     N = FanComplex(M.fan, mods, maps, window=M.window)
-    report = check_locally_exact(N)
-    assert not report.ok
-    assert any(cone == 3 for cone, _, _ in report.problems)
+    failures = check_locally_exact(N)
+    assert failures
+    assert any(cone == 3 for cone, _, _ in failures)
 
 
 def test_cohomology_quadrant():

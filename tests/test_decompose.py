@@ -34,35 +34,61 @@ def _image(src_name, tgt_name):
 
 
 def _peel(N, base_id, shift):
-    """peel_summand with the summand built on N's window."""
+    """peel_summand with the summand built on N's window: the summand,
+    the complement and the embedding."""
     S = build_shifted_minimal(N.fan, base_id, shift, window=N.window)
-    return peel_summand(N, base_id, shift, S)
+    return (S, *peel_summand(N, base_id, shift, S))
+
+
+def _record_peels(monkeypatch):
+    """List of (base cone, shift, complement), one per peel_summand
+    call that decompose makes, in call order."""
+    peels = []
+    peel = decompose.peel_summand
+
+    def recording(N, base_id, shift, summand):
+        complement, embedding = peel(N, base_id, shift, summand)
+        peels.append((base_id, shift, complement))
+        return complement, embedding
+
+    monkeypatch.setattr(decompose, "peel_summand", recording)
+    return peels
+
+
+def _sequence(mult):
+    """Each key of sorted(mult), repeated mult[key] times."""
+    return [key for key in sorted(mult) for _ in range(mult[key])]
 
 
 def test_blowup_multiplicities():
     P, _ = _image("blowquad", "quadrant")
     top = P.complex.fan.cones_of_dim(2)[0]
-    assert decomposition_multiplicities(P.complex) == {(0, 0): 1, (top, 0): 1}
+    mult, summands = decomposition_multiplicities(P.complex)
+    assert mult == {(0, 0): 1, (top, 0): 1}
+    assert set(summands) == set(mult)
 
 
 def test_twostep_multiplicities():
     P, _ = _image("twostep", "quadrant")
     top = P.complex.fan.cones_of_dim(2)[0]
-    assert decomposition_multiplicities(P.complex) == {(0, 0): 1, (top, 0): 2}
+    mult, _ = decomposition_multiplicities(P.complex)
+    assert mult == {(0, 0): 1, (top, 0): 2}
 
 
 def test_star_square_multiplicities():
     P, _ = _image("starsq", "conesquare")
     top = P.complex.fan.cones_of_dim(3)[0]
-    mult = decomposition_multiplicities(P.complex)
+    mult, summands = decomposition_multiplicities(P.complex)
     assert mult == {(0, 0): 1, (top, 1): 1, (top, -1): 1}
+    for (b, k), S in summands.items():
+        assert S.degrees_at(b) == (-3 + P.complex.fan.cones[b].dim - k,)
     # opposite shifts come in equal multiplicity
     assert mult[(top, 1)] == mult[(top, -1)]
 
 
 def test_identity_subdivision_multiplicities():
     P, _ = _image("p2", "p2")
-    assert decomposition_multiplicities(P.complex) == {(0, 0): 1}
+    assert decomposition_multiplicities(P.complex)[0] == {(0, 0): 1}
 
 
 def test_peel_keeps_cones_outside_the_star():
@@ -71,49 +97,51 @@ def test_peel_keeps_cones_outside_the_star():
     P, _ = _image("blowquad", "quadrant")
     N = P.complex
     top = N.fan.cones_of_dim(2)[0]
-    res = _peel(N, top, 0)
+    _, complement, _ = _peel(N, top, 0)
     star = set(N.fan.star(top))
     outside = [i for i in N.support_ids() if i not in star]
     kept = [(s, t) for s, t in N.maps if s not in star]
     assert outside and kept
     for i in outside:
-        assert res.complement.modules[i] is N.modules[i]
+        assert complement.modules[i] is N.modules[i]
     for key in kept:
-        assert res.complement.maps[key] is N.maps[key]
+        assert complement.maps[key] is N.maps[key]
 
 
 def test_peel_top_summand_leaves_minimal_complex():
     P, _ = _image("blowquad", "quadrant")
     top = P.complex.fan.cones_of_dim(2)[0]
-    res = _peel(P.complex, top, 0)
-    assert stalk_report(res.summand) == {top: (0,)}
+    summand, complement, _ = _peel(P.complex, top, 0)
+    assert stalk_report(summand) == {top: (0,)}
     # what remains is exactly the minimal complex, certified from scratch
-    rep = verify_minimality(res.complement)
-    assert rep.ok, rep.problems
-    assert stalk_report(res.complement) == {i: (-2,) for i in range(4)}
+    assert verify_minimality(complement) == []
+    assert stalk_report(complement) == {i: (-2,) for i in range(4)}
 
 
 def test_peel_partitions_generator_degrees():
     P, _ = _image("starsq", "conesquare")
     N = P.complex
     top = N.fan.cones_of_dim(3)[0]
-    res = _peel(N, top, 1)
-    assert set(res.embed_summand) == {top}
+    summand, complement, embedding = _peel(N, top, 1)
+    assert set(embedding) == {top}
     for c in N.fan.cones:
         i = c.index
         have = Counter(N.degrees_at(i))
-        split = Counter(res.summand.degrees_at(i)) + Counter(
-            res.complement.degrees_at(i)
+        split = Counter(summand.degrees_at(i)) + Counter(
+            complement.degrees_at(i)
         )
         assert split == have
 
 
-def test_full_peel_exhausts():
+def test_full_peel_exhausts(monkeypatch):
+    """One peel per counted summand, in sorted order, and the last
+    complement is zero."""
     for pair in [("blowquad", "quadrant"), ("twostep", "quadrant")]:
         P, _ = _image(*pair)
-        rep = decompose_fully(P.complex)
-        total = sum(rep.multiplicities.values())
-        assert len(rep.peel_sequence) == total
+        peels = _record_peels(monkeypatch)
+        mult = decompose_fully(P.complex)
+        assert [(b, k) for b, k, _ in peels] == _sequence(mult)
+        assert peels[-1][2].support_ids() == ()
 
 
 def test_full_peel_builds_each_summand_once(monkeypatch):
@@ -130,17 +158,20 @@ def test_full_peel_builds_each_summand_once(monkeypatch):
         return build(fan, base_id, shift, window=window)
 
     monkeypatch.setattr(decompose, "build_shifted_minimal", counting)
-    rep = decompose_fully(P.complex)
-    assert rep.multiplicities == {(0, 0): 1, (top, 0): 2}
-    assert rep.peel_sequence == [(0, 0), (top, 0), (top, 0)]
+    peels = _record_peels(monkeypatch)
+    mult = decompose_fully(P.complex)
+    assert mult == {(0, 0): 1, (top, 0): 2}
+    assert [(b, k) for b, k, _ in peels] == [(0, 0), (top, 0), (top, 0)]
     assert sorted(built) == [(0, 0), (top, 0)]
 
 
-def test_theorem_report_pipeline():
+def test_theorem_report_pipeline(monkeypatch):
     _, fmap = _image("starsq", "conesquare")
-    rep = decomposition_theorem_report(fmap)
-    assert rep.multiplicities.get((0, 0)) == 1
-    assert len(rep.peel_sequence) == 3
+    peels = _record_peels(monkeypatch)
+    mult = decomposition_theorem_report(fmap)
+    assert mult.get((0, 0)) == 1
+    assert sum(mult.values()) == 3
+    assert [(b, k) for b, k, _ in peels] == _sequence(mult)
 
 
 def test_peel_with_wrong_shift_rejected():

@@ -1,12 +1,13 @@
 """Every top-level import of a package module is used, and so is every
-top-level function and class.
+top-level function and class and every method of a top-level class.
 
 An import counts as used when it is read anywhere in the module or
-listed in the module's __all__.  A function or class counts as used
-when the package or the benchmark harness (perfbench/*.py) reads its
-name outside its own definition; names inside string constants count,
-since the harness names what it wraps in strings.  Tests do not count:
-a helper that only tests call belongs in tests/.
+listed in the module's __all__.  A function, class or method counts as
+used when the package or the benchmark harness (perfbench/*.py) reads
+its name outside its own definition; names inside string constants
+count, since the harness names what it wraps in strings.  Dunder
+methods are exempt: Python calls them.  Tests do not count: a helper
+that only tests call belongs in tests/.
 """
 
 import ast
@@ -53,39 +54,65 @@ def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _reads(node):
-    """Identifiers a syntax tree reads: loaded names, attribute names
-    and the identifiers inside string constants."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            yield from re.findall(r"[A-Za-z_]\w*", n.value)
+def _reads(*nodes):
+    """Identifiers syntax trees read: loaded names, attribute names and
+    the identifiers inside string constants."""
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                yield from re.findall(r"[A-Za-z_]\w*", n.value)
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _parts(node):
+    """(owner, identifiers read) of a top-level statement.  A function
+    or class owns its reads under its name, each method of a class
+    under "Class.method"; other statements own theirs under None."""
+    if isinstance(node, FUNCTIONS):
+        yield node.name, set(_reads(node))
+    elif isinstance(node, ast.ClassDef):
+        methods = [item for item in node.body if isinstance(item, FUNCTIONS)]
+        rest = [item for item in node.body if item not in methods]
+        yield node.name, set(_reads(
+            *node.bases, *node.keywords, *node.decorator_list, *rest
+        ))
+        for m in methods:
+            yield f"{node.name}.{m.name}", set(_reads(m))
+    else:
+        yield None, set(_reads(node))
 
 
 def unused_definitions(sources, readers=None):
     """(source key, name) of the top-level functions and classes of
-    `sources` that no source and no reader reads outside their own
-    definition.  Both map a key to a module's text."""
+    `sources`, and of their classes' methods other than dunders (named
+    "Class.method"), that no source and no reader reads outside their
+    own definition.  Both map a key to a module's text."""
     defined = []
     read = set()
     for key, text in {**(readers or {}), **sources}.items():
         for node in ast.parse(text).body:
-            own = None
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                own = node.name
-                if key in sources:
+            for own, names in _parts(node):
+                dunder = own and own.endswith("__")
+                if key in sources and own is not None and not dunder:
                     defined.append((key, own))
-            read |= {(name, key, own) for name in _reads(node)}
+                read |= {(name, key, own) for name in names}
+
+    def outside(key, name, k, own):
+        inside = own is not None and (own + ".").startswith(name + ".")
+        return k != key or not inside
+
     return [
         (key, name)
         for key, name in defined
         if not any(
-            n == name and (k, own) != (key, name) for n, k, own in read
+            n == name.rpartition(".")[2] and outside(key, name, k, own)
+            for n, k, own in read
         )
     ]
 
@@ -99,6 +126,31 @@ def test_unused_definitions_detects_and_exempts():
     assert unused_definitions(sources, readers) == [("a", "f"), ("c", "_h")]
     assert unused_definitions(readers) == []
     assert unused_definitions({"a": "def f():\n    pass\nf()\n"}) == []
+
+
+def test_unused_methods_detected_and_dunders_exempt():
+    """A method counts as used when read outside its own body: from
+    another method, from the class's other statements or from another
+    module; a class read only inside its methods is unused."""
+    source = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.kept()\n"
+        "    def kept(self):\n"
+        "        return C\n"
+        "    def alone(self):\n"
+        "        return self.alone()\n"
+        "    def named(self):\n"
+        "        pass\n"
+        "    alias = named\n"
+        "    @property\n"
+        "    def wrapped(self):\n"
+        "        pass\n"
+    )
+    readers = {"b": "x.wrapped\n"}
+    assert unused_definitions({"a": source}, readers) == [
+        ("a", "C"), ("a", "C.alone")
+    ]
 
 
 def test_every_definition_is_used():

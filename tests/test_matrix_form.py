@@ -142,14 +142,14 @@ def test_peeled_summand_maps_match_oracle():
     N = pushforward(fmap, build_minimal(fmap.source)).complex
     top = N.fan.cones_of_dim(3)[0]
     S = build_shifted_minimal(N.fan, top, 1, window=N.window)
-    res = peel_summand(N, top, 1, S)
+    complement, embedding = peel_summand(N, top, 1, S)
     lo, hi = N.window
     maps = (
-        list(res.summand.maps.values())
-        + list(res.complement.maps.values())
-        + list(res.embed_summand.values())
+        list(S.maps.values())
+        + list(complement.maps.values())
+        + list(embedding.values())
     )
-    assert res.complement.maps and res.embed_summand
+    assert complement.maps and embedding
     for pm in maps:
         check_evaluate(pm, range(lo, hi + 1))
 

@@ -7,7 +7,7 @@ import pytest
 from fansheaf import complexes, minimal
 from fansheaf.complexes import FanComplex, complex_to_text
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
-from fansheaf.fans import Fan, load_fan
+from fansheaf.fans import Fan, is_complete, load_fan
 from fansheaf.minimal import (
     build_minimal,
     build_shifted_minimal,
@@ -34,8 +34,7 @@ def test_quadrant_matches_hand_built():
 def test_verify_minimality_quadrant_and_complete_line():
     for name in ("quadrant", "p1"):
         M = build_minimal(load_fan(fan_path(name)))
-        rep = verify_minimality(M)
-        assert rep.ok, rep.problems
+        assert verify_minimality(M) == []
 
 
 def _count_boundary_kernels(monkeypatch):
@@ -63,8 +62,7 @@ def test_verify_minimality_takes_each_boundary_kernel_once(
     fan = load_fan(fan_path(name))
     M = build_shifted_minimal(fan, base, shift)
     calls = _count_boundary_kernels(monkeypatch)
-    rep = verify_minimality(M, base_id=base, shift=shift)
-    assert rep.ok, rep.problems
+    assert verify_minimality(M, base_id=base, shift=shift) == []
     assert calls == Counter(c.index for c in fan.cones if c.dim)
 
 
@@ -82,7 +80,7 @@ def test_verify_minimality_reports_exactness_before_degrees(monkeypatch):
     maps[(1, 0)] = PolyMatrix(spare, M.modules[0], M.maps[(1, 0)].entries)
     N = FanComplex(M.fan, modules, maps, M.window)
     calls = _count_boundary_kernels(monkeypatch)
-    problems = verify_minimality(N).problems
+    problems = verify_minimality(N)
     assert calls == Counter(c.index for c in M.fan.cones if c.dim)
     assert problems[-1] == "cone 1: module degrees (-2, 0), kernel needs (-2,)"
     assert problems[:-1] and all(
@@ -93,7 +91,7 @@ def test_verify_minimality_reports_exactness_before_degrees(monkeypatch):
 def test_simplicial_stalks_are_single_bottom_generators():
     fan = load_fan(fan_path("p2"))
     M = build_minimal(fan)
-    assert verify_minimality(M).ok
+    assert verify_minimality(M) == []
     for i, degs in stalk_report(M).items():
         assert degs == (-2,), (i, degs)
 
@@ -103,7 +101,7 @@ def test_cone_over_square_top_stalk():
     M = build_minimal(fan)
     top = fan.cones_of_dim(3)[0]
     assert stalk_report(M)[top] == (-3, -1)
-    assert verify_minimality(M).ok
+    assert verify_minimality(M) == []
 
 
 def test_cone_over_cube_top_stalk():
@@ -134,8 +132,7 @@ def test_shifted_minimal_base_and_support():
     M = build_shifted_minimal(fan, ray)
     assert set(stalk_report(M)) == set(fan.star(ray))
     assert stalk_report(M)[ray] == (-1,)
-    rep = verify_minimality(M, base_id=ray)
-    assert rep.ok, rep.problems
+    assert verify_minimality(M, base_id=ray) == []
 
 
 def test_shift_twists_all_stalks_uniformly():
@@ -164,8 +161,7 @@ def test_stalks_match_quotient_fan_build():
 def test_verify_rejects_wrong_base_degree():
     fan = load_fan(fan_path("quadrant"))
     M = build_minimal(fan)
-    rep = verify_minimality(M, base_id=0, shift=1)
-    assert not rep.ok
+    assert verify_minimality(M, base_id=0, shift=1)
 
 
 def test_window_exhaustion_is_loud():
@@ -190,36 +186,37 @@ def test_window_must_reach_origin_generator():
 
 def test_ih_complete_line():
     M = build_minimal(load_fan(fan_path("p1")))
-    rep = ih_module(M, require_complete=True)
-    assert rep.generator_degrees == (-1, 1)
-    assert rep.complete
+    assert ih_module(M) == (-1, 1)
+    assert is_complete(M.fan)
 
 
 def test_ih_projective_plane():
     M = build_minimal(load_fan(fan_path("p2")))
-    assert ih_module(M).generator_degrees == (-2, 0, 2)
+    assert ih_module(M) == (-2, 0, 2)
 
 
 def test_ih_product_of_lines():
     M = build_minimal(load_fan(fan_path("p1xp1")))
-    assert ih_module(M).generator_degrees == (-2, 0, 0, 2)
+    assert ih_module(M) == (-2, 0, 0, 2)
 
 
 def test_ih_blown_up_plane():
     M = build_minimal(load_fan(fan_path("p2blow")))
-    assert ih_module(M).generator_degrees == (-2, 0, 0, 2)
+    assert ih_module(M) == (-2, 0, 0, 2)
 
 
 def test_ih_three_space():
     M = build_minimal(load_fan(fan_path("p3")))
-    assert ih_module(M).generator_degrees == (-3, -1, 1, 3)
+    assert ih_module(M) == (-3, -1, 1, 3)
 
 
-def test_ih_requires_completeness_when_asked():
+def test_ih_of_incomplete_quadrant():
+    """ih_module leaves completeness to its caller: on the quadrant it
+    returns the top module's generators (ih --require-complete refuses
+    the fan, tests/test_cli.py)."""
     M = build_minimal(load_fan(fan_path("quadrant")))
-    with pytest.raises(InputError):
-        ih_module(M, require_complete=True)
-    assert ih_module(M).generator_degrees == (2,)
+    assert not is_complete(M.fan)
+    assert ih_module(M) == (2,)
 
 
 def test_ih_rejects_stray_cohomology():
