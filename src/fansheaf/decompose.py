@@ -1,36 +1,30 @@
 """Decomposing direct images into shifted minimal complexes.
 
-decomposition_multiplicities reads the answer off generator degrees:
-walking cones by dimension, any degrees not explained by the summands
-assigned so far start new summands based at the current cone.
+decomposition_multiplicities finds and peels the summands in one walk
+over the cones in canonical (dimension) order.  A summand is supported
+on the star of its base cone, so once every summand based at an earlier
+cone is peeled off, the generators left at cone i are exactly the base
+generators of the summands based at i: each degree d left there with
+count m gives m summands of shift -n + dim i - d.
 
-peel_summand certifies one summand: it takes the shifted minimal
-complex (decompose_fully passes the one built for the multiplicities,
-one per (base cone, shift)) and embeds it by a chain map (exact lifts
-through the differential), constructs an explicit complement
-subcomplex, which is N itself outside the summand's star, and checks at
-every cone that summand and complement generators together form a basis
-of the module modulo the irrelevant ideal with matching counts.
-By graded Nakayama that pins down a direct sum decomposition, so a
-complex equals its claimed summand list exactly when iterated peeling
-ends with the zero complex.
+peel_summand certifies one summand: it embeds the shifted minimal
+complex by a chain map (exact lifts through the differential),
+constructs an explicit complement subcomplex, which is N itself outside
+the summand's star, and checks at every cone that summand and
+complement generators together form a basis of the module modulo the
+irrelevant ideal with matching counts.  By graded Nakayama that pins
+down a direct sum decomposition, so a complex equals the summands found
+exactly when the walk ends with the zero complex.
 """
 
 from collections import Counter
 
 from fansheaf import _linalg
-from fansheaf.complexes import (
-    FanComplex,
-    assemble,
-    boundary_setup,
-    check_complex,
-)
+from fansheaf.complexes import FanComplex, boundary_setup, check_complex
 from fansheaf.errors import CertificateError
 from fansheaf.minimal import build_minimal, build_shifted_minimal
 from fansheaf.modules import (
-    CoverMap,
     FreeGradedModule,
-    GradedSubspaceFamily,
     PolyMatrix,
     family_from_kernel,
     lift,
@@ -40,41 +34,30 @@ from fansheaf.pushforward import pushforward, verify_pushforward
 
 
 def decomposition_multiplicities(N):
-    """Multiplicities {(base cone, shift): count} explaining N's stalks,
-    and the summands {(base cone, shift): shifted minimal complex}.
+    """Find and peel N's summands: {(base cone, shift): count}.
 
-    Each assigned summand's shifted minimal complex is built once, on
-    N's window, and returned for peel_summand.
-
-    Raises when an assigned summand's stalk fails to appear in a later
-    cone's generator degrees, which means no decomposition of this shape
-    exists.
+    Each summand complex is built once, on N's window, and peeled as
+    many times as it occurs; at each cone the shifts ascend.  Raises
+    CertificateError when a peel certificate fails or peeling
+    everything leaves a nonzero complex.
     """
     fan = N.fan
-    n = fan.n
     mult = {}
-    summands = {}
+    cur = N
     for cone in fan.cones:
         i = cone.index
-        have = Counter(N.degrees_at(i))
-        expected = Counter()
-        for key, m in mult.items():
-            for d in summands[key].degrees_at(i):
-                expected[d] += m
-        missing = expected - have
-        if missing:
-            raise CertificateError(
-                f"cone {i}: degrees {sorted(missing.elements())} required "
-                f"by assigned summands are absent"
-            )
-        residual = have - expected
-        for d in sorted(residual):
-            k = -n + cone.dim - d
-            mult[(i, k)] = residual[d]
-            summands[(i, k)] = build_shifted_minimal(
-                fan, i, k, window=N.window
-            )
-    return mult, summands
+        left = Counter(cur.degrees_at(i))
+        for d in sorted(left, reverse=True):
+            k = -fan.n + cone.dim - d
+            summand = build_shifted_minimal(fan, i, k, window=N.window)
+            for _ in range(left[d]):
+                cur, _ = peel_summand(cur, i, summand)
+            mult[(i, k)] = left[d]
+    if cur.support_ids():
+        raise CertificateError(
+            f"peeling left modules at cones {cur.support_ids()}"
+        )
+    return mult
 
 
 def _gen_columns(module, d):
@@ -92,9 +75,9 @@ def _at_columns(vec, cols):
     return {k: vec[c] for k, c in enumerate(cols) if c in vec}
 
 
-def peel_summand(N, base_id, shift, summand):
-    """Split one copy of the shifted minimal complex off of N; `summand`
-    is that complex, built on N's window.
+def peel_summand(N, base_id, summand):
+    """Split one copy of a shifted minimal complex based at base_id off
+    of N; `summand` is that complex, built on N's window.
 
     Returns (complement, embedding): the complement subcomplex, and the
     summand's embedding into N as {cone id: PolyMatrix}.
@@ -133,7 +116,11 @@ def peel_summand(N, base_id, shift, summand):
             for f in facets
         )
         Z = family_from_kernel(ambient, base_rows, window)
-        cover = CoverMap(Nmod, Z, (), blocks)
+
+        def boundary(d):
+            """N's differential at cone i on degree d: the blocks' rows,
+            facet after facet."""
+            return [row for block in blocks for row in block.evaluate(d)]
 
         for f in facets:
             if summand.rank_at(f) and f not in phi:
@@ -150,35 +137,30 @@ def peel_summand(N, base_id, shift, summand):
                 )
             return cols_at[d]
 
-        zk_bases = {}
-        for d in range(lo, hi + 1):
-            live = [c for c in summand_cols(d) if c]
-            if live:
-                zk_bases[d] = tuple(_linalg.rref(live)[0])
-        ZK = GradedSubspaceFamily(ambient, window, zk_bases)
         ZN = family_from_kernel(
             ambient,
             _complement_rows(base_rows, ambient, facets, psi, NP, N),
             window,
         )
         for d in range(lo, hi + 1):
+            live = [c for c in summand_cols(d) if c]
+            zk = _linalg.rref(live)[0] if live else []
             zdim = Z.dim_at(d)
-            a, b = ZK.dim_at(d), ZN.dim_at(d)
+            a, b = len(zk), ZN.dim_at(d)
             if a + b != zdim:
                 raise CertificateError(
                     f"cone {i}: boundary kernel does not split at degree {d} "
                     f"({a} + {b} != {zdim})"
                 )
-            if a:
-                stacked = Z.basis_at(d) + ZK.basis_at(d)
-                if _linalg.rank(stacked) != zdim:
-                    raise CertificateError(
-                        f"cone {i}: summand boundary leaves the kernel "
-                        f"at degree {d}"
-                    )
+            if a and _linalg.rank([*Z.basis_at(d), *zk]) != zdim:
+                raise CertificateError(
+                    f"cone {i}: summand boundary leaves the kernel "
+                    f"at degree {d}"
+                )
 
         # summand generators: exact chain-map lifts; at the base cone the
-        # boundary vanishes, so the generator is a completing cocycle
+        # boundary vanishes, so the generator is picked among the cocycles
+        # below
         k_vectors = []
         if i != base_id:
             smod = summand.modules[i]
@@ -188,44 +170,39 @@ def peel_summand(N, base_id, shift, summand):
                 for j, dg in enumerate(smod.degrees)
             ]
             k_vectors = lift(
-                cover.evaluate, Nmod, images,
+                boundary, Nmod, images,
                 f"cone {i}: summand boundary has no preimage",
             )
         n_vectors = lift(
-            cover.evaluate, Nmod, minimal_generators(ZN),
+            boundary, Nmod, minimal_generators(ZN),
             f"cone {i}: complement section has no preimage",
         )
 
-        # kernel completion: summands based here (the one being peeled at
-        # its base cone included) have zero boundary, so their generators
-        # are cocycles picked to extend the reduced generator basis; the
-        # same basis certifies that every chosen generator is independent
+        # kernel completion: generators with zero boundary (summands based
+        # here, the one being peeled at its base cone included) are
+        # cocycles picked to extend the reduced generator basis, the
+        # first ones going to the summand; the same basis certifies that
+        # every chosen generator is independent
         ndegs = Counter(Nmod.degrees)
         sdegs = Counter(summand.degrees_at(i))
-        taken = Counter(d for d, _ in n_vectors)
-        reducers = {}
+        kdegs = Counter(d for d, _ in k_vectors)
+        taken = kdegs + Counter(d for d, _ in n_vectors)
         for d in sorted(ndegs):
             gcols = _gen_columns(Nmod, d)
-            red = reducers[d] = _linalg.Echelon()
+            red = _linalg.Echelon()
             for dd, vec in k_vectors + n_vectors:
                 if dd == d and not red.insert(_at_columns(vec, gcols)):
                     raise CertificateError(
                         f"cone {i}: chosen generators dependent at degree {d}"
                     )
-        base_pick = None
-        for d in sorted(ndegs):
-            need = ndegs[d] - sdegs[d] - taken[d]
-            if i == base_id and d == -fan.n + cone.dim - shift:
-                need += 1  # the summand's own base generator
+            need = ndegs[d] - taken[d]
             if need < 0:
                 raise CertificateError(
                     f"cone {i}: too many generators claimed at degree {d}"
                 )
             if need == 0:
                 continue
-            gcols = _gen_columns(Nmod, d)
-            red = reducers[d]
-            kern = _linalg.nullspace(cover.evaluate(d), Nmod.dim_at(d))
+            kern = _linalg.nullspace(boundary(d), Nmod.dim_at(d))
             picked = []
             for v in kern:
                 if len(picked) == need:
@@ -237,16 +214,9 @@ def peel_summand(N, base_id, shift, summand):
                     f"cone {i}: only {len(picked)} of {need} cocycle "
                     f"generators available at degree {d}"
                 )
-            if i == base_id and d == -fan.n + cone.dim - shift:
-                base_pick = picked[0]
-                picked = picked[1:]
-            n_vectors.extend(picked)
-        if i == base_id:
-            if base_pick is None:
-                raise CertificateError(
-                    f"no cocycle generator for the summand at cone {i}"
-                )
-            k_vectors = [base_pick] + k_vectors
+            short = sdegs[d] - kdegs[d]
+            k_vectors += picked[:short]
+            n_vectors += picked[short:]
         n_vectors.sort(key=lambda t: t[0])
 
         if Counter(d for d, _ in k_vectors) != sdegs:
@@ -299,22 +269,17 @@ def _summand_boundary_columns(S, phi, i, facets, ambient, d):
     ncols = S.dim_at(i, d)
     if ncols == 0:
         return []
-    s_facets = [f for f in facets if S.rank_at(f)]
-    T = assemble(S, [i], s_facets, d)
     out = [{} for _ in range(ncols)]
     offs, _ = ambient.part_offsets(d)
-    pos = {f: k for k, f in enumerate(facets)}
-    row0 = 0
-    for f in s_facets:
-        nf = S.dim_at(f, d)
+    for o, f in zip(offs, facets):
+        if (i, f) not in S.maps:
+            continue
         P = phi[f].evaluate(d)
-        o = offs[pos[f]]
-        block = _linalg.transpose(T[row0:row0 + nf], ncols)
+        block = _linalg.transpose(S.maps[(i, f)].evaluate(d), ncols)
         for c, seg in enumerate(block):
             if seg:
                 for r, x in _linalg.matvec(P, seg).items():
                     out[c][o + r] = x
-        row0 += nf
     return out
 
 
@@ -338,33 +303,11 @@ def _complement_rows(base_rows, ambient, facets, psi, NP, N):
     return rows_at
 
 
-def decompose_fully(N):
-    """Compute multiplicities, then peel every claimed summand off, in
-    sorted (base cone, shift) order, each as many times as it occurs.
-
-    Returns the multiplicities {(base cone, shift): count}; raises if
-    any peel certificate fails or if peeling everything leaves a nonzero
-    complex.
-    """
-    mult, summands = decomposition_multiplicities(N)
-    cur = N
-    for (b, k) in sorted(mult):
-        S = summands.pop((b, k))
-        for _ in range(mult[(b, k)]):
-            cur, _ = peel_summand(cur, b, k, S)
-    if cur.support_ids():
-        raise CertificateError(
-            f"peeling left modules at cones {cur.support_ids()}"
-        )
-    return mult
-
-
 def decomposition_theorem_report(fan_map, window=None):
     """Full pipeline: minimal complex on the source, direct image,
-    verification, multiplicities, and complete certified peeling.
+    verification, and the walk that finds and peels every summand.
 
-    Returns the multiplicities {(base cone, shift): count} of
-    decompose_fully.
+    Returns the multiplicities {(base cone, shift): count}.
     """
     M = build_minimal(fan_map.source, window=window)
     P = pushforward(fan_map, M)
@@ -373,4 +316,4 @@ def decomposition_theorem_report(fan_map, window=None):
         raise CertificateError(
             "direct image failed verification: " + "; ".join(problems)
         )
-    return decompose_fully(P.complex)
+    return decomposition_multiplicities(P.complex)

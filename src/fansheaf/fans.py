@@ -240,7 +240,6 @@ class Cone:
         "basis_rays",
         "span_eqs",
         "facet_normals",
-        "facet_ray_sets",
         "face_ray_sets",
         "face_ids",
         "facet_ids",
@@ -324,6 +323,13 @@ class Fan:
 
         ordered = sorted(all_sets, key=lambda s: (data_for(s).dim, tuple(sorted(s))))
         by_rayset = {s: i for i, s in enumerate(ordered)}
+
+        def cone_ids(vec_sets):
+            """Ascending ids of the cones on the given sets of ray vectors."""
+            return tuple(sorted(
+                by_rayset[frozenset(vec_to_idx[v] for v in vs)] for vs in vec_sets
+            ))
+
         cones = []
         for idx, s in enumerate(ordered):
             d = data_for(s)
@@ -334,20 +340,10 @@ class Fan:
             c.basis_rays = tuple(vec_to_idx[v] for v in d.basis)
             c.span_eqs = d.span_eqs
             c.facet_normals = d.facet_normals
-            c.facet_ray_sets = tuple(
-                frozenset(vec_to_idx[v] for v in fr) for fr in d.facet_rays
-            )
-            c.face_ray_sets = frozenset(
-                frozenset(vec_to_idx[v] for v in fs) for fs in d.face_sets
-            )
+            c.face_ids = cone_ids(d.face_sets)
+            c.facet_ids = cone_ids(d.facet_rays)
+            c.face_ray_sets = frozenset(ordered[f] for f in c.face_ids)
             cones.append(c)
-        for c in cones:
-            c.face_ids = tuple(
-                sorted(by_rayset[fs] for fs in c.face_ray_sets)
-            )
-            c.facet_ids = tuple(
-                sorted(by_rayset[fs] for fs in c.facet_ray_sets)
-            )
         fan = cls(n, rays, tuple(cones), by_rayset)
         fan._validate_pairwise()
         return fan

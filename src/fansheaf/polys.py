@@ -79,16 +79,18 @@ def parse_poly(text, nvars):
     integral coefficients as int.
 
     Raises InputError on a token that is not a number or a variable
-    t1..t_nvars with an optional ^exponent.
+    t1..t_nvars with an optional ^exponent, and on a sign that follows
+    another sign or ends the text.
     """
+
+    def bad(tok):
+        return InputError(f"bad token {tok!r} in polynomial {text!r}")
 
     def number(kind, tok):
         try:
             return kind(tok)
         except (ValueError, ZeroDivisionError):
-            raise InputError(
-                f"bad token {tok!r} in polynomial {text!r}"
-            ) from None
+            raise bad(tok) from None
 
     text = text.strip()
     if text in ("0", ""):
@@ -97,21 +99,22 @@ def parse_poly(text, nvars):
     terms = []
     sign = 1
     current = None
+    after_sign = False
     for tok in tokens:
-        if tok == "+":
+        if tok in ("+", "-"):
+            if after_sign:
+                raise bad(tok)
             if current is not None:
                 terms.append(current)
-            sign, current = 1, None
+            sign, current, after_sign = (1 if tok == "+" else -1), None, True
             continue
-        if tok == "-":
-            if current is not None:
-                terms.append(current)
-            sign, current = -1, None
-            continue
+        after_sign = False
         if current is None:
             current = [sign, Fraction(1), [0] * nvars, False]
         if tok.startswith("t"):
-            name, _, exp = tok.partition("^")
+            name, caret, exp = tok.partition("^")
+            if caret and not exp:
+                raise bad(tok)
             idx = number(int, name[1:]) - 1
             if not 0 <= idx < nvars:
                 raise InputError(f"variable {name} out of range for {nvars} vars")
@@ -121,6 +124,8 @@ def parse_poly(text, nvars):
                 raise InputError(f"two coefficients in one term: {text!r}")
             current[1] = number(Fraction, tok)
             current[3] = True
+    if after_sign:
+        raise bad(tokens[-1])
     if current is not None:
         terms.append(current)
     out = {}

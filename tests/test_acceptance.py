@@ -8,6 +8,7 @@ at module scope so the gate stays fast.
 import math
 from collections import Counter
 
+from fansheaf import decompose
 from fansheaf.combinatorics import predicted_stalk_degrees
 from fansheaf.complexes import (
     FanComplex,
@@ -17,10 +18,8 @@ from fansheaf.complexes import (
     complex_to_text,
 )
 from fansheaf.decompose import (
-    decompose_fully,
     decomposition_multiplicities,
     decomposition_theorem_report,
-    peel_summand,
 )
 from fansheaf.fans import is_complete, load_fan, subdivision_map
 from fansheaf.minimal import (
@@ -184,25 +183,32 @@ def test_criterion_6_decomposition_reports():
     )
 
 
-def test_criterion_7_iterated_peel_with_valid_intermediates():
+def test_criterion_7_iterated_peel_with_valid_intermediates(monkeypatch):
     steps = 0
+    peel = decompose.peel_summand
     for src, tgt in [("starsq", "conesquare"), ("twostep", "quadrant")]:
         P, _ = _image(src, tgt)
         N = P.complex
-        mult, summands = decomposition_multiplicities(N)
+        fan = N.fan
         peeled = Counter()
-        cur = N
-        for (b, k) in sorted(mult):
-            S = summands[(b, k)]
-            assert check_complex(S) == [], (src, b, k)
-            for _ in range(mult[(b, k)]):
-                cur, _ = peel_summand(cur, b, k, S)
-                assert check_complex(cur) == [], (src, b, k)
-                assert check_locally_exact(cur) == [], (src, b, k)
-                peeled[(b, k)] += 1
-                steps += 1
+        last = [N]
+
+        def checked(cur, b, S):
+            (d,) = S.degrees_at(b)
+            key = (b, -fan.n + fan.cones[b].dim - d)
+            assert check_complex(S) == [], (src, key)
+            complement, embedding = peel(cur, b, S)
+            assert check_complex(complement) == [], (src, key)
+            assert check_locally_exact(complement) == [], (src, key)
+            peeled[key] += 1
+            last[0] = complement
+            return complement, embedding
+
+        monkeypatch.setattr(decompose, "peel_summand", checked)
+        mult = decomposition_multiplicities(N)
+        steps += sum(peeled.values())
         assert dict(peeled) == mult, src
-        assert not cur.support_ids(), src
+        assert not last[0].support_ids(), src
     print(
         f"CRITERION 7: PASS - {steps} peels, every intermediate "
         f"complement a valid locally exact complex, multiplicity "
@@ -231,8 +237,8 @@ def test_criterion_8_reversed_build_order_is_immaterial():
         fmap = subdivision_map(fan, _fan(tgt))
         # the multiplicities fix the peel order, sorted keys each
         # repeated by its count, so equal dicts mean equal peel orders
-        d1 = decompose_fully(pushforward(fmap, M1).complex)
-        d2 = decompose_fully(pushforward(fmap, M2).complex)
+        d1 = decomposition_multiplicities(pushforward(fmap, M1).complex)
+        d2 = decomposition_multiplicities(pushforward(fmap, M2).complex)
         assert d1 == d2, src
     print(
         "CRITERION 8: PASS - reversed within-dimension build order "

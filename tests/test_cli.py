@@ -393,6 +393,9 @@ def test_degree_max_floor_enforced(capsys):
 MALFORMED_WHY = {
     "sign 3 9: -1": "sign line for unknown cone 9",
     "entry 3 1 0 0: 1 + t1": "inhomogeneous polynomial",
+    "entry 3 1 0 0: - - 1": "bad token '-'",
+    "entry 3 1 0 0: 1 +": "bad token '+'",
+    "entry 3 2 0 0: t1^": "bad token 't1^'",
     "window 4 -2": "window low end 4 above high end -2",
     "window -2 6 9": "a window line is 'window lo hi'",
     "dim 2 3": "a dim line is 'dim n'",
@@ -425,6 +428,11 @@ MALFORMED_WHY = {
         ("ray 1: 1 0", "ray 1: 1 x"),
         ("sign 3 2: -1", "sign 3 9: -1"),
         ("entry 3 1 0 0: 1", "entry 3 1 0 0: 1 + t1"),
+        # a polynomial is never read past a doubled or trailing sign or a
+        # caret with no exponent
+        ("entry 3 1 0 0: 1", "entry 3 1 0 0: - - 1"),
+        ("entry 3 1 0 0: 1", "entry 3 1 0 0: 1 +"),
+        ("entry 3 2 0 0: 1", "entry 3 2 0 0: t1^"),
         ("window -2 6", "window 4 -2"),
         ("window -2 6", "window -2 6 9"),
         ("dim 2", "dim 2 3"),

@@ -7,7 +7,6 @@ import pytest
 from fansheaf import decompose
 from fansheaf.complexes import FanComplex
 from fansheaf.decompose import (
-    decompose_fully,
     decomposition_multiplicities,
     decomposition_theorem_report,
     peel_summand,
@@ -20,7 +19,7 @@ from fansheaf.minimal import (
     stalk_report,
     verify_minimality,
 )
-from fansheaf.pushforward import pushforward
+from fansheaf.pushforward import pushforward, verify_pushforward
 
 from conftest import fan_path
 
@@ -37,22 +36,32 @@ def _peel(N, base_id, shift):
     """peel_summand with the summand built on N's window: the summand,
     the complement and the embedding."""
     S = build_shifted_minimal(N.fan, base_id, shift, window=N.window)
-    return (S, *peel_summand(N, base_id, shift, S))
+    return (S, *peel_summand(N, base_id, S))
 
 
 def _record_peels(monkeypatch):
-    """List of (base cone, shift, complement), one per peel_summand
+    """List of (base cone, summand, complement), one per peel_summand
     call that decompose makes, in call order."""
     peels = []
     peel = decompose.peel_summand
 
-    def recording(N, base_id, shift, summand):
-        complement, embedding = peel(N, base_id, shift, summand)
-        peels.append((base_id, shift, complement))
+    def recording(N, base_id, summand):
+        complement, embedding = peel(N, base_id, summand)
+        peels.append((base_id, summand, complement))
         return complement, embedding
 
     monkeypatch.setattr(decompose, "peel_summand", recording)
     return peels
+
+
+def _keys(peels):
+    """The (base cone, shift) of each recorded peel, the shift read off
+    the summand's one generator at its base cone."""
+    keys = []
+    for b, S, _ in peels:
+        (d,) = S.degrees_at(b)
+        keys.append((b, -S.fan.n + S.fan.cones[b].dim - d))
+    return keys
 
 
 def _sequence(mult):
@@ -60,35 +69,59 @@ def _sequence(mult):
     return [key for key in sorted(mult) for _ in range(mult[key])]
 
 
-def test_blowup_multiplicities():
+def test_blowup_multiplicities(monkeypatch):
     P, _ = _image("blowquad", "quadrant")
     top = P.complex.fan.cones_of_dim(2)[0]
-    mult, summands = decomposition_multiplicities(P.complex)
+    peels = _record_peels(monkeypatch)
+    mult = decomposition_multiplicities(P.complex)
     assert mult == {(0, 0): 1, (top, 0): 1}
-    assert set(summands) == set(mult)
+    assert set(_keys(peels)) == set(mult)
 
 
 def test_twostep_multiplicities():
     P, _ = _image("twostep", "quadrant")
     top = P.complex.fan.cones_of_dim(2)[0]
-    mult, _ = decomposition_multiplicities(P.complex)
+    mult = decomposition_multiplicities(P.complex)
     assert mult == {(0, 0): 1, (top, 0): 2}
 
 
-def test_star_square_multiplicities():
+def test_star_square_multiplicities(monkeypatch):
     P, _ = _image("starsq", "conesquare")
     top = P.complex.fan.cones_of_dim(3)[0]
-    mult, summands = decomposition_multiplicities(P.complex)
+    peels = _record_peels(monkeypatch)
+    mult = decomposition_multiplicities(P.complex)
     assert mult == {(0, 0): 1, (top, 1): 1, (top, -1): 1}
-    for (b, k), S in summands.items():
-        assert S.degrees_at(b) == (-3 + P.complex.fan.cones[b].dim - k,)
+    # each peeled summand has its one base generator in its key's degree
+    assert _keys(peels) == _sequence(mult)
     # opposite shifts come in equal multiplicity
     assert mult[(top, 1)] == mult[(top, -1)]
 
 
 def test_identity_subdivision_multiplicities():
     P, _ = _image("p2", "p2")
-    assert decomposition_multiplicities(P.complex)[0] == {(0, 0): 1}
+    assert decomposition_multiplicities(P.complex) == {(0, 0): 1}
+
+
+def test_tower_decomposes_like_its_composite():
+    """Functoriality on twostep -> blowquad -> quadrant: the image pushed
+    one step at a time, each step verified, has the composite's
+    multiplicities."""
+    twostep, blowquad, quadrant = (
+        load_fan(fan_path(name)) for name in ("twostep", "blowquad", "quadrant")
+    )
+    image = build_minimal(twostep)
+    for fmap in (
+        subdivision_map(twostep, blowquad),
+        subdivision_map(blowquad, quadrant),
+    ):
+        P = pushforward(fmap, image)
+        assert verify_pushforward(P) == []
+        image = P.complex
+    top = quadrant.cones_of_dim(2)[0]
+    mult = decomposition_multiplicities(image)
+    assert mult == {(0, 0): 1, (top, 0): 2}
+    direct, _ = _image("twostep", "quadrant")
+    assert decomposition_multiplicities(direct.complex) == mult
 
 
 def test_peel_keeps_cones_outside_the_star():
@@ -139,14 +172,14 @@ def test_full_peel_exhausts(monkeypatch):
     for pair in [("blowquad", "quadrant"), ("twostep", "quadrant")]:
         P, _ = _image(*pair)
         peels = _record_peels(monkeypatch)
-        mult = decompose_fully(P.complex)
-        assert [(b, k) for b, k, _ in peels] == _sequence(mult)
+        mult = decomposition_multiplicities(P.complex)
+        assert _keys(peels) == _sequence(mult)
         assert peels[-1][2].support_ids() == ()
 
 
 def test_full_peel_builds_each_summand_once(monkeypatch):
-    """decompose_fully builds one shifted minimal complex per distinct
-    (base cone, shift) key, for the stalk check and every peel of it:
+    """The walk builds one shifted minimal complex per distinct
+    (base cone, shift) key and peels it as often as it occurs:
     twostep -> quadrant has the summand (top, 0) twice."""
     P, _ = _image("twostep", "quadrant")
     top = P.complex.fan.cones_of_dim(2)[0]
@@ -159,9 +192,10 @@ def test_full_peel_builds_each_summand_once(monkeypatch):
 
     monkeypatch.setattr(decompose, "build_shifted_minimal", counting)
     peels = _record_peels(monkeypatch)
-    mult = decompose_fully(P.complex)
+    mult = decomposition_multiplicities(P.complex)
     assert mult == {(0, 0): 1, (top, 0): 2}
-    assert [(b, k) for b, k, _ in peels] == [(0, 0), (top, 0), (top, 0)]
+    assert _keys(peels) == [(0, 0), (top, 0), (top, 0)]
+    assert peels[1][1] is peels[2][1]
     assert sorted(built) == [(0, 0), (top, 0)]
 
 
@@ -171,13 +205,15 @@ def test_theorem_report_pipeline(monkeypatch):
     mult = decomposition_theorem_report(fmap)
     assert mult.get((0, 0)) == 1
     assert sum(mult.values()) == 3
-    assert [(b, k) for b, k, _ in peels] == _sequence(mult)
+    assert _keys(peels) == _sequence(mult)
 
 
 def test_peel_with_wrong_shift_rejected():
+    """N has no generator at the base cone in the summand's base degree,
+    so no cocycle is left to embed the summand's generator."""
     P, _ = _image("blowquad", "quadrant")
     top = P.complex.fan.cones_of_dim(2)[0]
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="generator degrees do not"):
         _peel(P.complex, top, 1)
 
 
@@ -219,5 +255,5 @@ def test_missing_stalk_rejected():
         {k: v for k, v in M.maps.items() if ray not in k},
         window=M.window,
     )
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="needs a module"):
         decomposition_multiplicities(hollow)

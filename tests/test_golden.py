@@ -6,7 +6,8 @@ and the face fan of the 4-cube, and tests/golden/<fan>.complex the
 `minimal build --out` text of every corpus fan.  For the five subdivision pairs,
 push-<src>-<tgt>.tsv holds the `pushforward --format machine` records
 (without the `serialized` line), push-<src>-<tgt>.out its `--out` text
-and decompose-<src>-<tgt>.tsv the `decompose --format machine` records.
+and decompose-<src>-<tgt>.tsv the `decompose --format machine` records;
+cubestar -> cubefan is compared with the benchmark's expected records.
 verify-<fan>.tsv holds the `verify --format machine` records of each
 <fan>.complex followed by an `exit` line with the exit code.  A change
 that alters a generator choice, a serialized entry or a report record
@@ -115,6 +116,27 @@ def test_decompose_records_match_golden(capsys, src, tgt):
     assert code == 0
     golden = (GOLDEN / f"decompose-{src}-{tgt}.tsv").read_text()
     assert capsys.readouterr().out == golden
+
+
+def test_decompose_cubestar_matches_benchmark_records(capsys):
+    """The richest decomposition in the repo: the star subdivision of
+    the cube fan splits into 13 summands, shifts -1 and 1 at each of the
+    six maximal cones.  The expected records are the benchmark's own."""
+    perfbench = TESTS.parent / "perfbench"
+    code = main(
+        [
+            "--format",
+            "machine",
+            "decompose",
+            "--fan",
+            str(fan_path("cubefan")),
+            "--subdivision",
+            str(perfbench / "inputs" / "cubestar.fan"),
+        ]
+    )
+    assert code == 0
+    expected = (perfbench / "expected" / "decompose-cubestar.tsv").read_text()
+    assert capsys.readouterr().out == expected
 
 
 def _relabelled(fan, rng):

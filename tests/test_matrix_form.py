@@ -142,7 +142,7 @@ def test_peeled_summand_maps_match_oracle():
     N = pushforward(fmap, build_minimal(fmap.source)).complex
     top = N.fan.cones_of_dim(3)[0]
     S = build_shifted_minimal(N.fan, top, 1, window=N.window)
-    complement, embedding = peel_summand(N, top, 1, S)
+    complement, embedding = peel_summand(N, top, S)
     lo, hi = N.window
     maps = (
         list(S.maps.values())

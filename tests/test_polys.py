@@ -91,9 +91,17 @@ def test_format_and_parse_round_trip():
     assert parse_poly("0", 2) == {}
     assert format_poly({}) == "0"
     assert parse_poly("-t1 + t1", 1) == {}
+    assert parse_poly("+ 2 t1", 2) == {(1, 0): 2}
 
 
-@pytest.mark.parametrize("text", ["t9", "x", "t1^y", "tz", "2 3 t1", "1/0"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t9", "x", "t1^y", "tz", "2 3 t1", "1/0",
+        # a sign after a sign or at the end, a caret with no exponent
+        "t2 - - t1", "t1^", "t2 + t1 +", "t1^-1",
+    ],
+)
 def test_parse_poly_rejects_malformed(text):
     with pytest.raises(InputError):
         parse_poly(text, 2)
