@@ -23,7 +23,9 @@ residual as a new pivot at its leftmost entry.  rref, nullspace and
 solve insert one row at a time and add one back-substitution pass,
 which gives the canonical rational RREF scaled row by row to primitive
 int rows with positive pivot.  That form is unique, so what they return
-does not depend on the order of elimination.
+does not depend on the order of elimination.  rref_kernel and
+rref_solution read the nullspace and solve answers off such an rref of
+a wider matrix, so one elimination can serve several questions.
 """
 
 from fractions import Fraction
@@ -36,6 +38,8 @@ KERNEL = "pure"
 
 def _int_row(row):
     """A positive int multiple of a sparse row, as a new dict."""
+    if all(type(a) is int for a in row.values()):
+        return dict(row)
     den = lcm(*[a.denominator for a in row.values()])
     if den == 1:
         return {j: int(a) for j, a in row.items()}
@@ -213,7 +217,16 @@ def nullspace(rows, ncols):
     One vector per free column, in ascending order; each has a positive
     leading entry.
     """
-    red, pivots = rref(rows)
+    return rref_kernel(*rref(rows), ncols)
+
+
+def rref_kernel(red, pivots, ncols):
+    """The nullspace basis of the first ncols columns of a matrix, read
+    off the rref (red, pivots) of the whole matrix.
+
+    Those columns of the rref are the rref of the first ncols columns,
+    padded with zero rows, so entries in later columns are never read.
+    """
     hits = {}  # free column -> (pivot, entry, pivot entry) per row
     for row, p in zip(red, pivots):
         q = row[p]
@@ -248,9 +261,19 @@ def solve(rows, rhs, ncols):
     red, pivots = rref(aug)
     if pivots and pivots[-1] == ncols:
         return None
+    return rref_solution(red, pivots, ncols)
+
+
+def rref_solution(red, pivots, col):
+    """The solution x, free variables zero, of L @ x = c, read off the
+    rref (red, pivots) of a matrix [L | R] whose pivots all lie in L;
+    c is the matrix's column col, one of R's.
+
+    A sparse vector with int values where integral.
+    """
     sol = {}
     for row, p in zip(red, pivots):
-        b = row.get(ncols)
+        b = row.get(col)
         if b is not None:
             q = row[p]
             sol[p] = b // q if b % q == 0 else Fraction(b, q)
@@ -277,28 +300,31 @@ def transpose(rows, ncols):
 
 
 def det_sign(rows):
-    """Sign of the determinant of a square Fraction/int matrix: -1, 0, 1.
+    """Sign of the determinant of a square int/Fraction matrix: -1, 0, 1.
 
     Dense: it is only used on orientation matrices of at most n x n.
+    Each row is first cleared of its denominators, a positive scale, and
+    the int matrix is then eliminated fraction-free (Bareiss 1968): the
+    entries after step k are minors of order k + 1, every division is
+    exact, and the last pivot is the determinant up to the sign of the
+    row swaps.
     """
-    mat = [[Fraction(a) for a in row] for row in rows]
+    mat = []
+    for row in rows:
+        den = lcm(*[a.denominator for a in row])
+        mat.append([a.numerator * (den // a.denominator) for a in row])
     n = len(mat)
-    sign = 1
-    for col in range(n):
-        p = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                p = r
-                break
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if mat[r][k]), None)
         if p is None:
             return 0
-        if p != col:
-            mat[col], mat[p] = mat[p], mat[col]
+        if p != k:
+            mat[k], mat[p] = mat[p], mat[k]
             sign = -sign
-        if mat[col][col] < 0:
-            sign = -sign
-        for r in range(col + 1, n):
-            f = mat[r][col] / mat[col][col]
-            if f != 0:
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return sign
+        pivot, prow = mat[k][k], mat[k]
+        for r in range(k + 1, n):
+            f = mat[r][k]
+            mat[r] = [(pivot * a - f * b) // prev for a, b in zip(mat[r], prow)]
+        prev = pivot
+    return sign if prev > 0 else -sign

@@ -8,6 +8,12 @@ runs over the same input produce identical ids, bases, and signs.
 All geometric predicates -- facets, face lattices, intersections,
 membership, subdivision assignments -- are computed with exact
 integer arithmetic on top of the sparse exact kernel in _linalg.
+A cone with linearly independent generators -- every ray and 2-cone,
+and every cone of a simplicial fan -- costs one elimination, which
+gives its span equations, facet normals and faces (see cone_data);
+other cones take a general path with one elimination per candidate
+facet.  Incidence signs are integer determinants on the pivot columns
+of one elimination per cone, with no coordinates solved.
 A fan is certified on its pairs of maximal cones: each pair must meet
 in a common face, which implies the same for every pair of cones.
 For a pair, double description generates the intersection, and every
@@ -75,23 +81,29 @@ class ConeData:
 
 def span_coords(basis, vectors):
     """Coordinates of vectors in a basis of a span containing them: one
-    dense tuple per vector, int where integral, else Fraction.  Raises
-    InputError for a vector outside the span."""
+    dense tuple per vector, int where integral, else Fraction.
+
+    One rref of [B^T | V], the basis vectors and then the vectors as
+    columns, gives them all.  A pivot in a vector's column means that
+    vector lies outside the span, and raises InputError.
+    """
     d = len(basis)
-    rows = [_sparse(b[i] for b in basis) for i in range(len(basis[0]))]
-    out = []
-    for v in vectors:
-        sol = _linalg.solve(rows, _sparse(v), d)
-        if sol is None:
-            raise InputError("vector outside the span of the basis")
-        out.append(_dense(sol, d))
-    return out
+    rows = [
+        _sparse([b[i] for b in basis] + [v[i] for v in vectors])
+        for i in range(len(basis[0]))
+    ]
+    red, pivots = _linalg.rref(rows)
+    if pivots and pivots[-1] >= d:
+        raise InputError("vector outside the span of the basis")
+    return [
+        _dense(_linalg.rref_solution(red, pivots, d + c), d)
+        for c in range(len(vectors))
+    ]
 
 
-def _primitive_solution(rows, rhs, n):
-    """Primitive integer vector on the ray of the solution, free
-    coordinates zero, of rows @ x = rhs (a solvable system)."""
-    sol = _linalg.solve(rows, rhs, n)
+def _primitive_ray(sol, n):
+    """Primitive integer vector on the ray of a nonzero sparse rational
+    vector of length n."""
     den = lcm(*[a.denominator for a in sol.values()])
     return primitive(_dense({j: int(a * den) for j, a in sol.items()}, n))
 
@@ -99,7 +111,18 @@ def _primitive_solution(rows, rhs, n):
 def cone_data(vectors, n):
     """Geometry of the cone generated by integer vectors in Z^n.
 
-    One rref of the sorted generators as columns gives the lex-first
+    Every cone starts with one rref of the rows [g_k | e_k]: the sorted
+    generators, each followed by its unit vector in Z^k.  Its first n
+    columns give span_eqs.  When every pivot lies there the generators
+    are linearly independent, as for every ray and 2-cone, and that one
+    elimination is all the cone needs: it is simplicial, so strictly
+    convex with every generator extreme, its faces are the subsets of
+    the generators, and facet k's normal, the solution of g_j . x =
+    delta_jk with free coordinates zero, is read off column n + k.
+
+    Generators that are linearly dependent -- a non-simplicial cone such
+    as the cone over a square, or an invalid one -- take the general
+    path.  One rref of the generators as columns gives the lex-first
     basis, its pivot columns, and each generator's int coordinates in
     it, its columns scaled by the lcm of the pivots.  Facets are the
     hyperplanes through d - 1 generators with all of them on one side;
@@ -116,20 +139,36 @@ def cone_data(vectors, n):
             gens.append(p)
     if len(gens) != len(vectors):
         raise InputError("duplicate or non-primitive generators listed")
+    gens.sort()
+    k = len(gens)
+    red, pivots = _linalg.rref(
+        [{**_sparse(g), n + m: 1} for m, g in enumerate(gens)]
+    )
     data = ConeData()
     data.span_eqs = tuple(
-        _dense(r, n) for r in _linalg.nullspace([_sparse(g) for g in gens], n)
+        _dense(r, n) for r in _linalg.rref_kernel(red, pivots, n)
     )
-    if not gens:
-        data.extreme = ()
-        data.dim = 0
-        data.basis = ()
-        data.facet_normals = ()
-        data.facet_rays = ()
-        data.face_sets = frozenset([frozenset()])
+    data.extreme = tuple(gens)
+    if not pivots or pivots[-1] < n:
+        data.dim = k
+        data.basis = data.extreme
+        # facet m drops generator m; dropping a later generator leaves
+        # a lex-smaller sorted list, so facets come in descending m
+        dropped = range(k - 1, -1, -1)
+        data.facet_rays = tuple(
+            frozenset(gens[:m] + gens[m + 1:]) for m in dropped
+        )
+        data.facet_normals = tuple(
+            _primitive_ray(_linalg.rref_solution(red, pivots, n + m), n)
+            for m in dropped
+        )
+        data.face_sets = frozenset(
+            frozenset(face)
+            for r in range(k + 1)
+            for face in combinations(gens, r)
+        )
         return data
 
-    gens.sort()
     red, pivots = _linalg.rref([_sparse(g[i] for g in gens) for i in range(n)])
     basis = tuple(gens[p] for p in pivots)
     basis_rows = [_sparse(b) for b in basis]
@@ -174,7 +213,9 @@ def cone_data(vectors, n):
     for f, onset in normals.items():
         rayset = frozenset(gens[i] for i in onset)
         if rayset not in facets:
-            facets[rayset] = _primitive_solution(basis_rows, _sparse(f), n)
+            facets[rayset] = _primitive_ray(
+                _linalg.solve(basis_rows, _sparse(f), n), n
+            )
     data.facet_rays = tuple(sorted(facets, key=sorted))
     data.facet_normals = tuple(facets[fr] for fr in data.facet_rays)
     # face lattice: closure of the cone under intersections with facets
@@ -189,7 +230,6 @@ def cone_data(vectors, n):
                 work.append(nxt)
     faces.add(frozenset())
     data.face_sets = frozenset(faces)
-    data.extreme = tuple(gens)
     data.dim = d
     data.basis = basis
     return data
@@ -264,6 +304,8 @@ class Fan:
         self._by_rayset = by_rayset
         self._star = None
         self._signs = {}
+        # cone id -> (pivot columns P of its basis B, sign det B_P)
+        self._frames = {}
 
     @classmethod
     def from_cones(cls, n, ray_vectors, cone_ray_lists):
@@ -449,19 +491,32 @@ class Fan:
         return self._signs[key]
 
     def _orientation_sign(self, i, j):
+        """The convention's determinant sign, without coordinates.
+
+        The vectors V (rows) lie in the span of cone i's basis B (rows),
+        so V = C B for their coordinate matrix C.  On the pivot columns
+        P of the rref of B, B_P is invertible and V_P = C B_P, so
+        sign det C = sign det V_P * sign det B_P.  P and sign det B_P
+        are cached per cone.
+        """
         if not self.is_facet(j, i):
             raise InputError(f"cone {j} is not a facet of cone {i}")
         ci = self.cones[i]
         if ci.dim == 1:
             return 1
+        if i not in self._frames:
+            basis = [self.rays[r] for r in ci.basis_rays]
+            _, pivots = _linalg.rref([_sparse(b) for b in basis])
+            self._frames[i] = pivots, _linalg.det_sign(
+                [[b[p] for p in pivots] for b in basis]
+            )
+        pivots, basis_sign = self._frames[i]
         vecs = [self.rays[r] for r in self.cones[j].basis_rays]
         vecs.append(self.interior_point(i))
-        cols = span_coords([self.rays[r] for r in ci.basis_rays], vecs)
-        mat = [[cols[c][r] for c in range(ci.dim)] for r in range(ci.dim)]
-        s = _linalg.det_sign(mat)
+        s = _linalg.det_sign([[v[p] for p in pivots] for v in vecs])
         if s == 0:
             raise CertificateError("degenerate orientation determinant")
-        return s
+        return s * basis_sign
 
     # ----- canonical text form -----
 

@@ -6,10 +6,11 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from fansheaf import fans
+from fansheaf import _linalg, fans
+from fansheaf.complexes import complex_from_text
 from fansheaf.errors import InputError
 from fansheaf.fans import (
     Cone,
@@ -449,6 +450,80 @@ def test_cone_data_matches_reference_on_random_generators(case):
     got = _outcome(fans.cone_data, vectors, n)
     want = _outcome(brute_oracle.cone_data, vectors, n)
     assert got == want
+
+
+@pytest.mark.parametrize("path", GEOMETRY_FANS, ids=lambda p: p.name)
+def test_incidence_signs_match_reference(path):
+    """Every (cone, facet) sign equals the one computed by its
+    definition in brute_oracle."""
+    fan = load_fan(path)
+    for cone in fan.cones:
+        for f in cone.facet_ids:
+            want = brute_oracle.incidence_sign(fan, cone.index, f)
+            assert fan.incidence_sign(cone.index, f) == want, (cone.index, f)
+
+
+@st.composite
+def span_cases(draw):
+    """A basis of 1 to n independent vectors in dimension n = 1 to 4,
+    entries in [-3, 3], and 1 to 4 vectors: combinations of the basis,
+    some divided by their content so that coordinates are fractions,
+    and vectors drawn freely, which may lie outside the span."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    basis = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=n))
+    assume(_linalg.rank([fans._sparse(b) for b in basis]) == len(basis))
+    vectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["combination", "divided", "free"]))
+        if kind == "free":
+            vectors.append(draw(st.tuples(*[entry] * n)))
+            continue
+        coeffs = draw(st.lists(entry, min_size=len(basis), max_size=len(basis)))
+        v = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n))
+        if kind == "divided" and any(v):
+            v = primitive(v)
+        vectors.append(v)
+    return basis, vectors
+
+
+@FUZZ
+@given(case=span_cases())
+@example(case=(((1, 0, 0), (0, 1, 0)), [(1, 1, 0), (2, 0, 0), (0, 0, 1)]))
+@example(case=(((1, 1), (1, -1)), [(1, 0), (0, 1)]))
+def test_span_coords_matches_per_vector_solve(case):
+    """span_coords gives the per-vector solve coordinates, number types
+    included, and raises exactly when some vector, possibly only the
+    last, lies outside the span."""
+    basis, vectors = case
+
+    def outcome(coords):
+        try:
+            return _typed(tuple(coords(basis, vectors)))
+        except InputError as exc:
+            return str(exc)
+
+    assert outcome(fans.span_coords) == outcome(brute_oracle.span_coords)
+
+
+def test_simplicial_geometry_takes_one_elimination_per_cone(monkeypatch):
+    """Every cone of cubestar is simplicial, so loading it takes one
+    rref per cone.  Parsing the P^4 complex adds, for its signs, one
+    rref per cone of dimension at least 2 (the pivots of its basis)."""
+    calls = []
+    real = _linalg.rref
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(_linalg, "rref", counted)
+    fan = load_fan(TESTS.parent / "perfbench" / "inputs" / "cubestar.fan")
+    assert len(fan.cones) == 75 and len(calls) <= 75
+    calls.clear()
+    text = (TESTS.parent / "perfbench" / "inputs" / "p4.complex").read_text()
+    M = complex_from_text(text, validate=False)
+    assert len(M.fan.cones) == 31 and len(calls) <= 31 + 25
 
 
 def _all_pairs_rejects(build):
