@@ -148,15 +148,15 @@ def _cmd_pushforward(args, rep):
     src = load_fan(args.subdivision)
     fmap = subdivision_map(src, tgt)
     M = build_minimal(src, window=_window(args, src))
-    P = pushforward(fmap, M)
-    for i, degs in sorted(stalk_report(P.complex).items()):
+    N = pushforward(fmap, M)
+    for i, degs in sorted(stalk_report(N).items()):
         rep.add("module", cone=i, value=_degs(degs))
-    problems = verify_pushforward(P)
+    problems = verify_pushforward(M, N)
     rep.add("pushforward", certificate="fail" if problems else "pass")
     for p in problems:
         rep.add("problem", value=p)
     if args.out:
-        Path(args.out).write_text(complex_to_text(P.complex))
+        Path(args.out).write_text(complex_to_text(N))
         rep.add("serialized", value=args.out)
     return 1 if problems else 0
 

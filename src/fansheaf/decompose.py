@@ -309,11 +309,17 @@ def decomposition_theorem_report(fan_map, window=None):
 
     Returns the multiplicities {(base cone, shift): count}.
     """
+    return decomposition_multiplicities(_verified_image(fan_map, window))
+
+
+def _verified_image(fan_map, window):
+    """The direct image of the source's minimal complex, verified
+    against it; the source complex is dropped on return."""
     M = build_minimal(fan_map.source, window=window)
-    P = pushforward(fan_map, M)
-    problems = verify_pushforward(P)
+    N = pushforward(fan_map, M)
+    problems = verify_pushforward(M, N)
     if problems:
         raise CertificateError(
             "direct image failed verification: " + "; ".join(problems)
         )
-    return decomposition_multiplicities(P.complex)
+    return N

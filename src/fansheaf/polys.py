@@ -110,7 +110,7 @@ def parse_poly(text, nvars):
             continue
         after_sign = False
         if current is None:
-            current = [sign, Fraction(1), [0] * nvars, False]
+            current = [sign, 1, [0] * nvars, False]
         if tok.startswith("t"):
             name, caret, exp = tok.partition("^")
             if caret and not exp:
@@ -122,7 +122,10 @@ def parse_poly(text, nvars):
         else:
             if current[3]:
                 raise InputError(f"two coefficients in one term: {text!r}")
-            current[1] = number(Fraction, tok)
+            try:
+                current[1] = int(tok)
+            except ValueError:
+                current[1] = number(Fraction, tok)
             current[3] = True
     if after_sign:
         raise bad(tokens[-1])

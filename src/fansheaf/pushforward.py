@@ -4,9 +4,9 @@ For each target cone the direct image module is carved out of the sum of
 the modules on its same-dimension preimage tiles: sections must glue
 across interior walls (their differential components cancel) and
 must map into the already-built module on every target facet.  A minimal
-free cover of that kernel family gives the new module, with degreewise
-freeness certified by Hilbert comparison, and the induced differential
-lifts each generator's image through the facet's cover.
+free cover of that kernel family gives the new module, certified
+degreewise free by Hilbert comparison where it is built, and the induced
+differential lifts each generator's image through the facet's cover.
 """
 
 from fansheaf import _linalg
@@ -29,19 +29,10 @@ from fansheaf.modules import (
 )
 
 
-class Pushforward:
-    """Direct image complex, the source complex, and the minimal free
-    cover of the section family over each target cone with sections."""
-
-    def __init__(self, complex, source, covers):
-        self.complex = complex
-        self.source = source
-        self.covers = covers
-
-
 def pushforward(fan_map, M):
     """Direct image of a complex along a proper subdivision map, on M's
-    window."""
+    window.  Raises CertificateError at the first target cone whose
+    module is not degreewise free, naming the cone and degree."""
     if not fan_map.proper:
         raise InputError("direct image requires a proper subdivision map")
     if M.fan is not fan_map.source:
@@ -107,7 +98,7 @@ def pushforward(fan_map, M):
             pm = PolyMatrix.from_columns(cover.module, fcover.module, columns)
             if not pm.is_zero():
                 N.maps[(s, f)] = pm
-    return Pushforward(N, M, covers)
+    return N
 
 
 def _constraints(block, ambient, tiles, interior_walls, facet_data):
@@ -134,24 +125,21 @@ def _constraints(block, ambient, tiles, interior_walls, facet_data):
     return rows_at
 
 
-def verify_pushforward(P):
-    """Certify the direct image: valid complex, locally exact, modules
-    degreewise free, and global cohomology equal to the source's.
-    Returns the list of problems, empty when the direct image passes.
+def verify_pushforward(M, N):
+    """Certify a direct image N against its source complex M: valid
+    complex, locally exact, and global cohomology equal to M's.  A
+    complex that fails the shape certificate is not checked further.
+    Returns the list of problems, empty when N passes.
     """
-    problems = ["invalid complex: " + p for p in check_complex(P.complex)]
+    problems = ["invalid complex: " + p for p in check_complex(N)]
+    if problems:
+        return problems
     problems += [
         f"not exact at cone {i} degree {d}: {why}"
-        for i, d, why in check_locally_exact(P.complex)
+        for i, d, why in check_locally_exact(N)
     ]
-    for s, cover in P.covers.items():
-        offender = cover_is_free_certificate(cover)
-        if offender is not None:
-            problems.append(
-                f"module over cone {s} not free at degree {offender}"
-            )
-    src_table = cohomology_degreewise(P.source)
-    tgt_table = cohomology_degreewise(P.complex)
+    src_table = cohomology_degreewise(M)
+    tgt_table = cohomology_degreewise(N)
     if src_table != tgt_table:
         diff = {
             k: (src_table.get(k, 0), tgt_table.get(k, 0))

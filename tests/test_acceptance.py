@@ -157,8 +157,8 @@ def test_criterion_4_simplicial_cones_have_plain_stalks():
 
 def test_criterion_5_direct_images_verify():
     for src, tgt in SUBDIVISIONS:
-        P, _ = _image(src, tgt)
-        problems = verify_pushforward(P)
+        N, _ = _image(src, tgt)
+        problems = verify_pushforward(_built(src), N)
         assert problems == [], (src, tgt)
     print(
         f"CRITERION 5: PASS - direct image certificates hold on "
@@ -187,8 +187,7 @@ def test_criterion_7_iterated_peel_with_valid_intermediates(monkeypatch):
     steps = 0
     peel = decompose.peel_summand
     for src, tgt in [("starsq", "conesquare"), ("twostep", "quadrant")]:
-        P, _ = _image(src, tgt)
-        N = P.complex
+        N, _ = _image(src, tgt)
         fan = N.fan
         peeled = Counter()
         last = [N]
@@ -237,8 +236,8 @@ def test_criterion_8_reversed_build_order_is_immaterial():
         fmap = subdivision_map(fan, _fan(tgt))
         # the multiplicities fix the peel order, sorted keys each
         # repeated by its count, so equal dicts mean equal peel orders
-        d1 = decomposition_multiplicities(pushforward(fmap, M1).complex)
-        d2 = decomposition_multiplicities(pushforward(fmap, M2).complex)
+        d1 = decomposition_multiplicities(pushforward(fmap, M1))
+        d2 = decomposition_multiplicities(pushforward(fmap, M2))
         assert d1 == d2, src
     print(
         "CRITERION 8: PASS - reversed within-dimension build order "
@@ -282,22 +281,21 @@ def test_criterion_9_brute_force_micro_oracle():
             assert M.dim_at(i, d) == want, (sorted(rayset), d)
     assert cohomology_degreewise(M) == coh
 
-    P, _ = _image("blowquad", "quadrant")
-    img = brute_oracle.quadrant_image_dims(P.complex.window)
-    qfan = P.complex.fan
+    N, _ = _image("blowquad", "quadrant")
+    img = brute_oracle.quadrant_image_dims(N.window)
+    qfan = N.fan
     top = qfan.cones_of_dim(2)[0]
-    plo, phi = P.complex.window
+    plo, phi = N.window
     for d in range(plo, phi + 1):
         want = img.get(d, 0)
-        assert P.covers[top].family.dim_at(d) == want, d
-        assert P.complex.dim_at(top, d) == want, d
+        assert N.dim_at(top, d) == want, d
     qids = _rayset_ids(qfan)
     for rayset, i in qids.items():
         if i == top:
             continue
         for d in range(plo, phi + 1):
             want = mods.get((rayset, d), 0)
-            assert P.complex.dim_at(i, d) == want, (sorted(rayset), d)
+            assert N.dim_at(i, d) == want, (sorted(rayset), d)
     print(
         "CRITERION 9: PASS - brute-force enumeration reproduces every "
         "graded piece on the line fan and the subdivided quadrant, "

@@ -70,26 +70,26 @@ def _sequence(mult):
 
 
 def test_blowup_multiplicities(monkeypatch):
-    P, _ = _image("blowquad", "quadrant")
-    top = P.complex.fan.cones_of_dim(2)[0]
+    N, _ = _image("blowquad", "quadrant")
+    top = N.fan.cones_of_dim(2)[0]
     peels = _record_peels(monkeypatch)
-    mult = decomposition_multiplicities(P.complex)
+    mult = decomposition_multiplicities(N)
     assert mult == {(0, 0): 1, (top, 0): 1}
     assert set(_keys(peels)) == set(mult)
 
 
 def test_twostep_multiplicities():
-    P, _ = _image("twostep", "quadrant")
-    top = P.complex.fan.cones_of_dim(2)[0]
-    mult = decomposition_multiplicities(P.complex)
+    N, _ = _image("twostep", "quadrant")
+    top = N.fan.cones_of_dim(2)[0]
+    mult = decomposition_multiplicities(N)
     assert mult == {(0, 0): 1, (top, 0): 2}
 
 
 def test_star_square_multiplicities(monkeypatch):
-    P, _ = _image("starsq", "conesquare")
-    top = P.complex.fan.cones_of_dim(3)[0]
+    N, _ = _image("starsq", "conesquare")
+    top = N.fan.cones_of_dim(3)[0]
     peels = _record_peels(monkeypatch)
-    mult = decomposition_multiplicities(P.complex)
+    mult = decomposition_multiplicities(N)
     assert mult == {(0, 0): 1, (top, 1): 1, (top, -1): 1}
     # each peeled summand has its one base generator in its key's degree
     assert _keys(peels) == _sequence(mult)
@@ -98,8 +98,8 @@ def test_star_square_multiplicities(monkeypatch):
 
 
 def test_identity_subdivision_multiplicities():
-    P, _ = _image("p2", "p2")
-    assert decomposition_multiplicities(P.complex) == {(0, 0): 1}
+    N, _ = _image("p2", "p2")
+    assert decomposition_multiplicities(N) == {(0, 0): 1}
 
 
 def test_tower_decomposes_like_its_composite():
@@ -114,21 +114,20 @@ def test_tower_decomposes_like_its_composite():
         subdivision_map(twostep, blowquad),
         subdivision_map(blowquad, quadrant),
     ):
-        P = pushforward(fmap, image)
-        assert verify_pushforward(P) == []
-        image = P.complex
+        N = pushforward(fmap, image)
+        assert verify_pushforward(image, N) == []
+        image = N
     top = quadrant.cones_of_dim(2)[0]
     mult = decomposition_multiplicities(image)
     assert mult == {(0, 0): 1, (top, 0): 2}
     direct, _ = _image("twostep", "quadrant")
-    assert decomposition_multiplicities(direct.complex) == mult
+    assert decomposition_multiplicities(direct) == mult
 
 
 def test_peel_keeps_cones_outside_the_star():
     """Outside the star of the summand's base the complement is N as it
     is: the very module and map objects, not copies."""
-    P, _ = _image("blowquad", "quadrant")
-    N = P.complex
+    N, _ = _image("blowquad", "quadrant")
     top = N.fan.cones_of_dim(2)[0]
     _, complement, _ = _peel(N, top, 0)
     star = set(N.fan.star(top))
@@ -142,9 +141,9 @@ def test_peel_keeps_cones_outside_the_star():
 
 
 def test_peel_top_summand_leaves_minimal_complex():
-    P, _ = _image("blowquad", "quadrant")
-    top = P.complex.fan.cones_of_dim(2)[0]
-    summand, complement, _ = _peel(P.complex, top, 0)
+    N, _ = _image("blowquad", "quadrant")
+    top = N.fan.cones_of_dim(2)[0]
+    summand, complement, _ = _peel(N, top, 0)
     assert stalk_report(summand) == {top: (0,)}
     # what remains is exactly the minimal complex, certified from scratch
     assert verify_minimality(complement) == []
@@ -152,8 +151,7 @@ def test_peel_top_summand_leaves_minimal_complex():
 
 
 def test_peel_partitions_generator_degrees():
-    P, _ = _image("starsq", "conesquare")
-    N = P.complex
+    N, _ = _image("starsq", "conesquare")
     top = N.fan.cones_of_dim(3)[0]
     summand, complement, embedding = _peel(N, top, 1)
     assert set(embedding) == {top}
@@ -170,9 +168,9 @@ def test_full_peel_exhausts(monkeypatch):
     """One peel per counted summand, in sorted order, and the last
     complement is zero."""
     for pair in [("blowquad", "quadrant"), ("twostep", "quadrant")]:
-        P, _ = _image(*pair)
+        N, _ = _image(*pair)
         peels = _record_peels(monkeypatch)
-        mult = decomposition_multiplicities(P.complex)
+        mult = decomposition_multiplicities(N)
         assert _keys(peels) == _sequence(mult)
         assert peels[-1][2].support_ids() == ()
 
@@ -181,8 +179,8 @@ def test_full_peel_builds_each_summand_once(monkeypatch):
     """The walk builds one shifted minimal complex per distinct
     (base cone, shift) key and peels it as often as it occurs:
     twostep -> quadrant has the summand (top, 0) twice."""
-    P, _ = _image("twostep", "quadrant")
-    top = P.complex.fan.cones_of_dim(2)[0]
+    N, _ = _image("twostep", "quadrant")
+    top = N.fan.cones_of_dim(2)[0]
     built = []
     build = decompose.build_shifted_minimal
 
@@ -192,7 +190,7 @@ def test_full_peel_builds_each_summand_once(monkeypatch):
 
     monkeypatch.setattr(decompose, "build_shifted_minimal", counting)
     peels = _record_peels(monkeypatch)
-    mult = decomposition_multiplicities(P.complex)
+    mult = decomposition_multiplicities(N)
     assert mult == {(0, 0): 1, (top, 0): 2}
     assert _keys(peels) == [(0, 0), (top, 0), (top, 0)]
     assert peels[1][1] is peels[2][1]
@@ -211,15 +209,15 @@ def test_theorem_report_pipeline(monkeypatch):
 def test_peel_with_wrong_shift_rejected():
     """N has no generator at the base cone in the summand's base degree,
     so no cocycle is left to embed the summand's generator."""
-    P, _ = _image("blowquad", "quadrant")
-    top = P.complex.fan.cones_of_dim(2)[0]
+    N, _ = _image("blowquad", "quadrant")
+    top = N.fan.cones_of_dim(2)[0]
     with pytest.raises(CertificateError, match="generator degrees do not"):
-        _peel(P.complex, top, 1)
+        _peel(N, top, 1)
 
 
 def test_peel_rejects_dependent_complement_generators(monkeypatch):
-    P, _ = _image("blowquad", "quadrant")
-    top = P.complex.fan.cones_of_dim(2)[0]
+    N, _ = _image("blowquad", "quadrant")
+    top = N.fan.cones_of_dim(2)[0]
     real = decompose.minimal_generators
 
     def doubled(family):
@@ -228,7 +226,7 @@ def test_peel_rejects_dependent_complement_generators(monkeypatch):
 
     monkeypatch.setattr(decompose, "minimal_generators", doubled)
     with pytest.raises(CertificateError, match="chosen generators dependent"):
-        _peel(P.complex, top, 0)
+        _peel(N, top, 0)
 
 
 def test_peel_requires_supported_base():

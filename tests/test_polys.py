@@ -94,12 +94,23 @@ def test_format_and_parse_round_trip():
     assert parse_poly("+ 2 t1", 2) == {(1, 0): 2}
 
 
+def test_parse_poly_coefficient_types():
+    """Integer tokens are read as int, and every other number token
+    Fraction accepts keeps its value."""
+    p = parse_poly("2 t1^2 - 3 t1 t2 + 1_000 t2^2 + t1 - 7", 2)
+    assert p == {(2, 0): 2, (1, 1): -3, (0, 2): 1000, (1, 0): 1, (0, 0): -7}
+    assert all(type(c) is int for c in p.values())
+    q = parse_poly("3/2 t1 + 1.5 t2 + 1e3", 2)
+    assert q == {(1, 0): Fraction(3, 2), (0, 1): Fraction(3, 2), (0, 0): 1000}
+    assert type(q[(1, 0)]) is Fraction and type(q[(0, 0)]) is int
+
+
 @pytest.mark.parametrize(
     "text",
     [
         "t9", "x", "t1^y", "tz", "2 3 t1", "1/0",
         # a sign after a sign or at the end, a caret with no exponent
-        "t2 - - t1", "t1^", "t2 + t1 +", "t1^-1",
+        "t2 - - t1", "t1^", "t2 + t1 +", "t1^-1", "0x10",
     ],
 )
 def test_parse_poly_rejects_malformed(text):
