@@ -8,12 +8,11 @@ at module scope so the gate stays fast.
 import math
 from collections import Counter
 
-from fansheaf import decompose
+from fansheaf import _linalg, decompose
 from fansheaf.combinatorics import predicted_stalk_degrees
 from fansheaf.complexes import (
     FanComplex,
     check_complex,
-    check_locally_exact,
     cohomology_degreewise,
     complex_to_text,
 )
@@ -183,35 +182,82 @@ def test_criterion_6_decomposition_reports():
     )
 
 
-def test_criterion_7_iterated_peel_with_valid_intermediates(monkeypatch):
-    steps = 0
+def _is_chain_map(N, S, phi):
+    """d_N phi = phi d_S on every generator of S, each composite applied
+    to the generator at its own degree (a map of free modules vanishes
+    when it vanishes on generators)."""
+    for c in S.support_ids():
+        smod = S.modules[c]
+        one = (0,) * smod.ring.nvars
+        for j, g in enumerate(smod.degrees):
+            gen = {smod.index_at(g)[(j, one)]: 1}
+            for f in N.fan.cones[c].facet_ids:
+                left = {}
+                if (c, f) in N.maps:
+                    left = _linalg.matvec(
+                        N.maps[(c, f)].evaluate(g),
+                        _linalg.matvec(phi[c].evaluate(g), gen),
+                    )
+                right = {}
+                if (c, f) in S.maps:
+                    right = _linalg.matvec(
+                        phi[f].evaluate(g),
+                        _linalg.matvec(S.maps[(c, f)].evaluate(g), gen),
+                    )
+                if left != right:
+                    return False
+    return True
+
+
+def _generator_classes(pm):
+    """The images of pm's source generators modulo the irrelevant ideal,
+    as sparse rows over the target's generators."""
+    one = (0,) * pm.target.ring.nvars
+    rows = [{} for _ in pm.source.degrees]
+    for (r, j), p in pm.entries.items():
+        if p.get(one):
+            rows[j][r] = p[one]
+    return rows
+
+
+def test_criterion_7_summand_embeddings_sum_to_an_isomorphism(monkeypatch):
+    copies = 0
     peel = decompose.peel_summand
     for src, tgt in [("starsq", "conesquare"), ("twostep", "quadrant")]:
         N, _ = _image(src, tgt)
         fan = N.fan
-        peeled = Counter()
-        last = [N]
+        found = Counter()
+        embeddings = []
 
-        def checked(cur, b, S):
+        def checked(cur, b, S, base):
             (d,) = S.degrees_at(b)
             key = (b, -fan.n + fan.cones[b].dim - d)
             assert check_complex(S) == [], (src, key)
-            complement, embedding = peel(cur, b, S)
-            assert check_complex(complement) == [], (src, key)
-            assert check_locally_exact(complement) == [], (src, key)
-            peeled[key] += 1
-            last[0] = complement
-            return complement, embedding
+            phi = peel(cur, b, S, base)
+            assert _is_chain_map(cur, S, phi), (src, key)
+            found[key] += 1
+            embeddings.append(phi)
+            return phi
 
         monkeypatch.setattr(decompose, "peel_summand", checked)
         mult = decomposition_multiplicities(N)
-        steps += sum(peeled.values())
-        assert dict(peeled) == mult, src
-        assert not last[0].support_ids(), src
+        copies += len(embeddings)
+        assert dict(found) == mult, src
+        # graded Nakayama: a basis modulo the irrelevant ideal at every
+        # cone makes the summed embedding an isomorphism there
+        for cone in fan.cones:
+            i = cone.index
+            rows = [
+                row
+                for phi in embeddings if i in phi
+                for row in _generator_classes(phi[i])
+            ]
+            assert len(rows) == N.rank_at(i), (src, i)
+            assert _linalg.rank(rows) == N.rank_at(i), (src, i)
     print(
-        f"CRITERION 7: PASS - {steps} peels, every intermediate "
-        f"complement a valid locally exact complex, multiplicity "
-        f"multisets reproduced"
+        f"CRITERION 7: PASS - {copies} summand copies, each a valid "
+        f"complex embedded by a chain map, their sum an isomorphism at "
+        f"every cone, multiplicity multisets reproduced"
     )
 
 

@@ -1,11 +1,13 @@
-"""Decomposition of direct images: multiplicities and certified peels."""
+"""Decomposition of direct images: multiplicities, summand embeddings and
+the isomorphism they certify."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from fansheaf import decompose
-from fansheaf.complexes import FanComplex
+from fansheaf import _linalg, decompose, modules
+from fansheaf.complexes import FanComplex, check_complex, check_locally_exact
 from fansheaf.decompose import (
     decomposition_multiplicities,
     decomposition_theorem_report,
@@ -19,6 +21,7 @@ from fansheaf.minimal import (
     stalk_report,
     verify_minimality,
 )
+from fansheaf.modules import FreeGradedModule, PolyMatrix, cone_ring
 from fansheaf.pushforward import pushforward, verify_pushforward
 
 from conftest import fan_path
@@ -32,26 +35,44 @@ def _image(src_name, tgt_name):
     return pushforward(fmap, M), fmap
 
 
-def _peel(N, base_id, shift):
-    """peel_summand with the summand built on N's window: the summand,
-    the complement and the embedding."""
+def _cocycle(N, i, d):
+    """A cocycle of N at cone i in degree d that is a generator modulo
+    the irrelevant ideal."""
+    _, boundary = decompose._boundary(N, i)
+    for v in _linalg.nullspace(boundary(d), N.dim_at(i, d)):
+        if decompose._bare(N.modules[i], d, v):
+            return v
+
+
+def _peel(N, base_id, shift, degree=None):
+    """peel_summand with the summand built on N's window and its base
+    generator sent to a cocycle of N in `degree`, by default the
+    summand's own base degree: the summand and the embedding."""
     S = build_shifted_minimal(N.fan, base_id, shift, window=N.window)
-    return (S, *peel_summand(N, base_id, S))
+    if degree is None:
+        (degree,) = S.degrees_at(base_id)
+    base = (degree, _cocycle(N, base_id, degree))
+    return S, peel_summand(N, base_id, S, base)
 
 
 def _record_peels(monkeypatch):
-    """List of (base cone, summand, complement), one per peel_summand
+    """List of (base cone, summand, embedding), one per peel_summand
     call that decompose makes, in call order."""
     peels = []
     peel = decompose.peel_summand
 
-    def recording(N, base_id, summand):
-        complement, embedding = peel(N, base_id, summand)
-        peels.append((base_id, summand, complement))
-        return complement, embedding
+    def recording(N, base_id, summand, base):
+        embedding = peel(N, base_id, summand, base)
+        peels.append((base_id, summand, embedding))
+        return embedding
 
     monkeypatch.setattr(decompose, "peel_summand", recording)
     return peels
+
+
+def _summed_degrees(peels, i):
+    """The generator degrees of all recorded summands at cone i."""
+    return sum((Counter(S.degrees_at(i)) for _, S, _ in peels), Counter())
 
 
 def _keys(peels):
@@ -124,55 +145,63 @@ def test_tower_decomposes_like_its_composite():
     assert decomposition_multiplicities(direct) == mult
 
 
-def test_peel_keeps_cones_outside_the_star():
-    """Outside the star of the summand's base the complement is N as it
-    is: the very module and map objects, not copies."""
-    N, _ = _image("blowquad", "quadrant")
-    top = N.fan.cones_of_dim(2)[0]
-    _, complement, _ = _peel(N, top, 0)
-    star = set(N.fan.star(top))
-    outside = [i for i in N.support_ids() if i not in star]
-    kept = [(s, t) for s, t in N.maps if s not in star]
-    assert outside and kept
-    for i in outside:
-        assert complement.modules[i] is N.modules[i]
-    for key in kept:
-        assert complement.maps[key] is N.maps[key]
+def test_embedding_has_no_cone_outside_the_star(monkeypatch):
+    """Each copy is embedded exactly on its summand's support, which lies
+    in the star of its base; outside the star of the top cone N still has
+    modules, which the top summands leave alone."""
+    for pair in [("blowquad", "quadrant"), ("starsq", "conesquare")]:
+        N, _ = _image(*pair)
+        top = N.fan.cones_of_dim(N.fan.n)[0]
+        peels = _record_peels(monkeypatch)
+        decomposition_multiplicities(N)
+        for b, S, embedding in peels:
+            assert set(embedding) == set(S.support_ids())
+            assert set(embedding) <= set(N.fan.star(b))
+        star = set(N.fan.star(top))
+        assert [i for i in N.support_ids() if i not in star]
+        assert any(b == top for b, _, _ in peels)
 
 
-def test_peel_top_summand_leaves_minimal_complex():
+def test_peel_top_summand_leaves_minimal_complex(monkeypatch):
+    """Beside the summand based at the top cone, the summand that makes
+    up N is the minimal complex, certified from scratch."""
     N, _ = _image("blowquad", "quadrant")
     top = N.fan.cones_of_dim(2)[0]
-    summand, complement, _ = _peel(N, top, 0)
+    peels = _record_peels(monkeypatch)
+    decomposition_multiplicities(N)
+    (summand,) = [S for b, S, _ in peels if b == top]
+    (rest,) = [S for b, S, _ in peels if b != top]
     assert stalk_report(summand) == {top: (0,)}
-    # what remains is exactly the minimal complex, certified from scratch
-    assert verify_minimality(complement) == []
-    assert stalk_report(complement) == {i: (-2,) for i in range(4)}
+    assert verify_minimality(rest) == []
+    assert stalk_report(rest) == {i: (-2,) for i in range(4)}
 
 
-def test_peel_partitions_generator_degrees():
+def test_peel_partitions_generator_degrees(monkeypatch):
+    """The summands' generator degrees add up to N's at every cone, and
+    the (top, 1) copy is embedded at the top cone alone."""
     N, _ = _image("starsq", "conesquare")
     top = N.fan.cones_of_dim(3)[0]
-    summand, complement, embedding = _peel(N, top, 1)
+    peels = _record_peels(monkeypatch)
+    decomposition_multiplicities(N)
+    (embedding,) = [
+        e for key, (_, _, e) in zip(_keys(peels), peels) if key == (top, 1)
+    ]
     assert set(embedding) == {top}
     for c in N.fan.cones:
         i = c.index
-        have = Counter(N.degrees_at(i))
-        split = Counter(summand.degrees_at(i)) + Counter(
-            complement.degrees_at(i)
-        )
-        assert split == have
+        assert _summed_degrees(peels, i) == Counter(N.degrees_at(i))
 
 
 def test_full_peel_exhausts(monkeypatch):
-    """One peel per counted summand, in sorted order, and the last
-    complement is zero."""
+    """One copy per counted summand, in sorted order, and together they
+    account for every generator of N."""
     for pair in [("blowquad", "quadrant"), ("twostep", "quadrant")]:
         N, _ = _image(*pair)
         peels = _record_peels(monkeypatch)
         mult = decomposition_multiplicities(N)
         assert _keys(peels) == _sequence(mult)
-        assert peels[-1][2].support_ids() == ()
+        for i in N.support_ids():
+            assert _summed_degrees(peels, i) == Counter(N.degrees_at(i))
 
 
 def test_full_peel_builds_each_summand_once(monkeypatch):
@@ -207,26 +236,46 @@ def test_theorem_report_pipeline(monkeypatch):
 
 
 def test_peel_with_wrong_shift_rejected():
-    """N has no generator at the base cone in the summand's base degree,
-    so no cocycle is left to embed the summand's generator."""
+    """A base cocycle outside the summand's base degree is refused: the
+    shift-1 summand at the top cone has its generator in degree -1, and
+    N's generator there sits in degree 0."""
     N, _ = _image("blowquad", "quadrant")
     top = N.fan.cones_of_dim(2)[0]
-    with pytest.raises(CertificateError, match="generator degrees do not"):
-        _peel(N, top, 1)
+    with pytest.raises(CertificateError, match="base cocycle at degree 0"):
+        _peel(N, top, 1, degree=0)
 
 
-def test_peel_rejects_dependent_complement_generators(monkeypatch):
+def test_walk_rejects_dependent_generator_images(monkeypatch):
+    """Summands built with their first generator repeated at each cone
+    send two generators to one image, which the walk refuses at the
+    first ray."""
     N, _ = _image("blowquad", "quadrant")
-    top = N.fan.cones_of_dim(2)[0]
-    real = decompose.minimal_generators
+    real = modules.minimal_generators
 
     def doubled(family):
         gens = real(family)
         return gens[:1] + gens
 
-    monkeypatch.setattr(decompose, "minimal_generators", doubled)
+    monkeypatch.setattr(modules, "minimal_generators", doubled)
     with pytest.raises(CertificateError, match="chosen generators dependent"):
-        _peel(N, top, 0)
+        decomposition_multiplicities(N)
+
+
+def test_walk_needs_enough_cocycles(monkeypatch):
+    """Two summands are based at the top cone of twostep -> quadrant; a
+    kernel that offers one cocycle twice leaves one of them unfilled."""
+    N, _ = _image("twostep", "quadrant")
+
+    def repeated(rows, ncols):
+        basis = _linalg.nullspace(rows, ncols)
+        return basis[:1] * len(basis)
+
+    # only the walk's kernels: the summand builds keep the real one
+    linalg = SimpleNamespace(**vars(_linalg))
+    linalg.nullspace = repeated
+    monkeypatch.setattr(decompose, "_linalg", linalg)
+    with pytest.raises(CertificateError, match="only 1 of 2 cocycle"):
+        decomposition_multiplicities(N)
 
 
 def test_peel_requires_supported_base():
@@ -239,7 +288,7 @@ def test_peel_requires_supported_base():
         {k: v for k, v in M.maps.items() if top not in k},
         window=M.window,
     )
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="needs a module at cone"):
         _peel(hollow, 0, 0)
 
 
@@ -255,3 +304,55 @@ def test_missing_stalk_rejected():
     )
     with pytest.raises(CertificateError, match="needs a module"):
         decomposition_multiplicities(hollow)
+
+
+def _direct_sum(A, B):
+    """The direct sum of two complexes on one fan, A's generators first
+    at each cone."""
+    fan = A.fan
+    mods = {
+        i: FreeGradedModule(
+            cone_ring(fan, i), A.degrees_at(i) + B.degrees_at(i)
+        )
+        for i in A.modules.keys() | B.modules.keys()
+    }
+    maps = {}
+    for s, t in A.maps.keys() | B.maps.keys():
+        entries = dict(A.maps[(s, t)].entries) if (s, t) in A.maps else {}
+        if (s, t) in B.maps:
+            for (r, c), p in B.maps[(s, t)].entries.items():
+                entries[(r + A.rank_at(t), c + A.rank_at(s))] = p
+        maps[(s, t)] = PolyMatrix(mods[s], mods[t], entries)
+    return FanComplex(fan, mods, maps, A.window)
+
+
+def test_sum_with_a_contractible_pair_is_refused():
+    """N = M + C on P^2, with M the minimal complex and C the identity
+    A_tau -> A_rho on a maximal cone tau and its facet rho, in degree 0,
+    is a valid complex but no sum of shifted minimal complexes.  It is
+    not locally exact either: at the other maximal cone on rho, cone 5,
+    N's module misses the new kernel that C's module at rho makes."""
+    p2 = load_fan(fan_path("p2"))
+    M = build_minimal(p2)
+    tau, rho = 4, 1
+    assert p2.is_facet(rho, tau) and set(p2.star(rho)) == {rho, tau, 5}
+    C = FanComplex(
+        p2,
+        {
+            tau: FreeGradedModule(cone_ring(p2, tau), [0]),
+            rho: FreeGradedModule(cone_ring(p2, rho), [0]),
+        },
+        {},
+        M.window,
+    )
+    one = (0,) * C.modules[rho].ring.nvars
+    C.maps[(tau, rho)] = PolyMatrix(
+        C.modules[tau], C.modules[rho], {(0, 0): {one: 1}}
+    )
+    N = _direct_sum(M, C)
+    assert check_complex(N) == []
+    assert [(i, d) for i, d, _ in check_locally_exact(N)] == [
+        (5, 0), (5, 2), (5, 4), (5, 6)
+    ]
+    with pytest.raises(CertificateError, match="cone 5: summand boundary"):
+        decomposition_multiplicities(N)

@@ -6,8 +6,9 @@ and the face fan of the 4-cube, and tests/golden/<fan>.complex the
 `minimal build --out` text of every corpus fan.  For the five subdivision pairs,
 push-<src>-<tgt>.tsv holds the `pushforward --format machine` records
 (without the `serialized` line), push-<src>-<tgt>.out its `--out` text
-and decompose-<src>-<tgt>.tsv the `decompose --format machine` records;
-cubestar -> cubefan is compared with the benchmark's expected records.
+and decompose-<src>-<tgt>.tsv the `decompose --format machine` records,
+which also hold for cube4star -> cube4 (tests/cube4star.fan); cubestar ->
+cubefan is compared with the benchmark's expected records.
 verify-<fan>.tsv holds the `verify --format machine` records of each
 <fan>.complex followed by an `exit` line with the exit code.  A change
 that alters a generator choice, a serialized entry or a report record
@@ -26,12 +27,17 @@ from conftest import fan_path
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
+PERFBENCH = TESTS.parent / "perfbench"
 COMPLETE = ["p1", "p2", "p1xp1", "p3", "p2blow", "cubefan"]
-# complete fans outside the corpus whose IH is pinned too
-EXTRA_IH = {
-    "p4": TESTS.parent / "perfbench" / "inputs" / "p4.fan",
+# fans outside the corpus
+EXTRA_FANS = {
+    "p4": PERFBENCH / "inputs" / "p4.fan",
     "cube4": TESTS / "cube4.fan",
+    "cube4star": TESTS / "cube4star.fan",
+    "cubestar": PERFBENCH / "inputs" / "cubestar.fan",
 }
+# complete fans outside the corpus whose IH is pinned too
+EXTRA_IH = ["p4", "cube4"]
 PAIRS = [
     ("p2", "p2"),
     ("blowquad", "quadrant"),
@@ -39,22 +45,54 @@ PAIRS = [
     ("starsq", "conesquare"),
     ("twostep", "quadrant"),
 ]
+# the smallest --degree-max at which each pair decomposes; one below it
+# a summand's base generator reaches the guard zone (exit 3)
+SMALLEST_WINDOW = {
+    "p2": 2, "blowquad": 2, "p2blow": 2, "starsq": 3, "twostep": 2
+}
 CORPUS = sorted(p.stem for p in GOLDEN.glob("*.complex"))
+# the decompose records of a subdivision onto its target
+DECOMPOSED = {
+    src: (tgt, GOLDEN / f"decompose-{src}-{tgt}.tsv") for src, tgt in PAIRS
+}
+DECOMPOSED["cubestar"] = (
+    "cubefan", PERFBENCH / "expected" / "decompose-cubestar.tsv"
+)
+
+
+def _fan_file(name):
+    return EXTRA_FANS.get(name) or fan_path(name)
+
+
+def _decompose(src, tgt, *options):
+    """Run `decompose --format machine` of the fan file src onto the fan
+    named tgt; the exit code."""
+    return main(
+        [
+            "--format",
+            "machine",
+            "decompose",
+            "--fan",
+            str(_fan_file(tgt)),
+            "--subdivision",
+            str(src),
+            *options,
+        ]
+    )
 
 
 def test_golden_set_covers_corpus():
     fans = sorted(p.stem for p in fan_path("p1").parent.glob("*.fan"))
     assert CORPUS == fans
     ih_golden = sorted(p.stem[3:] for p in GOLDEN.glob("ih-*.tsv"))
-    assert ih_golden == sorted(COMPLETE + list(EXTRA_IH))
+    assert ih_golden == sorted(COMPLETE + EXTRA_IH)
     verify_golden = sorted(p.stem[7:] for p in GOLDEN.glob("verify-*.tsv"))
     assert verify_golden == CORPUS
 
 
-@pytest.mark.parametrize("name", COMPLETE + list(EXTRA_IH))
+@pytest.mark.parametrize("name", COMPLETE + EXTRA_IH)
 def test_ih_records_match_golden(capsys, name):
-    path = EXTRA_IH.get(name) or fan_path(name)
-    code = main(["--format", "machine", "ih", "--fan", str(path)])
+    code = main(["--format", "machine", "ih", "--fan", str(_fan_file(name))])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"ih-{name}.tsv").read_text()
 
@@ -100,43 +138,26 @@ def test_pushforward_matches_golden(tmp_path, capsys, src, tgt):
     assert out.read_text() == (GOLDEN / f"push-{src}-{tgt}.out").read_text()
 
 
-@pytest.mark.parametrize("src,tgt", PAIRS)
+@pytest.mark.parametrize("src,tgt", PAIRS + [("cube4star", "cube4")])
 def test_decompose_records_match_golden(capsys, src, tgt):
-    code = main(
-        [
-            "--format",
-            "machine",
-            "decompose",
-            "--fan",
-            str(fan_path(tgt)),
-            "--subdivision",
-            str(fan_path(src)),
-        ]
-    )
-    assert code == 0
+    """The records on the default window and, for the corpus pairs, again
+    on the smallest one, where the summands' lifts reach the guard zone."""
     golden = (GOLDEN / f"decompose-{src}-{tgt}.tsv").read_text()
-    assert capsys.readouterr().out == golden
+    windows = [[]]
+    if src in SMALLEST_WINDOW:
+        windows.append(["--degree-max", str(SMALLEST_WINDOW[src])])
+    for options in windows:
+        assert _decompose(_fan_file(src), tgt, *options) == 0, options
+        assert capsys.readouterr().out == golden, options
 
 
 def test_decompose_cubestar_matches_benchmark_records(capsys):
     """The richest decomposition in the repo: the star subdivision of
     the cube fan splits into 13 summands, shifts -1 and 1 at each of the
     six maximal cones.  The expected records are the benchmark's own."""
-    perfbench = TESTS.parent / "perfbench"
-    code = main(
-        [
-            "--format",
-            "machine",
-            "decompose",
-            "--fan",
-            str(fan_path("cubefan")),
-            "--subdivision",
-            str(perfbench / "inputs" / "cubestar.fan"),
-        ]
-    )
-    assert code == 0
-    expected = (perfbench / "expected" / "decompose-cubestar.tsv").read_text()
-    assert capsys.readouterr().out == expected
+    tgt, expected = DECOMPOSED["cubestar"]
+    assert _decompose(_fan_file("cubestar"), tgt) == 0
+    assert capsys.readouterr().out == expected.read_text()
 
 
 def _relabelled(fan, rng):
@@ -161,11 +182,12 @@ def _relabelled(fan, rng):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("name", CORPUS)
+@pytest.mark.parametrize("name", CORPUS + ["cubestar"])
 def test_ray_and_cone_order_is_immaterial(tmp_path, capsys, name):
     """Relabelled rays and shuffled cones give the same canonical fan
-    and, for a complete fan, the same ih records."""
-    fan = load_fan(fan_path(name))
+    and, for a complete fan, the same ih records; a subdivision gives the
+    same decompose records onto its target."""
+    fan = load_fan(_fan_file(name))
     path = tmp_path / f"{name}.fan"
     path.write_text(_relabelled(fan, random.Random(name)))
     assert load_fan(path).to_text() == fan.to_text()
@@ -174,3 +196,7 @@ def test_ray_and_cone_order_is_immaterial(tmp_path, capsys, name):
         assert code == 0
         golden = (GOLDEN / f"ih-{name}.tsv").read_text()
         assert capsys.readouterr().out == golden
+    if name in DECOMPOSED:
+        tgt, golden = DECOMPOSED[name]
+        assert _decompose(path, tgt) == 0
+        assert capsys.readouterr().out == golden.read_text()

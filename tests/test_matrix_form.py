@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fansheaf import decompose
 from fansheaf import pushforward as pushforward_module
 from fansheaf.complexes import assemble, boundary_kernel
-from fansheaf.decompose import peel_summand
 from fansheaf.fans import load_fan, subdivision_map
 from fansheaf.minimal import build_minimal, build_shifted_minimal
 from fansheaf.modules import FreeGradedModule, PolyMatrix, minimal_free_cover
@@ -143,22 +143,27 @@ def test_pushforward_maps_match_oracle(monkeypatch, src, tgt):
             check_evaluate(pm, range(lo, hi + 1))
 
 
-def test_peeled_summand_maps_match_oracle():
-    """The summand, the complement and the embedding of one peel."""
+def test_peeled_summand_maps_match_oracle(monkeypatch):
+    """The summands and embeddings of starsq -> conesquare: the origin
+    summand's maps and every copy's embedding, the origin one on every
+    cone."""
     fmap = subdivision_map(
         load_fan(fan_path("starsq")), load_fan(fan_path("conesquare"))
     )
     N = pushforward(fmap, build_minimal(fmap.source))
-    top = N.fan.cones_of_dim(3)[0]
-    S = build_shifted_minimal(N.fan, top, 1, window=N.window)
-    complement, embedding = peel_summand(N, top, S)
+    peeled = []
+    peel = decompose.peel_summand
+
+    def recording(N, base_id, summand, base):
+        peeled.append((summand, peel(N, base_id, summand, base)))
+        return peeled[-1][1]
+
+    monkeypatch.setattr(decompose, "peel_summand", recording)
+    decompose.decomposition_multiplicities(N)
     lo, hi = N.window
-    maps = (
-        list(S.maps.values())
-        + list(complement.maps.values())
-        + list(embedding.values())
-    )
-    assert complement.maps and embedding
+    maps = [pm for _, embedding in peeled for pm in embedding.values()]
+    maps += [pm for S, _ in peeled for pm in S.maps.values()]
+    assert len(peeled) == 3 and len(maps) > 2 * len(N.modules)
     for pm in maps:
         check_evaluate(pm, range(lo, hi + 1))
 
