@@ -110,17 +110,13 @@ def _cmd_stalks(args, rep):
     fan = load_fan(args.fan)
     M = _build(args, fan)
     stalks = stalk_report(M)
-    origin_based = args.base == 0 and args.shift == 0
-    predicted = predicted_stalks(fan) if origin_based else {}
+    predicted = predicted_stalks(fan, args.base, args.shift)
     ok = True
     for c in fan.cones:
         i = c.index
         have = stalks.get(i, ())
-        if origin_based:
-            cert = "match" if have == predicted.get(i, ()) else "mismatch"
-            ok = ok and cert == "match"
-        else:
-            cert = "-"
+        cert = "match" if have == predicted.get(i, ()) else "mismatch"
+        ok = ok and cert == "match"
         rep.add("stalk", cone=i, value=_degs(have), certificate=cert)
     return 0 if ok else 1
 

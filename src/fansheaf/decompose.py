@@ -13,21 +13,24 @@ irrelevant ideal with matching counts, so by graded Nakayama the sum of
 the embeddings maps onto N(i), and a graded map onto a free module of
 the same generator degrees is an isomorphism.
 
-peel_summand embeds one copy of a summand: its base generator goes to
-the cocycle picked for it and every other generator to an exact lift
-through N's differential of its boundary's image, so the embedding is a
-chain map.  A chain map that is an isomorphism on every term is an
-isomorphism of complexes, so a walk that ends proves the decomposition,
-whatever N is.
+Each summand complex is built once per (base, shift) key and its
+stalks are checked against the face lattice's prediction before any
+copy is embedded.  peel_summand embeds one copy of a summand: its base
+generator goes to the cocycle picked for it and every other generator
+to an exact lift through N's differential of its boundary's image, so
+the embedding is a chain map.  A chain map that is an isomorphism on
+every term is an isomorphism of complexes, so a walk that ends proves
+the decomposition, whatever N is.
 """
 
 from collections import Counter, defaultdict
 from functools import cache
 
 from fansheaf import _linalg
+from fansheaf.combinatorics import predicted_stalks
 from fansheaf.complexes import assemble
 from fansheaf.errors import CertificateError
-from fansheaf.minimal import build_minimal, build_shifted_minimal
+from fansheaf.minimal import build_minimal, build_shifted_minimal, stalk_report
 from fansheaf.modules import PolyMatrix, lift
 from fansheaf.pushforward import pushforward, verify_pushforward
 
@@ -37,7 +40,8 @@ def decomposition_multiplicities(N):
 
     Each summand complex is built once, on N's window, and embedded as
     many times as it occurs; at each cone the shifts ascend.  Raises
-    CertificateError when an embedding fails or, at some cone, the
+    CertificateError when a summand complex's stalks differ from the
+    face lattice's prediction, an embedding fails or, at some cone, the
     summands' generator images are not a basis of N's generators.
     """
     fan = N.fan
@@ -73,11 +77,26 @@ def decomposition_multiplicities(N):
                 )
             k = -fan.n + cone.dim - d
             summand = build_shifted_minimal(fan, i, k, window=N.window)
+            _check_stalks(summand, i, k)
             for v in picked:
                 for c, pm in peel_summand(N, i, summand, (d, v)).items():
                     embedded[c].append(pm)
             mult[(i, k)] = need
     return mult
+
+
+def _check_stalks(S, base_id, shift):
+    """Raise CertificateError unless the summand complex S, based at
+    base_id with this shift, has the face lattice's predicted stalks."""
+    have = stalk_report(S)
+    want = predicted_stalks(S.fan, base_id, shift)
+    for c in sorted(have.keys() | want.keys()):
+        got, pred = have.get(c, ()), want.get(c, ())
+        if got != pred:
+            raise CertificateError(
+                f"summand ({base_id}, {shift}): cone {c} has generator "
+                f"degrees {got}, face lattice predicts {pred}"
+            )
 
 
 def peel_summand(N, base_id, summand, base):

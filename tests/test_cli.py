@@ -134,19 +134,36 @@ def test_stalks_oracle_matches(capsys):
     assert out.count("match") == 10
 
 
-def test_shifted_stalks_skip_oracle(capsys):
-    code, out = _run(
-        capsys,
-        "stalks",
-        "--fan",
-        str(fan_path("conesquare")),
-        "--base",
-        "9",
-        "--shift",
-        "1",
-    )
+SHIFTED_STALKS = (
+    "--format", "machine", "stalks", "--fan", str(fan_path("conesquare")),
+    "--base", "9", "--shift", "1",
+)
+
+
+def test_shifted_stalks_match_oracle(capsys):
+    """A based, shifted complex is certified at every cone, off its
+    base's star too, where both sides are empty."""
+    code, out = _run(capsys, *SHIFTED_STALKS)
     assert code == 0
-    assert "match" not in out
+    records = [r.split("\t") for r in out.splitlines()]
+    assert len(records) == 10
+    assert all(r[0] == "stalk" and r[4] == "match" for r in records)
+
+
+def test_shifted_stalks_mismatch_exits_one(capsys, monkeypatch):
+    """An oracle that puts the base generator 2 degrees too low flags
+    that cone alone and fails the run."""
+    predicted = cli.predicted_stalks
+
+    def off_by_two(fan, base=0, shift=0):
+        return {**predicted(fan, base, shift), 9: (-3,)}
+
+    monkeypatch.setattr(cli, "predicted_stalks", off_by_two)
+    code, out = _run(capsys, *SHIFTED_STALKS)
+    assert code == 1
+    certs = {r.split("\t")[1]: r.split("\t")[4] for r in out.splitlines()}
+    assert certs["9"] == "mismatch"
+    assert list(certs.values()).count("mismatch") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,60 +1,81 @@
 """Face-lattice predictions against the module-theoretic builder."""
 
+from pathlib import Path
+
 from fansheaf.combinatorics import (
     complete_fan_h_vector,
-    g_vector,
-    h_vector,
+    interval_table,
     predicted_ih_degrees,
     predicted_stalks,
 )
 from fansheaf.fans import is_complete, load_fan
-from fansheaf.minimal import build_minimal, ih_module, stalk_report
+from fansheaf.minimal import (
+    build_minimal,
+    build_shifted_minimal,
+    ih_module,
+    stalk_report,
+)
 
 from conftest import fan_path
 from quotient import quotient_fan
+
+CUBESTAR = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    / "cubestar.fan"
+)
+
+
+def _g(fan, cone_id):
+    """g([0, τ]) of the cone, the interval above the origin."""
+    return interval_table(fan)[cone_id][1]
 
 
 def test_simplicial_cones_have_trivial_g(corpus):
     for name in ["p2", "p3", "p1xp1", "p2blow"]:
         fan = corpus[name]
         for c in fan.cones:
-            assert g_vector(fan, c.index) == (1,)
+            assert _g(fan, c.index) == (1,)
 
 
 def test_square_cones_of_cube_face_fan(corpus):
     fan = corpus["cubefan"]
     for i in fan.cones_of_dim(3):
-        assert g_vector(fan, i) == (1, 1)
+        assert _g(fan, i) == (1, 1)
 
 
 def test_square_cone_vectors():
     fan = load_fan(fan_path("conesquare"))
     top = fan.cones_of_dim(3)[0]
-    assert h_vector(fan, top) == (1, 2, 1)
-    assert g_vector(fan, top) == (1, 1)
+    assert interval_table(fan)[top] == ((1, 2, 1), (1, 1))
 
 
 def test_cube_cone_vectors():
     fan = load_fan(fan_path("conecube"))
     top = fan.cones_of_dim(4)[0]
-    assert h_vector(fan, top) == (1, 5, 5, 1)
-    assert g_vector(fan, top) == (1, 4)
+    assert interval_table(fan)[top] == ((1, 5, 5, 1), (1, 4))
 
 
 def test_h_vectors_palindromic(corpus):
+    """h([σ, τ]) is palindromic on every interval of the face poset, as
+    for any Eulerian poset, of length dim τ - dim σ when σ < τ."""
     for fan in corpus.values():
-        for c in fan.cones:
-            h = h_vector(fan, c.index)
-            if c.dim:
-                assert len(h) == c.dim
-            assert h == tuple(reversed(h))
+        for s in fan.cones:
+            for tau, (h, _) in interval_table(fan, s.index).items():
+                assert len(h) == max(fan.cones[tau].dim - s.dim, 1)
+                assert h == tuple(reversed(h))
 
 
 def test_predictions_match_builder(corpus):
-    for name, fan in corpus.items():
-        window = (-4, 2) if name == "conecube" else None
-        M = build_minimal(fan, window=window)
-        assert stalk_report(M) == predicted_stalks(fan), name
+    """Every base cone and shifts -1, 0 and 1; the builder refuses the
+    origin at shift 1, whose generator would fall below the window."""
+    fans = {**corpus, "cubestar": load_fan(CUBESTAR)}
+    for name, fan in fans.items():
+        for c in fan.cones:
+            for shift in (-1, 0) if c.index == 0 else (-1, 0, 1):
+                M = build_shifted_minimal(fan, c.index, shift)
+                assert stalk_report(M) == predicted_stalks(
+                    fan, c.index, shift
+                ), (name, c.index, shift)
 
 
 def test_predictions_match_builder_on_quotient():

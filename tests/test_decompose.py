@@ -226,6 +226,30 @@ def test_full_peel_builds_each_summand_once(monkeypatch):
     assert sorted(built) == [(0, 0), (top, 0)]
 
 
+def test_walk_refuses_a_summand_off_its_prediction(monkeypatch):
+    """A summand complex whose stalks differ from the face lattice's
+    prediction is refused as soon as it is built, before it is embedded:
+    here the prediction for (top, 0) has its base generator 2 degrees
+    too high."""
+    N, _ = _image("blowquad", "quadrant")
+    top = N.fan.cones_of_dim(2)[0]
+    predicted = decompose.predicted_stalks
+
+    def off_by_two(fan, base=0, shift=0):
+        want = predicted(fan, base, shift)
+        if (base, shift) == (top, 0):
+            want[top] = tuple(d + 2 for d in want[top])
+        return want
+
+    monkeypatch.setattr(decompose, "predicted_stalks", off_by_two)
+    peels = _record_peels(monkeypatch)
+    with pytest.raises(
+        CertificateError, match=rf"^summand \({top}, 0\): cone {top} "
+    ):
+        decomposition_multiplicities(N)
+    assert _keys(peels) == [(0, 0)]
+
+
 def test_theorem_report_pipeline(monkeypatch):
     _, fmap = _image("starsq", "conesquare")
     peels = _record_peels(monkeypatch)
@@ -248,7 +272,9 @@ def test_peel_with_wrong_shift_rejected():
 def test_walk_rejects_dependent_generator_images(monkeypatch):
     """Summands built with their first generator repeated at each cone
     send two generators to one image, which the walk refuses at the
-    first ray."""
+    first ray.  Their stalks differ from the face lattice's, so the
+    summand check refuses them first; with that check bypassed, the
+    walk's own independence check refuses them."""
     N, _ = _image("blowquad", "quadrant")
     real = modules.minimal_generators
 
@@ -257,6 +283,9 @@ def test_walk_rejects_dependent_generator_images(monkeypatch):
         return gens[:1] + gens
 
     monkeypatch.setattr(modules, "minimal_generators", doubled)
+    with pytest.raises(CertificateError, match=r"^summand \(0, 0\): cone 1 "):
+        decomposition_multiplicities(N)
+    monkeypatch.setattr(decompose, "_check_stalks", lambda S, base, k: None)
     with pytest.raises(CertificateError, match="chosen generators dependent"):
         decomposition_multiplicities(N)
 
