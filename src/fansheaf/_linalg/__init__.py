@@ -38,7 +38,10 @@ KERNEL = "pure"
 
 def _int_row(row):
     """A positive int multiple of a sparse row, as a new dict."""
-    if all(type(a) is int for a in row.values()):
+    for a in row.values():
+        if type(a) is not int:
+            break
+    else:
         return dict(row)
     den = lcm(*[a.denominator for a in row.values()])
     if den == 1:
@@ -122,7 +125,12 @@ def triangulate(rows):
         del live[i]
         for j in prow:
             col_rows[j].discard(i)
-        c = min(prow, key=lambda j: (len(col_rows[j]), j))
+        # the column with the fewest live entries, then the lowest one
+        c = best = None
+        for j in prow:
+            count = len(col_rows[j])
+            if best is None or count < best or count == best and j < c:
+                c, best = j, count
         yield c, prow
         for k in col_rows.pop(c):
             row = live[k]

@@ -12,8 +12,8 @@ from fansheaf.complexes import (
     FanComplex,
     boundary_kernel,
     check_complex,
+    check_locally_exact,
     cohomology_degreewise,
-    local_exactness,
     top_module,
 )
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
@@ -93,10 +93,12 @@ def verify_minimality(M, base_id=0, shift=0):
     Checks, degree by degree on the complex's window: the complex is
     valid; the base module is free of rank one with the right generator
     degree; support lies in the star of the base; every module surjects
-    onto its boundary kernel; and every non-base module's generator
-    degrees agree with the minimal generators of that kernel, computed
-    from M once for both checks.  Returns the list of problems, empty
-    when M passes.
+    onto its boundary kernel; and every supported non-base module's
+    generator degrees agree with the minimal generators of that kernel.
+    Exactness compares ranks (check_locally_exact), which is valid only
+    once check_complex has passed, so an invalid complex stops there;
+    kernel bases are built only where generator degrees need them.
+    Returns the list of problems, empty when M passes.
     """
     problems = ["invalid complex: " + p for p in check_complex(M)]
     if problems:
@@ -112,17 +114,14 @@ def verify_minimality(M, base_id=0, shift=0):
     outside = [i for i in M.support_ids() if i not in star]
     if outside:
         problems.append(f"support leaves the base star at cones {outside}")
-    exact = {c.index: local_exactness(M, c.index) for c in fan.cones if c.dim}
     problems.extend(
         f"not exact at cone {i} degree {d}: {why}"
-        for _, failures in exact.values()
-        for i, d, why in failures
+        for i, d, why in check_locally_exact(M)
     )
     for i in M.support_ids():
         if i == base_id:
             continue
-        # the origin has no exactness check to share a kernel with
-        fam = exact[i][0] if i in exact else boundary_kernel(M, i)[0]
+        fam = boundary_kernel(M, i)[0]
         gens = tuple(sorted(d for d, _ in minimal_generators(fam)))
         have = tuple(sorted(M.degrees_at(i)))
         if gens != have:

@@ -255,8 +255,10 @@ class PolyMatrix:
         when u = 1.  Otherwise it is t_k times the image of (j, u / t_k),
         read off degree d - 2, where t_k is the first variable of u: the
         map is linear over the source ring, which acts on the target
-        through restriction.  The columns of each t_k on the target's
-        piece d - 2 are built once per call and not kept.
+        through restriction.  That image is zero when t_k restricts to
+        zero or the column below is zero; otherwise the columns of t_k
+        on the target's piece d - 2 are built once per call and not
+        kept.
         """
         if d in self._eval:
             return self._eval[d]
@@ -283,9 +285,12 @@ class PolyMatrix:
                         below = _linalg.transpose(
                             self.evaluate(d - 2), source.dim_at(d - 2)
                         )
-                    if k not in mult:
-                        mult[k] = _mult_columns(target, d - 2, forms[k])
-                    image = _apply_columns(mult[k], below[below_off + q])
+                    vec = below[below_off + q]
+                    image = {}
+                    if vec and forms[k]:
+                        if k not in mult:
+                            mult[k] = _mult_columns(target, d - 2, forms[k])
+                        image = _apply_columns(mult[k], vec)
                 for r, x in image.items():
                     rows[r][col] = int(x) if x.denominator == 1 else x
                 col += 1

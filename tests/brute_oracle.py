@@ -2,8 +2,8 @@
 polynomial product and substitution, the symbolic composite of a
 complex's differential, the leftmost-pivot minimal-generator scan, the
 exponent-arithmetic columns of multiplication by a variable, the
-reference cone geometry and incidence signs, and the all-pairs fan
-check.
+reference cone geometry and incidence signs, the all-pairs fan
+check, and local exactness by kernel bases and span membership.
 
 The first four share no code with the package: pieces are enumerated
 monomial by monomial and the defining linear systems are solved with
@@ -19,7 +19,11 @@ a cone with its own extreme rays.  incidence_sign is the earlier sign
 construction: those coordinates and a Fraction determinant.  The
 all-pairs fan check runs that full intersection test on every pair of
 cones, so it checks the restriction to pairs of maximal cones, not the
-geometry of one pair.
+geometry of one pair.  The exactness reference, membership_exactness,
+is the package's earlier certificate: it builds each boundary kernel's
+basis and tests every basis vector against the span of the module's
+image, so it also catches an image that leaves the kernel, which the
+rank comparison leaves to check_complex.
 
 Functions on a full cone are homogeneous polynomials in
 the ambient coordinates; on a ray they are polynomials in one parameter
@@ -34,6 +38,7 @@ from itertools import combinations
 from math import gcd
 
 from fansheaf import _linalg
+from fansheaf.complexes import assemble, boundary_kernel
 from fansheaf.errors import InputError
 from fansheaf.fans import ConeData, _dense, _sparse, dot, primitive
 from fansheaf.modules import restriction
@@ -586,3 +591,31 @@ def all_pairs_valid(fan):
         if intersect_cones(gens, b) != want:
             return False
     return True
+
+
+def membership_exactness(M):
+    """The (cone, degree, why) failures of local exactness, from each
+    positive-dimensional cone's boundary kernel basis: the image rank
+    must equal the kernel dimension and every kernel basis vector must
+    lie in the span of the image, the columns of the assembled map."""
+    lo, hi = M.window
+    failures = []
+    for cone in M.fan.cones:
+        i = cone.index
+        if not cone.dim:
+            continue
+        fam, facets = boundary_kernel(M, i)
+        for d in range(lo, hi + 1):
+            zdim = fam.dim_at(d)
+            if not M.rank_at(i):
+                if zdim:
+                    failures.append((i, d, f"kernel dim {zdim}, no module"))
+                continue
+            mat = assemble(M, [i], facets, d)
+            span = _linalg.Echelon(_linalg.transpose(mat, M.dim_at(i, d)))
+            ri = len(span.rows)
+            if ri != zdim:
+                failures.append((i, d, f"image rank {ri}, kernel dim {zdim}"))
+            elif any(span.reduce(z) for z in fam.basis_at(d)):
+                failures.append((i, d, "image not inside kernel"))
+    return failures

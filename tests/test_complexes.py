@@ -27,7 +27,7 @@ from fansheaf.cli import main
 from fansheaf.decompose import decomposition_theorem_report
 from fansheaf.errors import InputError
 from fansheaf.fans import Fan, load_fan, subdivision_map
-from fansheaf.minimal import build_minimal, ih_module
+from fansheaf.minimal import build_minimal, ih_module, verify_minimality
 from fansheaf.modules import (
     DirectSumAmbient,
     FreeGradedModule,
@@ -35,8 +35,9 @@ from fansheaf.modules import (
     cone_ring,
     default_window,
 )
+from fansheaf.pushforward import verify_pushforward
 
-from brute_oracle import nonzero_composites
+from brute_oracle import membership_exactness, nonzero_composites
 from conftest import fan_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -155,14 +156,98 @@ def test_local_exactness_quadrant():
     assert check_locally_exact(M) == []
 
 
-def test_missing_top_module_fails_exactness():
+def quadrant_without_top():
+    """The quadrant complex with its top module and maps removed."""
     M = quadrant_complex()
     mods = {i: m for i, m in M.modules.items() if i != 3}
     maps = {k: v for k, v in M.maps.items() if k[0] != 3}
-    N = FanComplex(M.fan, mods, maps, window=M.window)
-    failures = check_locally_exact(N)
+    return FanComplex(M.fan, mods, maps, window=M.window)
+
+
+def test_missing_top_module_fails_exactness():
+    failures = check_locally_exact(quadrant_without_top())
     assert failures
     assert any(cone == 3 for cone, _, _ in failures)
+
+
+def test_rank_exactness_matches_membership_reference():
+    """The two-rank certificate reports the same (cone, degree, why)
+    failures as the kernel-basis membership reference on every golden
+    complex and on the quadrant complex without its top module."""
+    cases = [
+        complex_from_text(path.read_text())
+        for path in sorted(GOLDEN.glob("*.complex"))
+    ]
+    cases.append(quadrant_without_top())
+    for M in cases:
+        assert check_complex(M) == []
+        assert check_locally_exact(M) == membership_exactness(M)
+    assert check_locally_exact(cases[-1])
+
+
+def test_exactness_builds_no_kernel_basis_on_p4(monkeypatch):
+    """On the benchmark's P^4 complex the certificate ranks only: no
+    boundary kernel and no nullspace."""
+    path = GOLDEN.parent.parent / "perfbench" / "inputs" / "p4.complex"
+    M = complex_from_text(path.read_text())
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(_linalg, "nullspace")
+    counting(complexes, "boundary_kernel")
+    assert check_locally_exact(M) == []
+    assert calls == Counter()
+
+
+def test_exactness_runs_only_after_check_complex(monkeypatch, tmp_path):
+    """Rank exactness holds only once d after d = 0 does: verify,
+    verify_pushforward and verify_minimality never reach local_exactness
+    on a complex that fails check_complex, and do on one that passes."""
+    calls = []
+    real = complexes.local_exactness
+
+    def counting(M, i):
+        calls.append(i)
+        return real(M, i)
+
+    monkeypatch.setattr(complexes, "local_exactness", counting)
+    good = quadrant_complex()
+    bad = FanComplex(
+        good.fan,
+        good.modules,
+        {**good.maps, (3, 1): PolyMatrix(
+            good.modules[3], good.modules[1], {(0, 0): {(0,): 2}}
+        )},
+        good.window,
+    )
+    assert check_complex(bad)
+    paths = {}
+    for name, M in (("good", good), ("bad", bad)):
+        paths[M] = tmp_path / f"{name}.complex"
+        paths[M].write_text(complex_to_text(M))
+
+    def cli_verify(M):
+        return main(["verify", "--complex", str(paths[M])])
+
+    runs = [
+        cli_verify,
+        lambda M: verify_pushforward(good, M),
+        verify_minimality,
+    ]
+    for run in runs:
+        calls.clear()
+        assert run(bad)
+        assert calls == []
+        assert not run(good)
+        assert calls
 
 
 def test_cohomology_quadrant():

@@ -24,6 +24,7 @@ from fansheaf.minimal import (
 from fansheaf.modules import FreeGradedModule, PolyMatrix, cone_ring
 from fansheaf.pushforward import pushforward, verify_pushforward
 
+from brute_oracle import membership_exactness
 from conftest import fan_path
 
 
@@ -380,8 +381,10 @@ def test_sum_with_a_contractible_pair_is_refused():
     )
     N = _direct_sum(M, C)
     assert check_complex(N) == []
-    assert [(i, d) for i, d, _ in check_locally_exact(N)] == [
+    failures = check_locally_exact(N)
+    assert [(i, d) for i, d, _ in failures] == [
         (5, 0), (5, 2), (5, 4), (5, 6)
     ]
+    assert failures == membership_exactness(N)
     with pytest.raises(CertificateError, match="cone 5: summand boundary"):
         decomposition_multiplicities(N)

@@ -57,20 +57,22 @@ def _count_boundary_kernels(monkeypatch):
 def test_verify_minimality_takes_each_boundary_kernel_once(
     monkeypatch, name, base, shift
 ):
-    """The exactness and generator-degree checks share one boundary
-    kernel per positive-dimensional cone, computed from the complex."""
+    """Exactness compares ranks and builds no kernel basis; the
+    generator-degree check takes one boundary kernel at each supported
+    non-base cone, computed from the complex."""
     fan = load_fan(fan_path(name))
     M = build_shifted_minimal(fan, base, shift)
     calls = _count_boundary_kernels(monkeypatch)
     assert verify_minimality(M, base_id=base, shift=shift) == []
-    assert calls == Counter(c.index for c in fan.cones if c.dim)
+    assert calls == Counter(i for i in M.support_ids() if i != base)
 
 
 def test_verify_minimality_reports_exactness_before_degrees(monkeypatch):
     """The quadrant complex without its top module, and with a spare
     generator in degree 0 at ray 1 that maps to zero: exactness fails at
     the top cone, then ray 1's degrees disagree with its kernel's
-    generators, in that order, each kernel still taken once."""
+    generators, in that order.  Only the supported non-base cones take a
+    boundary kernel, once each."""
     M = build_minimal(load_fan(fan_path("quadrant")))
     top = M.fan.cones_of_dim(2)[0]
     spare = FreeGradedModule(M.modules[1].ring, [-2, 0])
@@ -81,7 +83,7 @@ def test_verify_minimality_reports_exactness_before_degrees(monkeypatch):
     N = FanComplex(M.fan, modules, maps, M.window)
     calls = _count_boundary_kernels(monkeypatch)
     problems = verify_minimality(N)
-    assert calls == Counter(c.index for c in M.fan.cones if c.dim)
+    assert calls == Counter(i for i in N.support_ids() if i != 0)
     assert problems[-1] == "cone 1: module degrees (-2, 0), kernel needs (-2,)"
     assert problems[:-1] and all(
         p.startswith(f"not exact at cone {top} ") for p in problems[:-1]
