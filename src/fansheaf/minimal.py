@@ -3,14 +3,18 @@
 A minimal complex based at a cone starts from a free rank-one module on
 that cone and walks the cones of its star by increasing dimension: each
 cone's boundary kernel gets a minimal free cover, whose blocks become
-the differential's components.  The origin-based complex is the one
-based at the origin without shift: the ground field placed in degree
-minus the ambient dimension, and the whole fan as the star.
+the differential's components.  One build computes each distinct local
+kernel cover once (modules.kernel_cover); verify_minimality never reads
+that memo and recomputes every kernel from the complex.  The
+origin-based complex is the one based at the origin without shift: the
+ground field placed in degree minus the ambient dimension, and the
+whole fan as the star.
 """
 
 from fansheaf.complexes import (
     FanComplex,
     boundary_kernel,
+    boundary_setup,
     check_complex,
     check_locally_exact,
     cohomology_degreewise,
@@ -21,7 +25,7 @@ from fansheaf.modules import (
     FreeGradedModule,
     cone_ring,
     default_window,
-    minimal_free_cover,
+    kernel_cover,
     minimal_generators,
 )
 
@@ -66,10 +70,12 @@ def _extend(M, cone_ids):
     """Grow the complex over the listed cones, ascending dimension.
 
     Cone ids are canonical (dimension-sorted), so plain order works.
+    Cones with equal local data share one kernel cover search.
     """
+    memo = {}
     for i in cone_ids:
-        fam, facets = boundary_kernel(M, i)
-        cover = minimal_free_cover(fam)
+        ambient, facets, rows_at = boundary_setup(M, i)
+        cover = kernel_cover(ambient, rows_at, M.window, memo)
         if cover.module.rank() == 0:
             continue
         M.modules[i] = cover.module

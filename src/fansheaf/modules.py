@@ -34,7 +34,9 @@ degree, and the minimal-generator machinery (completion of m*Z to Z)
 runs on top: each basis vector of Z(d-2) is multiplied by every base
 variable through DirectSumAmbient.apply_mult, and span membership is
 decided by one _linalg.Echelon per degree, started from the Markowitz
-triangulation of those images.
+triangulation of those images.  A builder computes each distinct local
+kernel cover once per call: kernel_cover keys the builder's memo on the
+full content of a kernel's local data, and no certificate reads it.
 """
 
 from functools import lru_cache
@@ -475,12 +477,16 @@ def lift(rows_at, module, images, what):
 
 
 def minimal_free_cover(family):
-    """Free module on the minimal generators plus the covering map.
+    """Free module on the minimal generators plus the covering map."""
+    return _cover_on(family, minimal_generators(family))
+
+
+def _cover_on(family, gens):
+    """CoverMap of a family with the given generator representatives.
 
     The covering map is returned as one PolyMatrix per ambient part,
     read off from each part's segment of the generator representatives.
     """
-    gens = minimal_generators(family)
     amb = family.ambient
     module = FreeGradedModule(amb.base_ring, [d for d, _ in gens])
     offsets = {d: amb.part_offsets(d)[0] for d, _ in gens}
@@ -494,6 +500,49 @@ def minimal_free_cover(family):
             segments.append((d, seg))
         blocks.append(PolyMatrix.from_columns(module, part, segments))
     return CoverMap(module, family, gens, tuple(blocks))
+
+
+def kernel_cover(ambient, rows_by_degree, window, memo):
+    """Minimal free cover of the kernel family of rows_by_degree.
+
+    The kernel bases and generators depend only on the window, each
+    part's variable count, generator degrees and restriction forms, and
+    the constraint rows of every degree where the ambient piece is
+    nonzero; each part's forms hold one entry per base variable, and
+    piece dimensions follow from the parts.  That content, compared in
+    full and never by digest, keys the memo: a hit skips
+    family_from_kernel and minimal_generators and builds the cover over
+    this ambient from the stored bases and generators, which covers
+    share and no caller mutates.  A failing search stores nothing, so it
+    raises again at every cone it runs for; WindowExhausted names that
+    cone.
+    """
+    lo, hi = window
+    rows = {
+        d: rows_by_degree(d)
+        for d in range(lo, hi + 1)
+        if ambient.dim_at(d)
+    }
+    key = (
+        window,
+        tuple(
+            (
+                part.ring.nvars,
+                part.degrees,
+                restriction(ambient.base_ring, part.ring),
+            )
+            for part in ambient.parts
+        ),
+        tuple(
+            (d, tuple(tuple(r.items()) for r in rs)) for d, rs in rows.items()
+        ),
+    )
+    if key in memo:
+        bases, gens = memo[key]
+        return _cover_on(GradedSubspaceFamily(ambient, window, bases), gens)
+    cover = minimal_free_cover(family_from_kernel(ambient, rows.get, window))
+    memo[key] = (cover.family.bases, cover.gens)
+    return cover
 
 
 def cover_is_free_certificate(cover):

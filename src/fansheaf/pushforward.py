@@ -7,6 +7,8 @@ must map into the already-built module on every target facet.  A minimal
 free cover of that kernel family gives the new module, certified
 degreewise free by Hilbert comparison where it is built, and the induced
 differential lifts each generator's image through the facet's cover.
+One call computes each distinct local kernel cover once
+(modules.kernel_cover); verify_pushforward never reads that memo.
 """
 
 from fansheaf import _linalg
@@ -23,9 +25,8 @@ from fansheaf.modules import (
     PolyMatrix,
     cone_ring,
     cover_is_free_certificate,
-    family_from_kernel,
+    kernel_cover,
     lift,
-    minimal_free_cover,
 )
 
 
@@ -43,6 +44,7 @@ def pushforward(fan_map, M):
     # blocks of the current target cone, shared by its constraints and
     # its induced differential
     blocks = {}
+    memo = {}
 
     def block(src_ids, tgt_ids, d):
         key = (tuple(src_ids), tuple(tgt_ids), d)
@@ -70,8 +72,7 @@ def pushforward(fan_map, M):
         rows_at = _constraints(
             block, ambient, tiles, walls.get(s, []), facet_data
         )
-        fam = family_from_kernel(ambient, rows_at, M.window)
-        cover = minimal_free_cover(fam)
+        cover = kernel_cover(ambient, rows_at, M.window, memo)
         offender = cover_is_free_certificate(cover)
         if offender is not None:
             raise CertificateError(

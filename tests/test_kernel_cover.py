@@ -1,0 +1,189 @@
+"""Kernel covers reused by content within one builder call.
+
+kernel_cover keys its memo on the full local data of a kernel family, so
+a reused cover must equal a fresh search at every cone, and ambients that
+differ in any part of that data must each get their own search.
+"""
+
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from fansheaf import minimal, modules
+from fansheaf import pushforward as pushforward_module
+from fansheaf.errors import CertificateError, WindowExhausted
+from fansheaf.fans import load_fan, subdivision_map
+from fansheaf.minimal import build_minimal
+from fansheaf.modules import (
+    ConeRing,
+    DirectSumAmbient,
+    FreeGradedModule,
+    family_from_kernel,
+    kernel_cover,
+    minimal_free_cover,
+)
+from fansheaf.pushforward import pushforward
+
+from conftest import fan_path
+from test_restriction import SUBDIVISIONS
+
+CUBESTAR = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+@cache
+def _cubestar_map():
+    return subdivision_map(
+        load_fan(CUBESTAR / "cubestar.fan"), load_fan(fan_path("cubefan"))
+    )
+
+
+def _fresh(ambient, rows_by_degree, window):
+    family = family_from_kernel(ambient, rows_by_degree, window)
+    return minimal_free_cover(family)
+
+
+def _assert_same_cover(got, want):
+    assert got.family.ambient is want.family.ambient
+    assert got.family.window == want.family.window
+    assert got.family.bases == want.family.bases
+    assert got.gens == want.gens
+    assert got.module.ring is want.module.ring
+    assert got.module.degrees == want.module.degrees
+    assert [(b.target, b.entries) for b in got.blocks] == [
+        (b.target, b.entries) for b in want.blocks
+    ]
+
+
+@pytest.mark.parametrize("src,tgt", [("cubestar", "cubefan"), *SUBDIVISIONS])
+def test_reused_covers_equal_fresh_searches(monkeypatch, src, tgt):
+    """Every cone of the source's minimal complex and of its direct
+    image: the memoised cover against a fresh family and generator
+    search over the same ambient."""
+    if src == "cubestar":
+        fmap = _cubestar_map()
+    else:
+        fmap = subdivision_map(
+            load_fan(fan_path(src)), load_fan(fan_path(tgt))
+        )
+    hits = []
+
+    def checked(ambient, rows_by_degree, window, memo):
+        known = len(memo)
+        got = kernel_cover(ambient, rows_by_degree, window, memo)
+        hits.append(len(memo) == known)
+        _assert_same_cover(got, _fresh(ambient, rows_by_degree, window))
+        return got
+
+    monkeypatch.setattr(minimal, "kernel_cover", checked)
+    monkeypatch.setattr(pushforward_module, "kernel_cover", checked)
+    pushforward(fmap, build_minimal(fmap.source))
+    assert any(hits)
+
+
+def test_generator_searches_counted_on_cubestar(monkeypatch):
+    """Distinct local kernels: 3 searches build cubestar's 74 cones and
+    4 push it onto cubefan's 27 cones with tiles."""
+    calls = []
+    real = modules.minimal_generators
+
+    def counting(family):
+        calls.append(family.ambient.base_ring.label)
+        return real(family)
+
+    monkeypatch.setattr(modules, "minimal_generators", counting)
+    fmap = _cubestar_map()
+    M = build_minimal(fmap.source)
+    assert len(calls) == 3
+    calls.clear()
+    pushforward(fmap, M)
+    assert len(calls) == 4
+
+
+def _unit_ring(label, nvars, basis=None):
+    if basis is None:
+        basis = tuple(
+            tuple(int(i == j) for j in range(nvars)) for i in range(nvars)
+        )
+    return ConeRing(label, nvars, basis)
+
+
+def _no_rows(d):
+    return []
+
+
+def test_key_separates_each_part_of_the_local_data():
+    """One memo, pairs of ambients that differ in one part of the key
+    only and whose searches give different generators: each ambient gets
+    the result of its own search.  No pair differs in a part's variable
+    count alone: for a ring built from its basis the forms fix it."""
+    plane = _unit_ring("plane", 2)
+    e1 = _unit_ring("e1", 1, ((1, 0),))
+    e2 = _unit_ring("e2", 1, ((0, 1),))
+    line = _unit_ring("line", 1)
+
+    def free(*parts, base=line):
+        return DirectSumAmbient(
+            base, [FreeGradedModule(ring, degrees) for ring, degrees in parts]
+        )
+
+    def diagonal(d):
+        return [{0: 1, 1: 1}] if d == 0 else []
+
+    pairs = [
+        # generator degrees (0, 2) and (2, 0): the degree-2 generator
+        # sits at another basis position
+        ((free((line, [0, 2])), _no_rows), (free((line, [2, 0])), _no_rows)),
+        # restriction forms: with both parts on e1 the degree-0 kernel
+        # e - e' has a degree-2 generator beside it; on e1 and e2 not
+        (
+            (free((e1, [0]), (e1, [0]), base=plane), diagonal),
+            (free((e1, [0]), (e2, [0]), base=plane), diagonal),
+        ),
+        # constraint rows on one ambient
+        (
+            (free((line, [0])), _no_rows),
+            (free((line, [0])), lambda d: [{0: 1}] if d == 0 else []),
+        ),
+    ]
+    memo = {}
+    window = (-2, 6)
+    for pair in pairs:
+        fresh = [_fresh(ambient, rows, window) for ambient, rows in pair]
+        assert fresh[0].gens != fresh[1].gens
+        for (ambient, rows), want in zip(pair, fresh):
+            got = kernel_cover(ambient, rows, window, memo)
+            _assert_same_cover(got, want)
+    assert len(memo) == 2 * len(pairs)
+
+
+def test_key_separates_windows():
+    """Over the origin's ring a degree-0 generator leaves every other
+    piece zero, so the windows (-2, 2) and (-2, 1) meet the same rows;
+    the generator is in the second window's guard zone, which must
+    still exhaust after the first window's search is stored."""
+    origin = _unit_ring("origin", 0)
+    ambient = DirectSumAmbient(origin, [FreeGradedModule(origin, [0])])
+    memo = {}
+    cover = kernel_cover(ambient, _no_rows, (-2, 2), memo)
+    assert cover.module.degrees == (0,)
+    with pytest.raises(WindowExhausted):
+        kernel_cover(ambient, _no_rows, (-2, 1), memo)
+
+
+def test_failures_are_not_memoised():
+    """Equal local data on two cones: each failing search raises again,
+    and a window exhaustion names the cone it fires at."""
+    memo = {}
+    for label in ("a", "b"):
+        ring = _unit_ring(label, 1)
+        ambient = DirectSumAmbient(ring, [FreeGradedModule(ring, [0])])
+        with pytest.raises(WindowExhausted) as exc:
+            kernel_cover(ambient, _no_rows, (-2, 0), memo)
+        assert exc.value.cone == label
+        # t*e is outside the degree-2 kernel: not closed
+        with pytest.raises(CertificateError, match="not closed"):
+            kernel_cover(
+                ambient, lambda d: [{0: 1}] if d == 2 else [], (-2, 6), memo
+            )
+    assert memo == {}

@@ -18,7 +18,12 @@ from fansheaf import pushforward as pushforward_module
 from fansheaf.complexes import assemble, boundary_kernel
 from fansheaf.fans import load_fan, subdivision_map
 from fansheaf.minimal import build_minimal, build_shifted_minimal
-from fansheaf.modules import FreeGradedModule, PolyMatrix, minimal_free_cover
+from fansheaf.modules import (
+    FreeGradedModule,
+    PolyMatrix,
+    kernel_cover,
+    minimal_free_cover,
+)
 from fansheaf.polys import monomials
 from fansheaf.pushforward import pushforward
 
@@ -124,15 +129,16 @@ def test_producers_emit_sparse_rows(corpus, name):
 def test_pushforward_maps_match_oracle(monkeypatch, src, tgt):
     """Maps read off exact solves: the direct image's differential, and
     the cover blocks from target cone rings into the rings of tiles of
-    another fan."""
+    another fan, one per target cone with tiles, whether its kernel
+    cover was searched or reused."""
     fmap = subdivision_map(load_fan(fan_path(src)), load_fan(fan_path(tgt)))
     covers = []
 
-    def recording(family):
-        covers.append(minimal_free_cover(family))
+    def recording(*args):
+        covers.append(kernel_cover(*args))
         return covers[-1]
 
-    monkeypatch.setattr(pushforward_module, "minimal_free_cover", recording)
+    monkeypatch.setattr(pushforward_module, "kernel_cover", recording)
     N = pushforward(fmap, build_minimal(fmap.source))
     lo, hi = N.window
     for pm in N.maps.values():
