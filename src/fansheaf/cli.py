@@ -75,6 +75,15 @@ def _degs(degs):
     return ",".join(str(d) for d in degs) if degs else "-"
 
 
+def _add_certificate(rep, obj, problems):
+    """Add a certificate's pass/fail record for obj and a problem record
+    per message in problems; returns the exit code, 1 on a problem."""
+    rep.add(obj, certificate="fail" if problems else "pass")
+    for p in problems:
+        rep.add("problem", value=p)
+    return 1 if problems else 0
+
+
 def _build(args, fan):
     window = _window(args, fan)
     return build_shifted_minimal(fan, args.base, args.shift, window=window)
@@ -97,13 +106,11 @@ def _cmd_minimal_build(args, rep):
     for i, degs in sorted(stalk_report(M).items()):
         rep.add("stalk", cone=i, value=_degs(degs))
     problems = verify_minimality(M, base_id=args.base, shift=args.shift)
-    rep.add("minimal", certificate="fail" if problems else "pass")
-    for p in problems:
-        rep.add("problem", value=p)
+    code = _add_certificate(rep, "minimal", problems)
     if args.out:
         Path(args.out).write_text(complex_to_text(M))
         rep.add("serialized", value=args.out)
-    return 1 if problems else 0
+    return code
 
 
 def _cmd_stalks(args, rep):
@@ -147,14 +154,11 @@ def _cmd_pushforward(args, rep):
     N = pushforward(fmap, M)
     for i, degs in sorted(stalk_report(N).items()):
         rep.add("module", cone=i, value=_degs(degs))
-    problems = verify_pushforward(M, N)
-    rep.add("pushforward", certificate="fail" if problems else "pass")
-    for p in problems:
-        rep.add("problem", value=p)
+    code = _add_certificate(rep, "pushforward", verify_pushforward(M, N))
     if args.out:
         Path(args.out).write_text(complex_to_text(N))
         rep.add("serialized", value=args.out)
-    return 1 if problems else 0
+    return code
 
 
 def _cmd_decompose(args, rep):
@@ -175,11 +179,7 @@ def _cmd_decompose(args, rep):
 def _cmd_verify(args, rep):
     M = complex_from_text(Path(args.complex).read_text(), validate=False)
     # each certificate runs only on a complex that passed the ones before
-    problems = check_complex(M)
-    rep.add("complex", certificate="fail" if problems else "pass")
-    for p in problems:
-        rep.add("problem", value=p)
-    if problems:
+    if _add_certificate(rep, "complex", check_complex(M)):
         return 1
     failures = check_locally_exact(M)
     rep.add("local-exactness", certificate="fail" if failures else "pass")

@@ -37,7 +37,7 @@ from fansheaf.modules import (
     cone_ring,
     cover_is_free_certificate,
     family_from_kernel,
-    kernel_cover,
+    minimal_free_cover,
 )
 from fansheaf.polys import degree, format_poly, parse_poly
 
@@ -306,9 +306,10 @@ def top_module(M):
     ring = cone_ring(M.fan, "A")
     ambient = DirectSumAmbient(ring, [M.modules[i] for i in top_ids])
     tgts = [i for i in M.fan.cones_of_dim(n - 1) if M.rank_at(i)]
-    cover = kernel_cover(
-        ambient, lambda d: assemble(M, top_ids, tgts, d), M.window, {}
+    family = family_from_kernel(
+        ambient, lambda d: assemble(M, top_ids, tgts, d), M.window
     )
+    cover = minimal_free_cover(family)
     return cover.module.degrees, cover_is_free_certificate(cover)
 
 

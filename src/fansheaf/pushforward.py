@@ -3,13 +3,18 @@
 For each target cone the direct image module is carved out of the sum of
 the modules on its same-dimension preimage tiles: sections must glue
 across interior walls (their differential components cancel) and
-must map into the already-built module on every target facet.  A minimal
+must map into the already-built module on every target facet.  That
+facet module's family is a kernel family, so it keeps the equations
+that cut it out, and composing them with the block from the tiles into
+the facet's tiles gives the second kind of constraint row.  A minimal
 free cover of that kernel family gives the new module, certified
 degreewise free by Hilbert comparison where it is built, and the induced
 differential lifts each generator's image through the facet's cover.
 One call computes each distinct local kernel cover once
 (modules.kernel_cover); verify_pushforward never reads that memo.
 """
+
+from functools import cache, partial
 
 from fansheaf import _linalg
 from fansheaf.complexes import (
@@ -40,38 +45,42 @@ def pushforward(fan_map, M):
         raise InputError("complex does not live on the map's source fan")
     src_fan, tgt_fan = fan_map.source, fan_map.target
     N = FanComplex(tgt_fan, {}, {}, M.window)
-    covers, tiles_map = {}, {}
-    # blocks of the current target cone, shared by its constraints and
-    # its induced differential
-    blocks = {}
+    covers = {}  # target cone -> (its tiles, its cover)
     memo = {}
-
-    def block(src_ids, tgt_ids, d):
-        key = (tuple(src_ids), tuple(tgt_ids), d)
-        if key not in blocks:
-            blocks[key] = assemble(M, src_ids, tgt_ids, d)
-        return blocks[key]
-
     walls = {}
     for w, t in enumerate(fan_map.assignment):
         if src_fan.cones[w].dim == tgt_fan.cones[t].dim - 1 and M.rank_at(w):
             walls.setdefault(t, []).append(w)
     for sigma in tgt_fan.cones:
         s = sigma.index
-        blocks.clear()
-        tiles = [i for i in fan_map.preimage_cones(s) if M.rank_at(i)]
+        tiles = tuple(i for i in fan_map.preimage_cones(s) if M.rank_at(i))
         if not tiles:
             continue
+        # the differential from the tiles into listed cones, per degree,
+        # shared by this cone's constraints and its induced differential
+        block = cache(partial(assemble, M, tiles))
         ring = cone_ring(tgt_fan, s)
         ambient = DirectSumAmbient(ring, [M.modules[i] for i in tiles])
-        facet_data = [
-            (f, tiles_map[f], covers[f].family)
-            for f in sigma.facet_ids
-            if f in covers
-        ]
-        rows_at = _constraints(
-            block, ambient, tiles, walls.get(s, []), facet_data
-        )
+        interior = tuple(walls.get(s, ()))
+        facets = [f for f in sigma.facet_ids if f in covers]
+
+        def rows_at(d):
+            """The sections glue across interior walls, and each equation
+            E of a facet's family gives the row E D on them, D the block
+            into that facet's tiles."""
+            rows = list(block(interior, d))
+            for f in facets:
+                ftiles, fcover = covers[f]
+                equations = fcover.family.equations_at(d)
+                if not equations:
+                    continue
+                cols = _linalg.transpose(block(ftiles, d), ambient.dim_at(d))
+                for e in equations:
+                    row = _linalg.matvec(cols, e)
+                    if row:
+                        rows.append(row)
+            return rows
+
         cover = kernel_cover(ambient, rows_at, M.window, memo)
         offender = cover_is_free_certificate(cover)
         if offender is not None:
@@ -79,17 +88,16 @@ def pushforward(fan_map, M):
                 f"direct image over cone {s} is not degreewise free "
                 f"at degree {offender}"
             )
-        covers[s] = cover
-        tiles_map[s] = tiles
+        covers[s] = (tiles, cover)
         if cover.module.rank() == 0:
             continue
         N.modules[s] = cover.module
-        for f, ftiles, _ in facet_data:
+        for f in facets:
             if f not in N.modules:
                 continue
-            fcover = covers[f]
+            ftiles, fcover = covers[f]
             images = [
-                (dg, _linalg.matvec(block(tiles, ftiles, dg), vec))
+                (dg, _linalg.matvec(block(ftiles, dg), vec))
                 for dg, vec in cover.gens
             ]
             columns = lift(
@@ -100,30 +108,6 @@ def pushforward(fan_map, M):
             if not pm.is_zero():
                 N.maps[(s, f)] = pm
     return N
-
-
-def _constraints(block, ambient, tiles, interior_walls, facet_data):
-    """Degreewise constraint rows on the sections over the tiles (the
-    parts of ambient): they glue across interior walls, and their image
-    in each facet's tiles lies in that facet's family.  block(src, tgt,
-    d) is assemble on the source complex."""
-
-    def rows_at(d):
-        rows = list(block(tiles, interior_walls, d))
-        for _, ftiles, ffam in facet_data:
-            D = block(tiles, ftiles, d)
-            if not D:
-                continue
-            # each functional c vanishing on the facet family gives the
-            # constraint row c D
-            cols = _linalg.transpose(D, ambient.dim_at(d))
-            for c in _linalg.nullspace(ffam.basis_at(d), len(D)):
-                row = _linalg.matvec(cols, c)
-                if row:
-                    rows.append(row)
-        return rows
-
-    return rows_at
 
 
 def verify_pushforward(M, N):

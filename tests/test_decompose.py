@@ -2,11 +2,14 @@
 the isomorphism they certify."""
 
 from collections import Counter
+from functools import cache, partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from fansheaf import _linalg, decompose, modules
+from fansheaf.combinatorics import predicted_stalks
 from fansheaf.complexes import FanComplex, check_complex, check_locally_exact
 from fansheaf.decompose import (
     decomposition_multiplicities,
@@ -26,6 +29,12 @@ from fansheaf.pushforward import pushforward, verify_pushforward
 
 from brute_oracle import membership_exactness
 from conftest import fan_path
+from test_restriction import SUBDIVISIONS
+
+CUBESTAR = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    / "cubestar.fan"
+)
 
 
 def _image(src_name, tgt_name):
@@ -144,6 +153,39 @@ def test_tower_decomposes_like_its_composite():
     assert mult == {(0, 0): 1, (top, 0): 2}
     direct, _ = _image("twostep", "quadrant")
     assert decomposition_multiplicities(direct) == mult
+
+
+def _stalk_multiplicities(N):
+    """The multiplicities that N's stalks alone determine, by Moebius
+    inversion over the face poset.  At each cone tau, in dimension
+    order, every summand (sigma, k) found at a proper face sigma of tau
+    takes its predicted stalk at tau out of N's generator degrees there;
+    each degree d left over is one summand based at tau, of shift
+    -n + dim tau - d.  No lift and no cocycle enter."""
+    fan = N.fan
+    predicted = cache(partial(predicted_stalks, fan))
+    mult = Counter()
+    for tau in fan.cones:
+        left = Counter(N.degrees_at(tau.index))
+        for (sigma, k), m in mult.items():
+            if sigma in tau.face_ids:
+                for d in predicted(sigma, k)[tau.index]:
+                    left[d] -= m
+        assert min(left.values(), default=0) >= 0, (tau.index, left)
+        for d, count in left.items():
+            if count:
+                mult[(tau.index, -fan.n + tau.dim - d)] += count
+    return dict(mult)
+
+
+@pytest.mark.parametrize("src,tgt", [*SUBDIVISIONS, ("cubestar", "cubefan")])
+def test_multiplicities_follow_from_stalks(src, tgt):
+    """The walk's multiplicities are the ones the direct image's stalks
+    and the face lattice determine."""
+    source = load_fan(CUBESTAR if src == "cubestar" else fan_path(src))
+    fmap = subdivision_map(source, load_fan(fan_path(tgt)))
+    N = pushforward(fmap, build_minimal(source))
+    assert decomposition_multiplicities(N) == _stalk_multiplicities(N)
 
 
 def test_embedding_has_no_cone_outside_the_star(monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fansheaf import minimal, modules
+from fansheaf import _linalg, minimal, modules
 from fansheaf import pushforward as pushforward_module
 from fansheaf.errors import CertificateError, WindowExhausted
 from fansheaf.fans import load_fan, subdivision_map
@@ -38,6 +38,13 @@ def _cubestar_map():
     )
 
 
+def _map(src, tgt):
+    """The subdivision map of a corpus pair, or cubestar -> cubefan."""
+    if src == "cubestar":
+        return _cubestar_map()
+    return subdivision_map(load_fan(fan_path(src)), load_fan(fan_path(tgt)))
+
+
 def _fresh(ambient, rows_by_degree, window):
     family = family_from_kernel(ambient, rows_by_degree, window)
     return minimal_free_cover(family)
@@ -47,6 +54,7 @@ def _assert_same_cover(got, want):
     assert got.family.ambient is want.family.ambient
     assert got.family.window == want.family.window
     assert got.family.bases == want.family.bases
+    assert got.family.equations == want.family.equations
     assert got.gens == want.gens
     assert got.module.ring is want.module.ring
     assert got.module.degrees == want.module.degrees
@@ -60,12 +68,7 @@ def test_reused_covers_equal_fresh_searches(monkeypatch, src, tgt):
     """Every cone of the source's minimal complex and of its direct
     image: the memoised cover against a fresh family and generator
     search over the same ambient."""
-    if src == "cubestar":
-        fmap = _cubestar_map()
-    else:
-        fmap = subdivision_map(
-            load_fan(fan_path(src)), load_fan(fan_path(tgt))
-        )
+    fmap = _map(src, tgt)
     hits = []
 
     def checked(ambient, rows_by_degree, window, memo):
@@ -79,6 +82,43 @@ def test_reused_covers_equal_fresh_searches(monkeypatch, src, tgt):
     monkeypatch.setattr(pushforward_module, "kernel_cover", checked)
     pushforward(fmap, build_minimal(fmap.source))
     assert any(hits)
+
+
+@pytest.mark.parametrize("src,tgt", [("cubestar", "cubefan"), *SUBDIVISIONS])
+def test_direct_image_families_keep_their_equations(monkeypatch, src, tgt):
+    """Every family a direct image stores is cut out by its equations at
+    every window degree: each equation vanishes on each basis vector,
+    and the equations and the basis together number the ambient
+    dimension.  The image composes those equations and takes no
+    annihilator afresh: pushforward makes no nullspace call."""
+    fmap = _map(src, tgt)
+    M = build_minimal(fmap.source)
+    covers, calls = [], []
+    real = _linalg.nullspace
+
+    def recording(*args):
+        covers.append(kernel_cover(*args))
+        return covers[-1]
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pushforward_module, "kernel_cover", recording)
+    monkeypatch.setattr(_linalg, "nullspace", counting)
+    pushforward(fmap, M)
+    assert len(calls) == 0
+    assert covers
+    lo, hi = M.window
+    for cover in covers:
+        family = cover.family
+        for d in range(lo, hi + 1):
+            equations = family.equations_at(d)
+            for z in family.basis_at(d):
+                assert _linalg.matvec(equations, z) == {}
+            assert len(equations) + family.dim_at(d) == (
+                family.ambient.dim_at(d)
+            )
 
 
 def test_generator_searches_counted_on_cubestar(monkeypatch):

@@ -171,23 +171,28 @@ def test_minimal_generators_free_module():
     assert cover_is_free_certificate(cover) is None
 
 
+def _ideal_t(window):
+    """The ideal (t) inside a 1-variable free module on one degree-0
+    generator: cut out by the one equation on the degree-0 piece."""
+    r = _ring(1)
+    amb = DirectSumAmbient(r, (FreeGradedModule(r, [0]),))
+    return family_from_kernel(
+        amb, lambda d: [{0: 1}] if d == 0 else [], window
+    )
+
+
 def test_minimal_generators_positive_ideal():
     """The ideal (t) inside a 1-variable free module: one generator."""
-    r = _ring(1)
-    m = FreeGradedModule(r, [0])
-    amb = DirectSumAmbient(r, (m,))
-    bases = {d: [{i: 1} for i in range(m.dim_at(d))] for d in range(2, 9)}
-    fam = GradedSubspaceFamily(amb, (0, 8), bases)
+    fam = _ideal_t((0, 8))
+    assert fam.bases == {d: ({0: 1},) for d in (2, 4, 6, 8)}
     gens = minimal_generators(fam)
     assert [d for d, _ in gens] == [2]
 
 
 def test_minimal_generators_guard_zone():
     r = _ring(1)
-    m = FreeGradedModule(r, [0])
-    fam = _full_family(m, (0, 8))
-    # shrink the window so the generator at 0 falls in the guard zone
-    small = GradedSubspaceFamily(fam.ambient, (-1, 0), {0: fam.basis_at(0)})
+    # a window so small that the generator at 0 falls in the guard zone
+    small = _full_family(FreeGradedModule(r, [0]), (-1, 0))
     with pytest.raises(WindowExhausted) as exc:
         minimal_generators(small)
     assert exc.value.cone == r.label
@@ -198,9 +203,21 @@ def test_minimal_generators_closure_certificate():
     m = FreeGradedModule(r, [0])
     amb = DirectSumAmbient(r, (m,))
     # degree-0 line present, degree-2 image missing: not a submodule
-    fam = GradedSubspaceFamily(amb, (0, 6), {0: [{0: 1}]})
+    fam = family_from_kernel(amb, lambda d: [{0: 1}] if d else [], (0, 6))
+    assert fam.bases == {0: ({0: 1},)}
     with pytest.raises(CertificateError):
         minimal_generators(fam)
+
+
+def _with_equations(amb, window, bases):
+    """The family with the given bases, and as its equations at each
+    window degree a basis of the functionals that vanish on them."""
+    lo, hi = window
+    equations = {
+        d: _linalg.nullspace(bases.get(d, ()), amb.dim_at(d))
+        for d in range(lo, hi + 1)
+    }
+    return GradedSubspaceFamily(amb, window, bases, equations)
 
 
 def _two_lines(window, bases):
@@ -208,7 +225,7 @@ def _two_lines(window, bases):
     one variable; basis index 0 is t^k * e1 and index 1 is t^k * e2."""
     m = FreeGradedModule(_ring(1), [0, 0])
     amb = DirectSumAmbient(m.ring, (m,))
-    return GradedSubspaceFamily(amb, window, bases)
+    return _with_equations(amb, window, bases)
 
 
 def test_minimal_generators_closure_with_nonempty_degree():
@@ -268,7 +285,7 @@ def kernel_families(draw):
         keep = draw(st.integers(min_value=0, max_value=len(rows) - 1))
         bases = dict(fam.bases)
         bases[cut] = rows[:keep]
-        fam = GradedSubspaceFamily(amb, window, bases)
+        fam = _with_equations(amb, window, bases)
     return fam
 
 
@@ -296,12 +313,7 @@ def test_minimal_generators_match_leftmost_scan(fam):
 def test_cover_entries_read_off():
     """Cover map entries are the polynomial coordinates of the chosen
     generator representatives."""
-    r = _ring(1)
-    m = FreeGradedModule(r, [0])
-    amb = DirectSumAmbient(r, (m,))
-    bases = {d: [{i: 1} for i in range(m.dim_at(d))] for d in range(2, 9)}
-    fam = GradedSubspaceFamily(amb, (0, 8), bases)
-    cover = minimal_free_cover(fam)
+    cover = minimal_free_cover(_ideal_t((0, 8)))
     assert cover.module.degrees == (2,)
     block = cover.blocks[0]
     assert block.entries[(0, 0)] == {(1,): 1}
