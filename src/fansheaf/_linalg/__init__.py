@@ -25,8 +25,7 @@ which gives the canonical rational RREF scaled row by row to primitive
 int rows with positive pivot.  That form is unique, so what they return
 does not depend on the order of elimination.  rref_kernel and
 rref_solution read the nullspace and solve answers off such an rref of
-a wider matrix, so one elimination can serve several questions; a
-kernel family keeps the rref it reads its basis off as its equations.
+a wider matrix, so one elimination can serve several questions.
 """
 
 from fractions import Fraction

@@ -607,33 +607,20 @@ def load_fan(path):
 def is_complete(fan):
     """Does the fan's support cover the whole space?
 
-    Criterion: nonempty top dimension, every maximal cone of dimension n,
-    every (n-1)-cone a facet of exactly two n-cones, and the facet-dual
-    graph on n-cones connected.
+    Criterion: every maximal cone of dimension n, and every (n-1)-cone a
+    facet of exactly two n-cones.  Those two lie on either side of it,
+    so every point of the support off the (n-2)-skeleton has a
+    neighbourhood in the support.  The complement U of that skeleton is
+    connected, so the support, closed and meeting U, contains U; being
+    closed, it is the whole space.
     """
     n = fan.n
-    if n == 0:
-        return True
-    top = fan.cones_of_dim(n)
-    if not top:
-        return False
     if any(fan.cones[i].dim != n for i in fan.maximal_cone_ids()):
         return False
-    adj = {i: [] for i in top}
-    for w in fan.cones_of_dim(n - 1):
-        cof = [i for i in fan.star(w) if fan.cones[i].dim == n]
-        if len(cof) != 2:
-            return False
-        adj[cof[0]].append(cof[1])
-        adj[cof[1]].append(cof[0])
-    seen = {top[0]}
-    work = [top[0]]
-    while work:
-        for j in adj[work.pop()]:
-            if j not in seen:
-                seen.add(j)
-                work.append(j)
-    return len(seen) == len(top)
+    return all(
+        sum(fan.cones[i].dim == n for i in fan.star(w)) == 2
+        for w in fan.cones_of_dim(n - 1)
+    )
 
 
 class FanMap:

@@ -30,15 +30,13 @@ families; PolyMatrix.evaluate builds them for the target module afresh
 on each call and reads degree d off degree d - 2 with them.  Both apply
 columns through one routine, _apply_columns.  Subspace families store
 canonical primitive integer bases of a graded subspace degree by
-degree, with equations that cut it out: a kernel family keeps the
-canonical RREF its basis is read off.  The minimal-generator machinery
-(completion of m*Z to Z) runs on top: each basis vector of Z(d-2) is
-multiplied by every base variable through DirectSumAmbient.apply_mult,
-and span membership is decided by one _linalg.Echelon per degree,
-started from the Markowitz triangulation of those images.  A builder
-computes each distinct local kernel cover once per call: kernel_cover
-keys the builder's memo on the full content of a kernel's local data,
-and no certificate reads it.
+degree, and the minimal-generator machinery (completion of m*Z to Z)
+runs on top: each basis vector of Z(d-2) is multiplied by every base
+variable through DirectSumAmbient.apply_mult, and span membership is
+decided by one _linalg.Echelon per degree, started from the Markowitz
+triangulation of those images.  A builder computes each distinct local
+kernel cover once per call: kernel_cover keys the builder's memo on the
+full content of a kernel's local data, and no certificate reads it.
 """
 
 from functools import lru_cache
@@ -367,23 +365,17 @@ class DirectSumAmbient:
 
 
 class GradedSubspaceFamily:
-    """Canonical degreewise bases of a graded subspace of an ambient sum,
-    and the equations that cut it out: at each degree the subspace is
-    the common kernel of equations_at(d), rows on the ambient piece."""
+    """Canonical degreewise bases of a graded subspace of an ambient sum."""
 
-    __slots__ = ("ambient", "window", "bases", "equations")
+    __slots__ = ("ambient", "window", "bases")
 
-    def __init__(self, ambient, window, bases, equations):
+    def __init__(self, ambient, window, bases):
         self.ambient = ambient
         self.window = window
         self.bases = {d: tuple(rows) for d, rows in bases.items() if rows}
-        self.equations = {d: tuple(r) for d, r in equations.items() if r}
 
     def basis_at(self, d):
         return self.bases.get(d, ())
-
-    def equations_at(self, d):
-        return self.equations.get(d, ())
 
     def dim_at(self, d):
         return len(self.bases.get(d, ()))
@@ -391,18 +383,15 @@ class GradedSubspaceFamily:
 
 def family_from_kernel(ambient, rows_by_degree, window):
     """Family of degreewise kernels: rows_by_degree(d) gives constraint
-    rows acting on the ambient degree-d piece; their canonical RREF is
-    kept as the family's equations."""
+    rows acting on the ambient degree-d piece."""
     lo, hi = window
-    bases, equations = {}, {}
+    bases = {}
     for d in range(lo, hi + 1):
         dim = ambient.dim_at(d)
         if dim == 0:
             continue
-        red, pivots = _linalg.rref(rows_by_degree(d))
-        bases[d] = _linalg.rref_kernel(red, pivots, dim)
-        equations[d] = red
-    return GradedSubspaceFamily(ambient, window, bases, equations)
+        bases[d] = _linalg.nullspace(rows_by_degree(d), dim)
+    return GradedSubspaceFamily(ambient, window, bases)
 
 
 def minimal_generators(family):
@@ -516,17 +505,17 @@ def _cover_on(family, gens):
 def kernel_cover(ambient, rows_by_degree, window, memo):
     """Minimal free cover of the kernel family of rows_by_degree.
 
-    The kernel bases, equations and generators depend only on the
-    window, each part's variable count, generator degrees and
-    restriction forms, and the constraint rows of every degree where the
-    ambient piece is nonzero; each part's forms hold one entry per base
-    variable, and piece dimensions follow from the parts.  That content,
-    compared in full and never by digest, keys the memo: a hit skips
+    The kernel bases and generators depend only on the window, each
+    part's variable count, generator degrees and restriction forms, and
+    the constraint rows of every degree where the ambient piece is
+    nonzero; each part's forms hold one entry per base variable, and
+    piece dimensions follow from the parts.  That content, compared in
+    full and never by digest, keys the memo: a hit skips
     family_from_kernel and minimal_generators and builds the cover over
-    this ambient from the stored bases, equations and generators, which
-    covers share and no caller mutates.  A failing search stores
-    nothing, so it raises again at every cone it runs for;
-    WindowExhausted names that cone.
+    this ambient from the stored bases and generators, which covers
+    share and no caller mutates.  A failing search stores nothing, so it
+    raises again at every cone it runs for; WindowExhausted names that
+    cone.
     """
     lo, hi = window
     rows = {
@@ -549,11 +538,10 @@ def kernel_cover(ambient, rows_by_degree, window, memo):
         ),
     )
     if key in memo:
-        bases, equations, gens = memo[key]
-        family = GradedSubspaceFamily(ambient, window, bases, equations)
-        return _cover_on(family, gens)
+        bases, gens = memo[key]
+        return _cover_on(GradedSubspaceFamily(ambient, window, bases), gens)
     cover = minimal_free_cover(family_from_kernel(ambient, rows.get, window))
-    memo[key] = (cover.family.bases, cover.family.equations, cover.gens)
+    memo[key] = (cover.family.bases, cover.gens)
     return cover
 
 

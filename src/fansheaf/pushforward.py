@@ -1,17 +1,25 @@
 """Direct images of complexes along proper subdivision maps.
 
 For each target cone the direct image module is carved out of the sum of
-the modules on its same-dimension preimage tiles: sections must glue
-across interior walls (their differential components cancel) and
-must map into the already-built module on every target facet.  That
-facet module's family is a kernel family, so it keeps the equations
-that cut it out, and composing them with the block from the tiles into
-the facet's tiles gives the second kind of constraint row.  A minimal
-free cover of that kernel family gives the new module, certified
-degreewise free by Hilbert comparison where it is built, and the induced
-differential lifts each generator's image through the facet's cover.
-One call computes each distinct local kernel cover once
+the modules on its same-dimension preimage tiles: the sections that
+glue across its interior walls (source cones of codimension 1 in its
+relative interior), where their differential components cancel.  A
+minimal free cover of that kernel family gives the new module,
+certified degreewise free by Hilbert comparison where it is built, and
+the induced differential lifts each generator's image through the
+facet's cover.  One call computes each distinct local kernel cover once
 (modules.kernel_cover); verify_pushforward never reads that memo.
+
+That a section's image in a facet's tiles lies in the facet's module
+needs no constraint of its own: it follows from d^2 = 0 in the source.
+Let x glue across the interior walls of a target cone s, so dx is the
+sum of its blocks D_f x into the tiles of s's facets f, and let w be an
+interior wall of f.  A cone of dx's support that contains w is a tile
+of f, since a tile of another facet f' would put w in the proper face
+f & f' of f.  So d(D_f x) = d(dx) = 0 at w: D_f x glues across f's
+interior walls, which is what cuts out f's module.  The lift still
+certifies it, raising CertificateError on an image outside the facet
+module; D_f is a module map, so the generators stand for the module.
 """
 
 from functools import cache, partial
@@ -57,31 +65,12 @@ def pushforward(fan_map, M):
         if not tiles:
             continue
         # the differential from the tiles into listed cones, per degree,
-        # shared by this cone's constraints and its induced differential
+        # shared by this cone's kernel and its induced differential
         block = cache(partial(assemble, M, tiles))
         ring = cone_ring(tgt_fan, s)
         ambient = DirectSumAmbient(ring, [M.modules[i] for i in tiles])
         interior = tuple(walls.get(s, ()))
-        facets = [f for f in sigma.facet_ids if f in covers]
-
-        def rows_at(d):
-            """The sections glue across interior walls, and each equation
-            E of a facet's family gives the row E D on them, D the block
-            into that facet's tiles."""
-            rows = list(block(interior, d))
-            for f in facets:
-                ftiles, fcover = covers[f]
-                equations = fcover.family.equations_at(d)
-                if not equations:
-                    continue
-                cols = _linalg.transpose(block(ftiles, d), ambient.dim_at(d))
-                for e in equations:
-                    row = _linalg.matvec(cols, e)
-                    if row:
-                        rows.append(row)
-            return rows
-
-        cover = kernel_cover(ambient, rows_at, M.window, memo)
+        cover = kernel_cover(ambient, partial(block, interior), M.window, memo)
         offender = cover_is_free_certificate(cover)
         if offender is not None:
             raise CertificateError(
@@ -92,7 +81,7 @@ def pushforward(fan_map, M):
         if cover.module.rank() == 0:
             continue
         N.modules[s] = cover.module
-        for f in facets:
+        for f in sigma.facet_ids:
             if f not in N.modules:
                 continue
             ftiles, fcover = covers[f]

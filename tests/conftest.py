@@ -4,11 +4,35 @@ import pytest
 
 from fansheaf.fans import load_fan
 
-DATA = Path(__file__).resolve().parent.parent / "data" / "fans"
+TESTS = Path(__file__).resolve().parent
+DATA = TESTS.parent / "data" / "fans"
+# fans outside the corpus
+EXTRA_FANS = {
+    "p4": TESTS.parent / "perfbench" / "inputs" / "p4.fan",
+    "cube4": TESTS / "cube4.fan",
+    "cube4star": TESTS / "cube4star.fan",
+    "cubestar": TESTS.parent / "perfbench" / "inputs" / "cubestar.fan",
+    "cubeedge": TESTS / "cubeedge.fan",
+    "p3edge": TESTS / "p3edge.fan",
+    "orth4": TESTS / "orth4.fan",
+    "orth4e": TESTS / "orth4e.fan",
+}
+# subdivisions that also subdivide a facet of a target cone, so a
+# section's image in that facet's tiles meets the facet's interior walls
+FACET_SUBDIVISIONS = [
+    ("cubeedge", "cubefan"),
+    ("p3edge", "p3"),
+    ("orth4e", "orth4"),
+]
 
 
 def fan_path(name):
     return DATA / f"{name}.fan"
+
+
+def fan_file(name):
+    """The file of a corpus fan or of a fan outside the corpus."""
+    return EXTRA_FANS.get(name) or fan_path(name)
 
 
 # Invalid fans whose defect lies between two maximal cones.  The ray

@@ -3,7 +3,9 @@
 tests/golden/ih-<fan>.tsv holds the `ih --format machine` records of each
 complete corpus fan and of two dimension-4 fans outside the corpus, P^4
 and the face fan of the 4-cube, and tests/golden/<fan>.complex the
-`minimal build --out` text of every corpus fan.  For the five subdivision pairs,
+`minimal build --out` text of every corpus fan.  For the five corpus
+subdivision pairs and three pairs whose subdivision also subdivides a
+facet of a target cone (tests/cubeedge.fan, p3edge.fan and orth4e.fan),
 push-<src>-<tgt>.tsv holds the `pushforward --format machine` records
 (without the `serialized` line), push-<src>-<tgt>.out its `--out` text
 and decompose-<src>-<tgt>.tsv the `decompose --format machine` records,
@@ -23,19 +25,12 @@ import pytest
 from fansheaf.cli import main
 from fansheaf.fans import load_fan
 
-from conftest import fan_path
+from conftest import FACET_SUBDIVISIONS, fan_file, fan_path
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
 PERFBENCH = TESTS.parent / "perfbench"
 COMPLETE = ["p1", "p2", "p1xp1", "p3", "p2blow", "cubefan"]
-# fans outside the corpus
-EXTRA_FANS = {
-    "p4": PERFBENCH / "inputs" / "p4.fan",
-    "cube4": TESTS / "cube4.fan",
-    "cube4star": TESTS / "cube4star.fan",
-    "cubestar": PERFBENCH / "inputs" / "cubestar.fan",
-}
 # complete fans outside the corpus whose IH is pinned too
 EXTRA_IH = ["p4", "cube4"]
 PAIRS = [
@@ -44,11 +39,13 @@ PAIRS = [
     ("p2blow", "p2"),
     ("starsq", "conesquare"),
     ("twostep", "quadrant"),
+    *FACET_SUBDIVISIONS,
 ]
 # the smallest --degree-max at which each pair decomposes; one below it
 # a summand's base generator reaches the guard zone (exit 3)
 SMALLEST_WINDOW = {
-    "p2": 2, "blowquad": 2, "p2blow": 2, "starsq": 3, "twostep": 2
+    "p2": 2, "blowquad": 2, "p2blow": 2, "starsq": 3, "twostep": 2,
+    "cubeedge": 1, "p3edge": 1, "orth4e": 0,
 }
 CORPUS = sorted(p.stem for p in GOLDEN.glob("*.complex"))
 # the decompose records of a subdivision onto its target
@@ -60,10 +57,6 @@ DECOMPOSED["cubestar"] = (
 )
 
 
-def _fan_file(name):
-    return EXTRA_FANS.get(name) or fan_path(name)
-
-
 def _decompose(src, tgt, *options):
     """Run `decompose --format machine` of the fan file src onto the fan
     named tgt; the exit code."""
@@ -73,7 +66,7 @@ def _decompose(src, tgt, *options):
             "machine",
             "decompose",
             "--fan",
-            str(_fan_file(tgt)),
+            str(fan_file(tgt)),
             "--subdivision",
             str(src),
             *options,
@@ -92,7 +85,7 @@ def test_golden_set_covers_corpus():
 
 @pytest.mark.parametrize("name", COMPLETE + EXTRA_IH)
 def test_ih_records_match_golden(capsys, name):
-    code = main(["--format", "machine", "ih", "--fan", str(_fan_file(name))])
+    code = main(["--format", "machine", "ih", "--fan", str(fan_file(name))])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"ih-{name}.tsv").read_text()
 
@@ -125,9 +118,9 @@ def test_pushforward_matches_golden(tmp_path, capsys, src, tgt):
             "machine",
             "pushforward",
             "--fan",
-            str(fan_path(tgt)),
+            str(fan_file(tgt)),
             "--subdivision",
-            str(fan_path(src)),
+            str(fan_file(src)),
             "--out",
             str(out),
         ]
@@ -147,7 +140,7 @@ def test_decompose_records_match_golden(capsys, src, tgt):
     if src in SMALLEST_WINDOW:
         windows.append(["--degree-max", str(SMALLEST_WINDOW[src])])
     for options in windows:
-        assert _decompose(_fan_file(src), tgt, *options) == 0, options
+        assert _decompose(fan_file(src), tgt, *options) == 0, options
         assert capsys.readouterr().out == golden, options
 
 
@@ -156,7 +149,7 @@ def test_decompose_cubestar_matches_benchmark_records(capsys):
     the cube fan splits into 13 summands, shifts -1 and 1 at each of the
     six maximal cones.  The expected records are the benchmark's own."""
     tgt, expected = DECOMPOSED["cubestar"]
-    assert _decompose(_fan_file("cubestar"), tgt) == 0
+    assert _decompose(fan_file("cubestar"), tgt) == 0
     assert capsys.readouterr().out == expected.read_text()
 
 
@@ -187,7 +180,7 @@ def test_ray_and_cone_order_is_immaterial(tmp_path, capsys, name):
     """Relabelled rays and shuffled cones give the same canonical fan
     and, for a complete fan, the same ih records; a subdivision gives the
     same decompose records onto its target."""
-    fan = load_fan(_fan_file(name))
+    fan = load_fan(fan_file(name))
     path = tmp_path / f"{name}.fan"
     path.write_text(_relabelled(fan, random.Random(name)))
     assert load_fan(path).to_text() == fan.to_text()

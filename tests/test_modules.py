@@ -209,23 +209,12 @@ def test_minimal_generators_closure_certificate():
         minimal_generators(fam)
 
 
-def _with_equations(amb, window, bases):
-    """The family with the given bases, and as its equations at each
-    window degree a basis of the functionals that vanish on them."""
-    lo, hi = window
-    equations = {
-        d: _linalg.nullspace(bases.get(d, ()), amb.dim_at(d))
-        for d in range(lo, hi + 1)
-    }
-    return GradedSubspaceFamily(amb, window, bases, equations)
-
-
 def _two_lines(window, bases):
     """A family inside the free module on two degree-0 generators over
     one variable; basis index 0 is t^k * e1 and index 1 is t^k * e2."""
     m = FreeGradedModule(_ring(1), [0, 0])
     amb = DirectSumAmbient(m.ring, (m,))
-    return _with_equations(amb, window, bases)
+    return GradedSubspaceFamily(amb, window, bases)
 
 
 def test_minimal_generators_closure_with_nonempty_degree():
@@ -285,7 +274,7 @@ def kernel_families(draw):
         keep = draw(st.integers(min_value=0, max_value=len(rows) - 1))
         bases = dict(fam.bases)
         bases[cut] = rows[:keep]
-        fam = _with_equations(amb, window, bases)
+        fam = GradedSubspaceFamily(amb, window, bases)
     return fam
 
 
