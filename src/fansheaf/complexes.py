@@ -12,20 +12,18 @@ each component divided by its sign.
 
 assemble gives the differential between listed cones on one degree
 piece in _linalg's one matrix form, a list of sparse rows {col: value}
-with no stored zeros; kernels, ranks and the certificates below take it
-as it is.  check_complex certifies shapes, grading, and the vanishing
-of the composite differential on each module's generators;
-check_locally_exact certifies, cone by cone (local_exactness), the
-surjectivity of each module onto its own cone's boundary kernel degree
-by degree.  It compares two ranks per degree and builds no kernel
-basis: once check_complex has passed, the image lies inside the
-kernel, so equal dimensions are equality.  check_complex must
-therefore pass first; every caller stops on its problems.  Both run on
-arbitrary complexes, not only this package's, and return their
-problems: an empty list means the complex passes.
+with no stored zeros, and assemble_key the local data that fixes it in
+every degree.  check_complex certifies shapes, grading, and the
+vanishing of the composite differential on each module's generators;
+check_locally_exact certifies, cone by cone, that each module surjects
+onto its boundary kernel, by two ranks per degree and once per distinct
+local data.  Ranks suffice only once check_complex has passed, so every
+caller stops on its problems first.  Both run on arbitrary complexes
+and return their problems: an empty list means the complex passes.
 """
 
 from contextlib import contextmanager
+from itertools import accumulate
 
 from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError
@@ -79,27 +77,40 @@ def assemble(M, src_ids, tgt_ids, d):
     col_off, _ = _offsets(M, src_ids, d)
     row_off, nrows = _offsets(M, tgt_ids, d)
     rows = [{} for _ in range(nrows)]
-    tgt_pos = {t: k for k, t in enumerate(tgt_ids)}
-    for si, s in enumerate(src_ids):
-        for t in M.fan.cones[s].facet_ids:
-            if t not in tgt_pos or (s, t) not in M.maps:
-                continue
-            block = M.maps[(s, t)].evaluate(d)
-            r0 = row_off[tgt_pos[t]]
-            c0 = col_off[si]
-            for r, brow in enumerate(block):
-                out = rows[r0 + r]
-                for c, x in brow.items():
-                    out[c0 + c] = x
+    for si, ti, pm in _blocks(M, src_ids, tgt_ids):
+        r0, c0 = row_off[ti], col_off[si]
+        for r, brow in enumerate(pm.evaluate(d)):
+            out = rows[r0 + r]
+            for c, x in brow.items():
+                out[c0 + c] = x
     return rows
 
 
+def assemble_key(M, src_ids, tgt_ids):
+    """Everything assemble(M, src_ids, tgt_ids, d) reads, for any d: each
+    listed module's (variable count, generator degrees), None where a
+    cone has none, and each block's (source position, target position,
+    map content).  Equal keys give equal rows; they compare in full."""
+    get = M.modules.get
+    shapes = (
+        tuple(m and (m.ring.nvars, m.degrees) for m in map(get, ids))
+        for ids in (src_ids, tgt_ids)
+    )
+    blocks = _blocks(M, src_ids, tgt_ids)
+    return *shapes, tuple((si, ti, pm.content()) for si, ti, pm in blocks)
+
+
+def _blocks(M, src_ids, tgt_ids):
+    """(source position, target position, stored map) of each block."""
+    tgt_pos = {t: k for k, t in enumerate(tgt_ids)}
+    for si, s in enumerate(src_ids):
+        for t in M.fan.cones[s].facet_ids:
+            if t in tgt_pos and (s, t) in M.maps:
+                yield si, tgt_pos[t], M.maps[(s, t)]
+
+
 def _offsets(M, ids, d):
-    offs = []
-    total = 0
-    for i in ids:
-        offs.append(total)
-        total += M.dim_at(i, d)
+    *offs, total = accumulate((M.dim_at(i, d) for i in ids), initial=0)
     return offs, total
 
 
@@ -168,13 +179,10 @@ def _composite(paths, d, vec):
 
 
 def boundary_setup(M, cone_id):
-    """Ambient sum of a cone's facet modules plus its constraint rows.
-
-    Returns (ambient, facets, rows_at): the facet modules viewed over
-    the cone's ring, the facet ids in part order, and the degreewise
-    constraint rows (the differential from facets into codimension-2
-    faces inside the cone).
-    """
+    """(ambient, facets, rows_at, key) of a cone: its facet modules over
+    its ring, their ids in part order, the degreewise constraint rows
+    (the differential from the facets into the codimension-2 faces
+    inside the cone), and their assemble_key."""
     fan = M.fan
     cone = fan.cones[cone_id]
     facets = [i for i in cone.facet_ids if M.rank_at(i)]
@@ -185,13 +193,13 @@ def boundary_setup(M, cone_id):
         for i in cone.face_ids
         if fan.cones[i].dim == cone.dim - 2 and M.rank_at(i)
     ]
-
-    return ambient, facets, lambda d: assemble(M, facets, codim2, d)
+    key = assemble_key(M, facets, codim2)
+    return ambient, facets, lambda d: assemble(M, facets, codim2, d), key
 
 
 def boundary_kernel(M, cone_id):
     """Kernel family of the restricted complex at a cone's own slot."""
-    ambient, facets, rows_at = boundary_setup(M, cone_id)
+    ambient, facets, rows_at, _ = boundary_setup(M, cone_id)
     fam = family_from_kernel(ambient, rows_at, M.window)
     return fam, facets
 
@@ -208,7 +216,7 @@ def local_exactness(M, i):
     of the cone-to-facets block, which is the rank of its transpose.
     """
     lo, hi = M.window
-    ambient, facets, rows_at = boundary_setup(M, i)
+    ambient, facets, rows_at, _ = boundary_setup(M, i)
     failures = []
     for d in range(lo, hi + 1):
         fdim = ambient.dim_at(d)
@@ -230,17 +238,22 @@ def check_locally_exact(M):
 
     For every positive-dimensional cone and every window degree, the
     image of the cone's module under its facet maps must span the
-    kernel of the next differential of the restricted complex.  The
-    certificate compares ranks only, so it holds only for a complex
-    that passes check_complex: run that first and stop on a problem.
-    Returns the (cone, degree, why) failures, empty when the complex
-    passes.
+    kernel of the next differential of the restricted complex.  It
+    compares ranks only, so run check_complex first and stop on a
+    problem.  Cones with equal local data, the assemble_keys of their
+    two blocks, share one local_exactness run per call, and each gets
+    the failures under its own id.  Returns the (cone, degree, why)
+    failures, empty when the complex passes.
     """
-    return [
-        failure
-        for cone in M.fan.cones if cone.dim
-        for failure in local_exactness(M, cone.index)
-    ]
+    memo = {}
+    failures = []
+    for i in range(1, len(M.fan.cones)):  # cone 0 is the origin
+        _, facets, _, boundary = boundary_setup(M, i)
+        key = (boundary, assemble_key(M, [i], facets))
+        if key not in memo:
+            memo[key] = local_exactness(M, i)
+        failures += [(i, d, why) for _, d, why in memo[key]]
+    return failures
 
 
 def cohomology_degreewise(M):

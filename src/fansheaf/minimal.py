@@ -4,11 +4,12 @@ A minimal complex based at a cone starts from a free rank-one module on
 that cone and walks the cones of its star by increasing dimension: each
 cone's boundary kernel gets a minimal free cover, whose blocks become
 the differential's components.  One build computes each distinct local
-kernel cover once (modules.kernel_cover); verify_minimality never reads
-that memo and recomputes every kernel from the complex.  The
-origin-based complex is the one based at the origin without shift: the
-ground field placed in degree minus the ambient dimension, and the
-whole fan as the star.
+kernel cover once (modules.kernel_cover), keyed on the assemble_key of
+the cone's constraint rows, so a repeated cone assembles none;
+verify_minimality never reads that memo and recomputes every kernel
+from the complex.  The origin-based complex is the one based at the
+origin without shift: the ground field placed in degree minus the
+ambient dimension, and the whole fan as the star.
 """
 
 from fansheaf.complexes import (
@@ -74,8 +75,8 @@ def _extend(M, cone_ids):
     """
     memo = {}
     for i in cone_ids:
-        ambient, facets, rows_at = boundary_setup(M, i)
-        cover = kernel_cover(ambient, rows_at, M.window, memo)
+        ambient, facets, rows_at, key = boundary_setup(M, i)
+        cover = kernel_cover(ambient, rows_at, M.window, memo, key)
         if cover.module.rank() == 0:
             continue
         M.modules[i] = cover.module

@@ -1,44 +1,36 @@
 """Graded modules over cone rings and exact degreewise linear algebra.
 
 A cone's ring is the polynomial ring on the coordinates dual to its
-chosen ray basis, graded with linear part in degree 2, so the fan fixes
-it: cone_ring builds it where one is needed.  A map between two cone
-rings is the restriction of functions from the larger span to the
-smaller one, fixed by the two bases: restriction gives each source
-variable's image as (target variable, coefficient) pairs, cached once
-in one table keyed by the bases' content, which rings of different fans
-share.  A polynomial is a term dict {exponent tuple: coefficient}, int
-where integral (see polys).  Free modules carry generator degrees; maps
-between them are PolyMatrix objects whose entries are term dicts in the
-target ring.
-
-Every map between complexes is PolyMatrix.from_columns of its
-generators' images: a cover's representatives as they are, or exact
-preimages (lift) of images under a surjection onto the target.
+chosen ray basis, graded with linear part in degree 2; cone_ring builds
+it from the fan.  restriction gives the ring map from a larger span to
+a smaller one as each source variable's image, (target variable,
+coefficient) pairs, cached in one table keyed by the two bases, which
+rings of different fans share.  A polynomial is a term dict {exponent
+tuple: coefficient}, int where integral (see polys).  Free modules
+carry generator degrees; maps between them are PolyMatrix objects whose
+entries are term dicts in the target ring.  Every map between complexes
+is PolyMatrix.from_columns of its generators' images: a cover's
+representatives as they are, or exact preimages (lift) of images under
+a surjection onto the target.
 
 Degree by degree everything is in _linalg's one matrix form: a matrix
-is a list of sparse rows {col: value} storing no zeros, and a vector
-(a family's basis vector, a generator representative, an apply_mult
-image) is one such row, indexed by the (part, generator, monomial)
-basis of a degree piece.  Multiplication by a variable is an index
-operation: _successors gives, for each monomial u, the position of
-u * t_m one degree up (and _divisors the way back), and _mult_columns
-turns a variable's image under restriction into the sparse columns that
-multiply a free module's piece by it.  DirectSumAmbient.mult_by_var
-stacks those columns part by part and caches them on the ambient, for
-families; PolyMatrix.evaluate builds them for the target module afresh
-on each call and reads degree d off degree d - 2 with them.  Both apply
-columns through one routine, _apply_columns.  Subspace families store
-canonical primitive integer bases of a graded subspace degree by
-degree, and the minimal-generator machinery (completion of m*Z to Z)
-runs on top: each basis vector of Z(d-2) is multiplied by every base
-variable through DirectSumAmbient.apply_mult, and span membership is
-decided by one _linalg.Echelon per degree, started from the Markowitz
-triangulation of those images.  A builder computes each distinct local
-kernel cover once per call: kernel_cover keys the builder's memo on the
-full content of a kernel's local data, and no certificate reads it.
+is a list of sparse rows {col: value} storing no zeros, and a vector is
+one such row, indexed by the (part, generator, monomial) basis of a
+degree piece.  Multiplication by a variable is an index operation
+(_successors, _divisors), and _mult_columns turns a variable's image
+under restriction into sparse columns, applied by _apply_columns.
+DirectSumAmbient caches them per variable and degree, for families;
+PolyMatrix.evaluate reads degree d off degree d - 2 with them, once
+per distinct map content: maps of equal content share one weakly held
+table of rows.  Subspace families store canonical primitive integer
+bases degree by degree; minimal_generators completes m*Z to Z with one
+_linalg.Echelon per degree.  A builder computes each distinct local
+kernel cover once per call: kernel_cover keys its memo on the window,
+the ambient's parts and the caller's key of the constraint rows, and no
+certificate reads it.
 """
 
+import weakref
 from functools import lru_cache
 
 from fansheaf import _linalg
@@ -204,6 +196,14 @@ class FreeGradedModule:
         return f"FreeGradedModule({self.ring.label}, {list(self.degrees)})"
 
 
+class _Rows(dict):
+    __slots__ = ("__weakref__",)  # so that _EVALUATIONS can hold it
+
+
+# map content -> degree -> rows, shared while a map of that content lives
+_EVALUATIONS = weakref.WeakValueDictionary()
+
+
 class PolyMatrix:
     """Graded map between free modules; entries are term dicts in the
     target ring.
@@ -214,13 +214,13 @@ class PolyMatrix:
     homogeneous of degree source.degrees[j] - target.degrees[i].
     """
 
-    __slots__ = ("source", "target", "entries", "_eval")
+    __slots__ = ("source", "target", "entries", "_content", "_eval")
 
     def __init__(self, source, target, entries):
         self.source = source
         self.target = target
         self.entries = {ij: p for ij, p in entries.items() if p}
-        self._eval = {}
+        self._content = self._eval = None
 
     @classmethod
     def from_columns(cls, source, target, columns):
@@ -249,6 +249,22 @@ class PolyMatrix:
             if any(len(e) != self.target.ring.nvars for e in p):
                 raise InputError(f"entry ({i},{j}) lives in the wrong ring")
 
+    def content(self):
+        """Everything evaluate reads, computed once: the source's and the
+        target's (variable count, generator degrees), the restriction
+        between their rings, and the entries as sorted term items."""
+        if self._content is None:
+            s, t = self.source, self.target
+            terms = sorted(
+                (ij, tuple(sorted(p.items())))
+                for ij, p in self.entries.items()
+            )
+            self._content = (
+                (s.ring.nvars, s.degrees), (t.ring.nvars, t.degrees),
+                restriction(s.ring, t.ring), tuple(terms),
+            )
+        return self._content
+
     def evaluate(self, d):
         """Sparse rows of the map on degree-d pieces, one per target
         basis element.
@@ -259,9 +275,11 @@ class PolyMatrix:
         map is linear over the source ring, which acts on the target
         through restriction.  That image is zero when t_k restricts to
         zero or the column below is zero; otherwise the columns of t_k
-        on the target's piece d - 2 are built once per call and not
-        kept.
+        on the target's piece d - 2 are built once per call.  Maps of
+        equal content share their read-only rows (_EVALUATIONS).
         """
+        if self._eval is None:
+            self._eval = _EVALUATIONS.setdefault(self.content(), _Rows())
         if d in self._eval:
             return self._eval[d]
         source, target = self.source, self.target
@@ -442,23 +460,18 @@ class CoverMap:
     """Minimal free cover of a family: a free module L, its generator
     representatives inside the ambient, and per-part PolyMatrix blocks."""
 
-    __slots__ = ("module", "family", "gens", "blocks", "_eval")
+    __slots__ = ("module", "family", "gens", "blocks")
 
     def __init__(self, module, family, gens, blocks):
         self.module = module
         self.family = family
         self.gens = gens
         self.blocks = blocks
-        self._eval = {}
 
     def evaluate(self, d):
         """Sparse rows of the map from L's degree-d piece into the
         ambient degree-d piece: the blocks' rows, part after part."""
-        if d not in self._eval:
-            self._eval[d] = [
-                row for block in self.blocks for row in block.evaluate(d)
-            ]
-        return self._eval[d]
+        return [row for block in self.blocks for row in block.evaluate(d)]
 
 
 def lift(rows_at, module, images, what):
@@ -502,45 +515,29 @@ def _cover_on(family, gens):
     return CoverMap(module, family, gens, tuple(blocks))
 
 
-def kernel_cover(ambient, rows_by_degree, window, memo):
+def kernel_cover(ambient, rows_by_degree, window, memo, local):
     """Minimal free cover of the kernel family of rows_by_degree.
 
-    The kernel bases and generators depend only on the window, each
-    part's variable count, generator degrees and restriction forms, and
-    the constraint rows of every degree where the ambient piece is
-    nonzero; each part's forms hold one entry per base variable, and
-    piece dimensions follow from the parts.  That content, compared in
-    full and never by digest, keys the memo: a hit skips
-    family_from_kernel and minimal_generators and builds the cover over
-    this ambient from the stored bases and generators, which covers
-    share and no caller mutates.  A failing search stores nothing, so it
-    raises again at every cone it runs for; WindowExhausted names that
-    cone.
+    The memo key is the window, each part's variable count, generator
+    degrees and restriction forms, and local, the caller's key of the
+    rows: equal keys must give equal rows in every degree, as
+    complexes.assemble_key does.  Keys compare in full, never by
+    digest.  A hit reads no rows: it builds the cover over this ambient
+    from the stored bases and generators, which covers share and no
+    caller mutates.  A failing search stores nothing, so it raises
+    again at every cone it runs for; WindowExhausted names that cone.
     """
-    lo, hi = window
-    rows = {
-        d: rows_by_degree(d)
-        for d in range(lo, hi + 1)
-        if ambient.dim_at(d)
-    }
-    key = (
-        window,
-        tuple(
-            (
-                part.ring.nvars,
-                part.degrees,
-                restriction(ambient.base_ring, part.ring),
-            )
-            for part in ambient.parts
-        ),
-        tuple(
-            (d, tuple(tuple(r.items()) for r in rs)) for d, rs in rows.items()
-        ),
+    base = ambient.base_ring
+    parts = tuple(
+        (part.ring.nvars, part.degrees, restriction(base, part.ring))
+        for part in ambient.parts
     )
+    key = (window, parts, local)
     if key in memo:
         bases, gens = memo[key]
         return _cover_on(GradedSubspaceFamily(ambient, window, bases), gens)
-    cover = minimal_free_cover(family_from_kernel(ambient, rows.get, window))
+    family = family_from_kernel(ambient, rows_by_degree, window)
+    cover = minimal_free_cover(family)
     memo[key] = (cover.family.bases, cover.gens)
     return cover
 

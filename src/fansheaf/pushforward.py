@@ -8,7 +8,8 @@ minimal free cover of that kernel family gives the new module,
 certified degreewise free by Hilbert comparison where it is built, and
 the induced differential lifts each generator's image through the
 facet's cover.  One call computes each distinct local kernel cover once
-(modules.kernel_cover); verify_pushforward never reads that memo.
+(modules.kernel_cover, keyed on the assemble_key of the interior-wall
+block); verify_pushforward never reads that memo.
 
 That a section's image in a facet's tiles lies in the facet's module
 needs no constraint of its own: it follows from d^2 = 0 in the source.
@@ -28,6 +29,7 @@ from fansheaf import _linalg
 from fansheaf.complexes import (
     FanComplex,
     assemble,
+    assemble_key,
     check_complex,
     check_locally_exact,
     cohomology_degreewise,
@@ -70,7 +72,9 @@ def pushforward(fan_map, M):
         ring = cone_ring(tgt_fan, s)
         ambient = DirectSumAmbient(ring, [M.modules[i] for i in tiles])
         interior = tuple(walls.get(s, ()))
-        cover = kernel_cover(ambient, partial(block, interior), M.window, memo)
+        rows_at = partial(block, interior)
+        local = assemble_key(M, tiles, interior)
+        cover = kernel_cover(ambient, rows_at, M.window, memo, local)
         offender = cover_is_free_certificate(cover)
         if offender is not None:
             raise CertificateError(

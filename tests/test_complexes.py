@@ -15,6 +15,7 @@ from fansheaf import _linalg, complexes
 from fansheaf.complexes import (
     FanComplex,
     assemble,
+    assemble_key,
     boundary_kernel,
     check_complex,
     check_locally_exact,
@@ -41,6 +42,7 @@ from brute_oracle import membership_exactness, nonzero_composites
 from conftest import fan_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+P4_COMPLEX = GOLDEN.parent.parent / "perfbench" / "inputs" / "p4.complex"
 
 
 def quadrant_complex():
@@ -188,8 +190,7 @@ def test_rank_exactness_matches_membership_reference():
 def test_exactness_builds_no_kernel_basis_on_p4(monkeypatch):
     """On the benchmark's P^4 complex the certificate ranks only: no
     boundary kernel and no nullspace."""
-    path = GOLDEN.parent.parent / "perfbench" / "inputs" / "p4.complex"
-    M = complex_from_text(path.read_text())
+    M = complex_from_text(P4_COMPLEX.read_text())
     calls = Counter()
 
     def counting(module, name):
@@ -205,6 +206,113 @@ def test_exactness_builds_no_kernel_basis_on_p4(monkeypatch):
     counting(complexes, "boundary_kernel")
     assert check_locally_exact(M) == []
     assert calls == Counter()
+
+
+def _without(M, cone, maps_only=False):
+    """M without the maps out of a top-dimensional cone, and without its
+    module unless maps_only: no composite runs through such a cone."""
+    assert not any(cone in c.facet_ids for c in M.fan.cones)
+    mods = {i: m for i, m in M.modules.items() if maps_only or i != cone}
+    maps = {k: v for k, v in M.maps.items() if k[0] != cone}
+    return FanComplex(M.fan, mods, maps, M.window)
+
+
+def _every_cone_exactness(M):
+    """local_exactness run on every positive-dimensional cone."""
+    return [
+        failure
+        for cone in M.fan.cones if cone.dim
+        for failure in complexes.local_exactness(M, cone.index)
+    ]
+
+
+def test_exactness_runs_once_per_local_data_on_p4(monkeypatch):
+    """The 30 positive-dimensional cones of the P^4 complex have 4
+    distinct local data sets, one per dimension, and every cone still
+    gets a verdict."""
+    M = complex_from_text(P4_COMPLEX.read_text())
+    runs = []
+    real = complexes.local_exactness
+
+    def counting(M, i):
+        runs.append(i)
+        return real(M, i)
+
+    monkeypatch.setattr(complexes, "local_exactness", counting)
+    assert check_locally_exact(M) == []
+    assert len(runs) == 4
+    assert check_locally_exact(_without(M, 28)) != []
+    assert len(runs) == 9
+
+
+def test_p4_without_a_top_module_fails_only_there():
+    """Cone 28 shares its local data with the other top cones except its
+    own module: its failures are the rank certificate's, and no other
+    cone takes them."""
+    M = _without(complex_from_text(P4_COMPLEX.read_text()), 28)
+    assert check_complex(M) == []
+    assert check_locally_exact(M) == [
+        (28, -4, "kernel dim 1, no module"),
+        (28, -2, "kernel dim 4, no module"),
+        (28, 0, "kernel dim 10, no module"),
+        (28, 2, "kernel dim 20, no module"),
+        (28, 4, "kernel dim 34, no module"),
+        (28, 6, "kernel dim 52, no module"),
+        (28, 8, "kernel dim 74, no module"),
+    ]
+
+
+def _scaled_facet_map(M):
+    """M with one map from a 3-cone into a 2-cone doubled: the boundary
+    of the two top cones on that 3-cone changes, their own maps not."""
+    (s, t), pm = next(
+        (st, pm) for st, pm in sorted(M.maps.items())
+        if M.fan.cones[st[0]].dim == 3
+    )
+    doubled = {
+        ij: {u: 2 * c for u, c in p.items()} for ij, p in pm.entries.items()
+    }
+    maps = {**M.maps, (s, t): PolyMatrix(pm.source, pm.target, doubled)}
+    return FanComplex(M.fan, M.modules, maps, M.window)
+
+
+def test_exactness_memo_equals_a_run_per_cone():
+    """Complexes made so that cones share all local data but one part:
+    a missing module (cone 28), a module without maps beside a missing
+    one (cones 28 and 27), a changed boundary (a doubled map into a
+    2-cone).  The memoised certificate returns what local_exactness
+    returns cone by cone."""
+    P = complex_from_text(P4_COMPLEX.read_text())
+    cases = [
+        _without(P, 28),
+        _without(_without(P, 28, maps_only=True), 27),
+        _scaled_facet_map(P),
+    ]
+    for M in cases:
+        want = _every_cone_exactness(M)
+        assert want
+        assert check_locally_exact(M) == want
+
+
+def test_assemble_key_fixes_the_rows():
+    """Equal keys give equal rows in every degree, over every ordered
+    choice of one or two source cones and one or two target cones of
+    P^2's minimal complex; some distinct choices share a key."""
+    M = build_minimal(load_fan(fan_path("p2")))
+    ids = [c.index for c in M.fan.cones]
+    choices = [(i,) for i in ids] + [
+        (i, j) for i in ids for j in ids if i != j
+    ]
+    lo, hi = M.window
+    rows = {}
+    shared = 0
+    for src in choices:
+        for tgt in choices:
+            got = [assemble(M, src, tgt, d) for d in range(lo, hi + 1)]
+            key = assemble_key(M, src, tgt)
+            shared += key in rows
+            assert rows.setdefault(key, got) == got, (src, tgt)
+    assert shared
 
 
 def test_exactness_runs_only_after_check_complex(monkeypatch, tmp_path):

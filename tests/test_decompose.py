@@ -188,6 +188,29 @@ def test_multiplicities_follow_from_stalks(src, tgt):
     assert decomposition_multiplicities(N) == _stalk_multiplicities(N)
 
 
+REPO = Path(__file__).resolve().parent.parent
+DECOMPOSE_RECORDS = sorted((REPO / "tests" / "golden").glob("decompose-*.tsv"))
+DECOMPOSE_RECORDS.append(REPO / "perfbench" / "expected" / "decompose-cubestar.tsv")
+
+
+@pytest.mark.parametrize("path", DECOMPOSE_RECORDS, ids=lambda p: p.stem)
+def test_recorded_multiplicities_are_symmetric_and_unimodal(path):
+    """Every recorded decomposition: m(sigma, k) = m(sigma, -k), since
+    the direct image of a self-dual complex is self-dual, and
+    m(sigma, k - 2) <= m(sigma, k) for k <= 0, as relative hard Lefschetz
+    gives for projective maps."""
+    mult = {}
+    for line in path.read_text().splitlines():
+        kind, sigma, k, m, _ = line.split("\t")
+        if kind == "summand":
+            mult[(int(sigma), int(k))] = int(m)
+    assert mult
+    for (sigma, k), m in mult.items():
+        assert mult.get((sigma, -k), 0) == m, (sigma, k)
+        for j in range(-abs(k), 1):
+            assert mult.get((sigma, j - 2), 0) <= mult.get((sigma, j), 0)
+
+
 def test_embedding_has_no_cone_outside_the_star(monkeypatch):
     """Each copy is embedded exactly on its summand's support, which lies
     in the star of its base; outside the star of the top cone N still has

@@ -15,6 +15,7 @@ import pytest
 from fansheaf import _linalg, minimal, modules
 from fansheaf import pushforward as pushforward_module
 from fansheaf.complexes import assemble
+from fansheaf.decompose import decomposition_theorem_report
 from fansheaf.errors import CertificateError, WindowExhausted
 from fansheaf.fans import load_fan, subdivision_map
 from fansheaf.minimal import build_minimal
@@ -64,9 +65,9 @@ def test_reused_covers_equal_fresh_searches(monkeypatch, src, tgt):
     fmap = _map(src, tgt)
     hits = []
 
-    def checked(ambient, rows_by_degree, window, memo):
+    def checked(ambient, rows_by_degree, window, memo, local):
         known = len(memo)
-        got = kernel_cover(ambient, rows_by_degree, window, memo)
+        got = kernel_cover(ambient, rows_by_degree, window, memo, local)
         hits.append(len(memo) == known)
         _assert_same_cover(got, _fresh(ambient, rows_by_degree, window))
         return got
@@ -138,6 +139,40 @@ def test_generator_searches_counted_on_cubestar(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize(
+    "src,tgt,lookups,searches",
+    [
+        ("cubeedge", "cubefan", 91, 14),
+        ("p3edge", "p3", 51, 13),
+        ("orth4e", "orth4", 57, 17),
+    ],
+)
+def test_cover_lookups_and_searches_per_decompose(
+    monkeypatch, src, tgt, lookups, searches
+):
+    """One decompose, from the source's minimal complex to the summand
+    builds, on the pairs that subdivide a target facet: the lookups, and
+    one generator search per distinct local kernel."""
+    calls = []
+    real_cover, real_search = modules.kernel_cover, modules.minimal_generators
+
+    def cover(*args):
+        calls.append("lookup")
+        return real_cover(*args)
+
+    def search(family):
+        calls.append("search")
+        return real_search(family)
+
+    monkeypatch.setattr(minimal, "kernel_cover", cover)
+    monkeypatch.setattr(pushforward_module, "kernel_cover", cover)
+    monkeypatch.setattr(modules, "minimal_generators", search)
+    decomposition_theorem_report(_map(src, tgt))
+    assert (calls.count("lookup"), calls.count("search")) == (
+        lookups, searches
+    )
+
+
 def _unit_ring(label, nvars, basis=None):
     if basis is None:
         basis = tuple(
@@ -150,11 +185,16 @@ def _no_rows(d):
     return []
 
 
+def _unassembled(d):
+    raise AssertionError("a memo hit assembles no rows")
+
+
 def test_key_separates_each_part_of_the_local_data():
     """One memo, pairs of ambients that differ in one part of the key
     only and whose searches give different generators: each ambient gets
     the result of its own search.  No pair differs in a part's variable
-    count alone: for a ring built from its basis the forms fix it."""
+    count alone: for a ring built from its basis the forms fix it.  The
+    caller's key of the rows, local, names them here."""
     plane = _unit_ring("plane", 2)
     e1 = _unit_ring("e1", 1, ((1, 0),))
     e2 = _unit_ring("e2", 1, ((0, 1),))
@@ -171,28 +211,36 @@ def test_key_separates_each_part_of_the_local_data():
     pairs = [
         # generator degrees (0, 2) and (2, 0): the degree-2 generator
         # sits at another basis position
-        ((free((line, [0, 2])), _no_rows), (free((line, [2, 0])), _no_rows)),
+        (
+            (free((line, [0, 2])), _no_rows, "none"),
+            (free((line, [2, 0])), _no_rows, "none"),
+        ),
         # restriction forms: with both parts on e1 the degree-0 kernel
         # e - e' has a degree-2 generator beside it; on e1 and e2 not
         (
-            (free((e1, [0]), (e1, [0]), base=plane), diagonal),
-            (free((e1, [0]), (e2, [0]), base=plane), diagonal),
+            (free((e1, [0]), (e1, [0]), base=plane), diagonal, "diagonal"),
+            (free((e1, [0]), (e2, [0]), base=plane), diagonal, "diagonal"),
         ),
         # constraint rows on one ambient
         (
-            (free((line, [0])), _no_rows),
-            (free((line, [0])), lambda d: [{0: 1}] if d == 0 else []),
+            (free((line, [0])), _no_rows, "none"),
+            (free((line, [0])), lambda d: [{0: 1}] if d == 0 else [], "e"),
         ),
     ]
     memo = {}
     window = (-2, 6)
     for pair in pairs:
-        fresh = [_fresh(ambient, rows, window) for ambient, rows in pair]
+        fresh = [_fresh(ambient, rows, window) for ambient, rows, _ in pair]
         assert fresh[0].gens != fresh[1].gens
-        for (ambient, rows), want in zip(pair, fresh):
-            got = kernel_cover(ambient, rows, window, memo)
+        for (ambient, rows, local), want in zip(pair, fresh):
+            got = kernel_cover(ambient, rows, window, memo, local)
             _assert_same_cover(got, want)
     assert len(memo) == 2 * len(pairs)
+    # a hit reads no rows: equal local data on a fresh ambient
+    ambient, rows, local = pairs[-1][-1]
+    again = free((line, [0]))
+    got = kernel_cover(again, _unassembled, window, memo, local)
+    _assert_same_cover(got, _fresh(again, rows, window))
 
 
 def test_key_separates_windows():
@@ -203,10 +251,10 @@ def test_key_separates_windows():
     origin = _unit_ring("origin", 0)
     ambient = DirectSumAmbient(origin, [FreeGradedModule(origin, [0])])
     memo = {}
-    cover = kernel_cover(ambient, _no_rows, (-2, 2), memo)
+    cover = kernel_cover(ambient, _no_rows, (-2, 2), memo, "none")
     assert cover.module.degrees == (0,)
     with pytest.raises(WindowExhausted):
-        kernel_cover(ambient, _no_rows, (-2, 1), memo)
+        kernel_cover(ambient, _no_rows, (-2, 1), memo, "none")
 
 
 def test_failures_are_not_memoised():
@@ -217,11 +265,12 @@ def test_failures_are_not_memoised():
         ring = _unit_ring(label, 1)
         ambient = DirectSumAmbient(ring, [FreeGradedModule(ring, [0])])
         with pytest.raises(WindowExhausted) as exc:
-            kernel_cover(ambient, _no_rows, (-2, 0), memo)
+            kernel_cover(ambient, _no_rows, (-2, 0), memo, "none")
         assert exc.value.cone == label
         # t*e is outside the degree-2 kernel: not closed
         with pytest.raises(CertificateError, match="not closed"):
             kernel_cover(
-                ambient, lambda d: [{0: 1}] if d == 2 else [], (-2, 6), memo
+                ambient, lambda d: [{0: 1}] if d == 2 else [], (-2, 6), memo,
+                "e at 2",
             )
     assert memo == {}

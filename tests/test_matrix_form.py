@@ -3,9 +3,11 @@
 The sparse rows that PolyMatrix.evaluate, CoverMap.evaluate and assemble
 emit store no zeros, hold int values where integral, and densify to the
 matrices computed here column by column with brute_oracle's product and
-substitution.
+substitution.  Maps of equal content share one table of evaluations, so
+maps that differ in one part of their content are checked to keep apart.
 """
 
+import gc
 from fractions import Fraction
 from functools import cache
 
@@ -13,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fansheaf import decompose
+from fansheaf import decompose, modules
 from fansheaf import pushforward as pushforward_module
-from fansheaf.complexes import assemble, boundary_kernel
+from fansheaf.complexes import assemble, boundary_kernel, complex_from_text
 from fansheaf.fans import load_fan, subdivision_map
 from fansheaf.minimal import build_minimal, build_shifted_minimal
 from fansheaf.modules import (
+    ConeRing,
     FreeGradedModule,
     PolyMatrix,
     kernel_cover,
@@ -28,7 +31,7 @@ from fansheaf.polys import monomials
 from fansheaf.pushforward import pushforward
 
 from brute_oracle import linear_images, mul, substitute
-from conftest import fan_path
+from conftest import EXTRA_FANS, fan_file, fan_path
 from test_restriction import CORPUS, SUBDIVISIONS, corpus_pairs, tile_pairs
 
 
@@ -230,3 +233,97 @@ def test_random_poly_matrix_matches_oracle(case):
     pm, order = case
     pm.validate()
     check_evaluate(pm, order)
+
+
+PLANE = ConeRing("plane", 2, ((1, 0), (0, 1)))
+E1 = ConeRing("e1", 1, ((1, 0),))
+E2 = ConeRing("e2", 1, ((0, 1),))
+# E1's basis with a second variable: the restriction forms, keyed by the
+# bases, are E1's, so a zero map into it differs in target nvars alone
+E1_WIDE = ConeRing("e1 wide", 2, ((1, 0),))
+WINDOW = range(-2, 7)
+
+
+def _map(src_degs=(0,), tgt_ring=E1, tgt_degs=(0,), entries=None):
+    """A map from PLANE onto a ray's ring over fresh module objects; by
+    default restriction of the generator, t_1 -> t_1 and t_2 -> 0."""
+    if entries is None:
+        entries = {(0, 0): {(0,): 1}}
+    return PolyMatrix(
+        FreeGradedModule(PLANE, src_degs),
+        FreeGradedModule(tgt_ring, tgt_degs),
+        entries,
+    )
+
+
+def test_equal_content_shares_one_table():
+    """Two maps of equal content over distinct module objects: one
+    table, so each degree is evaluated once for both."""
+    a, b = _map(), _map()
+    assert a.source is not b.source and a.target is not b.target
+    for d in WINDOW:
+        assert a.evaluate(d) is b.evaluate(d)
+    check_evaluate(b, WINDOW)
+
+
+@pytest.mark.parametrize(
+    "base,variant",
+    [
+        # source degrees: a second, zero column
+        (_map, lambda: _map(src_degs=(0, 2))),
+        # target degrees: a second, zero row
+        (_map, lambda: _map(tgt_degs=(0, 2))),
+        # target nvars: zero maps into rings on one basis
+        (
+            lambda: _map(entries={}),
+            lambda: _map(tgt_ring=E1_WIDE, entries={}),
+        ),
+        # restriction forms: t_1 -> t_1 against t_1 -> 0
+        (_map, lambda: _map(tgt_ring=E2)),
+        # entries
+        (_map, lambda: _map(entries={(0, 0): {(0,): 2}})),
+    ],
+    ids=["source degrees", "target degrees", "target nvars", "forms",
+         "entries"],
+)
+def test_content_that_differs_in_one_part_gets_its_own_table(base, variant):
+    """A map whose content differs from another's in one part only gets
+    its own rows, equal to the oracle's, in whichever order the two are
+    evaluated."""
+    for first, second in ((base(), variant()), (variant(), base())):
+        for d in WINDOW:
+            assert first.evaluate(d) is not second.evaluate(d)
+        check_evaluate(first, WINDOW)
+        check_evaluate(second, WINDOW)
+
+
+def test_dropped_complex_leaves_no_evaluations():
+    """The table refers to its rows weakly: once a complex is dropped,
+    no entry is left for a content that only its maps had."""
+    before = set(modules._EVALUATIONS.keys())
+    M = build_shifted_minimal(load_fan(fan_path("p2")), 0, -1)
+    lo, hi = M.window
+    for pm in M.maps.values():
+        for d in range(lo, hi + 1):
+            pm.evaluate(d)
+    own = {pm.content() for pm in M.maps.values()} - before
+    assert own and own <= set(modules._EVALUATIONS.keys())
+    del M, pm
+    gc.collect()
+    assert not own & set(modules._EVALUATIONS.keys())
+
+
+@pytest.mark.parametrize("name", ["p4", "cubestar"])
+def test_shared_evaluations_match_oracle(name):
+    """Every map of the committed P^4 complex and of cubestar's minimal
+    complex, many of them of equal content, against the oracle."""
+    if name == "p4":
+        path = EXTRA_FANS["p4"].with_suffix(".complex")
+        M = complex_from_text(path.read_text())
+    else:
+        M = build_minimal(load_fan(fan_file(name)))
+    lo, hi = M.window
+    contents = {pm.content() for pm in M.maps.values()}
+    assert len(contents) < len(M.maps)
+    for pm in M.maps.values():
+        check_evaluate(pm, range(hi, lo - 1, -1))
