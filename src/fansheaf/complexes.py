@@ -35,6 +35,7 @@ from fansheaf.modules import (
     cone_ring,
     cover_is_free_certificate,
     family_from_kernel,
+    image_under,
     minimal_free_cover,
 )
 from fansheaf.polys import degree, format_poly, parse_poly
@@ -145,11 +146,7 @@ def check_complex(M):
         if M.rank_at(s) == 0 or sigma.dim < 2:
             continue
         module = M.modules[s]
-        one = (0,) * module.ring.nvars
-        gens = [
-            (g, {module.index_at(g)[(j, one)]: 1})
-            for j, g in enumerate(module.degrees)
-        ]
+        gens = [module.generator(j) for j in range(module.rank())]
         for rho_id in sigma.face_ids:
             if fan.cones[rho_id].dim != sigma.dim - 2:
                 continue
@@ -171,9 +168,8 @@ def _composite(paths, d, vec):
     """Nonzero entries of the image of a degree-d vector under the sum
     of the two-step paths (first, second)."""
     total = {}
-    for first, second in paths:
-        mid = _linalg.matvec(first.evaluate(d), vec)
-        for r, x in _linalg.matvec(second.evaluate(d), mid).items():
+    for path in paths:
+        for r, x in image_under(path, d, vec).items():
             total[r] = total.get(r, 0) + x
     return {r: x for r, x in total.items() if x}
 

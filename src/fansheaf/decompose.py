@@ -31,7 +31,7 @@ from fansheaf.combinatorics import predicted_stalks
 from fansheaf.complexes import assemble
 from fansheaf.errors import CertificateError
 from fansheaf.minimal import build_minimal, build_shifted_minimal, stalk_report
-from fansheaf.modules import PolyMatrix, lift
+from fansheaf.modules import PolyMatrix, image_under, lift
 from fansheaf.pushforward import pushforward, verify_pushforward
 
 
@@ -152,15 +152,14 @@ def _boundary_images(S, phi, N, i, facets):
     facets' embeddings into N: (degree, sparse vector) in the rows of
     N's differential at i, facet after facet."""
     smod = S.modules[i]
-    one = (0,) * smod.ring.nvars
     out = []
-    for j, d in enumerate(smod.degrees):
-        gen = {smod.index_at(d)[(j, one)]: 1}
+    for j in range(smod.rank()):
+        d, gen = smod.generator(j)
         img, off = {}, 0
         for f in facets:
             if (i, f) in S.maps:
-                mid = _linalg.matvec(S.maps[(i, f)].evaluate(d), gen)
-                for r, x in _linalg.matvec(phi[f].evaluate(d), mid).items():
+                path = (S.maps[(i, f)], phi[f])
+                for r, x in image_under(path, d, gen).items():
                     img[off + r] = x
             off += N.dim_at(f, d)
         out.append((d, img))

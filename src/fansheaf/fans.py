@@ -8,12 +8,12 @@ runs over the same input produce identical ids, bases, and signs.
 All geometric predicates -- facets, face lattices, intersections,
 membership, subdivision assignments -- are computed with exact
 integer arithmetic on top of the sparse exact kernel in _linalg.
-A cone with linearly independent generators -- every ray and 2-cone,
-and every cone of a simplicial fan -- costs one elimination, which
-gives its span equations, facet normals and faces (see cone_data);
-other cones take a general path with one elimination per candidate
-facet.  Incidence signs are integer determinants on the pivot columns
-of one elimination per cone, with no coordinates solved.
+A cone's frame is the pivot columns P of one elimination of its
+generators, which also gives its span equations.  Its facet normals are
+integer functionals on P: for independent generators (every ray and
+2-cone, every cone of a simplicial fan) read off that elimination, else
+one nullspace on P per candidate facet (see cone_data).  Incidence
+signs are integer determinants on P, which the span equations give back.
 A fan is certified on its pairs of maximal cones: each pair must meet
 in a common face, which implies the same for every pair of cones.
 For a pair, double description generates the intersection, and every
@@ -21,8 +21,8 @@ generator must satisfy the span equations of the face on the common
 rays (see Fan._validate_pairwise).
 """
 
-from itertools import combinations
-from math import gcd, lcm
+from itertools import combinations, islice
+from math import gcd
 
 from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError
@@ -101,33 +101,28 @@ def span_coords(basis, vectors):
     ]
 
 
-def _primitive_ray(sol, n):
-    """Primitive integer vector on the ray of a nonzero sparse rational
-    vector of length n."""
-    den = lcm(*[a.denominator for a in sol.values()])
-    return primitive(_dense({j: int(a * den) for j, a in sol.items()}, n))
-
-
 def cone_data(vectors, n):
     """Geometry of the cone generated by integer vectors in Z^n.
 
     Every cone starts with one rref of the rows [g_k | e_k]: the sorted
-    generators, each followed by its unit vector in Z^k.  Its first n
-    columns give span_eqs.  When every pivot lies there the generators
-    are linearly independent, as for every ray and 2-cone, and that one
+    generators, each followed by its unit vector in Z^k.  Its pivots
+    below n are the span's frame P, so a functional on the span is one
+    ambient functional supported on P, the form of every facet normal.
+    Its kernel, one vector per free column, gives span_eqs on the free
+    columns below n.  When every pivot lies below n the generators are
+    linearly independent, as for every ray and 2-cone, and that one
     elimination is all the cone needs: it is simplicial, so strictly
     convex with every generator extreme, its faces are the subsets of
-    the generators, and facet k's normal, the solution of g_j . x =
-    delta_jk with free coordinates zero, is read off column n + k.
+    the generators, and facet m's normal is x in the kernel vector
+    (x, c e_m) of column n + m, as g_j . x = -c delta_jm.
 
     Generators that are linearly dependent -- a non-simplicial cone such
     as the cone over a square, or an invalid one -- take the general
-    path.  One rref of the generators as columns gives the lex-first
-    basis, its pivot columns, and each generator's int coordinates in
-    it, its columns scaled by the lcm of the pivots.  Facets are the
-    hyperplanes through d - 1 generators with all of them on one side;
-    once their normals span (strict convexity), a generator is extreme
-    iff the facets containing it meet in it alone.
+    path.  Echelon inserts pick the lex-first basis.  Facets are the
+    hyperplanes through d - 1 generators with all of them on one side,
+    each normal the nullspace of those generators restricted to P; once
+    the normals span (strict convexity), a generator is extreme iff the
+    facets containing it meet in it alone.
 
     Raises InputError when the cone is not strictly convex, or when the
     listed generators are not exactly the extreme rays.
@@ -144,13 +139,15 @@ def cone_data(vectors, n):
     red, pivots = _linalg.rref(
         [{**_sparse(g), n + m: 1} for m, g in enumerate(gens)]
     )
+    frame = [p for p in pivots if p < n]
+    d = len(frame)
+    # one vector per free column, the n - d below n first
+    ker = _linalg.rref_kernel(red, pivots, n + k)
     data = ConeData()
-    data.span_eqs = tuple(
-        _dense(r, n) for r in _linalg.rref_kernel(red, pivots, n)
-    )
+    data.span_eqs = tuple(_dense(r, n) for r in ker[: n - d])
     data.extreme = tuple(gens)
-    if not pivots or pivots[-1] < n:
-        data.dim = k
+    data.dim = d
+    if d == k:
         data.basis = data.extreme
         # facet m drops generator m; dropping a later generator leaves
         # a lex-smaller sorted list, so facets come in descending m
@@ -158,10 +155,12 @@ def cone_data(vectors, n):
         data.facet_rays = tuple(
             frozenset(gens[:m] + gens[m + 1:]) for m in dropped
         )
-        data.facet_normals = tuple(
-            _primitive_ray(_linalg.rref_solution(red, pivots, n + m), n)
-            for m in dropped
-        )
+        # x is primitive: (x, c) is, and c = -g_m . x
+        normals = []
+        for m in dropped:
+            x, c = ker[n - d + m], ker[n - d + m][n + m]
+            normals.append(tuple(-a if c > 0 else a for a in _dense(x, n)))
+        data.facet_normals = tuple(normals)
         data.face_sets = frozenset(
             frozenset(face)
             for r in range(k + 1)
@@ -169,27 +168,20 @@ def cone_data(vectors, n):
         )
         return data
 
-    red, pivots = _linalg.rref([_sparse(g[i] for g in gens) for i in range(n)])
-    basis = tuple(gens[p] for p in pivots)
-    basis_rows = [_sparse(b) for b in basis]
-    d = len(basis)
-
-    if d == 1 and len(gens) > 1:
+    if d == 1:
         # two distinct primitive generators of rank 1 are opposite
         raise InputError("cone contains a line")
-    scale = lcm(*[row[p] for row, p in zip(red, pivots)])
-    mults = [(row, scale // row[p]) for row, p in zip(red, pivots)]
-    coords = [
-        tuple(m * row.get(j, 0) for row, m in mults) for j in range(len(gens))
-    ]
+    ech = _linalg.Echelon()
+    data.basis = tuple(islice((g for g in gens if ech.insert(_sparse(g))), d))
+    on_frame = [_sparse(g[p] for p in frame) for g in gens]
     # candidate facet hyperplanes from (d-1)-subsets of generators
     normals = {}
-    for sub in combinations(range(len(gens)), d - 1):
-        ker = _linalg.nullspace([_sparse(coords[i]) for i in sub], d)
-        if len(ker) != 1:
+    for sub in combinations(range(k), d - 1):
+        null = _linalg.nullspace([on_frame[i] for i in sub], d)
+        if len(null) != 1:
             continue
-        f = _dense(ker[0], d)
-        vals = [dot(f, c) for c in coords]
+        f = _dense({frame[c]: a for c, a in null[0].items()}, n)
+        vals = [dot(f, g) for g in gens]
         if all(v >= 0 for v in vals):
             pass
         elif all(v <= 0 for v in vals):
@@ -202,20 +194,16 @@ def cone_data(vectors, n):
     if _linalg.rank([_sparse(f) for f in normals]) != d:
         raise InputError("cone is not strictly convex")
     # a generator is extreme iff its minimal face holds no other one
-    for i in range(len(gens)):
-        member = set(range(len(gens)))
+    for i in range(k):
+        member = set(range(k))
         for onset in normals.values():
             if i in onset:
                 member &= onset
         if len(member) != 1:
             raise InputError("listed generators are not the extreme rays")
-    facets = {}  # rays on the facet -> ambient normal
+    facets = {}  # rays on the facet -> normal
     for f, onset in normals.items():
-        rayset = frozenset(gens[i] for i in onset)
-        if rayset not in facets:
-            facets[rayset] = _primitive_ray(
-                _linalg.solve(basis_rows, _sparse(f), n), n
-            )
+        facets.setdefault(frozenset(gens[i] for i in onset), f)
     data.facet_rays = tuple(sorted(facets, key=sorted))
     data.facet_normals = tuple(facets[fr] for fr in data.facet_rays)
     # face lattice: closure of the cone under intersections with facets
@@ -230,8 +218,6 @@ def cone_data(vectors, n):
                 work.append(nxt)
     faces.add(frozenset())
     data.face_sets = frozenset(faces)
-    data.dim = d
-    data.basis = basis
     return data
 
 
@@ -304,7 +290,7 @@ class Fan:
         self._by_rayset = by_rayset
         self._star = None
         self._signs = {}
-        # cone id -> (pivot columns P of its basis B, sign det B_P)
+        # cone id -> (frame P of its span, sign det B_P of its basis B)
         self._frames = {}
 
     @classmethod
@@ -494,10 +480,11 @@ class Fan:
         """The convention's determinant sign, without coordinates.
 
         The vectors V (rows) lie in the span of cone i's basis B (rows),
-        so V = C B for their coordinate matrix C.  On the pivot columns
-        P of the rref of B, B_P is invertible and V_P = C B_P, so
-        sign det C = sign det V_P * sign det B_P.  P and sign det B_P
-        are cached per cone.
+        so V = C B for their coordinate matrix C.  On the span's frame P
+        B_P is invertible and V_P = C B_P, so sign det C = sign det V_P *
+        sign det B_P.  The canonical span_eqs give P without elimination:
+        one per free column, each ends there.  P and sign det B_P are
+        cached per cone.
         """
         if not self.is_facet(j, i):
             raise InputError(f"cone {j} is not a facet of cone {i}")
@@ -505,15 +492,18 @@ class Fan:
         if ci.dim == 1:
             return 1
         if i not in self._frames:
+            free = {
+                max(k for k, a in enumerate(eq) if a) for eq in ci.span_eqs
+            }
+            frame = [k for k in range(self.n) if k not in free]
             basis = [self.rays[r] for r in ci.basis_rays]
-            _, pivots = _linalg.rref([_sparse(b) for b in basis])
-            self._frames[i] = pivots, _linalg.det_sign(
-                [[b[p] for p in pivots] for b in basis]
+            self._frames[i] = frame, _linalg.det_sign(
+                [[b[p] for p in frame] for b in basis]
             )
-        pivots, basis_sign = self._frames[i]
+        frame, basis_sign = self._frames[i]
         vecs = [self.rays[r] for r in self.cones[j].basis_rays]
         vecs.append(self.interior_point(i))
-        s = _linalg.det_sign([[v[p] for p in pivots] for v in vecs])
+        s = _linalg.det_sign([[v[p] for p in frame] for v in vecs])
         if s == 0:
             raise CertificateError("degenerate orientation determinant")
         return s * basis_sign

@@ -192,6 +192,11 @@ class FreeGradedModule:
     def dim_at(self, d):
         return len(self.piece_basis(d))
 
+    def generator(self, j):
+        """Generator j as (its degree, its unit vector in that piece)."""
+        d = self.degrees[j]
+        return d, {self.index_at(d)[(j, (0,) * self.ring.nvars)]: 1}
+
     def __repr__(self):
         return f"FreeGradedModule({self.ring.label}, {list(self.degrees)})"
 
@@ -326,6 +331,13 @@ class PolyMatrix:
             f"PolyMatrix({self.source!r} -> {self.target!r}, "
             f"{len(self.entries)} entries)"
         )
+
+
+def image_under(maps, d, vec):
+    """The image of a degree-d vector under the PolyMatrices in turn."""
+    for pm in maps:
+        vec = _linalg.matvec(pm.evaluate(d), vec)
+    return vec
 
 
 class DirectSumAmbient:

@@ -24,7 +24,7 @@ from fansheaf.fans import (
 
 import brute_oracle
 from brute_oracle import all_pairs_valid
-from conftest import RAY_IN_QUADRANT, SQUARE_DIAGONAL, fan_path
+from conftest import EXTRA_FANS, RAY_IN_QUADRANT, SQUARE_DIAGONAL, fan_path
 from quotient import cone_by_rays, quotient_fan
 from test_fuzz import FANS, FUZZ, mutated
 
@@ -397,11 +397,7 @@ def test_pair_check_intersects_each_pair_of_maximal_cones_once(
     assert len(calls) == math.comb(len(fan.maximal_cone_ids()), 2) == pairs
 
 
-GEOMETRY_FANS = FANS + [
-    TESTS.parent / "perfbench" / "inputs" / "cubestar.fan",
-    TESTS.parent / "perfbench" / "inputs" / "p4.fan",
-    TESTS / "cube4.fan",
-]
+GEOMETRY_FANS = FANS + list(EXTRA_FANS.values())
 
 
 def _typed(value):
@@ -506,24 +502,46 @@ def test_span_coords_matches_per_vector_solve(case):
     assert outcome(fans.span_coords) == outcome(brute_oracle.span_coords)
 
 
+def _count_calls(monkeypatch, *names):
+    """Per name, the list that records each call of that _linalg routine."""
+    calls = {}
+    for name in names:
+        real = getattr(_linalg, name)
+        calls[name] = []
+
+        def counted(*args, real=real, log=calls[name]):
+            log.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(_linalg, name, counted)
+    return calls
+
+
 def test_simplicial_geometry_takes_one_elimination_per_cone(monkeypatch):
     """Every cone of cubestar is simplicial, so loading it takes one
-    rref per cone.  Parsing the P^4 complex adds, for its signs, one
-    rref per cone of dimension at least 2 (the pivots of its basis)."""
-    calls = []
-    real = _linalg.rref
-
-    def counted(rows):
-        calls.append(rows)
-        return real(rows)
-
-    monkeypatch.setattr(_linalg, "rref", counted)
+    rref per cone.  Parsing the P^4 complex, whose cones are simplicial
+    too, takes no more: its signs read each cone's frame off its span
+    equations."""
+    calls = _count_calls(monkeypatch, "rref")["rref"]
     fan = load_fan(TESTS.parent / "perfbench" / "inputs" / "cubestar.fan")
     assert len(fan.cones) == 75 and len(calls) <= 75
     calls.clear()
     text = (TESTS.parent / "perfbench" / "inputs" / "p4.complex").read_text()
     M = complex_from_text(text, validate=False)
-    assert len(M.fan.cones) == 31 and len(calls) <= 31 + 25
+    assert len(M.fan.cones) == 31 and len(calls) <= 31
+
+
+def test_non_simplicial_geometry_solves_nothing(monkeypatch):
+    """cubefan has 27 cones, six of them over a square (d = 3, four
+    generators).  Loading it takes one rref per cone for its frame and
+    one nullspace per pair of a square's generators, 27 + 6 * 6, and no
+    solve: every facet normal is read on the frame."""
+    calls = _count_calls(monkeypatch, "rref", "solve", "rref_solution")
+    fan = load_fan(fan_path("cubefan"))
+    assert len(fan.cones) == 27
+    assert sum(len(c.rays) == 4 for c in fan.cones) == 6
+    assert len(calls["rref"]) == 27 + 6 * 6
+    assert not calls["solve"] and not calls["rref_solution"]
 
 
 def _all_pairs_rejects(build):
