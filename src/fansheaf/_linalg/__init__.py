@@ -23,9 +23,9 @@ residual as a new pivot at its leftmost entry.  rref, nullspace and
 solve insert one row at a time and add one back-substitution pass,
 which gives the canonical rational RREF scaled row by row to primitive
 int rows with positive pivot.  That form is unique, so what they return
-does not depend on the order of elimination.  rref_kernel and
-rref_solution read the nullspace and solve answers off such an rref of
-a wider matrix, so one elimination can serve several questions.
+does not depend on the order of elimination.  rref_kernel reads the
+nullspace off such an rref of a wider matrix, so one elimination can
+serve several questions.
 """
 
 from fractions import Fraction
@@ -269,19 +269,9 @@ def solve(rows, rhs, ncols):
     red, pivots = rref(aug)
     if pivots and pivots[-1] == ncols:
         return None
-    return rref_solution(red, pivots, ncols)
-
-
-def rref_solution(red, pivots, col):
-    """The solution x, free variables zero, of L @ x = c, read off the
-    rref (red, pivots) of a matrix [L | R] whose pivots all lie in L;
-    c is the matrix's column col, one of R's.
-
-    A sparse vector with int values where integral.
-    """
     sol = {}
     for row, p in zip(red, pivots):
-        b = row.get(col)
+        b = row.get(ncols)
         if b is not None:
             q = row[p]
             sol[p] = b // q if b % q == 0 else Fraction(b, q)

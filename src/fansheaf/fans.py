@@ -79,28 +79,6 @@ class ConeData:
     )
 
 
-def span_coords(basis, vectors):
-    """Coordinates of vectors in a basis of a span containing them: one
-    dense tuple per vector, int where integral, else Fraction.
-
-    One rref of [B^T | V], the basis vectors and then the vectors as
-    columns, gives them all.  A pivot in a vector's column means that
-    vector lies outside the span, and raises InputError.
-    """
-    d = len(basis)
-    rows = [
-        _sparse([b[i] for b in basis] + [v[i] for v in vectors])
-        for i in range(len(basis[0]))
-    ]
-    red, pivots = _linalg.rref(rows)
-    if pivots and pivots[-1] >= d:
-        raise InputError("vector outside the span of the basis")
-    return [
-        _dense(_linalg.rref_solution(red, pivots, d + c), d)
-        for c in range(len(vectors))
-    ]
-
-
 def cone_data(vectors, n):
     """Geometry of the cone generated by integer vectors in Z^n.
 

@@ -35,7 +35,6 @@ from functools import lru_cache
 
 from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
-from fansheaf.fans import span_coords
 from fansheaf.polys import degree, monomials
 
 
@@ -86,22 +85,33 @@ def restriction(source, target):
     Defined when the target basis spans a subspace of the source span;
     the rings may come from different fans in the same lattice.
     Variable i maps to the linear form whose value on target basis
-    vector b_j is the i-th coordinate of b_j in the source basis; equal
-    bases give the identity.
+    vector b_j is the i-th coordinate of b_j in the source basis.  When
+    b_j is source basis vector k those coordinates are e_k, read off by
+    position, as for every face of a simplicial cone, equal bases and
+    the origin's empty basis; otherwise one solve against the source
+    basis gives them, and a b_j outside the source span raises
+    InputError.
     """
     key = (source.basis, target.basis)
     if key not in _RESTRICTIONS:
-        if source.basis == target.basis:
-            # also the origin's ring, whose empty basis span_coords refuses
-            images = tuple(((i, 1),) for i in range(source.nvars))
-        else:
-            # column j: target basis vector j in source coordinates
-            cols = span_coords(source.basis, target.basis)
-            images = tuple(
-                tuple((j, col[i]) for j, col in enumerate(cols) if col[i])
-                for i in range(source.nvars)
-            )
-        _RESTRICTIONS[key] = images
+        position = {b: k for k, b in enumerate(source.basis)}
+        images = [[] for _ in range(source.nvars)]
+        for j, b in enumerate(target.basis):
+            if b in position:
+                images[position[b]].append((j, 1))
+                continue
+            # row i of B^T: coordinate i of every source basis vector
+            rows = [
+                {k: a[i] for k, a in enumerate(source.basis) if a[i]}
+                for i in range(len(b))
+            ]
+            rhs = {i: x for i, x in enumerate(b) if x}
+            col = _linalg.solve(rows, rhs, source.nvars)
+            if col is None:
+                raise InputError("vector outside the span of the basis")
+            for k, x in col.items():
+                images[k].append((j, x))
+        _RESTRICTIONS[key] = tuple(tuple(im) for im in images)
     return _RESTRICTIONS[key]
 
 

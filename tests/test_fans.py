@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from fansheaf import _linalg, fans
+from fansheaf import _linalg, fans, modules
 from fansheaf.complexes import complex_from_text
 from fansheaf.errors import InputError
 from fansheaf.fans import (
@@ -21,6 +21,7 @@ from fansheaf.fans import (
     primitive,
     subdivision_map,
 )
+from fansheaf.modules import ConeRing, restriction
 
 import brute_oracle
 from brute_oracle import all_pairs_valid
@@ -488,10 +489,19 @@ def span_cases(draw):
 @example(case=(((1, 0, 0), (0, 1, 0)), [(1, 1, 0), (2, 0, 0), (0, 0, 1)]))
 @example(case=(((1, 1), (1, -1)), [(1, 0), (0, 1)]))
 def test_span_coords_matches_per_vector_solve(case):
-    """span_coords gives the per-vector solve coordinates, number types
-    included, and raises exactly when some vector, possibly only the
-    last, lies outside the span."""
+    """The coordinates that restriction reads back off its forms, from
+    the ring of the basis to a ring whose basis is the vectors, are the
+    per-vector solve coordinates, number types included; it raises
+    exactly when some vector, possibly only the last, lies outside the
+    span."""
     basis, vectors = case
+
+    def by_restriction(basis, vectors):
+        source = ConeRing("source", len(basis), tuple(basis))
+        target = ConeRing("target", len(vectors), tuple(vectors))
+        with patch.object(modules, "_RESTRICTIONS", {}):
+            forms = [dict(form) for form in restriction(source, target)]
+        return [tuple(f.get(j, 0) for f in forms) for j in range(len(vectors))]
 
     def outcome(coords):
         try:
@@ -499,7 +509,7 @@ def test_span_coords_matches_per_vector_solve(case):
         except InputError as exc:
             return str(exc)
 
-    assert outcome(fans.span_coords) == outcome(brute_oracle.span_coords)
+    assert outcome(by_restriction) == outcome(brute_oracle.span_coords)
 
 
 def _count_calls(monkeypatch, *names):
@@ -536,12 +546,12 @@ def test_non_simplicial_geometry_solves_nothing(monkeypatch):
     generators).  Loading it takes one rref per cone for its frame and
     one nullspace per pair of a square's generators, 27 + 6 * 6, and no
     solve: every facet normal is read on the frame."""
-    calls = _count_calls(monkeypatch, "rref", "solve", "rref_solution")
+    calls = _count_calls(monkeypatch, "rref", "solve")
     fan = load_fan(fan_path("cubefan"))
     assert len(fan.cones) == 27
     assert sum(len(c.rays) == 4 for c in fan.cones) == 6
     assert len(calls["rref"]) == 27 + 6 * 6
-    assert not calls["solve"] and not calls["rref_solution"]
+    assert not calls["solve"]
 
 
 def _all_pairs_rejects(build):

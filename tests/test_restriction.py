@@ -7,13 +7,18 @@ target ring's coordinates, the image of u must equal u evaluated at the
 source-basis coordinates of the same vector sum(x_j b_j), which this
 file solves with plain Fraction elimination.
 The pairs are every (cone, face) of the corpus fans, every ("A", cone),
-and every (target cone, tile) of the five subdivision pairs.
+and every (target cone, tile) of the five subdivision pairs, of
+cubestar -> cubefan, of the three pairs that also subdivide a facet of
+a target cone, and of drawn stellar subdivisions of corpus fans.  A
+tile with a basis ray outside its target cone's basis takes the solve
+branch of restriction.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from fansheaf import modules
 from fansheaf.fans import load_fan, subdivision_map
@@ -26,12 +31,10 @@ from fansheaf.modules import (
 )
 from fansheaf.polys import degree
 
-from conftest import fan_path
+from conftest import FACET_SUBDIVISIONS, fan_file, fan_path
+from strategies import CORPUS, stellar_subdivisions
+from test_fans import _count_calls
 
-CORPUS = [
-    "p1", "p2", "p1xp1", "p3", "p2blow", "cubefan",
-    "quadrant", "conesquare", "conecube", "blowquad", "starsq", "twostep",
-]
 SUBDIVISIONS = [
     ("p2", "p2"),
     ("blowquad", "quadrant"),
@@ -140,17 +143,44 @@ def test_restriction_matches_evaluation_oracle(corpus, name):
         check_pair(src, tgt, fan.n, rng)
 
 
-@pytest.mark.parametrize("src,tgt", SUBDIVISIONS)
+@pytest.mark.parametrize(
+    "src,tgt", [*SUBDIVISIONS, ("cubestar", "cubefan"), *FACET_SUBDIVISIONS]
+)
 def test_tile_restriction_matches_evaluation_oracle(src, tgt):
     """Target cone rings restricted to the rings of their tiles, which
     live in another fan."""
     rng = random.Random(f"{src}-{tgt}")
-    fmap = subdivision_map(load_fan(fan_path(src)), load_fan(fan_path(tgt)))
+    fmap = subdivision_map(load_fan(fan_file(src)), load_fan(fan_file(tgt)))
     checked = 0
     for sigma_ring, tile_ring in tile_pairs(fmap):
         check_pair(sigma_ring, tile_ring, fmap.target.n, rng)
         checked += 1
     assert checked >= len(fmap.target.cones)
+
+
+@settings(max_examples=12, deadline=None)
+@given(fmap=stellar_subdivisions())
+def test_stellar_tile_restriction_matches_evaluation_oracle(fmap):
+    """Every (target cone, tile) restriction of a drawn stellar
+    subdivision of a corpus fan."""
+    rng = random.Random(0)
+    for sigma_ring, tile_ring in tile_pairs(fmap):
+        check_pair(sigma_ring, tile_ring, fmap.target.n, rng)
+
+
+@pytest.mark.parametrize("name", ["p4", "cubestar"])
+def test_simplicial_faces_restrict_without_elimination(monkeypatch, name):
+    """Every basis ray of a face of a simplicial cone is one of the
+    cone's, so each (cone, face) restriction is read off by position,
+    with no rref and no solve, from an empty table."""
+    fan = load_fan(fan_file(name))
+    monkeypatch.setattr(modules, "_RESTRICTIONS", {})
+    calls = _count_calls(monkeypatch, "rref", "solve")
+    for sigma in fan.cones:
+        for rho in sigma.face_ids:
+            restriction(cone_ring(fan, sigma.index), cone_ring(fan, rho))
+    assert len(modules._RESTRICTIONS) > len(fan.cones)
+    assert not calls["rref"] and not calls["solve"]
 
 
 @pytest.mark.parametrize("name", ["p2blow", "p3", "cubefan", "conecube"])
