@@ -130,11 +130,11 @@ def _cmd_stalks(args, rep):
 
 def _cmd_ih(args, rep):
     fan = load_fan(args.fan)
-    M = build_minimal(fan, window=_window(args, fan))
+    window = _window(args, fan)
     complete = is_complete(fan)
     if args.require_complete and not complete:
         raise InputError("fan is not complete")
-    degrees = ih_module(M)
+    degrees = ih_module(build_minimal(fan, window=window))
     for d, count in sorted(Counter(degrees).items()):
         rep.add("ih", degree=d, value=count)
     if not complete:

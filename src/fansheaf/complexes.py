@@ -10,19 +10,22 @@ the kernels, certificates and cohomology below run on.  The fan's
 incidence signs enter only the file format: a serialized complex stores
 each component divided by its sign.
 
-assemble gives the differential between listed cones on one degree
-piece in _linalg's one matrix form, a list of sparse rows {col: value}
-with no stored zeros, and assemble_key the local data that fixes it in
-every degree.  check_complex certifies shapes, grading, and the
-vanishing of the composite differential on each module's generators;
-check_locally_exact certifies, cone by cone, that each module surjects
-onto its boundary kernel, by two ranks per degree and once per distinct
-local data.  Ranks suffice only once check_complex has passed, so every
-caller stops on its problems first.  Both run on arbitrary complexes
-and return their problems: an empty list means the complex passes.
+assemble gives the differential between listed cones on one degree piece
+in _linalg's one matrix form, a list of sparse rows {col: value} with no
+stored zeros, and assemble_key the local data that fixes it in every
+degree.  sections cuts out every module a builder covers: the sections
+over listed tiles that glue across listed walls, over a ring.
+check_complex certifies shapes, grading, and the vanishing of the
+composite differential on each module's generators; check_locally_exact
+certifies, cone by cone, that each module surjects onto its boundary
+kernel, by two ranks per degree and once per distinct local data.  Ranks
+suffice only once check_complex has passed, so every caller stops on its
+problems first.  Both run on arbitrary complexes and return their
+problems: an empty list means the complex passes.
 """
 
 from contextlib import contextmanager
+from functools import partial
 from itertools import accumulate
 
 from fansheaf import _linalg
@@ -36,7 +39,7 @@ from fansheaf.modules import (
     cover_is_free_certificate,
     family_from_kernel,
     image_under,
-    minimal_free_cover,
+    kernel_cover,
 )
 from fansheaf.polys import degree, format_poly, parse_poly
 
@@ -174,30 +177,35 @@ def _composite(paths, d, vec):
     return {r: x for r, x in total.items() if x}
 
 
+def sections(M, ring, tiles, walls):
+    """(ambient, rows_at, key): the tiles' modules summed over ring, the
+    degreewise rows from the tiles into the walls, whose kernel is the
+    sections that glue across the walls, and their assemble_key.  They
+    cut out stalks (boundary_setup), direct images and the top module."""
+    ambient = DirectSumAmbient(ring, [M.modules[i] for i in tiles])
+    rows_at = partial(assemble, M, tiles, walls)
+    return ambient, rows_at, assemble_key(M, tiles, walls)
+
+
 def boundary_setup(M, cone_id):
-    """(ambient, facets, rows_at, key) of a cone: its facet modules over
-    its ring, their ids in part order, the degreewise constraint rows
-    (the differential from the facets into the codimension-2 faces
-    inside the cone), and their assemble_key."""
+    """(facets, ambient, rows_at, key) of a cone: its facets' ids in part
+    order, then the sections of the facets across its codimension-2
+    faces over its ring."""
     fan = M.fan
     cone = fan.cones[cone_id]
     facets = [i for i in cone.facet_ids if M.rank_at(i)]
-    ring = cone_ring(fan, cone_id)
-    ambient = DirectSumAmbient(ring, [M.modules[i] for i in facets])
     codim2 = [
         i
         for i in cone.face_ids
         if fan.cones[i].dim == cone.dim - 2 and M.rank_at(i)
     ]
-    key = assemble_key(M, facets, codim2)
-    return ambient, facets, lambda d: assemble(M, facets, codim2, d), key
+    return facets, *sections(M, cone_ring(fan, cone_id), facets, codim2)
 
 
 def boundary_kernel(M, cone_id):
     """Kernel family of the restricted complex at a cone's own slot."""
-    ambient, facets, rows_at, _ = boundary_setup(M, cone_id)
-    fam = family_from_kernel(ambient, rows_at, M.window)
-    return fam, facets
+    facets, ambient, rows_at, _ = boundary_setup(M, cone_id)
+    return family_from_kernel(ambient, rows_at, M.window), facets
 
 
 def local_exactness(M, i):
@@ -212,7 +220,7 @@ def local_exactness(M, i):
     of the cone-to-facets block, which is the rank of its transpose.
     """
     lo, hi = M.window
-    ambient, facets, rows_at, _ = boundary_setup(M, i)
+    facets, ambient, rows_at, _ = boundary_setup(M, i)
     failures = []
     for d in range(lo, hi + 1):
         fdim = ambient.dim_at(d)
@@ -244,7 +252,7 @@ def check_locally_exact(M):
     memo = {}
     failures = []
     for i in range(1, len(M.fan.cones)):  # cone 0 is the origin
-        _, facets, _, boundary = boundary_setup(M, i)
+        facets, _, _, boundary = boundary_setup(M, i)
         key = (boundary, assemble_key(M, [i], facets))
         if key not in memo:
             memo[key] = local_exactness(M, i)
@@ -301,24 +309,19 @@ def cohomology_degreewise(M):
 
 
 def top_module(M):
-    """The kernel at the lowest slot as a module over the full ring.
-
-    Its minimal generators are computed over the window and degreewise
-    freeness is certified by Hilbert comparison.  Returns (generator
-    degrees, offender), the offender None when the module is free, as
-    in cover_is_free_certificate.
+    """The kernel at the lowest slot as a module over the full ring: the
+    maximal cones' sections over "A", covered by kernel_cover on a memo
+    of its own.  Returns (generator degrees, offender), the offender None
+    when the module is free, as in cover_is_free_certificate.
     """
     n = M.fan.n
     top_ids = [i for i in M.fan.cones_of_dim(n) if M.rank_at(i)]
     if not top_ids:
         return (), "no top-dimensional modules"
+    walls = [i for i in M.fan.cones_of_dim(n - 1) if M.rank_at(i)]
     ring = cone_ring(M.fan, "A")
-    ambient = DirectSumAmbient(ring, [M.modules[i] for i in top_ids])
-    tgts = [i for i in M.fan.cones_of_dim(n - 1) if M.rank_at(i)]
-    family = family_from_kernel(
-        ambient, lambda d: assemble(M, top_ids, tgts, d), M.window
-    )
-    cover = minimal_free_cover(family)
+    ambient, rows_at, key = sections(M, ring, top_ids, walls)
+    cover = kernel_cover(ambient, rows_at, M.window, {}, key)
     return cover.module.degrees, cover_is_free_certificate(cover)
 
 

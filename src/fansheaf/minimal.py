@@ -2,14 +2,14 @@
 
 A minimal complex based at a cone starts from a free rank-one module on
 that cone and walks the cones of its star by increasing dimension: each
-cone's boundary kernel gets a minimal free cover, whose blocks become
-the differential's components.  One build computes each distinct local
-kernel cover once (modules.kernel_cover), keyed on the assemble_key of
-the cone's constraint rows, so a repeated cone assembles none;
-verify_minimality never reads that memo and recomputes every kernel
-from the complex.  The origin-based complex is the one based at the
-origin without shift: the ground field placed in degree minus the
-ambient dimension, and the whole fan as the star.
+cone's boundary kernel, its facets' complexes.sections, gets a minimal
+free cover, whose blocks become the differential's components.  One
+build computes each distinct local kernel cover once
+(modules.kernel_cover), keyed on the sections' key, so a repeated cone
+assembles no rows; verify_minimality never reads that memo and
+recomputes every kernel from the complex.  The origin-based complex is
+the one based at the origin without shift: the ground field placed in
+degree minus the ambient dimension, and the whole fan as the star.
 """
 
 from fansheaf.complexes import (
@@ -75,7 +75,7 @@ def _extend(M, cone_ids):
     """
     memo = {}
     for i in cone_ids:
-        ambient, facets, rows_at, key = boundary_setup(M, i)
+        facets, ambient, rows_at, key = boundary_setup(M, i)
         cover = kernel_cover(ambient, rows_at, M.window, memo, key)
         if cover.module.rank() == 0:
             continue

@@ -1,15 +1,15 @@
 """Direct images of complexes along proper subdivision maps.
 
 For each target cone the direct image module is carved out of the sum of
-the modules on its same-dimension preimage tiles: the sections that
-glue across its interior walls (source cones of codimension 1 in its
-relative interior), where their differential components cancel.  A
+the modules on its same-dimension preimage tiles: complexes.sections of
+the tiles across its interior walls (source cones of codimension 1 in
+its relative interior), where their differential components cancel.  A
 minimal free cover of that kernel family gives the new module,
 certified degreewise free by Hilbert comparison where it is built, and
 the induced differential lifts each generator's image through the
 facet's cover.  One call computes each distinct local kernel cover once
-(modules.kernel_cover, keyed on the assemble_key of the interior-wall
-block); verify_pushforward never reads that memo.
+(modules.kernel_cover, keyed on the sections' key); verify_pushforward
+never reads that memo.
 
 That a section's image in a facet's tiles lies in the facet's module
 needs no constraint of its own: it follows from d^2 = 0 in the source.
@@ -29,14 +29,13 @@ from fansheaf import _linalg
 from fansheaf.complexes import (
     FanComplex,
     assemble,
-    assemble_key,
     check_complex,
     check_locally_exact,
     cohomology_degreewise,
+    sections,
 )
 from fansheaf.errors import CertificateError, InputError
 from fansheaf.modules import (
-    DirectSumAmbient,
     PolyMatrix,
     cone_ring,
     cover_is_free_certificate,
@@ -66,14 +65,9 @@ def pushforward(fan_map, M):
         tiles = tuple(i for i in fan_map.preimage_cones(s) if M.rank_at(i))
         if not tiles:
             continue
-        # the differential from the tiles into listed cones, per degree,
-        # shared by this cone's kernel and its induced differential
-        block = cache(partial(assemble, M, tiles))
-        ring = cone_ring(tgt_fan, s)
-        ambient = DirectSumAmbient(ring, [M.modules[i] for i in tiles])
-        interior = tuple(walls.get(s, ()))
-        rows_at = partial(block, interior)
-        local = assemble_key(M, tiles, interior)
+        ambient, rows_at, local = sections(
+            M, cone_ring(tgt_fan, s), tiles, walls.get(s, ())
+        )
         cover = kernel_cover(ambient, rows_at, M.window, memo, local)
         offender = cover_is_free_certificate(cover)
         if offender is not None:
@@ -85,6 +79,8 @@ def pushforward(fan_map, M):
         if cover.module.rank() == 0:
             continue
         N.modules[s] = cover.module
+        # the differential from the tiles into a facet's tiles, per degree
+        block = cache(partial(assemble, M, tiles))
         for f in sigma.facet_ids:
             if f not in N.modules:
                 continue

@@ -5,7 +5,9 @@ fan that it rejects is a bug in the strategy, never a case to skip.
 """
 
 from functools import lru_cache
+from math import atan2, gcd
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from fansheaf.fans import Fan, load_fan, primitive, subdivision_map
@@ -54,3 +56,36 @@ def stellar_subdivisions(draw):
     fmap = subdivision_map(Fan.from_cones(fan.n, rays, cones), fan)
     assert fmap.proper, "a stellar subdivision has the support of its fan"
     return fmap
+
+
+# primitive vectors of the plane with entries in [-3, 3]
+PLANE_RAYS = [
+    (a, b)
+    for a in range(-3, 4)
+    for b in range(-3, 4)
+    if gcd(a, b) == 1
+]
+
+
+@st.composite
+def complete_fans_2d(draw):
+    """A complete fan of the plane on 3 to 6 distinct primitive rays
+    with entries in [-3, 3].
+
+    The rays are ordered by angle and each consecutive pair, the last
+    with the first, spans a cone.  Every consecutive cross product must
+    be positive: then each cone is strictly convex, turns less than a
+    half-plane, and the cones go once round the origin, so they meet
+    only in common rays and cover the plane.
+    """
+    rays = draw(
+        st.lists(st.sampled_from(PLANE_RAYS), min_size=3, max_size=6,
+                 unique=True)
+    )
+    rays.sort(key=lambda v: atan2(v[1], v[0]))
+    pairs = [(i, (i + 1) % len(rays)) for i in range(len(rays))]
+    assume(all(
+        rays[i][0] * rays[j][1] - rays[i][1] * rays[j][0] > 0
+        for i, j in pairs
+    ))
+    return Fan.from_cones(2, rays, [list(pair) for pair in pairs])

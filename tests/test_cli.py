@@ -549,17 +549,25 @@ def test_non_utf8_input_exits_two(tmp_path, capsys, argv):
 
 
 def test_ih_require_complete_refuses_incomplete_fan(capsys):
-    """ih --require-complete refuses the quadrant with exit 2; without
-    the flag the quadrant's top module is reported with no prediction."""
+    """ih --require-complete refuses an incomplete fan with exit 2 before
+    it builds anything, so a window the build would exhaust (conecube's
+    cone 21, conesquare's cone 9) still gives the one input-error
+    record; without the flag the quadrant's top module is reported with
+    no prediction."""
+    for name, window in [
+        ("quadrant", ()),
+        ("conecube", ("--degree-max", "-1")),
+        ("conesquare", ("--degree-max", "0")),
+    ]:
+        code, out = _run(
+            capsys, "--format", "machine",
+            "ih", "--require-complete", "--fan", str(fan_path(name)), *window,
+        )
+        assert code == 2, name
+        assert out.splitlines() == [
+            "error\t-\t-\tfan is not complete\tinput-error"
+        ], name
     quadrant = str(fan_path("quadrant"))
-    code, out = _run(
-        capsys, "--format", "machine",
-        "ih", "--require-complete", "--fan", quadrant,
-    )
-    assert code == 2
-    assert out.splitlines() == [
-        "error\t-\t-\tfan is not complete\tinput-error"
-    ]
     code, out = _run(capsys, "--format", "machine", "ih", "--fan", quadrant)
     assert code == 0
     assert out.splitlines() == [

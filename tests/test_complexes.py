@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fansheaf import _linalg, complexes
+from fansheaf import _linalg, complexes, modules
 from fansheaf.complexes import (
     FanComplex,
     assemble,
@@ -22,6 +22,7 @@ from fansheaf.complexes import (
     cohomology_degreewise,
     complex_from_text,
     complex_to_text,
+    sections,
     top_module,
 )
 from fansheaf.cli import main
@@ -39,7 +40,7 @@ from fansheaf.modules import (
 from fansheaf.pushforward import verify_pushforward
 
 from brute_oracle import membership_exactness, nonzero_composites
-from conftest import fan_path
+from conftest import fan_file, fan_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 P4_COMPLEX = GOLDEN.parent.parent / "perfbench" / "inputs" / "p4.complex"
@@ -189,7 +190,7 @@ def test_rank_exactness_matches_membership_reference():
 
 def test_exactness_builds_no_kernel_basis_on_p4(monkeypatch):
     """On the benchmark's P^4 complex the certificate ranks only: no
-    boundary kernel and no nullspace."""
+    kernel family, wherever it is bound, and no nullspace."""
     M = complex_from_text(P4_COMPLEX.read_text())
     calls = Counter()
 
@@ -203,7 +204,8 @@ def test_exactness_builds_no_kernel_basis_on_p4(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(_linalg, "nullspace")
-    counting(complexes, "boundary_kernel")
+    counting(complexes, "family_from_kernel")
+    counting(modules, "family_from_kernel")
     assert check_locally_exact(M) == []
     assert calls == Counter()
 
@@ -297,8 +299,10 @@ def test_exactness_memo_equals_a_run_per_cone():
 def test_assemble_key_fixes_the_rows():
     """Equal keys give equal rows in every degree, over every ordered
     choice of one or two source cones and one or two target cones of
-    P^2's minimal complex; some distinct choices share a key."""
+    P^2's minimal complex; some distinct choices share a key.  sections
+    of the sources across the targets gives the same rows and key."""
     M = build_minimal(load_fan(fan_path("p2")))
+    ring = cone_ring(M.fan, "A")
     ids = [c.index for c in M.fan.cones]
     choices = [(i,) for i in ids] + [
         (i, j) for i in ids for j in ids if i != j
@@ -310,6 +314,9 @@ def test_assemble_key_fixes_the_rows():
         for tgt in choices:
             got = [assemble(M, src, tgt, d) for d in range(lo, hi + 1)]
             key = assemble_key(M, src, tgt)
+            _, rows_at, sections_key = sections(M, ring, src, tgt)
+            assert sections_key == key
+            assert [rows_at(d) for d in range(lo, hi + 1)] == got
             shared += key in rows
             assert rows.setdefault(key, got) == got, (src, tgt)
     assert shared
@@ -493,16 +500,18 @@ def test_serialization_rejects_generators_outside_window():
         complex_from_text(bad, validate=False)
 
 
-def test_verify_builds_ambients_only_in_boundary_setup(monkeypatch, capsys):
-    """verify of a golden complex evaluates its maps without a
-    multiplier per evaluation: every DirectSumAmbient comes from
-    boundary_setup, and none multiplies by a variable."""
+def _ambient_callers(monkeypatch, capsys, *argv):
+    """Run the CLI with machine records, which must exit 0, counting
+    each DirectSumAmbient by (its constructor's caller, that caller's
+    caller) and recording each apply_mult's (variable, degree): (callers,
+    applied, the records)."""
     callers = Counter()
     applied = []
     init, apply_mult = DirectSumAmbient.__init__, DirectSumAmbient.apply_mult
 
     def counting_init(self, base_ring, parts):
-        callers[sys._getframe(1).f_code.co_name] += 1
+        frames = sys._getframe(1), sys._getframe(2)
+        callers[tuple(f.f_code.co_name for f in frames)] += 1
         init(self, base_ring, parts)
 
     def counting_apply(self, i, d, vec):
@@ -511,9 +520,51 @@ def test_verify_builds_ambients_only_in_boundary_setup(monkeypatch, capsys):
 
     monkeypatch.setattr(DirectSumAmbient, "__init__", counting_init)
     monkeypatch.setattr(DirectSumAmbient, "apply_mult", counting_apply)
-    path = GOLDEN / "cubefan.complex"
-    code = main(["--format", "machine", "verify", "--complex", str(path)])
+    code = main(["--format", "machine", *map(str, argv)])
     assert code == 0
-    assert "complex\t" in capsys.readouterr().out
-    assert set(callers) == {"boundary_setup"}
+    return callers, applied, capsys.readouterr().out
+
+
+def test_verify_builds_ambients_only_in_boundary_setup(monkeypatch, capsys):
+    """verify of a golden complex evaluates its maps without a
+    multiplier per evaluation: every DirectSumAmbient comes from
+    sections through boundary_setup, and none multiplies by a
+    variable."""
+    callers, applied, out = _ambient_callers(
+        monkeypatch, capsys, "verify", "--complex", GOLDEN / "cubefan.complex"
+    )
+    assert "complex\t" in out
+    assert set(callers) == {("sections", "boundary_setup")}
     assert not applied
+
+
+@pytest.mark.parametrize(
+    "argv, routes, record",
+    [
+        (
+            ("ih", "--fan", fan_file("cubefan")),
+            {"boundary_setup", "top_module"},
+            "ih-oracle\t",
+        ),
+        (
+            (
+                "decompose", "--fan", fan_file("cubefan"),
+                "--subdivision", fan_file("cubestar"),
+            ),
+            {"boundary_setup", "pushforward"},
+            "decomposition\t",
+        ),
+    ],
+    ids=["ih-cubefan", "decompose-cubestar-cubefan"],
+)
+def test_builders_build_ambients_only_in_sections(
+    monkeypatch, capsys, argv, routes, record
+):
+    """ih and decompose: every DirectSumAmbient comes from sections,
+    called for stalks (boundary_setup), direct images (pushforward) and
+    the top module, which takes one."""
+    callers, _, out = _ambient_callers(monkeypatch, capsys, *argv)
+    assert record in out
+    assert {caller for caller, _ in callers} == {"sections"}
+    assert {route for _, route in callers} == routes
+    assert callers[("sections", "top_module")] == ("top_module" in routes)

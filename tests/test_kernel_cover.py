@@ -12,13 +12,13 @@ from functools import cache
 
 import pytest
 
-from fansheaf import _linalg, minimal, modules
+from fansheaf import _linalg, complexes, minimal, modules
 from fansheaf import pushforward as pushforward_module
 from fansheaf.complexes import assemble
 from fansheaf.decompose import decomposition_theorem_report
 from fansheaf.errors import CertificateError, WindowExhausted
 from fansheaf.fans import load_fan, subdivision_map
-from fansheaf.minimal import build_minimal
+from fansheaf.minimal import build_minimal, ih_module
 from fansheaf.modules import (
     ConeRing,
     DirectSumAmbient,
@@ -139,6 +139,26 @@ def test_generator_searches_counted_on_cubestar(monkeypatch):
     assert len(calls) == 4
 
 
+def _count_lookups_and_searches(monkeypatch):
+    """The calls list that every kernel_cover lookup, wherever a builder
+    binds it, and every generator search append to."""
+    calls = []
+    real_cover, real_search = modules.kernel_cover, modules.minimal_generators
+
+    def cover(*args):
+        calls.append("lookup")
+        return real_cover(*args)
+
+    def search(family):
+        calls.append("search")
+        return real_search(family)
+
+    for binding in (minimal, pushforward_module, complexes):
+        monkeypatch.setattr(binding, "kernel_cover", cover)
+    monkeypatch.setattr(modules, "minimal_generators", search)
+    return calls
+
+
 @pytest.mark.parametrize(
     "src,tgt,lookups,searches",
     [
@@ -153,24 +173,21 @@ def test_cover_lookups_and_searches_per_decompose(
     """One decompose, from the source's minimal complex to the summand
     builds, on the pairs that subdivide a target facet: the lookups, and
     one generator search per distinct local kernel."""
-    calls = []
-    real_cover, real_search = modules.kernel_cover, modules.minimal_generators
-
-    def cover(*args):
-        calls.append("lookup")
-        return real_cover(*args)
-
-    def search(family):
-        calls.append("search")
-        return real_search(family)
-
-    monkeypatch.setattr(minimal, "kernel_cover", cover)
-    monkeypatch.setattr(pushforward_module, "kernel_cover", cover)
-    monkeypatch.setattr(modules, "minimal_generators", search)
+    calls = _count_lookups_and_searches(monkeypatch)
     decomposition_theorem_report(_map(src, tgt))
     assert (calls.count("lookup"), calls.count("search")) == (
         lookups, searches
     )
+
+
+def test_cover_lookups_and_searches_per_ih(monkeypatch):
+    """ih on cubefan: the build's 26 lookups with 3 searches, then the
+    top module's lookup on a memo of its own, a miss and the fourth
+    search."""
+    calls = _count_lookups_and_searches(monkeypatch)
+    ih_module(build_minimal(load_fan(fan_file("cubefan"))))
+    assert (calls.count("lookup"), calls.count("search")) == (27, 4)
+    assert calls[-2:] == ["lookup", "search"]
 
 
 def _unit_ring(label, nvars, basis=None):

@@ -3,8 +3,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
-from fansheaf import complexes, minimal
+from fansheaf import complexes, modules
+from fansheaf.combinatorics import predicted_ih_degrees
 from fansheaf.complexes import FanComplex, complex_to_text
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
 from fansheaf.fans import Fan, is_complete, load_fan
@@ -19,6 +21,7 @@ from fansheaf.modules import FreeGradedModule, PolyMatrix
 
 from conftest import fan_path
 from quotient import quotient_fan
+from strategies import complete_fans_2d
 from test_complexes import quadrant_complex
 
 
@@ -38,16 +41,18 @@ def test_verify_minimality_quadrant_and_complete_line():
 
 
 def _count_boundary_kernels(monkeypatch):
-    """Counter of boundary_kernel calls per cone, wherever it is bound."""
+    """Counter of the kernel families built per cone, wherever
+    family_from_kernel is bound: a boundary kernel's ambient is over its
+    cone's ring, labelled by the cone id."""
     calls = Counter()
-    real = complexes.boundary_kernel
+    real = modules.family_from_kernel
 
-    def counting(M, cone_id):
-        calls[cone_id] += 1
-        return real(M, cone_id)
+    def counting(ambient, rows_by_degree, window):
+        calls[ambient.base_ring.label] += 1
+        return real(ambient, rows_by_degree, window)
 
-    monkeypatch.setattr(complexes, "boundary_kernel", counting)
-    monkeypatch.setattr(minimal, "boundary_kernel", counting)
+    monkeypatch.setattr(complexes, "family_from_kernel", counting)
+    monkeypatch.setattr(modules, "family_from_kernel", counting)
     return calls
 
 
@@ -226,3 +231,15 @@ def test_ih_rejects_stray_cohomology():
     M = build_minimal(fan)
     with pytest.raises(CertificateError):
         ih_module(M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fan=complete_fans_2d())
+def test_random_complete_plane_fans_match_ih_oracle(fan):
+    """A drawn complete fan of the plane: its minimal complex passes
+    verify_minimality, and the top module, cut out by sections over the
+    full ring, has the g-polynomial's generator degrees."""
+    assert is_complete(fan)
+    M = build_minimal(fan)
+    assert verify_minimality(M) == []
+    assert ih_module(M) == predicted_ih_degrees(fan)

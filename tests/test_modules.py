@@ -340,7 +340,7 @@ def _oracle_ambients(name):
     of the top modules over the full ring ("A")."""
     M = build_minimal(load_fan(fan_path(name)))
     for cone in M.fan.cones:
-        yield boundary_setup(M, cone.index)[0], M.window
+        yield boundary_setup(M, cone.index)[1], M.window
     if name == "cubefan":
         top = [i for i in M.fan.cones_of_dim(M.fan.n) if M.rank_at(i)]
         ambient = DirectSumAmbient(
@@ -404,7 +404,7 @@ def test_mult_by_var_matches_exponent_oracle(name):
     path = CUBESTAR if name == "cubestar" else fan_path(name)
     M = build_minimal(load_fan(path))
     n = M.fan.n
-    ambients = [boundary_setup(M, c.index)[0] for c in M.fan.cones]
+    ambients = [boundary_setup(M, c.index)[1] for c in M.fan.cones]
     top = [i for i in M.fan.cones_of_dim(n) if M.rank_at(i)]
     ambients.append(
         DirectSumAmbient(cone_ring(M.fan, "A"), [M.modules[i] for i in top])
