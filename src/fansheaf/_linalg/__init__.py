@@ -296,33 +296,3 @@ def transpose(rows, ncols):
             cols[j][i] = x
     return cols
 
-
-def det_sign(rows):
-    """Sign of the determinant of a square int/Fraction matrix: -1, 0, 1.
-
-    Dense: it is only used on orientation matrices of at most n x n.
-    Each row is first cleared of its denominators, a positive scale, and
-    the int matrix is then eliminated fraction-free (Bareiss 1968): the
-    entries after step k are minors of order k + 1, every division is
-    exact, and the last pivot is the determinant up to the sign of the
-    row swaps.
-    """
-    mat = []
-    for row in rows:
-        den = lcm(*[a.denominator for a in row])
-        mat.append([a.numerator * (den // a.denominator) for a in row])
-    n = len(mat)
-    sign, prev = 1, 1
-    for k in range(n):
-        p = next((r for r in range(k, n) if mat[r][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            mat[k], mat[p] = mat[p], mat[k]
-            sign = -sign
-        pivot, prow = mat[k][k], mat[k]
-        for r in range(k + 1, n):
-            f = mat[r][k]
-            mat[r] = [(pivot * a - f * b) // prev for a, b in zip(mat[r], prow)]
-        prev = pivot
-    return sign if prev > 0 else -sign

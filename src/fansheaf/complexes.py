@@ -6,9 +6,8 @@ each (cone, facet) pair, the component of the differential between
 them; together they send the sum of the dimension-i modules to the sum
 of the dimension-(i-1) modules.  Homological degree of a cone's slot is
 minus its dimension.  A complex owns its degree window M.window, which
-the kernels, certificates and cohomology below run on.  The fan's
-incidence signs enter only the file format: a serialized complex stores
-each component divided by its sign.
+the kernels, certificates and cohomology below run on.  A serialized
+complex holds each component as it acts.
 
 assemble gives the differential between listed cones on one degree piece
 in _linalg's one matrix form, a list of sparse rows {col: value} with no
@@ -327,14 +326,17 @@ def top_module(M):
 
 # ----- serialization -----
 
-FORMAT_LINE = "complex-format 1"
+FORMAT_LINE = "complex-format 2"
+# the earlier format, still read: a `sign` line per map, +1 or -1, and
+# `entry` lines holding the map divided by it
+FORMAT_1 = "complex-format 1"
 
 
 def complex_to_text(M):
     """Canonical text form embedding the fan, window, modules and maps.
 
-    Each nonzero map is written as a `sign` line, the fan's incidence
-    sign, and `entry` lines holding the map divided by that sign.
+    Each nonzero map is written as `entry` lines holding the map as it
+    acts.
     """
     window = f"window {M.window[0]} {M.window[1]}"
     lines = [FORMAT_LINE, window, M.fan.to_text().rstrip("\n")]
@@ -346,16 +348,11 @@ def complex_to_text(M):
             f"module {i}: " + " ".join(str(d) for d in m.degrees)
         )
     for (s, t) in sorted(M.maps):
-        pm = M.maps[(s, t)]
-        if pm.is_zero():
-            continue
-        sign = M.fan.incidence_sign(s, t)
-        lines.append(f"sign {s} {t}: {sign:+d}")
-        for (i, j) in sorted(pm.entries):
-            entry = format_poly(
-                {u: sign * c for u, c in pm.entries[(i, j)].items()}
+        entries = M.maps[(s, t)].entries
+        for (i, j) in sorted(entries):
+            lines.append(
+                f"entry {s} {t} {i} {j}: {format_poly(entries[(i, j)])}"
             )
-            lines.append(f"entry {s} {t} {i} {j}: {entry}")
     return "\n".join(lines) + "\n"
 
 
@@ -369,20 +366,21 @@ def _at_line(lineno, line):
 
 
 def complex_from_text(text, validate=True):
-    """Parse complex_to_text output; signs are recomputed and verified.
+    """Parse complex_to_text output, or a complex-format 1 file.
 
     Each keyed line appears once: one window line, which is required,
-    one module line per cone, one entry line per map and position, and
-    exactly one sign line per map with entries.  Generator degrees lie
-    in [lo, hi - 2] of the window lo hi, the range every builder
-    writes.  Each map is stored as its entries times the fan's incidence
-    sign.
+    one module line per cone and one entry line per map and position.
+    Generator degrees lie in [lo, hi - 2] of the window lo hi, the range
+    every builder writes.  Format 2 has no sign lines.  A format-1 file
+    has exactly one sign line per map with entries, +1 or -1, and each
+    of its maps is its entries times the sign the file states.
     With validate=False the parsed complex is returned without running
     check_complex, so callers can run the certificate suite themselves
     and report failures instead of refusing the file.
     """
     lines = text.splitlines()
-    if not lines or lines[0].strip() != FORMAT_LINE:
+    header = lines[0].strip() if lines else ""
+    if header not in (FORMAT_LINE, FORMAT_1):
         raise InputError("missing complex-format header")
     window = None
     # fan lines stay at their own positions, so parse_fan's line numbers
@@ -411,7 +409,7 @@ def complex_from_text(text, validate=True):
             module_lines.append((lineno, line))
         elif keyword == "entry":
             entry_lines.append((lineno, line))
-        elif keyword == "sign":
+        elif keyword == "sign" and header == FORMAT_1:
             sign_lines.append((lineno, line))
         else:
             raise InputError(f"line {lineno}: unrecognized line: {raw.strip()!r}")
@@ -453,43 +451,40 @@ def complex_from_text(text, validate=True):
                 raise ValueError(f"repeated entry ({i},{j}) of map {s}->{t}")
             entries[(i, j)] = poly
             first_entry.setdefault((s, t), (lineno, line))
-    maps = {}
-    for (s, t), entries in entries_by_pair.items():
+    for (s, t), at in first_entry.items():
         if not fan.is_facet(t, s):
-            with _at_line(*first_entry[(s, t)]):
+            with _at_line(*at):
                 raise ValueError(f"map {s}->{t}: target is not a facet")
-        sign = fan.incidence_sign(s, t)
-        maps[(s, t)] = PolyMatrix(
-            modules[s],
-            modules[t],
-            {
-                ij: {u: sign * c for u, c in p.items()}
-                for ij, p in entries.items()
-            },
-        )
-    signed = set()
+    signs = {}
     for lineno, line in sign_lines:
         with _at_line(lineno, line):
             keys, body = line_fields(line, "sign s t: e")
             s, t = int(keys[0]), int(keys[1])
-            got = int(body)
             for i in (s, t):
                 if not 0 <= i < len(fan.cones):
                     raise InputError(f"sign line for unknown cone {i}")
-            if (s, t) in signed:
+            if (s, t) in signs:
                 raise ValueError(f"repeated sign line for map {s}->{t}")
             if (s, t) not in entries_by_pair:
                 raise ValueError(f"sign line for map {s}->{t} with no entries")
-            signed.add((s, t))
-            want = fan.incidence_sign(s, t)
-            if got != want:
-                raise InputError(
-                    f"sign {s} {t} is {got}, convention gives {want}"
-                )
-    for (s, t), (lineno, line) in first_entry.items():
-        if (s, t) not in signed:
-            with _at_line(lineno, line):
-                raise ValueError(f"map {s}->{t} has entries but no sign line")
+            sign = int(body)
+            if sign not in (1, -1):
+                raise ValueError(f"sign of map {s}->{t} is neither +1 nor -1")
+            signs[(s, t)] = sign
+    if header == FORMAT_1:
+        for (s, t), at in first_entry.items():
+            if (s, t) not in signs:
+                with _at_line(*at):
+                    raise ValueError(
+                        f"map {s}->{t} has entries but no sign line"
+                    )
+    maps = {}
+    for (s, t), entries in entries_by_pair.items():
+        if signs.get((s, t)) == -1:
+            entries = {
+                ij: {u: -c for u, c in p.items()} for ij, p in entries.items()
+            }
+        maps[(s, t)] = PolyMatrix(modules[s], modules[t], entries)
     M = FanComplex(fan, modules, maps, window)
     if validate:
         problems = check_complex(M)

@@ -3,7 +3,7 @@
 Cones are strictly convex and listed by their extreme primitive integer
 rays.  A Fan stores the full face-closed cone collection in a canonical
 order (rays sorted lexicographically, cones by (dim, ray tuple)), so two
-runs over the same input produce identical ids, bases, and signs.
+runs over the same input produce identical ids and bases.
 
 All geometric predicates -- facets, face lattices, intersections,
 membership, subdivision assignments -- are computed with exact
@@ -12,11 +12,10 @@ A cone's frame is the pivot columns P of one elimination of its
 generators, which also gives its span equations.  Its facet normals are
 integer functionals on P: for independent generators (every ray and
 2-cone, every cone of a simplicial fan) read off that elimination, else
-one nullspace on P per candidate facet (see cone_data).  Incidence
-signs are integer determinants on P, which the span equations give back.
-A fan is certified on its pairs of maximal cones: each pair must meet
-in a common face, which implies the same for every pair of cones.
-For a pair, double description generates the intersection, and every
+one nullspace on P per candidate facet (see cone_data).  A fan is
+certified on its pairs of maximal cones: each pair must meet in a
+common face, which implies the same for every pair of cones.  For a
+pair, double description generates the intersection, and every
 generator must satisfy the span equations of the face on the common
 rays (see Fan._validate_pairwise).
 """
@@ -25,7 +24,7 @@ from itertools import combinations, islice
 from math import gcd
 
 from fansheaf import _linalg
-from fansheaf.errors import CertificateError, InputError
+from fansheaf.errors import InputError
 
 
 def primitive(vec):
@@ -267,9 +266,6 @@ class Fan:
         self.cones = cones
         self._by_rayset = by_rayset
         self._star = None
-        self._signs = {}
-        # cone id -> (frame P of its span, sign det B_P of its basis B)
-        self._frames = {}
 
     @classmethod
     def from_cones(cls, n, ray_vectors, cone_ray_lists):
@@ -423,68 +419,12 @@ class Fan:
     def cones_of_dim(self, d):
         return tuple(c.index for c in self.cones if c.dim == d)
 
-    def interior_point(self, i):
-        """Sum of the cone's rays: a relative interior point."""
-        c = self.cones[i]
-        v = [0] * self.n
-        for r in c.rays:
-            for k in range(self.n):
-                v[k] += self.rays[r][k]
-        return tuple(v)
-
     def contains_vector(self, i, vec):
         """Exact membership of a rational vector in cone i."""
         c = self.cones[i]
         if any(dot(eq, vec) != 0 for eq in c.span_eqs):
             return False
         return all(dot(f, vec) >= 0 for f in c.facet_normals)
-
-    def incidence_sign(self, i, j):
-        """Orientation sign for facet j of cone i (+1 or -1).
-
-        It serves the serialized complex format, whose `entry` lines
-        hold each map divided by this sign.  Convention: express cone
-        j's chosen basis followed by an interior point of cone i in cone
-        i's chosen basis and take the determinant sign.  For a ray over
-        the origin the sign is +1.  Signs are cached per (i, j); a fan
-        is not changed after construction.
-        """
-        key = (i, j)
-        if key not in self._signs:
-            self._signs[key] = self._orientation_sign(i, j)
-        return self._signs[key]
-
-    def _orientation_sign(self, i, j):
-        """The convention's determinant sign, without coordinates.
-
-        The vectors V (rows) lie in the span of cone i's basis B (rows),
-        so V = C B for their coordinate matrix C.  On the span's frame P
-        B_P is invertible and V_P = C B_P, so sign det C = sign det V_P *
-        sign det B_P.  The canonical span_eqs give P without elimination:
-        one per free column, each ends there.  P and sign det B_P are
-        cached per cone.
-        """
-        if not self.is_facet(j, i):
-            raise InputError(f"cone {j} is not a facet of cone {i}")
-        ci = self.cones[i]
-        if ci.dim == 1:
-            return 1
-        if i not in self._frames:
-            free = {
-                max(k for k, a in enumerate(eq) if a) for eq in ci.span_eqs
-            }
-            frame = [k for k in range(self.n) if k not in free]
-            basis = [self.rays[r] for r in ci.basis_rays]
-            self._frames[i] = frame, _linalg.det_sign(
-                [[b[p] for p in frame] for b in basis]
-            )
-        frame, basis_sign = self._frames[i]
-        vecs = [self.rays[r] for r in self.cones[j].basis_rays]
-        vecs.append(self.interior_point(i))
-        s = _linalg.det_sign([[v[p] for p in frame] for v in vecs])
-        if s == 0:
-            raise CertificateError("degenerate orientation determinant")
-        return s * basis_sign
 
     # ----- canonical text form -----
 

@@ -2,8 +2,8 @@
 polynomial product and substitution, the symbolic composite of a
 complex's differential, the leftmost-pivot minimal-generator scan, the
 exponent-arithmetic columns of multiplication by a variable, the
-reference cone geometry and incidence signs, the all-pairs fan
-check, and local exactness by kernel bases and span membership.
+reference cone geometry, the all-pairs fan check, and local exactness
+by kernel bases and span membership.
 
 The first four share no code with the package: pieces are enumerated
 monomial by monomial and the defining linear systems are solved with
@@ -15,15 +15,14 @@ exponents.  The reference cone geometry, cone_data and
 intersect_cones, is the package's earlier construction kept as it was:
 one rank or solve per question in Fraction arithmetic, coordinates from
 one solve per vector (span_coords), and each cone intersection built as
-a cone with its own extreme rays.  incidence_sign is the earlier sign
-construction: those coordinates and a Fraction determinant.  The
-all-pairs fan check runs that full intersection test on every pair of
-cones, so it checks the restriction to pairs of maximal cones, not the
-geometry of one pair.  The exactness reference, membership_exactness,
-is the package's earlier certificate: it builds each boundary kernel's
-basis and tests every basis vector against the span of the module's
-image, so it also catches an image that leaves the kernel, which the
-rank comparison leaves to check_complex.
+a cone with its own extreme rays.  The all-pairs fan check runs that
+full intersection test on every pair of cones, so it checks the
+restriction to pairs of maximal cones, not the geometry of one pair.
+The exactness reference, membership_exactness, is the package's
+earlier certificate: it builds each boundary kernel's basis and tests
+every basis vector against the span of the module's image, so it also
+catches an image that leaves the kernel, which the rank comparison
+leaves to check_complex.
 
 Functions on a full cone are homogeneous polynomials in
 the ambient coordinates; on a ray they are polynomials in one parameter
@@ -366,41 +365,6 @@ def span_coords(basis, vectors):
             raise InputError("vector outside the span of the basis")
         out.append(_dense(sol, d))
     return out
-
-
-def det_sign(mat):
-    """Sign of the determinant of a square matrix, plain Fraction
-    elimination."""
-    mat = [[Fraction(a) for a in row] for row in mat]
-    n = len(mat)
-    sign = 1
-    for col in range(n):
-        p = next((r for r in range(col, n) if mat[r][col]), None)
-        if p is None:
-            return 0
-        if p != col:
-            mat[col], mat[p] = mat[p], mat[col]
-            sign = -sign
-        if mat[col][col] < 0:
-            sign = -sign
-        for r in range(col + 1, n):
-            f = mat[r][col] / mat[col][col]
-            mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return sign
-
-
-def incidence_sign(fan, i, j):
-    """The orientation sign of facet j of cone i by its definition: the
-    determinant sign of cone j's basis followed by the sum of cone i's
-    rays, in coordinates of cone i's basis; +1 for a ray over the
-    origin."""
-    ci = fan.cones[i]
-    if ci.dim == 1:
-        return 1
-    vecs = [fan.rays[r] for r in fan.cones[j].basis_rays]
-    vecs.append(tuple(map(sum, zip(*[fan.rays[r] for r in ci.rays]))))
-    cols = span_coords([fan.rays[r] for r in ci.basis_rays], vecs)
-    return det_sign([[col[r] for col in cols] for r in range(ci.dim)])
 
 
 def _chosen_basis(vectors):

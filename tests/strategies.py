@@ -89,3 +89,28 @@ def complete_fans_2d(draw):
         for i, j in pairs
     ))
     return Fan.from_cones(2, rays, [list(pair) for pair in pairs])
+
+
+@st.composite
+def incomplete_fans_2d(draw):
+    """A fan drawn by complete_fans_2d(), the fan left when one or more
+    of its maximal cones, not all, are dropped, and the dropped cones'
+    ids in the first fan.
+
+    The remaining cones, with only their own rays, still form a fan.
+    Its support misses the interior of every dropped cone, since the
+    cones of the complete fan meet only in common faces.
+    """
+    fan = draw(complete_fans_2d())
+    top = fan.maximal_cone_ids()
+    dropped = draw(st.sets(
+        st.sampled_from(top), min_size=1, max_size=len(top) - 1
+    ))
+    kept = [fan.cones[i].rays for i in top if i not in dropped]
+    rays = sorted({r for c in kept for r in c})
+    part = Fan.from_cones(
+        2,
+        [fan.rays[r] for r in rays],
+        [[rays.index(r) for r in c] for c in kept],
+    )
+    return fan, part, sorted(dropped)

@@ -12,6 +12,8 @@ from fansheaf.errors import CertificateError
 from conftest import RAY_IN_QUADRANT, SQUARE_DIAGONAL, fan_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# a complex kept in the earlier format, which states a sign per map
+FORMAT1_QUADRANT = GOLDEN.parent / "format1" / "quadrant.complex"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -366,6 +368,35 @@ def test_verify_complex_flag_and_fan_alias_agree(tmp_path, capsys):
         assert runs[0][0] == want
 
 
+def test_format1_complex_is_read_by_its_stated_signs(tmp_path, capsys):
+    """A format-1 map is its entries times its sign line's value.  The
+    quadrant fixture verifies as its format-2 golden does; with one sign
+    flipped it is read as stated, and the composite through the flipped
+    map is nonzero (exit 1), as for a corrupted entry."""
+    text = FORMAT1_QUADRANT.read_text()
+    want = _run(
+        capsys, "--format", "machine", "verify", "--complex",
+        str(GOLDEN / "quadrant.complex"),
+    )
+    assert want[0] == 0
+    got = _run(
+        capsys, "--format", "machine", "verify", "--complex",
+        str(FORMAT1_QUADRANT),
+    )
+    assert got == want
+    flipped = tmp_path / "quadrant.cx"
+    assert "sign 3 2: -1" in text
+    flipped.write_text(text.replace("sign 3 2: -1", "sign 3 2: +1"))
+    code, out = _run(
+        capsys, "--format", "machine", "verify", "--complex", str(flipped)
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "complex\t-\t-\t-\tfail",
+        "problem\t-\t-\tcomposite differential 3 -> 0 is nonzero\t-",
+    ]
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -409,6 +440,8 @@ def test_degree_max_floor_enforced(capsys):
 # what the record must say besides the line, where the fault is specific
 MALFORMED_WHY = {
     "sign 3 9: -1": "sign line for unknown cone 9",
+    "sign 3 2: 2": "sign of map 3->2 is neither +1 nor -1",
+    "sign 3 2: -1\nentry 3 2 0 0: -1": "unrecognized line: 'sign 3 2: -1'",
     "entry 3 1 0 0: 1 + t1": "inhomogeneous polynomial",
     "entry 3 1 0 0: - - 1": "bad token '-'",
     "entry 3 1 0 0: 1 +": "bad token '+'",
@@ -428,66 +461,92 @@ MALFORMED_WHY = {
     "sign 2 1: +1\nsign 3 2: -1": "sign line for map 2->1 with no entries",
     "sign 3 1: +1\nsign 3 2: -1": "repeated sign line for map 3->1",
     "module 2: -2\nmodule 3: -2": "repeated module line for cone 2",
+    "entry 3 1 0 0: 1\nentry 3 2 0 0: -1": "repeated entry (0,0) of map 3->1",
     "entry 3 1 0 0: 1\nentry 3 2 0 0: 1": "repeated entry (0,0) of map 3->1",
     "window -2 8\ndim 2": "repeated window line",
+    "entry 1 2 0 0: 1\nentry 3 2 0 0: -1": "map 1->2: target is not a facet",
     "entry 1 2 0 0: 1\nsign 1 2: +1\nentry 3 2 0 0: 1": (
         "map 1->2: target is not a facet"
     ),
 }
 
 
+def _edit(old, new, source=None):
+    """A case replacing old by new in the complex file at source, or,
+    when source is None, in the format-2 text that `minimal build --out`
+    writes for the quadrant; named by the edit alone."""
+    return pytest.param(old, new, source, id=f"{old}-{new}")
+
+
 @pytest.mark.parametrize(
-    "old, new",
+    "old, new, source",
     [
-        ("entry 1 0 0 0: 1", "entry 1 0 0 0: t9"),
-        ("module 0: -2", "module 0: x"),
-        ("entry 3 1 0 0: 1", "entry 3 1 5 0: 1"),
-        ("ray 1: 1 0", "ray 1: 1 x"),
-        ("sign 3 2: -1", "sign 3 9: -1"),
-        ("entry 3 1 0 0: 1", "entry 3 1 0 0: 1 + t1"),
+        _edit("entry 1 0 0 0: 1", "entry 1 0 0 0: t9"),
+        _edit("module 0: -2", "module 0: x"),
+        _edit("entry 3 1 0 0: 1", "entry 3 1 5 0: 1"),
+        _edit("ray 1: 1 0", "ray 1: 1 x"),
+        _edit("entry 3 1 0 0: 1", "entry 3 1 0 0: 1 + t1"),
         # a polynomial is never read past a doubled or trailing sign or a
         # caret with no exponent
-        ("entry 3 1 0 0: 1", "entry 3 1 0 0: - - 1"),
-        ("entry 3 1 0 0: 1", "entry 3 1 0 0: 1 +"),
-        ("entry 3 2 0 0: 1", "entry 3 2 0 0: t1^"),
-        ("window -2 6", "window 4 -2"),
-        ("window -2 6", "window -2 6 9"),
-        ("dim 2", "dim 2 3"),
+        _edit("entry 3 1 0 0: 1", "entry 3 1 0 0: - - 1"),
+        _edit("entry 3 1 0 0: 1", "entry 3 1 0 0: 1 +"),
+        _edit("entry 3 2 0 0: -1", "entry 3 2 0 0: t1^"),
+        _edit("window -2 6", "window 4 -2"),
+        _edit("window -2 6", "window -2 6 9"),
+        _edit("dim 2", "dim 2 3"),
         # keyed lines: exactly the form's tokens before the colon
-        ("dim 2", "dim: 2"),
-        ("window -2 6", "window: -2 6"),
-        ("ray 0: 0 1", "ray 0 9: 0 1"),
-        ("module 0: -2", "module 0 9: -2"),
-        ("entry 3 1 0 0: 1", "entry 3 1 0 0 7: 1"),
+        _edit("dim 2", "dim: 2"),
+        _edit("window -2 6", "window: -2 6"),
+        _edit("ray 0: 0 1", "ray 0 9: 0 1"),
+        _edit("module 0: -2", "module 0 9: -2"),
+        _edit("entry 3 1 0 0: 1", "entry 3 1 0 0 7: 1"),
         # generators outside the window's range [lo, hi - 2]
-        ("module 0: -2", "module 0: -4"),
-        ("module 3: -2", "module 3: -2 6"),
-        # the entry line moves up to the deleted sign line's number
-        ("sign 3 2: -1\n", ""),
-        ("sign 3 2: -1", "sign 2 1: +1\nsign 3 2: -1"),
-        ("sign 3 2: -1", "sign 3 1: +1\nsign 3 2: -1"),
-        ("module 3: -2", "module 2: -2\nmodule 3: -2"),
-        ("entry 3 2 0 0: 1", "entry 3 1 0 0: 1\nentry 3 2 0 0: 1"),
-        ("dim 2", "window -2 8\ndim 2"),
+        _edit("module 0: -2", "module 0: -4"),
+        _edit("module 3: -2", "module 3: -2 6"),
+        _edit("module 3: -2", "module 2: -2\nmodule 3: -2"),
+        _edit("entry 3 2 0 0: -1", "entry 3 1 0 0: 1\nentry 3 2 0 0: -1"),
+        _edit("dim 2", "window -2 8\ndim 2"),
         # a map whose target is not a facet is named by its first entry
-        (
+        _edit("entry 3 2 0 0: -1", "entry 1 2 0 0: 1\nentry 3 2 0 0: -1"),
+        # format 2 has no sign lines
+        _edit("entry 3 2 0 0: -1", "sign 3 2: -1\nentry 3 2 0 0: -1"),
+        # sign lines of a format-1 file
+        _edit("sign 3 2: -1", "sign 3 9: -1", FORMAT1_QUADRANT),
+        _edit("sign 3 2: -1", "sign 3 2: 2", FORMAT1_QUADRANT),
+        # the entry line moves up to the deleted sign line's number
+        _edit("sign 3 2: -1\n", "", FORMAT1_QUADRANT),
+        _edit("sign 3 2: -1", "sign 2 1: +1\nsign 3 2: -1", FORMAT1_QUADRANT),
+        _edit("sign 3 2: -1", "sign 3 1: +1\nsign 3 2: -1", FORMAT1_QUADRANT),
+        # entry faults of a format-1 file, which has a sign line per map
+        _edit(
             "entry 3 2 0 0: 1",
             "entry 1 2 0 0: 1\nsign 1 2: +1\nentry 3 2 0 0: 1",
+            FORMAT1_QUADRANT,
+        ),
+        _edit("entry 3 2 0 0: 1", "entry 3 2 0 0: t1^", FORMAT1_QUADRANT),
+        _edit(
+            "entry 3 2 0 0: 1",
+            "entry 3 1 0 0: 1\nentry 3 2 0 0: 1",
+            FORMAT1_QUADRANT,
         ),
     ],
 )
-def test_verify_malformed_complex_exits_two(tmp_path, capsys, old, new):
+def test_verify_malformed_complex_exits_two(
+    tmp_path, capsys, old, new, source
+):
     out_file = tmp_path / "quadrant.cx"
-    _run(
-        capsys,
-        "minimal",
-        "build",
-        "--fan",
-        str(fan_path("quadrant")),
-        "--out",
-        str(out_file),
-    )
-    text = out_file.read_text()
+    if source is None:
+        _run(
+            capsys,
+            "minimal",
+            "build",
+            "--fan",
+            str(fan_path("quadrant")),
+            "--out",
+            str(out_file),
+        )
+        source = out_file
+    text = source.read_text()
     assert old in text
     out_file.write_text(text.replace(old, new))
     code, out = _run(

@@ -26,10 +26,9 @@ from fansheaf.complexes import (
     top_module,
 )
 from fansheaf.cli import main
-from fansheaf.decompose import decomposition_theorem_report
 from fansheaf.errors import InputError
-from fansheaf.fans import Fan, load_fan, subdivision_map
-from fansheaf.minimal import build_minimal, ih_module, verify_minimality
+from fansheaf.fans import load_fan
+from fansheaf.minimal import build_minimal, verify_minimality
 from fansheaf.modules import (
     DirectSumAmbient,
     FreeGradedModule,
@@ -44,6 +43,26 @@ from conftest import fan_file, fan_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 P4_COMPLEX = GOLDEN.parent.parent / "perfbench" / "inputs" / "p4.complex"
+FORMAT1 = GOLDEN.parent / "format1"
+# a complex file in the earlier format, the fan it was built from, and
+# its format-2 golden, where there is one
+FORMAT1_CASES = [
+    (FORMAT1 / "quadrant.complex", fan_path("quadrant"),
+     GOLDEN / "quadrant.complex"),
+    (FORMAT1 / "cubefan.complex", fan_path("cubefan"),
+     GOLDEN / "cubefan.complex"),
+    (P4_COMPLEX, P4_COMPLEX.with_suffix(".fan"), None),
+]
+
+
+def _degrees(M):
+    """Generator degrees of each nonzero module."""
+    return {i: m.degrees for i, m in M.modules.items() if m.rank()}
+
+
+def _entries(M):
+    """Entries of each stored map."""
+    return {key: pm.entries for key, pm in M.maps.items()}
 
 
 def quadrant_complex():
@@ -456,33 +475,34 @@ def test_serialization_round_trip():
     assert complex_to_text(N) == text
 
 
-def test_orientation_signs_serve_only_the_file_format(monkeypatch):
-    """Building, IH and decomposition compute no orientation sign; only
-    writing a complex to text does."""
-    calls = []
-    orientation_sign = Fan._orientation_sign
-
-    def counting(fan, i, j):
-        calls.append((i, j))
-        return orientation_sign(fan, i, j)
-
-    monkeypatch.setattr(Fan, "_orientation_sign", counting)
-    M = build_minimal(load_fan(fan_path("cubefan")))
-    ih_module(M)
-    src, tgt = load_fan(fan_path("starsq")), load_fan(fan_path("conesquare"))
-    decomposition_theorem_report(subdivision_map(src, tgt))
-    assert calls == []
-    complex_to_text(M)
-    assert calls
-
-
-def test_serialization_rejects_wrong_sign():
-    M = quadrant_complex()
-    text = complex_to_text(M)
-    assert "sign 3 2: -1" in text
-    bad = text.replace("sign 3 2: -1", "sign 3 2: +1")
-    with pytest.raises(InputError):
-        complex_from_text(bad)
+@pytest.mark.parametrize(
+    "path, fan, golden", FORMAT1_CASES, ids=["quadrant", "cubefan", "p4"]
+)
+def test_format1_maps_are_entries_times_stated_signs(path, fan, golden):
+    """A format-1 file parses to the maps of a fresh build of its fan,
+    each its entries times the sign its file states, and is written back
+    as the format-2 golden: the fixtures kept from the earlier format
+    and the benchmark's P^4 input, read in place, whose golden is the
+    fresh build's text."""
+    text = path.read_text()
+    assert text.startswith("complex-format 1\n")
+    # both signs occur, so a reader that ignores or inverts them fails
+    stated = {
+        line.partition(":")[2].strip()
+        for line in text.splitlines()
+        if line.startswith("sign ")
+    }
+    assert stated == {"+1", "-1"}
+    M = complex_from_text(text)
+    built = build_minimal(load_fan(fan))
+    assert M.window == built.window
+    assert _degrees(M) == _degrees(built)
+    assert _entries(M) == _entries(built)
+    written = complex_to_text(M)
+    assert written.startswith("complex-format 2\n")
+    want = golden.read_text() if golden else complex_to_text(built)
+    assert written == want
+    assert _entries(complex_from_text(written)) == _entries(M)
 
 
 def test_serialization_rejects_missing_header():

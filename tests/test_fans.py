@@ -1,15 +1,19 @@
-"""Fan geometry: parsing, face lattices, signs, quotients, subdivisions."""
+"""Fan geometry: parsing, face lattices, quotients, subdivisions."""
 
+import io
 import itertools
 import math
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fansheaf import _linalg, fans, modules
+from fansheaf.cli import main
 from fansheaf.complexes import complex_from_text
 from fansheaf.errors import InputError
 from fansheaf.fans import (
@@ -27,6 +31,7 @@ import brute_oracle
 from brute_oracle import all_pairs_valid
 from conftest import EXTRA_FANS, RAY_IN_QUADRANT, SQUARE_DIAGONAL, fan_path
 from quotient import cone_by_rays, quotient_fan
+from strategies import incomplete_fans_2d
 from test_fuzz import FANS, FUZZ, mutated
 
 TESTS = Path(__file__).resolve().parent
@@ -140,6 +145,29 @@ def test_is_complete_grid_oracle(corpus):
         assert covered == is_complete(fan), name
 
 
+@settings(max_examples=30, deadline=None)
+@given(case=incomplete_fans_2d())
+def test_dropping_maximal_cones_leaves_an_incomplete_fan(case):
+    """A complete plane fan with maximal cones dropped is not complete:
+    the ray sum of each dropped cone lies in no remaining cone, and
+    `fan check` of the remaining fan's text prints `complete no`."""
+    fan, part, dropped = case
+    assert is_complete(fan)
+    assert not is_complete(part)
+    for i in dropped:
+        v = _ray_sum(fan, fan.cones[i])
+        assert not any(part.contains_vector(c.index, v) for c in part.cones)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "part.fan"
+        path.write_text(part.to_text())
+        out = io.StringIO()
+        argv = ["--format", "machine", "fan", "check", "--fan", str(path)]
+        with redirect_stdout(out):
+            code = main(argv)
+    assert code == 0
+    assert "complete\t-\t-\tno\t-" in out.getvalue().splitlines()
+
+
 def test_membership(corpus):
     fan = corpus["quadrant"]
     top = fan.cones[-1].index
@@ -151,45 +179,6 @@ def test_membership(corpus):
     assert not fan.contains_vector(ray, (3, 1))
     assert fan.contains_vector(0, (0, 0))
     assert not fan.contains_vector(0, (1, 0))
-
-
-def test_incidence_sign_reference_example(corpus):
-    """Quadrant: facet signs are (+1, -1) in canonical cone order."""
-    fan = corpus["quadrant"]
-    top = fan.cones[-1].index
-    f1, f2 = fan.cones[top].facet_ids
-    assert fan.rays[fan.cones[f1].rays[0]] == (0, 1)
-    assert fan.incidence_sign(top, f1) == 1
-    assert fan.incidence_sign(top, f2) == -1
-    for r in (f1, f2):
-        assert fan.incidence_sign(r, 0) == 1
-
-
-def test_incidence_sign_codim2_products(corpus):
-    """For each codim-2 pair rho < sigma the two paths have opposite
-    products, equivalently the four signs multiply to -1."""
-    for name in ["p2", "p3", "cubefan", "conesquare", "conecube", "p1xp1"]:
-        fan = corpus[name]
-        for sigma in fan.cones:
-            if sigma.dim < 2:
-                continue
-            for rho_id in sigma.face_ids:
-                if fan.cones[rho_id].dim != sigma.dim - 2:
-                    continue
-                paths = [
-                    t
-                    for t in sigma.facet_ids
-                    if rho_id in fan.cones[t].facet_ids
-                ]
-                assert len(paths) == 2, (name, sigma.index, rho_id)
-                t1, t2 = paths
-                prod = (
-                    fan.incidence_sign(sigma.index, t1)
-                    * fan.incidence_sign(t1, rho_id)
-                    * fan.incidence_sign(sigma.index, t2)
-                    * fan.incidence_sign(t2, rho_id)
-                )
-                assert prod == -1
 
 
 def test_quotient_by_origin_is_isomorphic(corpus):
@@ -295,6 +284,14 @@ def test_subdivision_star_square(corpus):
         assert len(fm.preimage_cones(w)) == 1
 
 
+def _ray_sum(fan, cone):
+    """Sum of the cone's rays: a relative interior point."""
+    v = (0,) * fan.n
+    for r in cone.rays:
+        v = tuple(a + b for a, b in zip(v, fan.rays[r]))
+    return v
+
+
 def _brute_subdivision(source, target):
     """(assignment, proper) by scanning every target cone for every
     source cone, or the expected InputError message; proper is read off
@@ -314,7 +311,7 @@ def _brute_subdivision(source, target):
             return f"no unique smallest target cone for source cone {c.index}"
         assignment.append(best)
     points = list(itertools.product(range(-2, 3), repeat=source.n))
-    points += [f.interior_point(c.index) for f in (source, target) for c in f.cones]
+    points += [_ray_sum(f, c) for f in (source, target) for c in f.cones]
 
     def covered(fan, v):
         return any(fan.contains_vector(c.index, v) for c in fan.cones)
@@ -363,19 +360,6 @@ def test_fan_of_origin_only():
     fan2 = parse_fan(fan.to_text())
     assert len(fan2.cones) == 1
 
-
-def test_incidence_sign_cache_matches_fresh(corpus):
-    """Cached signs equal a fresh computation on a newly parsed fan, for
-    every (cone, facet) pair of every corpus fan."""
-    for name, fan in corpus.items():
-        fresh = load_fan(fan_path(name))
-        for cone in fan.cones:
-            for f in cone.facet_ids:
-                want = fresh._orientation_sign(cone.index, f)
-                assert fan.incidence_sign(cone.index, f) == want
-                assert fan._signs[(cone.index, f)] == want
-                assert fan.incidence_sign(cone.index, f) == want
-        assert not fresh._signs
 
 
 @pytest.mark.parametrize(
@@ -449,17 +433,6 @@ def test_cone_data_matches_reference_on_random_generators(case):
     assert got == want
 
 
-@pytest.mark.parametrize("path", GEOMETRY_FANS, ids=lambda p: p.name)
-def test_incidence_signs_match_reference(path):
-    """Every (cone, facet) sign equals the one computed by its
-    definition in brute_oracle."""
-    fan = load_fan(path)
-    for cone in fan.cones:
-        for f in cone.facet_ids:
-            want = brute_oracle.incidence_sign(fan, cone.index, f)
-            assert fan.incidence_sign(cone.index, f) == want, (cone.index, f)
-
-
 @st.composite
 def span_cases(draw):
     """A basis of 1 to n independent vectors in dimension n = 1 to 4,
@@ -530,8 +503,7 @@ def _count_calls(monkeypatch, *names):
 def test_simplicial_geometry_takes_one_elimination_per_cone(monkeypatch):
     """Every cone of cubestar is simplicial, so loading it takes one
     rref per cone.  Parsing the P^4 complex, whose cones are simplicial
-    too, takes no more: its signs read each cone's frame off its span
-    equations."""
+    too, takes no more: its format-1 signs are read as stated."""
     calls = _count_calls(monkeypatch, "rref")["rref"]
     fan = load_fan(TESTS.parent / "perfbench" / "inputs" / "cubestar.fan")
     assert len(fan.cones) == 75 and len(calls) <= 75

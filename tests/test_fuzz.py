@@ -1,8 +1,9 @@
 """Bounded fuzzing of the three text parsers.
 
-Inputs are the corpus fan files and the golden serialized complexes
-with a few random edits (a character, a number, a whole line), and
-format/parse round trips of random polynomials.  Every input must give
+Inputs are the corpus fan files and the serialized complexes (the
+goldens and the format-1 fixtures) with a few random edits (a
+character, a number, a whole line), and format/parse round trips of
+random polynomials.  Every input must give
 InputError or a valid object: a fan or complex whose canonical text
 parses back to the same text, a complex that passes check_complex, a
 polynomial that format_poly and parse_poly carry unchanged.  Any other
@@ -27,7 +28,10 @@ from fansheaf.polys import format_poly, parse_poly
 
 HERE = Path(__file__).resolve().parent
 FANS = sorted((HERE.parent / "data" / "fans").glob("*.fan"))
-COMPLEXES = sorted((HERE / "golden").glob("*.complex"))
+# the format-2 goldens and the complexes kept in format 1
+COMPLEXES = sorted((HERE / "golden").glob("*.complex")) + sorted(
+    (HERE / "format1").glob("*.complex")
+)
 TEXTS = {p.name: p.read_text() for p in FANS + COMPLEXES}
 # the formats' punctuation and digits, and letters of their keywords
 CHARS = "0123456789 -+/:^#\nt" + "acdeimnorswx"

@@ -10,7 +10,8 @@ push-<src>-<tgt>.tsv holds the `pushforward --format machine` records
 (without the `serialized` line), push-<src>-<tgt>.out its `--out` text
 and decompose-<src>-<tgt>.tsv the `decompose --format machine` records,
 which also hold for cube4star -> cube4 (tests/cube4star.fan); cubestar ->
-cubefan is compared with the benchmark's expected records.
+cubefan is compared with the benchmark's expected records, and so is
+`verify` of the benchmark's P^4 complex, a format-1 file.
 verify-<fan>.tsv holds the `verify --format machine` records of each
 <fan>.complex followed by an `exit` line with the exit code.  A change
 that alters a generator choice, a serialized entry or a report record
@@ -150,6 +151,17 @@ def test_decompose_cubestar_matches_benchmark_records(capsys):
     six maximal cones.  The expected records are the benchmark's own."""
     tgt, expected = DECOMPOSED["cubestar"]
     assert _decompose(fan_file("cubestar"), tgt) == 0
+    assert capsys.readouterr().out == expected.read_text()
+
+
+@pytest.mark.parametrize("flag", ["--fan", "--complex"])
+def test_verify_p4_matches_benchmark_records(capsys, flag):
+    """verify of the benchmark's committed P^4 complex, a format-1 file
+    read by its stated signs, gives exactly the benchmark's expected
+    records, through either flag."""
+    path = PERFBENCH / "inputs" / "p4.complex"
+    assert main(["--format", "machine", "verify", flag, str(path)]) == 0
+    expected = PERFBENCH / "expected" / "verify-p4.tsv"
     assert capsys.readouterr().out == expected.read_text()
 
 

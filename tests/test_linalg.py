@@ -6,7 +6,6 @@ test matrices are written densely and passed through sparse(), and
 results are compared after dense()."""
 
 from fractions import Fraction
-from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -209,49 +208,6 @@ def test_fraction_wrappers():
     assert nullspace_dense([[F(1, 2), F(1, 2)]], 2) == [[1, -1]]
     assert in_rowspan(sparse([[1, 1], [0, 2]]), {0: 5, 1: 3})
     assert not in_rowspan(sparse([[1, 1]]), {0: 1, 1: 2})
-
-
-def test_det_sign():
-    assert _linalg.det_sign([[1, 0], [0, 1]]) == 1
-    assert _linalg.det_sign([[0, 1], [1, 0]]) == -1
-    assert _linalg.det_sign([[1, 2], [2, 4]]) == 0
-    assert _linalg.det_sign([[Fraction(1, 2)]]) == 1
-    assert _linalg.det_sign([[2, 0, 0], [0, 3, 0], [0, 0, -1]]) == -1
-
-
-def leibniz_det(mat):
-    """Determinant as the signed sum over permutations."""
-    total = Fraction(0)
-    for perm in permutations(range(len(mat))):
-        inversions = sum(a > b for a, b in combinations(perm, 2))
-        term = Fraction(-1) ** inversions
-        for r, c in enumerate(perm):
-            term *= mat[r][c]
-        total += term
-    return total
-
-
-square_matrices = st.integers(min_value=0, max_value=4).flatmap(
-    lambda n: st.lists(
-        st.lists(
-            st.one_of(
-                sparse_entries,
-                st.fractions(min_value=-9, max_value=9, max_denominator=6),
-            ),
-            min_size=n,
-            max_size=n,
-        ),
-        min_size=n,
-        max_size=n,
-    )
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(mat=square_matrices)
-def test_det_sign_matches_leibniz(mat):
-    det = leibniz_det(mat)
-    assert _linalg.det_sign(mat) == (det > 0) - (det < 0)
 
 
 sparse_fractions = st.one_of(
