@@ -381,6 +381,11 @@ def complex_from_text(text, validate=True):
     lines = text.splitlines()
     header = lines[0].strip() if lines else ""
     if header not in (FORMAT_LINE, FORMAT_1):
+        if line_keyword(header) == "complex-format":
+            raise InputError(
+                f"unsupported header {header!r}: "
+                f"read are {FORMAT_1!r} and {FORMAT_LINE!r}"
+            )
         raise InputError("missing complex-format header")
     window = None
     # fan lines stay at their own positions, so parse_fan's line numbers

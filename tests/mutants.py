@@ -1,15 +1,14 @@
 """Mutation checks of the certificates and parsers, run as a script.
 
-    python tests/mutants.py [--only NAME] [--full]
+    python tests/mutants.py [--only NAME]
 
 Each mutant replaces one exact text in one file with another and names
 the tier-1 tests that must fail on the result.  For each mutant the
 script copies the checkout, without .git and caches, into a temporary
-directory, applies the edit there and runs the named tests, or all of
-tier-1 with -x under --full.  It prints one record per mutant, its name
-and one of
+directory, applies the edit there and runs the named tests.  It prints
+one record per mutant, its name and one of
 
-    killed    every named test failed (under --full: some test failed)
+    killed    every named test failed
     survived  some named test passed: that check misses the fault
     stale     the old text is not in the file, so the mutant must be
               rewritten to fit the code
@@ -93,6 +92,16 @@ MUTANTS = {
             "test_format1_maps_are_entries_times_stated_signs[cubefan]",
         ],
     ),
+    # a header of another format version reported as missing
+    "unsupported-header-as-missing": (
+        "src/fansheaf/complexes.py",
+        'if line_keyword(header) == "complex-format":',
+        "if False:",
+        [
+            "tests/test_complexes.py::"
+            "test_serialization_rejects_missing_header",
+        ],
+    ),
     # sections keyed without their walls, so two sections that differ
     # only in the walls share one memo entry
     "sections-key-without-walls": (
@@ -131,21 +140,20 @@ MUTANTS = {
 
 
 def pytest_run(tree, tests):
-    """(exit code, report) of pytest on the copy at tree: the named
-    tests, or all of tier-1 with -x when tests is None."""
+    """(exit code, report) of pytest on the named tests of the copy at
+    tree."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    argv = tests if tests is not None else ["-x"]
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p",
-         "no:cacheprovider", *argv],
+         "no:cacheprovider", *tests],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     return done.returncode, done.stdout
 
 
-def outcome(name, full):
-    """killed, survived or stale for one mutant.  Without --full every
-    named test must fail for a kill."""
+def outcome(name):
+    """killed, survived or stale for one mutant.  Every named test must
+    fail for a kill."""
     path, old, new, tests = MUTANTS[name]
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "checkout"
@@ -154,12 +162,10 @@ def outcome(name, full):
         if text.count(old) != 1:
             return "stale"
         (tree / path).write_text(text.replace(old, new))
-        code, report = pytest_run(tree, None if full else tests)
+        code, report = pytest_run(tree, tests)
     if code not in (0, 1):
         return f"error (pytest exit {code})"
     failed = report.splitlines()
-    if full:
-        return "killed" if code == 1 else "survived"
     missed = [
         t for t in tests
         if not any(line.startswith(f"FAILED {t}") for line in failed)
@@ -170,10 +176,6 @@ def outcome(name, full):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--only", choices=sorted(MUTANTS))
-    parser.add_argument(
-        "--full", action="store_true",
-        help="run all of tier-1 with -x instead of the named tests",
-    )
     args = parser.parse_args(argv)
     names = [args.only] if args.only else list(MUTANTS)
     tests = sorted({t for n in names for t in MUTANTS[n][3]})
@@ -186,7 +188,7 @@ def main(argv=None):
     killed = 0
     for name in names:
         start = time.perf_counter()
-        result = outcome(name, args.full)
+        result = outcome(name)
         killed += result == "killed"
         print(f"{name}\t{result}\t{time.perf_counter() - start:.1f}s",
               flush=True)

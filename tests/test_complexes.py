@@ -506,8 +506,15 @@ def test_format1_maps_are_entries_times_stated_signs(path, fan, golden):
 
 
 def test_serialization_rejects_missing_header():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="missing complex-format header"):
         complex_from_text("dim 2\n")
+    text = (GOLDEN / "quadrant.complex").read_text()
+    later = text.replace("complex-format 2", "complex-format 3", 1)
+    with pytest.raises(InputError, match=(
+        r"^unsupported header 'complex-format 3': read are "
+        r"'complex-format 1' and 'complex-format 2'$"
+    )):
+        complex_from_text(later)
 
 
 def test_serialization_rejects_generators_outside_window():

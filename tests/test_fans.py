@@ -361,7 +361,6 @@ def test_fan_of_origin_only():
     assert len(fan2.cones) == 1
 
 
-
 @pytest.mark.parametrize(
     "path, pairs",
     [(TESTS.parent / "perfbench" / "inputs" / "cubestar.fan", 276),
