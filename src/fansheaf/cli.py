@@ -189,8 +189,7 @@ def _cmd_verify(args, rep):
         return 1
     table = cohomology_degreewise(M)
     for (p, d), dim in sorted(table.items()):
-        if dim:
-            rep.add(f"h[{p}]", degree=d, value=dim)
+        rep.add(f"h[{p}]", degree=d, value=dim)
     return 0
 
 

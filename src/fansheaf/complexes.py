@@ -24,7 +24,7 @@ problems: an empty list means the complex passes.
 """
 
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate
 
 from fansheaf import _linalg
@@ -186,13 +186,20 @@ def sections(M, ring, tiles, walls):
     return ambient, rows_at, assemble_key(M, tiles, walls)
 
 
+def boundary(M, i):
+    """The facets of cone i where M has a module, and M's differential
+    from cone i into them, degree by degree."""
+    facets = [f for f in M.fan.cones[i].facet_ids if M.rank_at(f)]
+    return facets, cache(lambda d: assemble(M, [i], facets, d))
+
+
 def boundary_setup(M, cone_id):
     """(facets, ambient, rows_at, key) of a cone: its facets' ids in part
     order, then the sections of the facets across its codimension-2
     faces over its ring."""
     fan = M.fan
     cone = fan.cones[cone_id]
-    facets = [i for i in cone.facet_ids if M.rank_at(i)]
+    facets, _ = boundary(M, cone_id)
     codim2 = [
         i
         for i in cone.face_ids

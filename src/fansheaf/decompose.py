@@ -24,11 +24,10 @@ the decomposition, whatever N is.
 """
 
 from collections import Counter, defaultdict
-from functools import cache
 
 from fansheaf import _linalg
 from fansheaf.combinatorics import predicted_stalks
-from fansheaf.complexes import assemble
+from fansheaf.complexes import boundary
 from fansheaf.errors import CertificateError
 from fansheaf.minimal import build_minimal, build_shifted_minimal, stalk_report
 from fansheaf.modules import PolyMatrix, image_under, lift
@@ -59,13 +58,13 @@ def decomposition_multiplicities(N):
         # independent images number at most N's generators in their
         # degree, so no degree of theirs lies outside N's
         want = Counter(N.degrees_at(i))
-        _, boundary = _boundary(N, i)
+        _, block = boundary(N, i)
         for d in sorted(want, reverse=True):
             need = want[d] - len(echelons[d].rows)
             if need == 0:
                 continue
             picked = []
-            for v in _linalg.nullspace(boundary(d), N.dim_at(i, d)):
+            for v in _linalg.nullspace(block(d), N.dim_at(i, d)):
                 if len(picked) == need:
                     break
                 if echelons[d].insert(_bare(N.modules[i], d, v)):
@@ -120,17 +119,17 @@ def peel_summand(N, base_id, summand, base):
             raise CertificateError(
                 f"summand needs a module at cone {i}, complex has none"
             )
-        facets, boundary = _boundary(N, i)
+        facets, block = boundary(N, i)
         images = _boundary_images(summand, phi, N, i, facets)
         if i == base_id:
             columns = [base]
         else:
             columns = lift(
-                boundary, N.modules[i], images,
+                block, N.modules[i], images,
                 f"cone {i}: summand boundary has no preimage",
             )
         for (d, img), (_, col) in zip(images, columns):
-            if _linalg.matvec(boundary(d), col) != img:
+            if _linalg.matvec(block(d), col) != img:
                 raise CertificateError(
                     f"cone {i}: embedding is not a chain map at degree {d}"
                 )
@@ -138,13 +137,6 @@ def peel_summand(N, base_id, summand, base):
             summand.modules[i], N.modules[i], columns
         )
     return phi
-
-
-def _boundary(N, i):
-    """The facets of cone i where N has a module, and N's differential
-    from cone i into them, degree by degree."""
-    facets = [f for f in N.fan.cones[i].facet_ids if N.rank_at(f)]
-    return facets, cache(lambda d: assemble(N, [i], facets, d))
 
 
 def _boundary_images(S, phi, N, i, facets):

@@ -560,9 +560,10 @@ def subdivision_map(source, target):
     cone containing it.
 
     Raises InputError when some source cone is not contained in any
-    target cone, or has no unique smallest one.  Properness (equal supports) is checked by verifying
-    that the preimage cones tile every maximal target cone: each ridge of
-    a tile either borders two tiles or lies on the target boundary.
+    target cone, or has no unique smallest one.  Properness (equal
+    supports) is checked by verifying that the preimage cones tile every
+    maximal target cone: each ridge of a tile either borders two tiles
+    or lies on the target boundary.
     """
     if source.n != target.n:
         raise InputError("source and target fans live in different lattices")

@@ -6,15 +6,16 @@ cone's boundary kernel, its facets' complexes.sections, gets a minimal
 free cover, whose blocks become the differential's components.  One
 build computes each distinct local kernel cover once
 (modules.kernel_cover), keyed on the sections' key, so a repeated cone
-assembles no rows; verify_minimality never reads that memo and
-recomputes every kernel from the complex.  The origin-based complex is
-the one based at the origin without shift: the ground field placed in
-degree minus the ambient dimension, and the whole fan as the star.
+assembles no rows; verify_minimality builds no kernel at all.  The
+origin-based complex is the one based at the origin without shift: the
+ground field placed in degree minus the ambient dimension, and the whole
+fan as the star.
 """
 
+from fansheaf import _linalg
 from fansheaf.complexes import (
     FanComplex,
-    boundary_kernel,
+    boundary,
     boundary_setup,
     check_complex,
     check_locally_exact,
@@ -27,7 +28,6 @@ from fansheaf.modules import (
     cone_ring,
     default_window,
     kernel_cover,
-    minimal_generators,
 )
 
 
@@ -100,12 +100,18 @@ def verify_minimality(M, base_id=0, shift=0):
     Checks, degree by degree on the complex's window: the complex is
     valid; the base module is free of rank one with the right generator
     degree; support lies in the star of the base; every module surjects
-    onto its boundary kernel; and every supported non-base module's
-    generator degrees agree with the minimal generators of that kernel.
-    Exactness compares ranks (check_locally_exact), which is valid only
-    once check_complex has passed, so an invalid complex stops there;
-    kernel bases are built only where generator degrees need them.
-    Returns the list of problems, empty when M passes.
+    onto its boundary kernel Z; and every supported non-base module L
+    has Z's minimal generator degrees.  Exactness compares ranks
+    (check_locally_exact), valid only once check_complex has passed, so
+    an invalid complex stops there.  Degree d of L takes one elimination
+    on the block B from the cone into its facets: seeded with the
+    columns of L's non-bare basis elements, which span B(mL) in degree d
+    (m the irrelevant ideal), each bare column that enlarges the span
+    needs one generator in degree d.  Once exact, B(L) = Z and B(mL) =
+    mZ, so the count is dim (Z/mZ)_d, which by graded Nakayama is Z's
+    number of minimal generators in degree d; Z/mZ is a quotient of
+    L/mL, so it is zero outside L's generator degrees.  Returns the list
+    of problems, empty when M passes.
     """
     problems = ["invalid complex: " + p for p in check_complex(M)]
     if problems:
@@ -128,12 +134,18 @@ def verify_minimality(M, base_id=0, shift=0):
     for i in M.support_ids():
         if i == base_id:
             continue
-        fam = boundary_kernel(M, i)[0]
-        gens = tuple(sorted(d for d, _ in minimal_generators(fam)))
-        have = tuple(sorted(M.degrees_at(i)))
-        if gens != have:
+        module, (_, block) = M.modules[i], boundary(M, i)
+        need = []
+        for d in sorted(set(module.degrees)):
+            basis = module.piece_basis(d)
+            cols = _linalg.transpose(block(d), len(basis))
+            bare = [not any(u) for _, u in basis]
+            span = _linalg.Echelon([c for c, b in zip(cols, bare) if not b])
+            need += [d] * sum(span.insert(c) for c, b in zip(cols, bare) if b)
+        have, need = tuple(sorted(module.degrees)), tuple(need)
+        if need != have:
             problems.append(
-                f"cone {i}: module degrees {have}, kernel needs {gens}"
+                f"cone {i}: module degrees {have}, kernel needs {need}"
             )
     return problems
 

@@ -136,6 +136,85 @@ MUTANTS = {
             "tests/test_cli.py::test_pushforward_command",
         ],
     ),
+    # kernel_cover's memo key without its window, so covers searched on
+    # another window are reused
+    "kernel-cover-key-without-window": (
+        "src/fansheaf/modules.py",
+        "    key = (window, parts, local)\n",
+        "    key = (parts, local)\n",
+        ["tests/test_kernel_cover.py::test_key_separates_windows"],
+    ),
+    # kernel_cover's memo key without the parts' shapes and restriction
+    # forms
+    "kernel-cover-key-without-parts": (
+        "src/fansheaf/modules.py",
+        "    key = (window, parts, local)\n",
+        "    key = (window, local)\n",
+        [
+            "tests/test_kernel_cover.py::"
+            "test_key_separates_each_part_of_the_local_data",
+        ],
+    ),
+    # kernel_cover's memo key without the caller's key of the rows
+    "kernel-cover-key-without-local": (
+        "src/fansheaf/modules.py",
+        "    key = (window, parts, local)\n",
+        "    key = (window, parts)\n",
+        [
+            "tests/test_kernel_cover.py::"
+            "test_key_separates_each_part_of_the_local_data",
+        ],
+    ),
+    # the local-exactness memo keyed on the cone-to-facets block alone
+    "exactness-key-without-boundary": (
+        "src/fansheaf/complexes.py",
+        "key = (boundary, assemble_key(M, [i], facets))",
+        "key = assemble_key(M, [i], facets)",
+        [
+            "tests/test_complexes.py::"
+            "test_exactness_memo_equals_a_run_per_cone",
+        ],
+    ),
+    # the local-exactness memo keyed on the facets' sections alone
+    "exactness-key-without-cone-to-facets": (
+        "src/fansheaf/complexes.py",
+        "key = (boundary, assemble_key(M, [i], facets))",
+        "key = boundary",
+        [
+            "tests/test_complexes.py::"
+            "test_exactness_runs_once_per_local_data_on_p4",
+        ],
+    ),
+    # minimality's elimination seeded with the bare columns too, so no
+    # bare column ever enlarges the span
+    "minimality-seeds-every-column": (
+        "src/fansheaf/minimal.py",
+        "span = _linalg.Echelon([c for c, b in zip(cols, bare) if not b])",
+        "span = _linalg.Echelon(cols)",
+        [
+            "tests/test_minimal.py::"
+            "test_verify_minimality_builds_no_kernel[p3-0-0]",
+            "tests/test_minimal.py::"
+            "test_verify_minimality_problems_on_direct_images[p2-p2]",
+            "tests/test_minimal.py::test_verify_minimality_problems_on_"
+            "direct_images[starsq-conesquare]",
+        ],
+    ),
+    # minimality counting every bare column, dependent or not, so a
+    # module always needs the generators it has
+    "minimality-counts-every-bare-column": (
+        "src/fansheaf/minimal.py",
+        "sum(span.insert(c) for c, b in zip(cols, bare) if b)",
+        "sum(1 for c, b in zip(cols, bare) if b)",
+        [
+            "tests/test_minimal.py::"
+            "test_verify_minimality_reports_exactness_before_degrees",
+            "tests/test_minimal.py::test_verify_minimality_problems_on_"
+            "direct_images[starsq-conesquare]",
+            "tests/test_minimal.py::test_verify_minimality_problems_on_"
+            "direct_images[cubestar-cubefan]",
+        ],
+    ),
 }
 
 

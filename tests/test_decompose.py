@@ -10,7 +10,12 @@ import pytest
 
 from fansheaf import _linalg, decompose, modules
 from fansheaf.combinatorics import predicted_stalks
-from fansheaf.complexes import FanComplex, check_complex, check_locally_exact
+from fansheaf.complexes import (
+    FanComplex,
+    boundary,
+    check_complex,
+    check_locally_exact,
+)
 from fansheaf.decompose import (
     decomposition_multiplicities,
     decomposition_theorem_report,
@@ -48,8 +53,8 @@ def _image(src_name, tgt_name):
 def _cocycle(N, i, d):
     """A cocycle of N at cone i in degree d that is a generator modulo
     the irrelevant ideal."""
-    _, boundary = decompose._boundary(N, i)
-    for v in _linalg.nullspace(boundary(d), N.dim_at(i, d)):
+    _, block = boundary(N, i)
+    for v in _linalg.nullspace(block(d), N.dim_at(i, d)):
         if decompose._bare(N.modules[i], d, v):
             return v
 

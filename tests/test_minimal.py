@@ -1,15 +1,15 @@
 """Minimal complex builders against hand-derived and lattice oracles."""
 
-from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from fansheaf import complexes, modules
+from fansheaf import _linalg, complexes, minimal, modules
 from fansheaf.combinatorics import predicted_ih_degrees
-from fansheaf.complexes import FanComplex, complex_to_text
+from fansheaf.complexes import FanComplex, complex_from_text, complex_to_text
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
-from fansheaf.fans import Fan, is_complete, load_fan
+from fansheaf.fans import Fan, is_complete, load_fan, subdivision_map
 from fansheaf.minimal import (
     build_minimal,
     build_shifted_minimal,
@@ -18,8 +18,9 @@ from fansheaf.minimal import (
     verify_minimality,
 )
 from fansheaf.modules import FreeGradedModule, PolyMatrix
+from fansheaf.pushforward import pushforward
 
-from conftest import fan_path
+from conftest import fan_file, fan_path
 from quotient import quotient_fan
 from strategies import complete_fans_2d
 from test_complexes import quadrant_complex
@@ -40,44 +41,39 @@ def test_verify_minimality_quadrant_and_complete_line():
         assert verify_minimality(M) == []
 
 
-def _count_boundary_kernels(monkeypatch):
-    """Counter of the kernel families built per cone, wherever
-    family_from_kernel is bound: a boundary kernel's ambient is over its
-    cone's ring, labelled by the cone id."""
-    calls = Counter()
-    real = modules.family_from_kernel
+def _forbid_kernel_searches(monkeypatch):
+    """Make every kernel basis and generator search raise, wherever a
+    module binds it."""
 
-    def counting(ambient, rows_by_degree, window):
-        calls[ambient.base_ring.label] += 1
-        return real(ambient, rows_by_degree, window)
+    def forbidden(*args):
+        raise AssertionError("a certificate searched for a kernel")
 
-    monkeypatch.setattr(complexes, "family_from_kernel", counting)
-    monkeypatch.setattr(modules, "family_from_kernel", counting)
-    return calls
+    for binding in (modules, complexes, minimal):
+        for name in ("family_from_kernel", "minimal_generators",
+                     "kernel_cover"):
+            if hasattr(binding, name):
+                monkeypatch.setattr(binding, name, forbidden)
+    monkeypatch.setattr(_linalg, "nullspace", forbidden)
 
 
 @pytest.mark.parametrize(
     "name, base, shift", [("p3", 0, 0), ("cubefan", 0, 0), ("cubefan", 7, 1)]
 )
-def test_verify_minimality_takes_each_boundary_kernel_once(
-    monkeypatch, name, base, shift
-):
-    """Exactness compares ranks and builds no kernel basis; the
-    generator-degree check takes one boundary kernel at each supported
-    non-base cone, computed from the complex."""
+def test_verify_minimality_builds_no_kernel(monkeypatch, name, base, shift):
+    """Exactness compares ranks and the generator degrees take one
+    elimination on each module's block into its facets: no kernel
+    family, generator search, kernel cover or nullspace."""
     fan = load_fan(fan_path(name))
     M = build_shifted_minimal(fan, base, shift)
-    calls = _count_boundary_kernels(monkeypatch)
+    _forbid_kernel_searches(monkeypatch)
     assert verify_minimality(M, base_id=base, shift=shift) == []
-    assert calls == Counter(i for i in M.support_ids() if i != base)
 
 
-def test_verify_minimality_reports_exactness_before_degrees(monkeypatch):
+def test_verify_minimality_reports_exactness_before_degrees():
     """The quadrant complex without its top module, and with a spare
     generator in degree 0 at ray 1 that maps to zero: exactness fails at
     the top cone, then ray 1's degrees disagree with its kernel's
-    generators, in that order.  Only the supported non-base cones take a
-    boundary kernel, once each."""
+    generators, in that order."""
     M = build_minimal(load_fan(fan_path("quadrant")))
     top = M.fan.cones_of_dim(2)[0]
     spare = FreeGradedModule(M.modules[1].ring, [-2, 0])
@@ -86,13 +82,52 @@ def test_verify_minimality_reports_exactness_before_degrees(monkeypatch):
     maps = {k: pm for k, pm in M.maps.items() if top not in k}
     maps[(1, 0)] = PolyMatrix(spare, M.modules[0], M.maps[(1, 0)].entries)
     N = FanComplex(M.fan, modules, maps, M.window)
-    calls = _count_boundary_kernels(monkeypatch)
     problems = verify_minimality(N)
-    assert calls == Counter(i for i in N.support_ids() if i != 0)
     assert problems[-1] == "cone 1: module degrees (-2, 0), kernel needs (-2,)"
     assert problems[:-1] and all(
         p.startswith(f"not exact at cone {top} ") for p in problems[:-1]
     )
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _needs(cones, have, need):
+    return [
+        f"cone {i}: module degrees {have}, kernel needs {need}" for i in cones
+    ]
+
+
+# verify_minimality's exact problems on direct images: a direct image
+# keeps generators its cones' kernels do not need, which the
+# decomposition theorem splits off as summands
+DIRECT_IMAGE_PROBLEMS = {
+    ("blowquad", "quadrant"): _needs([3], (-2, 0), (-2,)),
+    ("cubeedge", "cubefan"): _needs([20], (-3, -1), (-3,)),
+    ("orth4e", "orth4"): _needs([10], (-4, -2), (-4,)),
+    ("p2", "p2"): [],
+    ("p2blow", "p2"): _needs([6], (-2, 0), (-2,)),
+    ("p3edge", "p3"): _needs([10], (-3, -1), (-3,)),
+    ("starsq", "conesquare"): _needs([9], (-3, -1, -1, 1), (-3, -1)),
+    ("twostep", "quadrant"): _needs([3], (-2, 0, 0), (-2,)),
+    ("cubestar", "cubefan"): _needs(range(21, 27), (-3, -1, -1, 1), (-3, -1)),
+}
+
+
+@pytest.mark.parametrize(
+    "src, tgt", DIRECT_IMAGE_PROBLEMS, ids=lambda name: name
+)
+def test_verify_minimality_problems_on_direct_images(src, tgt):
+    """The committed push-*.out images, and cubestar's image in cubefan,
+    fail minimality at exactly the cones and degrees listed."""
+    golden = GOLDEN / f"push-{src}-{tgt}.out"
+    if golden.exists():
+        N = complex_from_text(golden.read_text())
+    else:
+        src_fan, tgt_fan = load_fan(fan_file(src)), load_fan(fan_file(tgt))
+        fmap = subdivision_map(src_fan, tgt_fan)
+        N = pushforward(fmap, build_minimal(fmap.source))
+    assert verify_minimality(N) == DIRECT_IMAGE_PROBLEMS[(src, tgt)]
 
 
 def test_simplicial_stalks_are_single_bottom_generators():
