@@ -14,15 +14,19 @@ in _linalg's one matrix form, a list of sparse rows {col: value} with no
 stored zeros, and assemble_key the local data that fixes it in every
 degree.  sections cuts out every module a builder covers: the sections
 over listed tiles that glue across listed walls, over a ring.
-check_complex certifies shapes, grading, and the vanishing of the
-composite differential on each module's generators; check_locally_exact
-certifies, cone by cone, that each module surjects onto its boundary
-kernel, by two ranks per degree and once per distinct local data.  Ranks
-suffice only once check_complex has passed, so every caller stops on its
-problems first.  Both run on arbitrary complexes and return their
-problems: an empty list means the complex passes.
+boundary reads a cone's local data for every certificate: the blocks B
+from the cone into its facets and C from those into its codimension-2
+faces.  check_complex certifies shapes, grading, and C·B = 0 on each
+module's generators; check_locally_exact certifies, cone by cone, that
+each module surjects onto its boundary kernel, rank B = dim(facets) -
+rank C per degree, once per distinct local data.  Ranks suffice only
+once check_complex has passed, so every caller stops on its problems
+first.  Neither builds a module of sections; both run on arbitrary
+complexes and return their problems: an empty list means the complex
+passes.
 """
 
+from bisect import bisect_right
 from contextlib import contextmanager
 from functools import cache, partial
 from itertools import accumulate
@@ -37,7 +41,6 @@ from fansheaf.modules import (
     cone_ring,
     cover_is_free_certificate,
     family_from_kernel,
-    image_under,
     kernel_cover,
 )
 from fansheaf.polys import degree, format_poly, parse_poly
@@ -120,13 +123,15 @@ def _offsets(M, ids, d):
 def check_complex(M):
     """Certify shapes, grading, and d after d = 0 on generators.
 
-    The composite through the facets of a cone is a map of free modules
-    over the cone's ring, because restrictions compose: cone to facet to
-    face is cone to face.  A map of free modules vanishes exactly when
-    it vanishes on the generators, so applying the two stored components
-    to each generator, at its own degree, certifies d after d = 0 in
-    every degree, whatever the window.  Returns the list of problems,
-    empty when the complex passes.
+    At a cone of dimension at least 2 the composite is C·B, B its block
+    into its facets and C theirs into its codimension-2 faces
+    (boundary).  It is a map of free modules over the cone's ring,
+    because restrictions compose: cone to facet to face is cone to face.
+    A map of free modules vanishes exactly when it vanishes on the
+    generators, so C·B applied to each generator, at its own degree,
+    certifies d after d = 0 in every degree, whatever the window; each
+    nonzero row names its codimension-2 face.  Returns the list of
+    problems, empty when the complex passes.
     """
     problems = []
     fan = M.fan
@@ -143,37 +148,22 @@ def check_complex(M):
             problems.append(f"map {s}->{t}: {exc}")
     if problems:
         return problems
-    for sigma in M.fan.cones:
+    for sigma in fan.cones:
         s = sigma.index
         if M.rank_at(s) == 0 or sigma.dim < 2:
             continue
         module = M.modules[s]
-        gens = [module.generator(j) for j in range(module.rank())]
-        for rho_id in sigma.face_ids:
-            if fan.cones[rho_id].dim != sigma.dim - 2:
-                continue
-            paths = [
-                (M.maps[(s, t)], M.maps[(t, rho_id)])
-                for t in sigma.facet_ids
-                if rho_id in fan.cones[t].facet_ids
-                and (s, t) in M.maps
-                and (t, rho_id) in M.maps
-            ]
-            if any(_composite(paths, g, vec) for g, vec in gens):
-                problems.append(
-                    f"composite differential {s} -> {rho_id} is nonzero"
-                )
+        _, codim2, B, C = boundary(M, s)
+        bad = set()
+        for d, g in map(module.generator, range(module.rank())):
+            offs, _ = _offsets(M, codim2, d)
+            for r in _linalg.matvec(C(d), _linalg.matvec(B(d), g)):
+                bad.add(bisect_right(offs, r) - 1)
+        problems += [
+            f"composite differential {s} -> {codim2[k]} is nonzero"
+            for k in sorted(bad)
+        ]
     return problems
-
-
-def _composite(paths, d, vec):
-    """Nonzero entries of the image of a degree-d vector under the sum
-    of the two-step paths (first, second)."""
-    total = {}
-    for path in paths:
-        for r, x in image_under(path, d, vec).items():
-            total[r] = total.get(r, 0) + x
-    return {r: x for r, x in total.items() if x}
 
 
 def sections(M, ring, tiles, walls):
@@ -187,25 +177,30 @@ def sections(M, ring, tiles, walls):
 
 
 def boundary(M, i):
-    """The facets of cone i where M has a module, and M's differential
-    from cone i into them, degree by degree."""
-    facets = [f for f in M.fan.cones[i].facet_ids if M.rank_at(f)]
-    return facets, cache(lambda d: assemble(M, [i], facets, d))
+    """(facets, codim2, B, C): a cone's local data, where every
+    certificate reads it.  facets and codim2 are the ids of cone i's
+    facets and codimension-2 faces where M has a module; B(d) and C(d)
+    are M's differential on degree d from the cone into the facets and
+    from the facets into codim2, each assembled once per degree."""
+    fan = M.fan
+    cone = fan.cones[i]
+    facets = [f for f in cone.facet_ids if M.rank_at(f)]
+    codim2 = [
+        r
+        for r in cone.face_ids
+        if fan.cones[r].dim == cone.dim - 2 and M.rank_at(r)
+    ]
+    B = cache(partial(assemble, M, [i], facets))
+    C = cache(partial(assemble, M, facets, codim2))
+    return facets, codim2, B, C
 
 
 def boundary_setup(M, cone_id):
-    """(facets, ambient, rows_at, key) of a cone: its facets' ids in part
-    order, then the sections of the facets across its codimension-2
-    faces over its ring."""
-    fan = M.fan
-    cone = fan.cones[cone_id]
-    facets, _ = boundary(M, cone_id)
-    codim2 = [
-        i
-        for i in cone.face_ids
-        if fan.cones[i].dim == cone.dim - 2 and M.rank_at(i)
-    ]
-    return facets, *sections(M, cone_ring(fan, cone_id), facets, codim2)
+    """(facets, ambient, rows_at, key) of a cone, for the builders: its
+    facets' ids in part order, then the sections of the facets across
+    its codimension-2 faces over its ring."""
+    facets, codim2, _, _ = boundary(M, cone_id)
+    return facets, *sections(M, cone_ring(M.fan, cone_id), facets, codim2)
 
 
 def boundary_kernel(M, cone_id):
@@ -220,24 +215,23 @@ def local_exactness(M, i):
 
     check_complex(M) must pass first: d after d = 0 puts the module's
     image inside the boundary kernel, so the two are equal exactly when
-    their dimensions are.  Each degree takes two ranks: the kernel
-    dimension is the facet pieces' dimension minus the rank of the
-    facets-to-codimension-2 block, and the image dimension is the rank
-    of the cone-to-facets block, which is the rank of its transpose.
+    their dimensions are.  Each degree takes two ranks on the cone's
+    blocks (boundary): the kernel dimension is the facet pieces'
+    dimension minus rank C, and the image dimension is rank B.
     """
     lo, hi = M.window
-    facets, ambient, rows_at, _ = boundary_setup(M, i)
+    facets, _, B, C = boundary(M, i)
     failures = []
     for d in range(lo, hi + 1):
-        fdim = ambient.dim_at(d)
+        fdim = sum(M.dim_at(f, d) for f in facets)
         if not fdim:
             continue
-        zdim = fdim - _linalg.rank(rows_at(d))
+        zdim = fdim - _linalg.rank(C(d))
         if not M.rank_at(i):
             if zdim:
                 failures.append((i, d, f"kernel dim {zdim}, no module"))
             continue
-        ri = M.dim_at(i, d) and _linalg.rank(assemble(M, [i], facets, d))
+        ri = M.dim_at(i, d) and _linalg.rank(B(d))
         if ri != zdim:
             failures.append((i, d, f"image rank {ri}, kernel dim {zdim}"))
     return failures
@@ -258,8 +252,8 @@ def check_locally_exact(M):
     memo = {}
     failures = []
     for i in range(1, len(M.fan.cones)):  # cone 0 is the origin
-        facets, _, _, boundary = boundary_setup(M, i)
-        key = (boundary, assemble_key(M, [i], facets))
+        facets, codim2, _, _ = boundary(M, i)
+        key = (assemble_key(M, facets, codim2), assemble_key(M, [i], facets))
         if key not in memo:
             memo[key] = local_exactness(M, i)
         failures += [(i, d, why) for _, d, why in memo[key]]

@@ -30,7 +30,7 @@ from fansheaf.combinatorics import predicted_stalks
 from fansheaf.complexes import boundary
 from fansheaf.errors import CertificateError
 from fansheaf.minimal import build_minimal, build_shifted_minimal, stalk_report
-from fansheaf.modules import PolyMatrix, image_under, lift
+from fansheaf.modules import PolyMatrix, lift
 from fansheaf.pushforward import pushforward, verify_pushforward
 
 
@@ -58,7 +58,7 @@ def decomposition_multiplicities(N):
         # independent images number at most N's generators in their
         # degree, so no degree of theirs lies outside N's
         want = Counter(N.degrees_at(i))
-        _, block = boundary(N, i)
+        _, _, block, _ = boundary(N, i)
         for d in sorted(want, reverse=True):
             need = want[d] - len(echelons[d].rows)
             if need == 0:
@@ -119,7 +119,7 @@ def peel_summand(N, base_id, summand, base):
             raise CertificateError(
                 f"summand needs a module at cone {i}, complex has none"
             )
-        facets, block = boundary(N, i)
+        facets, _, block, _ = boundary(N, i)
         images = _boundary_images(summand, phi, N, i, facets)
         if i == base_id:
             columns = [base]
@@ -150,8 +150,8 @@ def _boundary_images(S, phi, N, i, facets):
         img, off = {}, 0
         for f in facets:
             if (i, f) in S.maps:
-                path = (S.maps[(i, f)], phi[f])
-                for r, x in image_under(path, d, gen).items():
+                vec = _linalg.matvec(S.maps[(i, f)].evaluate(d), gen)
+                for r, x in _linalg.matvec(phi[f].evaluate(d), vec).items():
                     img[off + r] = x
             off += N.dim_at(f, d)
         out.append((d, img))

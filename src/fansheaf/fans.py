@@ -20,6 +20,7 @@ generator must satisfy the span equations of the face on the common
 rays (see Fan._validate_pairwise).
 """
 
+from collections import Counter
 from itertools import combinations, islice
 from math import gcd
 
@@ -596,27 +597,15 @@ def subdivision_map(source, target):
 
 
 def _covers(fm, tgt_id):
-    """Do the same-dimension preimage cones tile the target cone?"""
-    target, source = fm.target, fm.source
-    tc = target.cones[tgt_id]
+    """Do the same-dimension preimage cones tile the target cone?
+
+    Every ridge of a tile borders two tiles, or one and lies on the
+    target's boundary: then it is assigned to a proper face of the
+    target, which is how pushforward tells its interior walls apart.
+    """
     pieces = fm.preimage_cones(tgt_id)
-    if not pieces:
-        return False
-    ridge_count = {}
-    for p in pieces:
-        for f in source.cones[p].facet_ids:
-            ridge_count[f] = ridge_count.get(f, 0) + 1
-    for f, cnt in ridge_count.items():
-        if cnt == 2:
-            continue
-        if cnt > 2:
-            return False
-        ridge_rays = [source.rays[r] for r in source.cones[f].rays]
-        # a ridge with one tile must lie on some facet hyperplane of the
-        # target (vacuously true for the origin ridge of a 1-dim target)
-        on_boundary = any(
-            all(dot(nrm, v) == 0 for v in ridge_rays) for nrm in tc.facet_normals
-        )
-        if not on_boundary:
-            return False
-    return True
+    ridges = Counter(f for p in pieces for f in fm.source.cones[p].facet_ids)
+    return bool(pieces) and all(
+        cnt == 2 or cnt == 1 and fm.assignment[f] != tgt_id
+        for f, cnt in ridges.items()
+    )

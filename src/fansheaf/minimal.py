@@ -134,7 +134,7 @@ def verify_minimality(M, base_id=0, shift=0):
     for i in M.support_ids():
         if i == base_id:
             continue
-        module, (_, block) = M.modules[i], boundary(M, i)
+        module, (_, _, block, _) = M.modules[i], boundary(M, i)
         need = []
         for d in sorted(set(module.degrees)):
             basis = module.piece_basis(d)

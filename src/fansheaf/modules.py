@@ -343,13 +343,6 @@ class PolyMatrix:
         )
 
 
-def image_under(maps, d, vec):
-    """The image of a degree-d vector under the PolyMatrices in turn."""
-    for pm in maps:
-        vec = _linalg.matvec(pm.evaluate(d), vec)
-    return vec
-
-
 class DirectSumAmbient:
     """Direct sum of free modules over (possibly) different rings, seen
     as a graded module over a base ring through restriction to each

@@ -103,15 +103,13 @@ MUTANTS = {
         ],
     ),
     # sections keyed without their walls, so two sections that differ
-    # only in the walls share one memo entry
+    # only in the walls share one memo entry; no certificate reads
+    # sections, so the key test alone sees it
     "sections-key-without-walls": (
         "src/fansheaf/complexes.py",
         "return ambient, rows_at, assemble_key(M, tiles, walls)",
         "return ambient, rows_at, assemble_key(M, tiles, ())",
-        [
-            "tests/test_complexes.py::test_exactness_memo_equals_a_run_per_cone",
-            "tests/test_complexes.py::test_assemble_key_fixes_the_rows",
-        ],
+        ["tests/test_complexes.py::test_assemble_key_fixes_the_rows"],
     ),
     # the top module over the first maximal cone's ring, not the full
     # ring "A": the same generator degrees, another cone in the record
@@ -168,18 +166,19 @@ MUTANTS = {
     # the local-exactness memo keyed on the cone-to-facets block alone
     "exactness-key-without-boundary": (
         "src/fansheaf/complexes.py",
-        "key = (boundary, assemble_key(M, [i], facets))",
+        "key = (assemble_key(M, facets, codim2), assemble_key(M, [i], facets))",
         "key = assemble_key(M, [i], facets)",
         [
             "tests/test_complexes.py::"
             "test_exactness_memo_equals_a_run_per_cone",
         ],
     ),
-    # the local-exactness memo keyed on the facets' sections alone
+    # the local-exactness memo keyed on the facets-to-codimension-2
+    # block alone
     "exactness-key-without-cone-to-facets": (
         "src/fansheaf/complexes.py",
-        "key = (boundary, assemble_key(M, [i], facets))",
-        "key = boundary",
+        "key = (assemble_key(M, facets, codim2), assemble_key(M, [i], facets))",
+        "key = assemble_key(M, facets, codim2)",
         [
             "tests/test_complexes.py::"
             "test_exactness_runs_once_per_local_data_on_p4",
@@ -213,6 +212,44 @@ MUTANTS = {
             "direct_images[starsq-conesquare]",
             "tests/test_minimal.py::test_verify_minimality_problems_on_"
             "direct_images[cubestar-cubefan]",
+        ],
+    ),
+    # every nonzero row of C·B charged to a cone's first codimension-2
+    # face, so a nonzero composite is reported against the wrong face
+    "composite-charged-to-first-face": (
+        "src/fansheaf/complexes.py",
+        "bad.add(bisect_right(offs, r) - 1)",
+        "bad.add(0)",
+        [
+            "tests/test_complexes.py::"
+            "test_corrupted_entries_flagged_as_symbolic_composition_finds"
+            "[cubefan]",
+            "tests/test_complexes.py::"
+            "test_corrupted_entries_flagged_as_symbolic_composition_finds"
+            "[conecube]",
+        ],
+    ),
+    # local exactness without rank C: the boundary kernel taken as all
+    # of the facets' pieces
+    "exactness-drops-rank-of-c": (
+        "src/fansheaf/complexes.py",
+        "zdim = fdim - _linalg.rank(C(d))",
+        "zdim = fdim",
+        [
+            "tests/test_complexes.py::test_local_exactness_quadrant",
+            "tests/test_complexes.py::"
+            "test_exactness_runs_once_per_local_data_on_p4",
+        ],
+    ),
+    # every ridge of a single tile taken as the target's boundary, so a
+    # tile that covers part of its target cone passes as a tiling
+    "covers-single-tile-ridge-as-boundary": (
+        "src/fansheaf/fans.py",
+        "cnt == 2 or cnt == 1 and fm.assignment[f] != tgt_id",
+        "cnt in (1, 2)",
+        [
+            "tests/test_fans.py::test_subdivision_map_not_proper",
+            "tests/test_fans.py::test_subdivision_map_matches_brute_scan",
         ],
     ),
 }

@@ -123,8 +123,8 @@ COMPOSITE = re.compile(r"composite differential (\d+) -> (\d+) is nonzero")
 @pytest.mark.parametrize("name", ["cubefan", "conecube"])
 def test_corrupted_entries_flagged_as_symbolic_composition_finds(name):
     """Each entry of a golden complex in turn is scaled by 2; the pairs
-    check_complex flags, one problem each, are exactly those whose
-    composite the symbolic reference finds nonzero.  The golden modules
+    check_complex flags, one problem each in ascending order, are
+    exactly those whose composite the symbolic reference finds nonzero.  The golden modules
     have up to two generators and the restrictions of these fans are
     not all simplicial."""
     M = complex_from_text((GOLDEN / f"{name}.complex").read_text())
@@ -138,11 +138,13 @@ def test_corrupted_entries_flagged_as_symbolic_composition_finds(name):
             )
             bad = FanComplex(M.fan, M.modules, maps, M.window)
             problems = check_complex(bad)
-            got = set()
+            pairs = []
             for why in problems:
                 match = COMPOSITE.fullmatch(why)
-                got.add((int(match[1]), int(match[2])))
-            assert len(got) == len(problems)
+                pairs.append((int(match[1]), int(match[2])))
+            # cone by cone, each cone's faces ascending, none twice
+            assert pairs == sorted(set(pairs))
+            got = set(pairs)
             assert got == nonzero_composites(bad), (key, ij)
             flagged += bool(got)
     assert flagged
@@ -552,17 +554,42 @@ def _ambient_callers(monkeypatch, capsys, *argv):
     return callers, applied, capsys.readouterr().out
 
 
-def test_verify_builds_ambients_only_in_boundary_setup(monkeypatch, capsys):
-    """verify of a golden complex evaluates its maps without a
-    multiplier per evaluation: every DirectSumAmbient comes from
-    sections through boundary_setup, and none multiplies by a
-    variable."""
+def test_verify_builds_no_ambient_and_cuts_no_sections(monkeypatch, capsys):
+    """verify of a golden complex reads each cone through its two
+    boundary blocks: it builds no DirectSumAmbient, calls no sections
+    and multiplies by no variable."""
+    cut = []
+    real = complexes.sections
+    monkeypatch.setattr(
+        complexes, "sections", lambda *args: cut.append(args) or real(*args)
+    )
     callers, applied, out = _ambient_callers(
         monkeypatch, capsys, "verify", "--complex", GOLDEN / "cubefan.complex"
     )
     assert "complex\t" in out
-    assert set(callers) == {("sections", "boundary_setup")}
+    assert not callers
+    assert not cut
     assert not applied
+
+
+@pytest.mark.parametrize(
+    "path", [P4_COMPLEX, GOLDEN / "cubefan.complex"], ids=["p4", "cubefan"]
+)
+def test_certificates_need_no_sections_or_rings(monkeypatch, path):
+    """check_complex and check_locally_exact pass with sections,
+    DirectSumAmbient and cone_ring all raising: they read only the
+    stored maps, through each cone's blocks."""
+    M = complex_from_text(path.read_text(), validate=False)
+
+    def refuse(*args):
+        raise AssertionError("a certificate built a module of sections")
+
+    monkeypatch.setattr(complexes, "sections", refuse)
+    monkeypatch.setattr(complexes, "cone_ring", refuse)
+    monkeypatch.setattr(modules, "cone_ring", refuse)
+    monkeypatch.setattr(DirectSumAmbient, "__init__", refuse)
+    assert check_complex(M) == []
+    assert check_locally_exact(M) == []
 
 
 @pytest.mark.parametrize(

@@ -53,7 +53,7 @@ def _image(src_name, tgt_name):
 def _cocycle(N, i, d):
     """A cocycle of N at cone i in degree d that is a generator modulo
     the irrelevant ideal."""
-    _, block = boundary(N, i)
+    _, _, block, _ = boundary(N, i)
     for v in _linalg.nullspace(block(d), N.dim_at(i, d)):
         if decompose._bare(N.modules[i], d, v):
             return v
