@@ -204,7 +204,7 @@ def boundary_setup(M, cone_id):
 
 
 def boundary_kernel(M, cone_id):
-    """Kernel family of the restricted complex at a cone's own slot."""
+    """(bases, facets) of the restricted complex at a cone's own slot."""
     facets, ambient, rows_at, _ = boundary_setup(M, cone_id)
     return family_from_kernel(ambient, rows_at, M.window), facets
 

@@ -19,15 +19,15 @@ one such row, indexed by the (part, generator, monomial) basis of a
 degree piece.  Multiplication by a variable is an index operation
 (_successors, _divisors), and _mult_columns turns a variable's image
 under restriction into sparse columns, applied by _apply_columns.
-DirectSumAmbient caches them per variable and degree, for families;
-PolyMatrix.evaluate reads degree d off degree d - 2 with them, once
-per distinct map content: maps of equal content share one weakly held
-table of rows.  Subspace families store canonical primitive integer
-bases degree by degree; minimal_generators completes m*Z to Z with one
-_linalg.Echelon per degree.  A builder computes each distinct local
-kernel cover once per call: kernel_cover keys its memo on the window,
-the ambient's parts and the caller's key of the constraint rows, and no
-certificate reads it.
+DirectSumAmbient caches them per variable and degree, for the kernel
+search; PolyMatrix.evaluate reads degree d off degree d - 2 with them,
+once per distinct map content: maps of equal content share one weakly
+held table of rows.  minimal_free_cover completes m*Z to Z in canonical
+primitive integer kernel bases, one _linalg.Echelon per degree, and its
+CoverMap keeps the generators and the kernel's dimensions.  A builder
+computes each distinct local kernel cover once per call: kernel_cover
+keys its memo on the window, the ambient's parts and the caller's key
+of the constraint rows, and no certificate reads it.
 """
 
 import weakref
@@ -351,8 +351,8 @@ class DirectSumAmbient:
     Multiplication by a base variable is cached per (variable, degree)
     as sparse columns, each part's block built by _mult_columns at the
     part's offset; apply_mult touches only the nonzero entries of a
-    vector.  Families multiply through it; PolyMatrix.evaluate does not
-    construct one.
+    vector.  The kernel search multiplies through it; PolyMatrix.evaluate
+    does not construct one.
     """
 
     __slots__ = ("base_ring", "parts", "_mult")
@@ -397,38 +397,21 @@ class DirectSumAmbient:
         return _apply_columns(self.mult_by_var(i, d), vec)
 
 
-class GradedSubspaceFamily:
-    """Canonical degreewise bases of a graded subspace of an ambient sum."""
-
-    __slots__ = ("ambient", "window", "bases")
-
-    def __init__(self, ambient, window, bases):
-        self.ambient = ambient
-        self.window = window
-        self.bases = {d: tuple(rows) for d, rows in bases.items() if rows}
-
-    def basis_at(self, d):
-        return self.bases.get(d, ())
-
-    def dim_at(self, d):
-        return len(self.bases.get(d, ()))
-
-
 def family_from_kernel(ambient, rows_by_degree, window):
-    """Family of degreewise kernels: rows_by_degree(d) gives constraint
-    rows acting on the ambient degree-d piece."""
+    """Canonical kernel bases {degree: rows}, nonzero window degrees only:
+    rows_by_degree(d) gives constraint rows on the ambient piece d."""
     lo, hi = window
     bases = {}
     for d in range(lo, hi + 1):
         dim = ambient.dim_at(d)
-        if dim == 0:
-            continue
-        bases[d] = _linalg.nullspace(rows_by_degree(d), dim)
-    return GradedSubspaceFamily(ambient, window, bases)
+        if dim and (basis := _linalg.nullspace(rows_by_degree(d), dim)):
+            bases[d] = tuple(basis)
+    return bases
 
 
-def minimal_generators(family):
-    """Minimal homogeneous generators of a subspace family as a module.
+def minimal_generators(ambient, bases, window):
+    """Minimal homogeneous generators (degree, row) of the subspace of
+    the ambient with the bases {degree: rows} on the window.
 
     Completes m*Z(d-2) to Z(d) degree by degree in one elimination: the
     images of Z(d-2) under the base variables span (m*Z)(d), and one
@@ -436,7 +419,7 @@ def minimal_generators(family):
     canonical degree-d basis is then inserted, in order; a row that
     enlarges the span is a new generator.  Membership is exact, so the
     choice does not depend on the pivot order.  After the scan the basis
-    size is rank(images + Z(d)), and the family is closed under
+    size is rank(images + Z(d)), and the subspace is closed under
     multiplication by the base ring variables exactly when that equals
     dim Z(d).
 
@@ -444,17 +427,17 @@ def minimal_generators(family):
     WindowExhausted when the top two window degrees still produce new
     generators; its cone is the base ring's label, a cone id or "A".
     """
-    lo, hi = family.window
-    amb = family.ambient
-    nvars = amb.base_ring.nvars
+    lo, hi = window
+    nvars = ambient.base_ring.nvars
     gens = []
     for d in range(lo, hi + 1):
-        zd = family.basis_at(d)
-        if not zd and amb.dim_at(d) == 0:
+        zd = bases.get(d, ())
+        if not zd and ambient.dim_at(d) == 0:
             continue
-        prev = family.basis_at(d - 2) if d - 2 >= lo else ()
         span = _linalg.Echelon(
-            amb.apply_mult(i, d - 2, z) for i in range(nvars) for z in prev
+            ambient.apply_mult(i, d - 2, z)
+            for i in range(nvars)
+            for z in bases.get(d - 2, ())
         )
         new = [(d, z) for z in zd if span.insert(z)]
         if len(span.rows) != len(zd):
@@ -462,7 +445,7 @@ def minimal_generators(family):
                 f"family not closed under multiplication at degree {d}"
             )
         if new and d > hi - 2:
-            cone = amb.base_ring.label
+            cone = ambient.base_ring.label
             raise WindowExhausted(
                 f"cone {cone}: new generator in guard zone at degree {d}",
                 cone=cone, degree=d,
@@ -472,16 +455,29 @@ def minimal_generators(family):
 
 
 class CoverMap:
-    """Minimal free cover of a family: a free module L, its generator
-    representatives inside the ambient, and per-part PolyMatrix blocks."""
+    """Minimal free cover of a kernel: the free module L on generator
+    representatives inside the ambient, per-part PolyMatrix blocks read
+    off each part's segment of them, the window, and the kernel's
+    nonzero dimensions by degree."""
 
-    __slots__ = ("module", "family", "gens", "blocks")
+    __slots__ = ("module", "window", "dims", "gens", "blocks")
 
-    def __init__(self, module, family, gens, blocks):
-        self.module = module
-        self.family = family
-        self.gens = gens
-        self.blocks = blocks
+    def __init__(self, ambient, window, dims, gens):
+        self.module = module = FreeGradedModule(
+            ambient.base_ring, [d for d, _ in gens]
+        )
+        self.window, self.dims, self.gens = window, dims, gens
+        offsets = {d: ambient.part_offsets(d)[0] for d, _ in gens}
+        blocks = []
+        for k, part in enumerate(ambient.parts):
+            segments = []
+            for d, v in gens:
+                start = offsets[d][k]
+                stop = start + part.dim_at(d)
+                seg = {c - start: x for c, x in v.items() if start <= c < stop}
+                segments.append((d, seg))
+            blocks.append(PolyMatrix.from_columns(module, part, segments))
+        self.blocks = tuple(blocks)
 
     def evaluate(self, d):
         """Sparse rows of the map from L's degree-d piece into the
@@ -504,41 +500,24 @@ def lift(rows_at, module, images, what):
     return out
 
 
-def minimal_free_cover(family):
-    """Free module on the minimal generators plus the covering map."""
-    return _cover_on(family, minimal_generators(family))
-
-
-def _cover_on(family, gens):
-    """CoverMap of a family with the given generator representatives.
-
-    The covering map is returned as one PolyMatrix per ambient part,
-    read off from each part's segment of the generator representatives.
-    """
-    amb = family.ambient
-    module = FreeGradedModule(amb.base_ring, [d for d, _ in gens])
-    offsets = {d: amb.part_offsets(d)[0] for d, _ in gens}
-    blocks = []
-    for k, part in enumerate(amb.parts):
-        segments = []
-        for d, vec in gens:
-            start = offsets[d][k]
-            stop = start + part.dim_at(d)
-            seg = {c - start: x for c, x in vec.items() if start <= c < stop}
-            segments.append((d, seg))
-        blocks.append(PolyMatrix.from_columns(module, part, segments))
-    return CoverMap(module, family, gens, tuple(blocks))
+def minimal_free_cover(ambient, rows_by_degree, window):
+    """The kernel cover search: the kernel bases of rows_by_degree, their
+    minimal generators, and the CoverMap, which keeps the dimensions."""
+    bases = family_from_kernel(ambient, rows_by_degree, window)
+    gens = minimal_generators(ambient, bases, window)
+    dims = {d: len(rows) for d, rows in bases.items()}
+    return CoverMap(ambient, window, dims, gens)
 
 
 def kernel_cover(ambient, rows_by_degree, window, memo, local):
-    """Minimal free cover of the kernel family of rows_by_degree.
+    """Minimal free cover of the kernel of rows_by_degree.
 
     The memo key is the window, each part's variable count, generator
     degrees and restriction forms, and local, the caller's key of the
     rows: equal keys must give equal rows in every degree, as
     complexes.assemble_key does.  Keys compare in full, never by
     digest.  A hit reads no rows: it builds the cover over this ambient
-    from the stored bases and generators, which covers share and no
+    from the stored dimensions and generators, which covers share and no
     caller mutates.  A failing search stores nothing, so it raises
     again at every cone it runs for; WindowExhausted names that cone.
     """
@@ -549,23 +528,21 @@ def kernel_cover(ambient, rows_by_degree, window, memo, local):
     )
     key = (window, parts, local)
     if key in memo:
-        bases, gens = memo[key]
-        return _cover_on(GradedSubspaceFamily(ambient, window, bases), gens)
-    family = family_from_kernel(ambient, rows_by_degree, window)
-    cover = minimal_free_cover(family)
-    memo[key] = (cover.family.bases, cover.gens)
+        return CoverMap(ambient, window, *memo[key])
+    cover = minimal_free_cover(ambient, rows_by_degree, window)
+    memo[key] = (cover.dims, cover.gens)
     return cover
 
 
 def cover_is_free_certificate(cover):
-    """Hilbert equality of the free module and the family on the window.
+    """Hilbert equality of the free module and the kernel on the window.
 
     Surjectivity of the cover holds by construction; equal dimensions in
     every window degree therefore certify degreewise freeness.  Returns
     the lowest degree where they differ, or None when the cover is free.
     """
-    lo, hi = cover.family.window
+    lo, hi = cover.window
     for d in range(lo, hi + 1):
-        if cover.module.dim_at(d) != cover.family.dim_at(d):
+        if cover.module.dim_at(d) != cover.dims.get(d, 0):
             return d
     return None

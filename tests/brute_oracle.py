@@ -568,9 +568,9 @@ def membership_exactness(M):
         i = cone.index
         if not cone.dim:
             continue
-        fam, facets = boundary_kernel(M, i)
+        bases, facets = boundary_kernel(M, i)
         for d in range(lo, hi + 1):
-            zdim = fam.dim_at(d)
+            zdim = len(bases.get(d, ()))
             if not M.rank_at(i):
                 if zdim:
                     failures.append((i, d, f"kernel dim {zdim}, no module"))
@@ -580,6 +580,6 @@ def membership_exactness(M):
             ri = len(span.rows)
             if ri != zdim:
                 failures.append((i, d, f"image rank {ri}, kernel dim {zdim}"))
-            elif any(span.reduce(z) for z in fam.basis_at(d)):
+            elif any(span.reduce(z) for z in bases.get(d, ())):
                 failures.append((i, d, "image not inside kernel"))
     return failures

@@ -163,6 +163,89 @@ MUTANTS = {
             "test_key_separates_each_part_of_the_local_data",
         ],
     ),
+    # a memo hit rebuilt with no kernel dimensions, so a reused cover
+    # reads as unfree wherever freeness is certified
+    "kernel-cover-hit-without-dimensions": (
+        "src/fansheaf/modules.py",
+        "        return CoverMap(ambient, window, *memo[key])\n",
+        "        return CoverMap(ambient, window, {}, memo[key][1])\n",
+        [
+            "tests/test_kernel_cover.py::"
+            "test_memo_holds_dimensions_and_generators_only",
+            "tests/test_kernel_cover.py::"
+            "test_reused_covers_equal_fresh_searches[cubestar-cubefan]",
+            "tests/test_golden.py::test_pushforward_matches_golden[p2-p2]",
+        ],
+    ),
+    # the generator search without its closure check, so a subspace
+    # that is no submodule gets generators
+    "generators-closure-dropped": (
+        "src/fansheaf/modules.py",
+        "        if len(span.rows) != len(zd):\n",
+        "        if False:\n",
+        [
+            "tests/test_modules.py::"
+            "test_minimal_generators_closure_certificate",
+            "tests/test_modules.py::"
+            "test_minimal_generators_closure_with_nonempty_degree",
+            "tests/test_kernel_cover.py::test_failures_are_not_memoised",
+        ],
+    ),
+    # the guard zone shrunk to nothing: a generator in the top two
+    # window degrees no longer exhausts the window
+    "generators-guard-zone-at-window-top": (
+        "src/fansheaf/modules.py",
+        "        if new and d > hi - 2:\n",
+        "        if new and d > hi:\n",
+        [
+            "tests/test_modules.py::test_minimal_generators_guard_zone",
+            "tests/test_kernel_cover.py::test_key_separates_windows",
+            "tests/test_cli.py::test_window_exhaustion_exits_three",
+        ],
+    ),
+    # the Hilbert comparison reads the free module on both sides, so
+    # every cover passes as free
+    "freeness-compares-module-with-itself": (
+        "src/fansheaf/modules.py",
+        "cover.module.dim_at(d) != cover.dims.get(d, 0)",
+        "cover.module.dim_at(d) != cover.module.dim_at(d)",
+        [
+            "tests/test_modules.py::"
+            "test_freeness_certificate_names_the_first_unequal_degree",
+        ],
+    ),
+    # a restriction coefficient read off by position as a Fraction, not
+    # an int
+    "restriction-read-off-as-fraction": (
+        "src/fansheaf/modules.py",
+        "images[position[b]].append((j, 1))",
+        "images[position[b]].append((j, _linalg.Fraction(1)))",
+        [
+            "tests/test_fans.py::test_span_coords_matches_per_vector_solve",
+            "tests/test_polys.py::test_polynomials_are_term_dicts",
+        ],
+    ),
+    # a target basis vector outside the source span read as zero
+    "restriction-outside-span-as-zero": (
+        "src/fansheaf/modules.py",
+        '                raise InputError("vector outside the span of the '
+        'basis")\n',
+        "                col = {}\n",
+        ["tests/test_fans.py::test_span_coords_matches_per_vector_solve"],
+    ),
+    # the coordinates that restriction solves for, negated
+    "restriction-solve-sign-flip": (
+        "src/fansheaf/modules.py",
+        "images[k].append((j, x))",
+        "images[k].append((j, -x))",
+        [
+            "tests/test_fans.py::test_span_coords_matches_per_vector_solve",
+            "tests/test_modules.py::test_restriction_along_diagonal",
+            "tests/test_restriction.py::"
+            "test_tile_restriction_matches_evaluation_oracle"
+            "[cubestar-cubefan]",
+        ],
+    ),
     # the local-exactness memo keyed on the cone-to-facets block alone
     "exactness-key-without-boundary": (
         "src/fansheaf/complexes.py",

@@ -349,8 +349,8 @@ def test_walk_rejects_dependent_generator_images(monkeypatch):
     N, _ = _image("blowquad", "quadrant")
     real = modules.minimal_generators
 
-    def doubled(family):
-        gens = real(family)
+    def doubled(ambient, bases, window):
+        gens = real(ambient, bases, window)
         return gens[:1] + gens
 
     monkeypatch.setattr(modules, "minimal_generators", doubled)

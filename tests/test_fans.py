@@ -460,6 +460,7 @@ def span_cases(draw):
 @given(case=span_cases())
 @example(case=(((1, 0, 0), (0, 1, 0)), [(1, 1, 0), (2, 0, 0), (0, 0, 1)]))
 @example(case=(((1, 1), (1, -1)), [(1, 0), (0, 1)]))
+@example(case=(((1, 0), (1, 1)), [(1, 1), (2, 1)]))
 def test_span_coords_matches_per_vector_solve(case):
     """The coordinates that restriction reads back off its forms, from
     the ring of the basis to a ring whose basis is the vectors, are the

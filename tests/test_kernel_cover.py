@@ -1,11 +1,13 @@
 """Kernel covers reused by content within one builder call.
 
-kernel_cover keys its memo on the full local data of a kernel family, so
-a reused cover must equal a fresh search at every cone, and ambients that
-differ in any part of that data must each get their own search.  A
-direct image's kernels are cut out by interior walls alone, so on
-subdivisions that also subdivide a target facet, each family's image in
-a facet's tiles is checked to lie in that facet's family.
+kernel_cover keys its memo on the full local data of a kernel, so a
+reused cover must equal a fresh search at every cone, and ambients that
+differ in any part of that data must each get their own search.  A memo
+entry is the pair (kernel dimensions, generators): no kernel basis
+outlives the search.  A direct image's kernels are cut out by interior
+walls alone, so on subdivisions that also subdivide a target facet, each
+kernel's image in a facet's tiles is checked to lie in that facet's
+kernel.
 """
 
 from functools import cache
@@ -38,15 +40,9 @@ def _map(src, tgt):
     return subdivision_map(load_fan(fan_file(src)), load_fan(fan_file(tgt)))
 
 
-def _fresh(ambient, rows_by_degree, window):
-    family = family_from_kernel(ambient, rows_by_degree, window)
-    return minimal_free_cover(family)
-
-
 def _assert_same_cover(got, want):
-    assert got.family.ambient is want.family.ambient
-    assert got.family.window == want.family.window
-    assert got.family.bases == want.family.bases
+    assert got.window == want.window
+    assert got.dims == want.dims
     assert got.gens == want.gens
     assert got.module.ring is want.module.ring
     assert got.module.degrees == want.module.degrees
@@ -60,7 +56,7 @@ def _assert_same_cover(got, want):
 )
 def test_reused_covers_equal_fresh_searches(monkeypatch, src, tgt):
     """Every cone of the source's minimal complex and of its direct
-    image: the memoised cover against a fresh family and generator
+    image: the memoised cover against a fresh kernel and generator
     search over the same ambient."""
     fmap = _map(src, tgt)
     hits = []
@@ -69,7 +65,9 @@ def test_reused_covers_equal_fresh_searches(monkeypatch, src, tgt):
         known = len(memo)
         got = kernel_cover(ambient, rows_by_degree, window, memo, local)
         hits.append(len(memo) == known)
-        _assert_same_cover(got, _fresh(ambient, rows_by_degree, window))
+        _assert_same_cover(
+            got, minimal_free_cover(ambient, rows_by_degree, window)
+        )
         return got
 
     monkeypatch.setattr(minimal, "kernel_cover", checked)
@@ -80,19 +78,20 @@ def test_reused_covers_equal_fresh_searches(monkeypatch, src, tgt):
 
 @pytest.mark.parametrize("src,tgt", FACET_SUBDIVISIONS)
 def test_facet_images_lie_in_facet_families(monkeypatch, src, tgt):
-    """The interior walls alone cut out a direct image's families: at
+    """The interior walls alone cut out a direct image's kernels: at
     every target cone s, finished facet f and window degree d, the block
-    from s's tiles into f's tiles sends each basis vector of s's family
-    into the span of f's family.  Some facet family is a proper subspace
+    from s's tiles into f's tiles sends each basis vector of s's kernel
+    into the span of f's kernel, both rebuilt by family_from_kernel on
+    the arguments of the lookup.  Some facet kernel is a proper subspace
     of its ambient, so the check is not vacuous."""
     fmap = _map(src, tgt)
     M = build_minimal(fmap.source)
     families = []
 
-    def recording(*args):
-        cover = kernel_cover(*args)
-        families.append(cover.family)
-        return cover
+    def recording(ambient, rows_by_degree, window, memo, local):
+        bases = family_from_kernel(ambient, rows_by_degree, window)
+        families.append((ambient, bases))
+        return kernel_cover(ambient, rows_by_degree, window, memo, local)
 
     monkeypatch.setattr(pushforward_module, "kernel_cover", recording)
     pushforward(fmap, M)
@@ -110,11 +109,11 @@ def test_facet_images_lie_in_facet_families(monkeypatch, src, tgt):
             if s not in family or f not in family:
                 continue
             for d in range(lo, hi + 1):
-                span = family[f].basis_at(d)
+                span = family[f][1].get(d, ())
                 rank = len(span)
-                proper += rank < family[f].ambient.dim_at(d)
+                proper += rank < family[f][0].dim_at(d)
                 D = assemble(M, tiles[s], tiles[f], d)
-                for z in family[s].basis_at(d):
+                for z in family[s][1].get(d, ()):
                     image = _linalg.matvec(D, z)
                     assert _linalg.rank([*span, image]) == rank, (s, f, d)
     assert proper
@@ -126,9 +125,9 @@ def test_generator_searches_counted_on_cubestar(monkeypatch):
     calls = []
     real = modules.minimal_generators
 
-    def counting(family):
-        calls.append(family.ambient.base_ring.label)
-        return real(family)
+    def counting(ambient, bases, window):
+        calls.append(ambient.base_ring.label)
+        return real(ambient, bases, window)
 
     monkeypatch.setattr(modules, "minimal_generators", counting)
     fmap = _map("cubestar", "cubefan")
@@ -137,6 +136,36 @@ def test_generator_searches_counted_on_cubestar(monkeypatch):
     calls.clear()
     pushforward(fmap, M)
     assert len(calls) == 4
+
+
+def test_memo_holds_dimensions_and_generators_only(monkeypatch):
+    """Each lookup of cubefan's build: the entry a miss stores is the
+    pair (kernel dimensions, generators) of its search, with no kernel
+    basis, and a hit rebuilt from it, reading no rows, equals a fresh
+    search in module degrees, generators, dimensions and each block's
+    content."""
+    lookups = []
+
+    def checked(ambient, rows_by_degree, window, memo, local):
+        stored = dict(memo)
+        got = kernel_cover(ambient, rows_by_degree, window, memo, local)
+        fresh = minimal_free_cover(ambient, rows_by_degree, window)
+        new = [entry for key, entry in memo.items() if key not in stored]
+        lookups.append("miss" if new else "hit")
+        assert new in ([], [(fresh.dims, fresh.gens)])
+        again = kernel_cover(ambient, _unassembled, window, memo, local)
+        assert len(memo) == len(stored) + len(new)
+        for cover in (got, again):
+            assert cover.module.degrees == fresh.module.degrees
+            assert (cover.gens, cover.dims) == (fresh.gens, fresh.dims)
+            assert [b.content() for b in cover.blocks] == [
+                b.content() for b in fresh.blocks
+            ]
+        return got
+
+    monkeypatch.setattr(minimal, "kernel_cover", checked)
+    build_minimal(load_fan(fan_file("cubefan")))
+    assert (lookups.count("miss"), lookups.count("hit")) == (3, 23)
 
 
 def _count_lookups_and_searches(monkeypatch):
@@ -149,9 +178,9 @@ def _count_lookups_and_searches(monkeypatch):
         calls.append("lookup")
         return real_cover(*args)
 
-    def search(family):
+    def search(*args):
         calls.append("search")
-        return real_search(family)
+        return real_search(*args)
 
     for binding in (minimal, pushforward_module, complexes):
         monkeypatch.setattr(binding, "kernel_cover", cover)
@@ -247,7 +276,10 @@ def test_key_separates_each_part_of_the_local_data():
     memo = {}
     window = (-2, 6)
     for pair in pairs:
-        fresh = [_fresh(ambient, rows, window) for ambient, rows, _ in pair]
+        fresh = [
+            minimal_free_cover(ambient, rows, window)
+            for ambient, rows, _ in pair
+        ]
         assert fresh[0].gens != fresh[1].gens
         for (ambient, rows, local), want in zip(pair, fresh):
             got = kernel_cover(ambient, rows, window, memo, local)
@@ -257,7 +289,7 @@ def test_key_separates_each_part_of_the_local_data():
     ambient, rows, local = pairs[-1][-1]
     again = free((line, [0]))
     got = kernel_cover(again, _unassembled, window, memo, local)
-    _assert_same_cover(got, _fresh(again, rows, window))
+    _assert_same_cover(got, minimal_free_cover(again, rows, window))
 
 
 def test_key_separates_windows():

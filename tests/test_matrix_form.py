@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fansheaf import decompose, modules
 from fansheaf import pushforward as pushforward_module
-from fansheaf.complexes import assemble, boundary_kernel, complex_from_text
+from fansheaf.complexes import assemble, boundary_setup, complex_from_text
 from fansheaf.fans import load_fan, subdivision_map
 from fansheaf.minimal import build_minimal, build_shifted_minimal
 from fansheaf.modules import (
@@ -114,9 +114,9 @@ def test_producers_emit_sparse_rows(corpus, name):
     for cone in fan.cones:
         if cone.dim == 0 or not M.rank_at(cone.index):
             continue
-        fam, _ = boundary_kernel(M, cone.index)
-        cover = minimal_free_cover(fam)
-        parts = fam.ambient.parts
+        _, ambient, rows_at, _ = boundary_setup(M, cone.index)
+        cover = minimal_free_cover(ambient, rows_at, M.window)
+        parts = ambient.parts
         for d in degrees:
             blocks = {
                 (k, 0): poly_matrix(blk, d)

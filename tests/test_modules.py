@@ -17,7 +17,6 @@ from fansheaf.modules import (
     ConeRing,
     DirectSumAmbient,
     FreeGradedModule,
-    GradedSubspaceFamily,
     PolyMatrix,
     cone_ring,
     cover_is_free_certificate,
@@ -136,7 +135,7 @@ def test_lift_zero_image_and_missing_preimage():
 
 
 def test_kernel_degreewise_simple():
-    """Kernel families of one PolyMatrix over its source module."""
+    """Kernel bases of one PolyMatrix over its source module."""
 
     def kernel(f, window):
         ambient = DirectSumAmbient(f.source.ring, (f.source,))
@@ -147,103 +146,105 @@ def test_kernel_degreewise_simple():
     a0 = FreeGradedModule(r, [0])
     a2 = FreeGradedModule(r, [-2])
     f = PolyMatrix(a0, a2, {(0, 0): {(1,): 1}})
-    fam = kernel(f, (0, 6))
-    assert all(fam.dim_at(d) == 0 for d in range(0, 7))
+    assert kernel(f, (0, 6)) == {}
     # the zero map has everything as kernel
     z = PolyMatrix(a0, a2, {})
-    fam2 = kernel(z, (0, 6))
-    assert [fam2.dim_at(d) for d in (0, 2, 4)] == [1, 1, 1]
+    bases = kernel(z, (0, 6))
+    assert [len(bases.get(d, ())) for d in (0, 2, 4)] == [1, 1, 1]
 
 
-def _full_family(module, window):
-    amb = DirectSumAmbient(module.ring, (module,))
-    return family_from_kernel(amb, lambda d: [], window)
+def _no_rows(d):
+    return []
+
+
+def _whole(module):
+    """The ambient of one free module, whose kernel of no rows is all of
+    it."""
+    return DirectSumAmbient(module.ring, (module,))
 
 
 def test_minimal_generators_free_module():
     r = _ring(2)
-    m = FreeGradedModule(r, [-2, 0])
-    fam = _full_family(m, (-2, 6))
-    gens = minimal_generators(fam)
+    amb = _whole(FreeGradedModule(r, [-2, 0]))
+    window = (-2, 6)
+    bases = family_from_kernel(amb, _no_rows, window)
+    gens = minimal_generators(amb, bases, window)
     assert [d for d, _ in gens] == [-2, 0]
-    cover = minimal_free_cover(fam)
+    cover = minimal_free_cover(amb, _no_rows, window)
     assert cover.module.degrees == (-2, 0)
     assert cover_is_free_certificate(cover) is None
 
 
-def _ideal_t(window):
-    """The ideal (t) inside a 1-variable free module on one degree-0
-    generator: cut out by the one equation on the degree-0 piece."""
-    r = _ring(1)
+def _ideal(nvars):
+    """(ambient, rows_by_degree) of the maximal ideal (t_1, ..., t_nvars)
+    inside a free module on one degree-0 generator: cut out by the one
+    equation on the degree-0 piece."""
+    r = _ring(nvars)
     amb = DirectSumAmbient(r, (FreeGradedModule(r, [0]),))
-    return family_from_kernel(
-        amb, lambda d: [{0: 1}] if d == 0 else [], window
-    )
+    return amb, lambda d: [{0: 1}] if d == 0 else []
 
 
 def test_minimal_generators_positive_ideal():
     """The ideal (t) inside a 1-variable free module: one generator."""
-    fam = _ideal_t((0, 8))
-    assert fam.bases == {d: ({0: 1},) for d in (2, 4, 6, 8)}
-    gens = minimal_generators(fam)
+    amb, rows = _ideal(1)
+    bases = family_from_kernel(amb, rows, (0, 8))
+    assert bases == {d: ({0: 1},) for d in (2, 4, 6, 8)}
+    gens = minimal_generators(amb, bases, (0, 8))
     assert [d for d, _ in gens] == [2]
 
 
 def test_minimal_generators_guard_zone():
     r = _ring(1)
     # a window so small that the generator at 0 falls in the guard zone
-    small = _full_family(FreeGradedModule(r, [0]), (-1, 0))
+    amb = _whole(FreeGradedModule(r, [0]))
+    small = family_from_kernel(amb, _no_rows, (-1, 0))
     with pytest.raises(WindowExhausted) as exc:
-        minimal_generators(small)
+        minimal_generators(amb, small, (-1, 0))
     assert exc.value.cone == r.label
 
 
 def test_minimal_generators_closure_certificate():
-    r = _ring(1)
-    m = FreeGradedModule(r, [0])
-    amb = DirectSumAmbient(r, (m,))
+    amb = _whole(FreeGradedModule(_ring(1), [0]))
     # degree-0 line present, degree-2 image missing: not a submodule
-    fam = family_from_kernel(amb, lambda d: [{0: 1}] if d else [], (0, 6))
-    assert fam.bases == {0: ({0: 1},)}
+    bases = family_from_kernel(amb, lambda d: [{0: 1}] if d else [], (0, 6))
+    assert bases == {0: ({0: 1},)}
     with pytest.raises(CertificateError):
-        minimal_generators(fam)
+        minimal_generators(amb, bases, (0, 6))
 
 
-def _two_lines(window, bases):
-    """A family inside the free module on two degree-0 generators over
-    one variable; basis index 0 is t^k * e1 and index 1 is t^k * e2."""
-    m = FreeGradedModule(_ring(1), [0, 0])
-    amb = DirectSumAmbient(m.ring, (m,))
-    return GradedSubspaceFamily(amb, window, bases)
+def _two_lines():
+    """The free module on two degree-0 generators over one variable;
+    basis index 0 is t^k * e1 and index 1 is t^k * e2."""
+    return _whole(FreeGradedModule(_ring(1), [0, 0]))
 
 
 def test_minimal_generators_closure_with_nonempty_degree():
     """Z(2) is the line of t*e2, but t*e1, the image of Z(0), lies
     outside it: closure fails although Z(2) is not empty."""
-    fam = _two_lines((0, 6), {0: [{0: 1}], 2: [{1: 1}]})
+    bases = {0: [{0: 1}], 2: [{1: 1}]}
     with pytest.raises(CertificateError, match="degree 2"):
-        minimal_generators(fam)
+        minimal_generators(_two_lines(), bases, (0, 6))
 
 
 def test_minimal_generators_closure_checked_before_guard_zone():
     """Degree 2 is in the guard zone of the window (0, 2), and t*e2 is a
     new generator there; the closure failure at the same degree is the
     error raised."""
-    fam = _two_lines((0, 2), {0: [{0: 1}], 2: [{1: 1}]})
+    amb = _two_lines()
     with pytest.raises(CertificateError, match="degree 2"):
-        minimal_generators(fam)
+        minimal_generators(amb, {0: [{0: 1}], 2: [{1: 1}]}, (0, 2))
     # closed, the same new generator exhausts the window
-    closed = _two_lines((0, 2), {0: [{0: 1}], 2: [{0: 1}, {1: 1}]})
+    closed = {0: [{0: 1}], 2: [{0: 1}, {1: 1}]}
     with pytest.raises(WindowExhausted) as exc:
-        minimal_generators(closed)
-    assert exc.value.cone == closed.ambient.base_ring.label
+        minimal_generators(amb, closed, (0, 2))
+    assert exc.value.cone == amb.base_ring.label
 
 
 @st.composite
 def kernel_families(draw):
-    """The kernel of a random map of free modules over 1-3 variables on
-    a window, and sometimes one degree of it cut to its first rows so
-    that closure may fail."""
+    """(ambient, bases, window): the kernel of a random map of free
+    modules over 1-3 variables on a window, and sometimes one degree of
+    it cut to its first rows so that closure may fail."""
     nvars = draw(st.integers(min_value=1, max_value=3))
     ring = _ring(nvars)
     degs = st.sampled_from([-2, 0, 2])
@@ -266,16 +267,14 @@ def kernel_families(draw):
     )
     lo = min(src)
     window = (lo, lo + draw(st.integers(min_value=2, max_value=10)))
-    amb = DirectSumAmbient(ring, (f.source,))
-    fam = family_from_kernel(amb, f.evaluate, window)
-    cut = draw(st.none() | st.sampled_from(sorted(fam.bases) or [None]))
+    amb = _whole(f.source)
+    bases = family_from_kernel(amb, f.evaluate, window)
+    cut = draw(st.none() | st.sampled_from(sorted(bases) or [None]))
     if cut is not None:
-        rows = fam.bases[cut]
+        rows = bases[cut]
         keep = draw(st.integers(min_value=0, max_value=len(rows) - 1))
-        bases = dict(fam.bases)
-        bases[cut] = rows[:keep]
-        fam = GradedSubspaceFamily(amb, window, bases)
-    return fam
+        bases = {**bases, cut: rows[:keep]}
+    return amb, bases, window
 
 
 @settings(max_examples=80, deadline=None)
@@ -283,13 +282,13 @@ def kernel_families(draw):
 def test_minimal_generators_match_leftmost_scan(fam):
     """Degrees, representatives and the first failure agree with the
     one-vector-at-a-time leftmost-pivot scan."""
-    amb = fam.ambient
+    amb, bases, window = fam
     want = leftmost_generators(
-        fam.window, amb.base_ring.nvars, fam.basis_at, amb.dim_at,
+        window, amb.base_ring.nvars, lambda d: bases.get(d, ()), amb.dim_at,
         amb.apply_mult,
     )
     try:
-        got = minimal_generators(fam)
+        got = minimal_generators(amb, bases, window)
     except (CertificateError, WindowExhausted) as exc:
         if isinstance(exc, WindowExhausted):
             assert exc.cone == amb.base_ring.label
@@ -302,11 +301,21 @@ def test_minimal_generators_match_leftmost_scan(fam):
 def test_cover_entries_read_off():
     """Cover map entries are the polynomial coordinates of the chosen
     generator representatives."""
-    cover = minimal_free_cover(_ideal_t((0, 8)))
+    cover = minimal_free_cover(*_ideal(1), (0, 8))
     assert cover.module.degrees == (2,)
     block = cover.blocks[0]
     assert block.entries[(0, 0)] == {(1,): 1}
     assert cover_is_free_certificate(cover) is None
+
+
+def test_freeness_certificate_names_the_first_unequal_degree():
+    """The maximal ideal (t1, t2) is generated by t1 and t2 in degree 2
+    but is not free: the cover's degree-4 piece has dimension 4, the
+    ideal's 3 (t1^2, t1 t2, t2^2), and lower degrees agree."""
+    cover = minimal_free_cover(*_ideal(2), (0, 8))
+    assert cover.module.degrees == (2, 2)
+    assert cover.dims == {2: 2, 4: 3, 6: 4, 8: 5}
+    assert cover_is_free_certificate(cover) == 4
 
 
 def test_parse_poly_used_in_entries():

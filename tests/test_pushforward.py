@@ -85,7 +85,7 @@ def test_unfree_direct_image_rejected(monkeypatch):
     real = pushforward_module.cover_is_free_certificate
 
     def failing(cover):
-        return 4 if len(cover.family.ambient.parts) == 2 else real(cover)
+        return 4 if len(cover.blocks) == 2 else real(cover)
 
     monkeypatch.setattr(pushforward_module, "cover_is_free_certificate", failing)
     with pytest.raises(
