@@ -12,18 +12,18 @@ complex holds each component as it acts.
 assemble gives the differential between listed cones on one degree piece
 in _linalg's one matrix form, a list of sparse rows {col: value} with no
 stored zeros, and assemble_key the local data that fixes it in every
-degree.  sections cuts out every module a builder covers: the sections
-over listed tiles that glue across listed walls, over a ring.
-boundary reads a cone's local data for every certificate: the blocks B
-from the cone into its facets and C from those into its codimension-2
-faces.  check_complex certifies shapes, grading, and C·B = 0 on each
-module's generators; check_locally_exact certifies, cone by cone, that
-each module surjects onto its boundary kernel, rank B = dim(facets) -
-rank C per degree, once per distinct local data.  Ranks suffice only
-once check_complex has passed, so every caller stops on its problems
-first.  Neither builds a module of sections; both run on arbitrary
-complexes and return their problems: an empty list means the complex
-passes.
+degree.  kernel_cover covers every module a builder cuts out, the
+sections over listed tiles that glue across listed walls, over a ring,
+and keys its memo on those same arguments.  boundary reads a cone's local
+data for every certificate: the blocks B from the cone into its facets
+and C from those into its codimension-2 faces.  check_complex certifies
+shapes, grading, and C·B = 0 on each module's generators;
+check_locally_exact certifies, cone by cone, that each module surjects
+onto its boundary kernel, rank B = dim(facets) - rank C per degree, once
+per distinct local data.  Ranks suffice only once check_complex has
+passed, so every caller stops on its problems first.  Neither builds a
+module of sections; both run on arbitrary complexes and return their
+problems: an empty list means the complex passes.
 """
 
 from bisect import bisect_right
@@ -35,13 +35,15 @@ from fansheaf import _linalg
 from fansheaf.errors import CertificateError, InputError
 from fansheaf.fans import line_fields, line_keyword, parse_fan
 from fansheaf.modules import (
+    CoverMap,
     DirectSumAmbient,
     FreeGradedModule,
     PolyMatrix,
     cone_ring,
     cover_is_free_certificate,
     family_from_kernel,
-    kernel_cover,
+    minimal_free_cover,
+    restriction,
 )
 from fansheaf.polys import degree, format_poly, parse_poly
 
@@ -166,14 +168,29 @@ def check_complex(M):
     return problems
 
 
-def sections(M, ring, tiles, walls):
-    """(ambient, rows_at, key): the tiles' modules summed over ring, the
-    degreewise rows from the tiles into the walls, whose kernel is the
-    sections that glue across the walls, and their assemble_key.  They
-    cut out stalks (boundary_setup), direct images and the top module."""
+def kernel_cover(M, ring, tiles, walls, memo):
+    """Minimal free cover of the sections over the tiles that glue across
+    the walls: the kernel of the differential from the tiles' modules,
+    summed over ring, into the walls', on M's window.  It cuts out
+    stalks, direct images and the top module.
+
+    The memo key is the window, each tile's restriction forms from ring
+    and the assemble_key of the tiles and walls, which holds the tiles'
+    shapes; keys compare in full, never by digest.  A hit assembles no
+    rows: it builds the cover over this ambient from the stored
+    dimensions and generators, which covers share and no caller mutates.
+    A failing search stores nothing, so it raises again at every cone it
+    runs for; WindowExhausted names that cone.
+    """
     ambient = DirectSumAmbient(ring, [M.modules[i] for i in tiles])
+    forms = tuple(restriction(ring, part.ring) for part in ambient.parts)
+    key = (M.window, forms, assemble_key(M, tiles, walls))
+    if key in memo:
+        return CoverMap(ambient, M.window, *memo[key])
     rows_at = partial(assemble, M, tiles, walls)
-    return ambient, rows_at, assemble_key(M, tiles, walls)
+    cover = minimal_free_cover(ambient, rows_at, M.window)
+    memo[key] = (cover.dims, cover.gens)
+    return cover
 
 
 def boundary(M, i):
@@ -195,18 +212,13 @@ def boundary(M, i):
     return facets, codim2, B, C
 
 
-def boundary_setup(M, cone_id):
-    """(facets, ambient, rows_at, key) of a cone, for the builders: its
-    facets' ids in part order, then the sections of the facets across
-    its codimension-2 faces over its ring."""
-    facets, codim2, _, _ = boundary(M, cone_id)
-    return facets, *sections(M, cone_ring(M.fan, cone_id), facets, codim2)
-
-
 def boundary_kernel(M, cone_id):
-    """(bases, facets) of the restricted complex at a cone's own slot."""
-    facets, ambient, rows_at, _ = boundary_setup(M, cone_id)
-    return family_from_kernel(ambient, rows_at, M.window), facets
+    """(bases, facets) of the restricted complex at a cone's own slot:
+    the kernel of C on the facets' modules over the cone's ring."""
+    facets, _, _, C = boundary(M, cone_id)
+    ring = cone_ring(M.fan, cone_id)
+    ambient = DirectSumAmbient(ring, [M.modules[f] for f in facets])
+    return family_from_kernel(ambient, C, M.window), facets
 
 
 def local_exactness(M, i):
@@ -310,18 +322,17 @@ def cohomology_degreewise(M):
 
 def top_module(M):
     """The kernel at the lowest slot as a module over the full ring: the
-    maximal cones' sections over "A", covered by kernel_cover on a memo
-    of its own.  Returns (generator degrees, offender), the offender None
-    when the module is free, as in cover_is_free_certificate.
+    maximal cones' sections across the (n - 1)-cones over "A", covered
+    by kernel_cover on a memo of its own.  Returns (generator degrees,
+    offender), the offender None when the module is free, as in
+    cover_is_free_certificate.
     """
     n = M.fan.n
     top_ids = [i for i in M.fan.cones_of_dim(n) if M.rank_at(i)]
     if not top_ids:
         return (), "no top-dimensional modules"
     walls = [i for i in M.fan.cones_of_dim(n - 1) if M.rank_at(i)]
-    ring = cone_ring(M.fan, "A")
-    ambient, rows_at, key = sections(M, ring, top_ids, walls)
-    cover = kernel_cover(ambient, rows_at, M.window, {}, key)
+    cover = kernel_cover(M, cone_ring(M.fan, "A"), top_ids, walls, {})
     return cover.module.degrees, cover_is_free_certificate(cover)
 
 

@@ -2,10 +2,10 @@
 
 A minimal complex based at a cone starts from a free rank-one module on
 that cone and walks the cones of its star by increasing dimension: each
-cone's boundary kernel, its facets' complexes.sections, gets a minimal
-free cover, whose blocks become the differential's components.  One
-build computes each distinct local kernel cover once
-(modules.kernel_cover), keyed on the sections' key, so a repeated cone
+cone's boundary kernel, the sections of its facets' modules that glue
+across its codimension-2 faces, gets a minimal free cover, whose blocks
+become the differential's components.  One build computes each distinct
+local kernel cover once (complexes.kernel_cover), so a repeated cone
 assembles no rows; verify_minimality builds no kernel at all.  The
 origin-based complex is the one based at the origin without shift: the
 ground field placed in degree minus the ambient dimension, and the whole
@@ -16,19 +16,14 @@ from fansheaf import _linalg
 from fansheaf.complexes import (
     FanComplex,
     boundary,
-    boundary_setup,
     check_complex,
     check_locally_exact,
     cohomology_degreewise,
+    kernel_cover,
     top_module,
 )
 from fansheaf.errors import CertificateError, InputError, WindowExhausted
-from fansheaf.modules import (
-    FreeGradedModule,
-    cone_ring,
-    default_window,
-    kernel_cover,
-)
+from fansheaf.modules import FreeGradedModule, cone_ring, default_window
 
 
 def build_minimal(fan, window=None):
@@ -75,8 +70,8 @@ def _extend(M, cone_ids):
     """
     memo = {}
     for i in cone_ids:
-        facets, ambient, rows_at, key = boundary_setup(M, i)
-        cover = kernel_cover(ambient, rows_at, M.window, memo, key)
+        facets, codim2, _, _ = boundary(M, i)
+        cover = kernel_cover(M, cone_ring(M.fan, i), facets, codim2, memo)
         if cover.module.rank() == 0:
             continue
         M.modules[i] = cover.module

@@ -24,10 +24,8 @@ search; PolyMatrix.evaluate reads degree d off degree d - 2 with them,
 once per distinct map content: maps of equal content share one weakly
 held table of rows.  minimal_free_cover completes m*Z to Z in canonical
 primitive integer kernel bases, one _linalg.Echelon per degree, and its
-CoverMap keeps the generators and the kernel's dimensions.  A builder
-computes each distinct local kernel cover once per call: kernel_cover
-keys its memo on the window, the ambient's parts and the caller's key
-of the constraint rows, and no certificate reads it.
+CoverMap keeps the generators and the kernel's dimensions, all that a
+builder's memo (complexes.kernel_cover) stores of a search.
 """
 
 import weakref
@@ -507,31 +505,6 @@ def minimal_free_cover(ambient, rows_by_degree, window):
     gens = minimal_generators(ambient, bases, window)
     dims = {d: len(rows) for d, rows in bases.items()}
     return CoverMap(ambient, window, dims, gens)
-
-
-def kernel_cover(ambient, rows_by_degree, window, memo, local):
-    """Minimal free cover of the kernel of rows_by_degree.
-
-    The memo key is the window, each part's variable count, generator
-    degrees and restriction forms, and local, the caller's key of the
-    rows: equal keys must give equal rows in every degree, as
-    complexes.assemble_key does.  Keys compare in full, never by
-    digest.  A hit reads no rows: it builds the cover over this ambient
-    from the stored dimensions and generators, which covers share and no
-    caller mutates.  A failing search stores nothing, so it raises
-    again at every cone it runs for; WindowExhausted names that cone.
-    """
-    base = ambient.base_ring
-    parts = tuple(
-        (part.ring.nvars, part.degrees, restriction(base, part.ring))
-        for part in ambient.parts
-    )
-    key = (window, parts, local)
-    if key in memo:
-        return CoverMap(ambient, window, *memo[key])
-    cover = minimal_free_cover(ambient, rows_by_degree, window)
-    memo[key] = (cover.dims, cover.gens)
-    return cover
 
 
 def cover_is_free_certificate(cover):

@@ -1,15 +1,14 @@
 """Direct images of complexes along proper subdivision maps.
 
 For each target cone the direct image module is carved out of the sum of
-the modules on its same-dimension preimage tiles: complexes.sections of
-the tiles across its interior walls (source cones of codimension 1 in
-its relative interior), where their differential components cancel.  A
-minimal free cover of that kernel family gives the new module,
+the modules on its same-dimension preimage tiles: the sections of the
+tiles that glue across its interior walls (source cones of codimension 1
+in its relative interior), where their differential components cancel.
+Their minimal free cover, complexes.kernel_cover, gives the new module,
 certified degreewise free by Hilbert comparison where it is built, and
 the induced differential lifts each generator's image through the
 facet's cover.  One call computes each distinct local kernel cover once
-(modules.kernel_cover, keyed on the sections' key); verify_pushforward
-never reads that memo.
+on a memo of its own; verify_pushforward never reads that memo.
 
 That a section's image in a facet's tiles lies in the facet's module
 needs no constraint of its own: it follows from d^2 = 0 in the source.
@@ -32,14 +31,13 @@ from fansheaf.complexes import (
     check_complex,
     check_locally_exact,
     cohomology_degreewise,
-    sections,
+    kernel_cover,
 )
 from fansheaf.errors import CertificateError, InputError
 from fansheaf.modules import (
     PolyMatrix,
     cone_ring,
     cover_is_free_certificate,
-    kernel_cover,
     lift,
 )
 
@@ -65,10 +63,9 @@ def pushforward(fan_map, M):
         tiles = tuple(i for i in fan_map.preimage_cones(s) if M.rank_at(i))
         if not tiles:
             continue
-        ambient, rows_at, local = sections(
-            M, cone_ring(tgt_fan, s), tiles, walls.get(s, ())
+        cover = kernel_cover(
+            M, cone_ring(tgt_fan, s), tiles, walls.get(s, ()), memo
         )
-        cover = kernel_cover(ambient, rows_at, M.window, memo, local)
         offender = cover_is_free_certificate(cover)
         if offender is not None:
             raise CertificateError(

@@ -102,21 +102,25 @@ MUTANTS = {
             "test_serialization_rejects_missing_header",
         ],
     ),
-    # sections keyed without their walls, so two sections that differ
-    # only in the walls share one memo entry; no certificate reads
-    # sections, so the key test alone sees it
+    # kernel_cover keys the sections without their walls, so two
+    # sections that differ only in the walls share one memo entry; no
+    # certificate reads kernel_cover, so the key tests alone see it
     "sections-key-without-walls": (
         "src/fansheaf/complexes.py",
-        "return ambient, rows_at, assemble_key(M, tiles, walls)",
-        "return ambient, rows_at, assemble_key(M, tiles, ())",
-        ["tests/test_complexes.py::test_assemble_key_fixes_the_rows"],
+        "key = (M.window, forms, assemble_key(M, tiles, walls))",
+        "key = (M.window, forms, assemble_key(M, tiles, ()))",
+        [
+            "tests/test_complexes.py::test_assemble_key_fixes_the_rows",
+            "tests/test_kernel_cover.py::"
+            "test_key_separates_each_part_of_the_local_data",
+        ],
     ),
     # the top module over the first maximal cone's ring, not the full
     # ring "A": the same generator degrees, another cone in the record
     "top-module-over-first-cone": (
         "src/fansheaf/complexes.py",
-        'ring = cone_ring(M.fan, "A")',
-        "ring = cone_ring(M.fan, top_ids[0])",
+        'kernel_cover(M, cone_ring(M.fan, "A"), top_ids, walls, {})',
+        "kernel_cover(M, cone_ring(M.fan, top_ids[0]), top_ids, walls, {})",
         [
             "tests/test_cli.py::"
             "test_window_exhausted_in_top_module_names_full_ring",
@@ -137,27 +141,27 @@ MUTANTS = {
     # kernel_cover's memo key without its window, so covers searched on
     # another window are reused
     "kernel-cover-key-without-window": (
-        "src/fansheaf/modules.py",
-        "    key = (window, parts, local)\n",
-        "    key = (parts, local)\n",
+        "src/fansheaf/complexes.py",
+        "key = (M.window, forms, assemble_key(M, tiles, walls))",
+        "key = (forms, assemble_key(M, tiles, walls))",
         ["tests/test_kernel_cover.py::test_key_separates_windows"],
     ),
-    # kernel_cover's memo key without the parts' shapes and restriction
-    # forms
+    # kernel_cover's memo key without the tiles' restriction forms from
+    # its ring
     "kernel-cover-key-without-parts": (
-        "src/fansheaf/modules.py",
-        "    key = (window, parts, local)\n",
-        "    key = (window, local)\n",
+        "src/fansheaf/complexes.py",
+        "key = (M.window, forms, assemble_key(M, tiles, walls))",
+        "key = (M.window, assemble_key(M, tiles, walls))",
         [
             "tests/test_kernel_cover.py::"
             "test_key_separates_each_part_of_the_local_data",
         ],
     ),
-    # kernel_cover's memo key without the caller's key of the rows
+    # kernel_cover's memo key without the assemble_key of its rows
     "kernel-cover-key-without-local": (
-        "src/fansheaf/modules.py",
-        "    key = (window, parts, local)\n",
-        "    key = (window, parts)\n",
+        "src/fansheaf/complexes.py",
+        "key = (M.window, forms, assemble_key(M, tiles, walls))",
+        "key = (M.window, forms)",
         [
             "tests/test_kernel_cover.py::"
             "test_key_separates_each_part_of_the_local_data",
@@ -166,9 +170,9 @@ MUTANTS = {
     # a memo hit rebuilt with no kernel dimensions, so a reused cover
     # reads as unfree wherever freeness is certified
     "kernel-cover-hit-without-dimensions": (
-        "src/fansheaf/modules.py",
-        "        return CoverMap(ambient, window, *memo[key])\n",
-        "        return CoverMap(ambient, window, {}, memo[key][1])\n",
+        "src/fansheaf/complexes.py",
+        "return CoverMap(ambient, M.window, *memo[key])",
+        "return CoverMap(ambient, M.window, {}, memo[key][1])",
         [
             "tests/test_kernel_cover.py::"
             "test_memo_holds_dimensions_and_generators_only",
@@ -265,6 +269,94 @@ MUTANTS = {
         [
             "tests/test_complexes.py::"
             "test_exactness_runs_once_per_local_data_on_p4",
+        ],
+    ),
+    # a map's content without its source's shape, so maps from modules
+    # of other generator degrees share one table of evaluations
+    "map-content-without-source-shape": (
+        "src/fansheaf/modules.py",
+        "(s.ring.nvars, s.degrees), (t.ring.nvars, t.degrees),",
+        "(t.ring.nvars, t.degrees),",
+        [
+            "tests/test_matrix_form.py::"
+            "test_content_that_differs_in_one_part_gets_its_own_table"
+            "[source degrees]",
+        ],
+    ),
+    # a map's content without its target's shape
+    "map-content-without-target-shape": (
+        "src/fansheaf/modules.py",
+        "(s.ring.nvars, s.degrees), (t.ring.nvars, t.degrees),",
+        "(s.ring.nvars, s.degrees),",
+        [
+            "tests/test_matrix_form.py::"
+            "test_content_that_differs_in_one_part_gets_its_own_table"
+            "[target degrees]",
+            "tests/test_matrix_form.py::"
+            "test_content_that_differs_in_one_part_gets_its_own_table"
+            "[target nvars]",
+        ],
+    ),
+    # a map's content without the restriction between its rings
+    "map-content-without-forms": (
+        "src/fansheaf/modules.py",
+        "restriction(s.ring, t.ring), tuple(terms),",
+        "tuple(terms),",
+        [
+            "tests/test_matrix_form.py::"
+            "test_content_that_differs_in_one_part_gets_its_own_table"
+            "[forms]",
+        ],
+    ),
+    # a map's content without its entries
+    "map-content-without-entries": (
+        "src/fansheaf/modules.py",
+        "restriction(s.ring, t.ring), tuple(terms),",
+        "restriction(s.ring, t.ring),",
+        [
+            "tests/test_matrix_form.py::"
+            "test_content_that_differs_in_one_part_gets_its_own_table"
+            "[entries]",
+            "tests/test_modules.py::test_kernel_degreewise_simple",
+        ],
+    ),
+    # assemble_key without the source modules' shapes
+    "assemble-key-without-source-shapes": (
+        "src/fansheaf/complexes.py",
+        "        for ids in (src_ids, tgt_ids)\n",
+        "        for ids in (tgt_ids,)\n",
+        [
+            "tests/test_kernel_cover.py::"
+            "test_key_separates_each_part_of_the_local_data",
+        ],
+    ),
+    # assemble_key without the target modules' shapes
+    "assemble-key-without-target-shapes": (
+        "src/fansheaf/complexes.py",
+        "        for ids in (src_ids, tgt_ids)\n",
+        "        for ids in (src_ids,)\n",
+        ["tests/test_complexes.py::test_assemble_key_fixes_the_rows"],
+    ),
+    # assemble_key without each block's source and target positions
+    "assemble-key-without-block-positions": (
+        "src/fansheaf/complexes.py",
+        "tuple((si, ti, pm.content()) for si, ti, pm in blocks)",
+        "tuple(pm.content() for si, ti, pm in blocks)",
+        [
+            "tests/test_complexes.py::test_assemble_key_fixes_the_rows",
+            "tests/test_kernel_cover.py::"
+            "test_key_separates_each_part_of_the_local_data",
+        ],
+    ),
+    # assemble_key without each block's map content
+    "assemble-key-without-map-content": (
+        "src/fansheaf/complexes.py",
+        "tuple((si, ti, pm.content()) for si, ti, pm in blocks)",
+        "tuple((si, ti) for si, ti, pm in blocks)",
+        [
+            "tests/test_complexes.py::test_exactness_memo_equals_a_run_per_cone",
+            "tests/test_kernel_cover.py::"
+            "test_key_separates_each_part_of_the_local_data",
         ],
     ),
     # minimality's elimination seeded with the bare columns too, so no

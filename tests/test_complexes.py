@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from fansheaf import _linalg, complexes, modules
+from fansheaf import _linalg, complexes, minimal, modules
+from fansheaf import pushforward as pushforward_module
 from fansheaf.complexes import (
     FanComplex,
     assemble,
@@ -22,7 +23,7 @@ from fansheaf.complexes import (
     cohomology_degreewise,
     complex_from_text,
     complex_to_text,
-    sections,
+    kernel_cover,
     top_module,
 )
 from fansheaf.cli import main
@@ -35,6 +36,7 @@ from fansheaf.modules import (
     PolyMatrix,
     cone_ring,
     default_window,
+    minimal_free_cover,
 )
 from fansheaf.pushforward import verify_pushforward
 
@@ -320,8 +322,10 @@ def test_exactness_memo_equals_a_run_per_cone():
 def test_assemble_key_fixes_the_rows():
     """Equal keys give equal rows in every degree, over every ordered
     choice of one or two source cones and one or two target cones of
-    P^2's minimal complex; some distinct choices share a key.  sections
-    of the sources across the targets gives the same rows and key."""
+    P^2's minimal complex; some distinct choices share a key.  On one
+    memo, kernel_cover of the sources across the targets over "A" keys
+    on the same content: each lookup that an earlier choice answers
+    equals a fresh search on its own assembled rows."""
     M = build_minimal(load_fan(fan_path("p2")))
     ring = cone_ring(M.fan, "A")
     ids = [c.index for c in M.fan.cones]
@@ -330,17 +334,24 @@ def test_assemble_key_fixes_the_rows():
     ]
     lo, hi = M.window
     rows = {}
-    shared = 0
+    memo = {}
+    shared = hits = 0
     for src in choices:
         for tgt in choices:
             got = [assemble(M, src, tgt, d) for d in range(lo, hi + 1)]
             key = assemble_key(M, src, tgt)
-            _, rows_at, sections_key = sections(M, ring, src, tgt)
-            assert sections_key == key
-            assert [rows_at(d) for d in range(lo, hi + 1)] == got
             shared += key in rows
             assert rows.setdefault(key, got) == got, (src, tgt)
-    assert shared
+            known = len(memo)
+            cover = kernel_cover(M, ring, src, tgt, memo)
+            if len(memo) == known:
+                hits += 1
+                ambient = DirectSumAmbient(ring, [M.modules[i] for i in src])
+                fresh = minimal_free_cover(
+                    ambient, lambda d: got[d - lo], M.window
+                )
+                assert (cover.dims, cover.gens) == (fresh.dims, fresh.gens)
+    assert shared and hits
 
 
 def test_exactness_runs_only_after_check_complex(monkeypatch, tmp_path):
@@ -556,13 +567,16 @@ def _ambient_callers(monkeypatch, capsys, *argv):
 
 def test_verify_builds_no_ambient_and_cuts_no_sections(monkeypatch, capsys):
     """verify of a golden complex reads each cone through its two
-    boundary blocks: it builds no DirectSumAmbient, calls no sections
-    and multiplies by no variable."""
+    boundary blocks: it builds no DirectSumAmbient, covers no module of
+    sections (kernel_cover, wherever it is bound) and multiplies by no
+    variable."""
     cut = []
-    real = complexes.sections
-    monkeypatch.setattr(
-        complexes, "sections", lambda *args: cut.append(args) or real(*args)
-    )
+    real = complexes.kernel_cover
+    for binding in (complexes, minimal, pushforward_module):
+        monkeypatch.setattr(
+            binding, "kernel_cover",
+            lambda *args: cut.append(args) or real(*args),
+        )
     callers, applied, out = _ambient_callers(
         monkeypatch, capsys, "verify", "--complex", GOLDEN / "cubefan.complex"
     )
@@ -576,7 +590,7 @@ def test_verify_builds_no_ambient_and_cuts_no_sections(monkeypatch, capsys):
     "path", [P4_COMPLEX, GOLDEN / "cubefan.complex"], ids=["p4", "cubefan"]
 )
 def test_certificates_need_no_sections_or_rings(monkeypatch, path):
-    """check_complex and check_locally_exact pass with sections,
+    """check_complex and check_locally_exact pass with kernel_cover,
     DirectSumAmbient and cone_ring all raising: they read only the
     stored maps, through each cone's blocks."""
     M = complex_from_text(path.read_text(), validate=False)
@@ -584,7 +598,7 @@ def test_certificates_need_no_sections_or_rings(monkeypatch, path):
     def refuse(*args):
         raise AssertionError("a certificate built a module of sections")
 
-    monkeypatch.setattr(complexes, "sections", refuse)
+    monkeypatch.setattr(complexes, "kernel_cover", refuse)
     monkeypatch.setattr(complexes, "cone_ring", refuse)
     monkeypatch.setattr(modules, "cone_ring", refuse)
     monkeypatch.setattr(DirectSumAmbient, "__init__", refuse)
@@ -597,7 +611,7 @@ def test_certificates_need_no_sections_or_rings(monkeypatch, path):
     [
         (
             ("ih", "--fan", fan_file("cubefan")),
-            {"boundary_setup", "top_module"},
+            {"_extend", "top_module"},
             "ih-oracle\t",
         ),
         (
@@ -605,20 +619,22 @@ def test_certificates_need_no_sections_or_rings(monkeypatch, path):
                 "decompose", "--fan", fan_file("cubefan"),
                 "--subdivision", fan_file("cubestar"),
             ),
-            {"boundary_setup", "pushforward"},
+            {"_extend", "pushforward"},
             "decomposition\t",
         ),
     ],
     ids=["ih-cubefan", "decompose-cubestar-cubefan"],
 )
-def test_builders_build_ambients_only_in_sections(
+def test_builders_build_ambients_only_in_kernel_cover(
     monkeypatch, capsys, argv, routes, record
 ):
-    """ih and decompose: every DirectSumAmbient comes from sections,
-    called for stalks (boundary_setup), direct images (pushforward) and
+    """ih and decompose: every DirectSumAmbient comes from kernel_cover,
+    called for stalks (minimal._extend), direct images (pushforward) and
     the top module, which takes one."""
     callers, _, out = _ambient_callers(monkeypatch, capsys, *argv)
     assert record in out
-    assert {caller for caller, _ in callers} == {"sections"}
+    assert {caller for caller, _ in callers} == {"kernel_cover"}
     assert {route for _, route in callers} == routes
-    assert callers[("sections", "top_module")] == ("top_module" in routes)
+    assert callers[("kernel_cover", "top_module")] == (
+        "top_module" in routes
+    )

@@ -1,43 +1,54 @@
 """Kernel covers reused by content within one builder call.
 
-kernel_cover keys its memo on the full local data of a kernel, so a
-reused cover must equal a fresh search at every cone, and ambients that
-differ in any part of that data must each get their own search.  A memo
-entry is the pair (kernel dimensions, generators): no kernel basis
-outlives the search.  A direct image's kernels are cut out by interior
-walls alone, so on subdivisions that also subdivide a target facet, each
-kernel's image in a facet's tiles is checked to lie in that facet's
-kernel.
+complexes.kernel_cover keys its memo on the full local data of a kernel,
+read off its own arguments, so a reused cover must equal a fresh search
+at every cone, and complexes whose tiles and walls differ in any part of
+that data must each get their own search.  A memo entry is the pair
+(kernel dimensions, generators): no kernel basis outlives the search.
+A direct image's kernels are cut out by interior walls alone, so on
+subdivisions that also subdivide a target facet, each kernel's image in
+a facet's tiles is checked to lie in that facet's kernel.
 """
 
-from functools import cache
+from functools import cache, partial
 
 import pytest
 
 from fansheaf import _linalg, complexes, minimal, modules
 from fansheaf import pushforward as pushforward_module
-from fansheaf.complexes import assemble
+from fansheaf.complexes import FanComplex, assemble, kernel_cover
 from fansheaf.decompose import decomposition_theorem_report
 from fansheaf.errors import CertificateError, WindowExhausted
 from fansheaf.fans import load_fan, subdivision_map
 from fansheaf.minimal import build_minimal, ih_module
 from fansheaf.modules import (
-    ConeRing,
     DirectSumAmbient,
     FreeGradedModule,
+    PolyMatrix,
+    cone_ring,
     family_from_kernel,
-    kernel_cover,
     minimal_free_cover,
 )
 from fansheaf.pushforward import pushforward
 
-from conftest import FACET_SUBDIVISIONS, fan_file
+from conftest import FACET_SUBDIVISIONS, fan_file, fan_path
 from test_restriction import SUBDIVISIONS
 
 
 @cache
 def _map(src, tgt):
     return subdivision_map(load_fan(fan_file(src)), load_fan(fan_file(tgt)))
+
+
+def _sections(M, ring, tiles, walls):
+    """(ambient, rows_at): the tiles' modules summed over ring and the
+    rows into the walls, built here apart from kernel_cover."""
+    ambient = DirectSumAmbient(ring, [M.modules[i] for i in tiles])
+    return ambient, partial(assemble, M, tiles, walls)
+
+
+def _fresh_cover(M, ring, tiles, walls):
+    return minimal_free_cover(*_sections(M, ring, tiles, walls), M.window)
 
 
 def _assert_same_cover(got, want):
@@ -61,13 +72,11 @@ def test_reused_covers_equal_fresh_searches(monkeypatch, src, tgt):
     fmap = _map(src, tgt)
     hits = []
 
-    def checked(ambient, rows_by_degree, window, memo, local):
+    def checked(M, ring, tiles, walls, memo):
         known = len(memo)
-        got = kernel_cover(ambient, rows_by_degree, window, memo, local)
+        got = kernel_cover(M, ring, tiles, walls, memo)
         hits.append(len(memo) == known)
-        _assert_same_cover(
-            got, minimal_free_cover(ambient, rows_by_degree, window)
-        )
+        _assert_same_cover(got, _fresh_cover(M, ring, tiles, walls))
         return got
 
     monkeypatch.setattr(minimal, "kernel_cover", checked)
@@ -88,10 +97,11 @@ def test_facet_images_lie_in_facet_families(monkeypatch, src, tgt):
     M = build_minimal(fmap.source)
     families = []
 
-    def recording(ambient, rows_by_degree, window, memo, local):
-        bases = family_from_kernel(ambient, rows_by_degree, window)
+    def recording(*args):
+        ambient, rows_at = _sections(*args[:4])
+        bases = family_from_kernel(ambient, rows_at, M.window)
         families.append((ambient, bases))
-        return kernel_cover(ambient, rows_by_degree, window, memo, local)
+        return kernel_cover(*args)
 
     monkeypatch.setattr(pushforward_module, "kernel_cover", recording)
     pushforward(fmap, M)
@@ -146,14 +156,16 @@ def test_memo_holds_dimensions_and_generators_only(monkeypatch):
     content."""
     lookups = []
 
-    def checked(ambient, rows_by_degree, window, memo, local):
+    def checked(M, ring, tiles, walls, memo):
         stored = dict(memo)
-        got = kernel_cover(ambient, rows_by_degree, window, memo, local)
-        fresh = minimal_free_cover(ambient, rows_by_degree, window)
+        got = kernel_cover(M, ring, tiles, walls, memo)
+        fresh = _fresh_cover(M, ring, tiles, walls)
         new = [entry for key, entry in memo.items() if key not in stored]
         lookups.append("miss" if new else "hit")
         assert new in ([], [(fresh.dims, fresh.gens)])
-        again = kernel_cover(ambient, _unassembled, window, memo, local)
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes, "assemble", _unassembled)
+            again = kernel_cover(M, ring, tiles, walls, memo)
         assert len(memo) == len(stored) + len(new)
         for cover in (got, again):
             assert cover.module.degrees == fresh.module.degrees
@@ -172,7 +184,8 @@ def _count_lookups_and_searches(monkeypatch):
     """The calls list that every kernel_cover lookup, wherever a builder
     binds it, and every generator search append to."""
     calls = []
-    real_cover, real_search = modules.kernel_cover, modules.minimal_generators
+    real_cover = complexes.kernel_cover
+    real_search = modules.minimal_generators
 
     def cover(*args):
         calls.append("lookup")
@@ -219,107 +232,136 @@ def test_cover_lookups_and_searches_per_ih(monkeypatch):
     assert calls[-2:] == ["lookup", "search"]
 
 
-def _unit_ring(label, nvars, basis=None):
-    if basis is None:
-        basis = tuple(
-            tuple(int(i == j) for j in range(nvars)) for i in range(nvars)
-        )
-    return ConeRing(label, nvars, basis)
-
-
-def _no_rows(d):
-    return []
-
-
-def _unassembled(d):
+def _unassembled(*args):
     raise AssertionError("a memo hit assembles no rows")
 
 
-def test_key_separates_each_part_of_the_local_data():
-    """One memo, pairs of ambients that differ in one part of the key
-    only and whose searches give different generators: each ambient gets
-    the result of its own search.  No pair differs in a part's variable
-    count alone: for a ring built from its basis the forms fix it.  The
-    caller's key of the rows, local, names them here."""
-    plane = _unit_ring("plane", 2)
-    e1 = _unit_ring("e1", 1, ((1, 0),))
-    e2 = _unit_ring("e2", 1, ((0, 1),))
-    line = _unit_ring("line", 1)
+# cone 0 is the origin, 1 and 2 the rays (0, 1) and (1, 0), 3 the quadrant
+QUADRANT = load_fan(fan_path("quadrant"))
+O, R1, R2, P = (cone_ring(QUADRANT, i) for i in range(4))
 
-    def free(*parts, base=line):
-        return DirectSumAmbient(
-            base, [FreeGradedModule(ring, degrees) for ring, degrees in parts]
+
+def _complex(fan, specs, entries=(), window=(-2, 6)):
+    """A FanComplex of free modules, given as {cone: (ring, degrees)},
+    and of the maps {(cone, facet): entry} from a rank-one module into
+    a rank-one module, each entry a constant.  It holds any modules,
+    so the tests below choose each ring and degree themselves."""
+    mods = {i: FreeGradedModule(*spec) for i, spec in specs.items()}
+    maps = {
+        (s, t): PolyMatrix(
+            mods[s], mods[t], {(0, 0): {(0,) * mods[t].ring.nvars: c}}
         )
+        for (s, t), c in dict(entries).items()
+    }
+    return FanComplex(fan, mods, maps, window)
 
-    def diagonal(d):
-        return [{0: 1, 1: 1}] if d == 0 else []
 
+def test_key_separates_each_part_of_the_local_data(monkeypatch):
+    """One memo, pairs of lookups on small complexes of the quadrant
+    that differ in one part of the key only and whose searches give
+    different generators: each gets the result of its own search.  The
+    parts are the tiles' restriction forms from the ring and, through
+    assemble_key, the tiles' shapes, the walls, a block's position and a
+    block's content.  No pair differs in a part's variable count alone:
+    for a ring built from its basis the forms fix it."""
+    tile = {0: (O, [0]), 1: (R1, [0])}
+    both = {**tile, 2: (R2, [0])}
+    one_ring = {**tile, 2: (R1, [0])}
     pairs = [
         # generator degrees (0, 2) and (2, 0): the degree-2 generator
         # sits at another basis position
         (
-            (free((line, [0, 2])), _no_rows, "none"),
-            (free((line, [2, 0])), _no_rows, "none"),
+            (_complex(QUADRANT, {1: (R1, [0, 2])}), R1, [1], []),
+            (_complex(QUADRANT, {1: (R1, [2, 0])}), R1, [1], []),
         ),
-        # restriction forms: with both parts on e1 the degree-0 kernel
-        # e - e' has a degree-2 generator beside it; on e1 and e2 not
+        # restriction forms: with both tiles on the ray (0, 1)'s ring
+        # the degree-0 kernel e - e' has a degree-2 generator beside it;
+        # on the two rays' rings not
         (
-            (free((e1, [0]), (e1, [0]), base=plane), diagonal, "diagonal"),
-            (free((e1, [0]), (e2, [0]), base=plane), diagonal, "diagonal"),
+            (
+                _complex(QUADRANT, one_ring, {(1, 0): 1, (2, 0): 1}),
+                P, [1, 2], [0],
+            ),
+            (
+                _complex(QUADRANT, both, {(1, 0): 1, (2, 0): 1}),
+                P, [1, 2], [0],
+            ),
         ),
-        # constraint rows on one ambient
+        # the walls: one tile, glued across the origin or across nothing
         (
-            (free((line, [0])), _no_rows, "none"),
-            (free((line, [0])), lambda d: [{0: 1}] if d == 0 else [], "e"),
+            (_complex(QUADRANT, tile, {(1, 0): 1}), R1, [1], []),
+            (_complex(QUADRANT, tile, {(1, 0): 1}), R1, [1], [0]),
+        ),
+        # block positions: the one map leaves the first tile or the
+        # second, with equal content
+        (
+            (_complex(QUADRANT, both, {(1, 0): 1}), P, [1, 2], [0]),
+            (_complex(QUADRANT, both, {(2, 0): 1}), P, [1, 2], [0]),
+        ),
+        # block content: the second tile's map is -1 or 2
+        (
+            (
+                _complex(QUADRANT, both, {(1, 0): 1, (2, 0): -1}),
+                P, [1, 2], [0],
+            ),
+            (
+                _complex(QUADRANT, both, {(1, 0): 1, (2, 0): 2}),
+                P, [1, 2], [0],
+            ),
         ),
     ]
     memo = {}
-    window = (-2, 6)
     for pair in pairs:
-        fresh = [
-            minimal_free_cover(ambient, rows, window)
-            for ambient, rows, _ in pair
-        ]
+        fresh = [_fresh_cover(*lookup) for lookup in pair]
         assert fresh[0].gens != fresh[1].gens
-        for (ambient, rows, local), want in zip(pair, fresh):
-            got = kernel_cover(ambient, rows, window, memo, local)
-            _assert_same_cover(got, want)
+        for lookup, want in zip(pair, fresh):
+            _assert_same_cover(kernel_cover(*lookup, memo), want)
     assert len(memo) == 2 * len(pairs)
-    # a hit reads no rows: equal local data on a fresh ambient
-    ambient, rows, local = pairs[-1][-1]
-    again = free((line, [0]))
-    got = kernel_cover(again, _unassembled, window, memo, local)
-    _assert_same_cover(got, minimal_free_cover(again, rows, window))
+    # a hit assembles no rows: equal local data on fresh modules and maps
+    again = (_complex(QUADRANT, tile, {(1, 0): 1}), R1, [1], [0])
+    monkeypatch.setattr(complexes, "assemble", _unassembled)
+    got = kernel_cover(*again, memo)
+    monkeypatch.undo()
+    _assert_same_cover(got, _fresh_cover(*again))
 
 
 def test_key_separates_windows():
-    """Over the origin's ring a degree-0 generator leaves every other
-    piece zero, so the windows (-2, 2) and (-2, 1) meet the same rows;
-    the generator is in the second window's guard zone, which must
-    still exhaust after the first window's search is stored."""
-    origin = _unit_ring("origin", 0)
-    ambient = DirectSumAmbient(origin, [FreeGradedModule(origin, [0])])
+    """At the origin a degree-0 generator leaves every other piece zero,
+    so the windows (-2, 2) and (-2, 1) meet the same rows; the generator
+    is in the second window's guard zone, which must still exhaust after
+    the first window's search is stored."""
     memo = {}
-    cover = kernel_cover(ambient, _no_rows, (-2, 2), memo, "none")
-    assert cover.module.degrees == (0,)
+    wide = _complex(QUADRANT, {0: (O, [0])}, window=(-2, 2))
+    assert kernel_cover(wide, O, [0], [], memo).module.degrees == (0,)
+    narrow = _complex(QUADRANT, {0: (O, [0])}, window=(-2, 1))
     with pytest.raises(WindowExhausted):
-        kernel_cover(ambient, _no_rows, (-2, 1), memo, "none")
+        kernel_cover(narrow, O, [0], [], memo)
 
 
 def test_failures_are_not_memoised():
-    """Equal local data on two cones: each failing search raises again,
-    and a window exhaustion names the cone it fires at."""
+    """Equal local data on the two rays of P^1: each failing search
+    raises again, and a window exhaustion names the cone it fires at.
+    The closure failure needs rows that are no module map: each ray's
+    map into the origin is bound to a rank-one module over the origin's
+    ring in degree 2, not to the ray's module, so it kills t*e in degree
+    2 and leaves e in degree 0 (check_complex refuses such a map;
+    kernel_cover reads only the rows)."""
+    fan = load_fan(fan_path("p1"))
+    rings = {i: cone_ring(fan, i) for i in range(3)}
     memo = {}
-    for label in ("a", "b"):
-        ring = _unit_ring(label, 1)
-        ambient = DirectSumAmbient(ring, [FreeGradedModule(ring, [0])])
+    for c in (1, 2):
+        M = _complex(fan, {c: (rings[c], [0])}, window=(-2, 0))
         with pytest.raises(WindowExhausted) as exc:
-            kernel_cover(ambient, _no_rows, (-2, 0), memo, "none")
-        assert exc.value.cone == label
+            kernel_cover(M, rings[c], [c], [], memo)
+        assert exc.value.cone == c
+        ray = FreeGradedModule(rings[c], [0])
+        wall = FreeGradedModule(rings[0], [2])
+        bound = FreeGradedModule(rings[0], [2])
+        M = FanComplex(
+            fan, {c: ray, 0: wall},
+            {(c, 0): PolyMatrix(bound, wall, {(0, 0): {(): 1}})}, (-2, 6),
+        )
         # t*e is outside the degree-2 kernel: not closed
         with pytest.raises(CertificateError, match="not closed"):
-            kernel_cover(
-                ambient, lambda d: [{0: 1}] if d == 2 else [], (-2, 6), memo,
-                "e at 2",
-            )
+            kernel_cover(M, rings[c], [c], [0], memo)
     assert memo == {}

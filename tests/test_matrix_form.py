@@ -17,14 +17,20 @@ from hypothesis import strategies as st
 
 from fansheaf import decompose, modules
 from fansheaf import pushforward as pushforward_module
-from fansheaf.complexes import assemble, boundary_setup, complex_from_text
+from fansheaf.complexes import (
+    assemble,
+    boundary,
+    complex_from_text,
+    kernel_cover,
+)
 from fansheaf.fans import load_fan, subdivision_map
 from fansheaf.minimal import build_minimal, build_shifted_minimal
 from fansheaf.modules import (
     ConeRing,
+    DirectSumAmbient,
     FreeGradedModule,
     PolyMatrix,
-    kernel_cover,
+    cone_ring,
     minimal_free_cover,
 )
 from fansheaf.polys import monomials
@@ -114,8 +120,11 @@ def test_producers_emit_sparse_rows(corpus, name):
     for cone in fan.cones:
         if cone.dim == 0 or not M.rank_at(cone.index):
             continue
-        _, ambient, rows_at, _ = boundary_setup(M, cone.index)
-        cover = minimal_free_cover(ambient, rows_at, M.window)
+        facets, _, _, C = boundary(M, cone.index)
+        ambient = DirectSumAmbient(
+            cone_ring(fan, cone.index), [M.modules[f] for f in facets]
+        )
+        cover = minimal_free_cover(ambient, C, M.window)
         parts = ambient.parts
         for d in degrees:
             blocks = {

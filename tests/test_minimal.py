@@ -272,7 +272,7 @@ def test_ih_rejects_stray_cohomology():
 @given(fan=complete_fans_2d())
 def test_random_complete_plane_fans_match_ih_oracle(fan):
     """A drawn complete fan of the plane: its minimal complex passes
-    verify_minimality, and the top module, cut out by sections over the
+    verify_minimality, and the top module, covered by kernel_cover over the
     full ring, has the g-polynomial's generator degrees."""
     assert is_complete(fan)
     M = build_minimal(fan)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fansheaf import _linalg
-from fansheaf.complexes import boundary_setup
+from fansheaf.complexes import boundary
 from fansheaf.errors import CertificateError, WindowExhausted
 from fansheaf.fans import load_fan
 from fansheaf.minimal import build_minimal
@@ -344,12 +344,21 @@ def _oracle_image(ambient, i, d, col):
     ]
 
 
+def _boundary_ambient(M, i):
+    """The sum of the modules on cone i's facets over cone i's ring, the
+    ambient of its boundary kernel."""
+    facets = boundary(M, i)[0]
+    return DirectSumAmbient(
+        cone_ring(M.fan, i), [M.modules[f] for f in facets]
+    )
+
+
 def _oracle_ambients(name):
     """Boundary ambients of every cone, and for cubefan also the ambient
     of the top modules over the full ring ("A")."""
     M = build_minimal(load_fan(fan_path(name)))
     for cone in M.fan.cones:
-        yield boundary_setup(M, cone.index)[1], M.window
+        yield _boundary_ambient(M, cone.index), M.window
     if name == "cubefan":
         top = [i for i in M.fan.cones_of_dim(M.fan.n) if M.rank_at(i)]
         ambient = DirectSumAmbient(
@@ -407,13 +416,13 @@ ORACLE_FANS = [
 def test_mult_by_var_matches_exponent_oracle(name):
     """The index-table columns of mult_by_var equal, column for column,
     the exponent-arithmetic construction of brute_oracle: on every
-    boundary_setup ambient of the minimal complex and on the ambient of
+    boundary ambient of the minimal complex and on the ambient of
     its top modules over the full ring "A", for every base variable and
     every window degree."""
     path = CUBESTAR if name == "cubestar" else fan_path(name)
     M = build_minimal(load_fan(path))
     n = M.fan.n
-    ambients = [boundary_setup(M, c.index)[1] for c in M.fan.cones]
+    ambients = [_boundary_ambient(M, c.index) for c in M.fan.cones]
     top = [i for i in M.fan.cones_of_dim(n) if M.rank_at(i)]
     ambients.append(
         DirectSumAmbient(cone_ring(M.fan, "A"), [M.modules[i] for i in top])
