@@ -103,8 +103,9 @@ def peel_summand(N, base_id, summand, base):
 
     `summand` is that complex, built on N's window, and base = (degree,
     vector) the cocycle of N at base_id that its generator goes to.
-    Every other generator goes to an exact lift through N's differential
-    of its boundary's image, re-checked by multiplication, so the
+    The base vector is checked to be a cocycle, and every other
+    generator goes to an exact lift through N's differential of its
+    boundary's image, which lift certifies by multiplication, so the
     embedding is a chain map.  Returns it as {cone id: PolyMatrix}.
     """
     (g,) = summand.degrees_at(base_id)
@@ -123,16 +124,16 @@ def peel_summand(N, base_id, summand, base):
         images = _boundary_images(summand, phi, N, i, facets)
         if i == base_id:
             columns = [base]
+            ((d, img),) = images
+            if _linalg.matvec(block(d), base[1]) != img:
+                raise CertificateError(
+                    f"cone {i}: embedding is not a chain map at degree {d}"
+                )
         else:
             columns = lift(
                 block, N.modules[i], images,
                 f"cone {i}: summand boundary has no preimage",
             )
-        for (d, img), (_, col) in zip(images, columns):
-            if _linalg.matvec(block(d), col) != img:
-                raise CertificateError(
-                    f"cone {i}: embedding is not a chain map at degree {d}"
-                )
         phi[i] = PolyMatrix.from_columns(
             summand.modules[i], N.modules[i], columns
         )

@@ -18,6 +18,10 @@ common face, which implies the same for every pair of cones.  For a
 pair, double description generates the intersection, and every
 generator must satisfy the span equations of the face on the common
 rays (see Fan._validate_pairwise).
+
+A subdivision map, FanMap, sends each source cone to the smallest
+target cone containing it and names each target cone's tiles and
+interior walls once, for its properness check and for direct images.
 """
 
 from collections import Counter
@@ -312,17 +316,13 @@ class Fan:
                 datas[rayset] = cone_data(vecs, n)
             return datas[rayset]
 
-        work = list(dict.fromkeys(listed))
-        all_sets = set(work) | {frozenset()}
-        while work:
-            cur = work.pop()
-            d = data_for(cur)
-            for face_vecs in d.face_sets:
-                fs = frozenset(vec_to_idx[v] for v in face_vecs)
-                if fs not in all_sets:
-                    all_sets.add(fs)
-                    work.append(fs)
-        data_for(frozenset())
+        # a listed cone's face_sets hold every face, so one pass collects
+        # them all; the last distinct listed cone goes first, which fixes
+        # which of two invalid cones is reported
+        all_sets = {frozenset()}
+        for cur in reversed(dict.fromkeys(listed)):
+            for face_vecs in data_for(cur).face_sets:
+                all_sets.add(frozenset(vec_to_idx[v] for v in face_vecs))
 
         ordered = sorted(all_sets, key=lambda s: (data_for(s).dim, tuple(sorted(s))))
         by_rayset = {s: i for i, s in enumerate(ordered)}
@@ -535,25 +535,29 @@ def is_complete(fan):
 class FanMap:
     """A subdivision map between fans with the same ambient lattice.
 
-    assignment[i] is the id of the smallest target cone containing source
-    cone i.  `proper` records whether the supports coincide (each maximal
-    target cone is tiled by its same-dimension preimage cones).
+    assignment[i] is the id of the smallest target cone containing
+    source cone i.  Per target cone t, tiles[t] are the source cones of
+    t's dimension assigned to t, and walls[t] those one dimension lower,
+    t's interior walls; both are ascending tuples.  `proper` records
+    whether the supports coincide: the tiles of each maximal target cone
+    tile it (see _covers).
     """
 
-    def __init__(self, source, target, assignment, proper):
+    def __init__(self, source, target, assignment):
         self.source = source
         self.target = target
         self.assignment = assignment
-        self.proper = proper
-
-    def preimage_cones(self, target_cone_id):
-        """Source cones of the same dimension contained in the target cone."""
-        d = self.target.cones[target_cone_id].dim
-        return tuple(
-            i
-            for i, t in enumerate(self.assignment)
-            if t == target_cone_id and self.source.cones[i].dim == d
-        )
+        tiles = [[] for _ in target.cones]
+        walls = [[] for _ in target.cones]
+        for i, t in enumerate(assignment):
+            gap = target.cones[t].dim - source.cones[i].dim
+            if gap == 0:
+                tiles[t].append(i)
+            elif gap == 1:
+                walls[t].append(i)
+        self.tiles = tuple(map(tuple, tiles))
+        self.walls = tuple(map(tuple, walls))
+        self.proper = all(_covers(self, t) for t in target.maximal_cone_ids())
 
 
 def subdivision_map(source, target):
@@ -562,9 +566,8 @@ def subdivision_map(source, target):
 
     Raises InputError when some source cone is not contained in any
     target cone, or has no unique smallest one.  Properness (equal
-    supports) is checked by verifying that the preimage cones tile every
-    maximal target cone: each ridge of a tile either borders two tiles
-    or lies on the target boundary.
+    supports) is checked by verifying that the tiles cover every
+    maximal target cone (see _covers).
     """
     if source.n != target.n:
         raise InputError("source and target fans live in different lattices")
@@ -588,24 +591,18 @@ def subdivision_map(source, target):
                     f"no unique smallest target cone for source cone {c.index}"
                 )
         assignment.append(best)
-
-    fm = FanMap(source, target, tuple(assignment), proper=False)
-    fm.proper = all(
-        _covers(fm, t) for t in target.maximal_cone_ids()
-    )
-    return fm
+    return FanMap(source, target, tuple(assignment))
 
 
-def _covers(fm, tgt_id):
-    """Do the same-dimension preimage cones tile the target cone?
+def _covers(fm, t):
+    """Do the tiles of target cone t tile it?
 
-    Every ridge of a tile borders two tiles, or one and lies on the
-    target's boundary: then it is assigned to a proper face of the
-    target, which is how pushforward tells its interior walls apart.
+    Every ridge of a tile borders two tiles, or borders one and lies on
+    t's boundary, so it is not one of t's interior walls.
     """
-    pieces = fm.preimage_cones(tgt_id)
+    pieces = fm.tiles[t]
     ridges = Counter(f for p in pieces for f in fm.source.cones[p].facet_ids)
     return bool(pieces) and all(
-        cnt == 2 or cnt == 1 and fm.assignment[f] != tgt_id
+        cnt == 2 or cnt == 1 and f not in fm.walls[t]
         for f, cnt in ridges.items()
     )

@@ -485,14 +485,16 @@ class CoverMap:
 
 def lift(rows_at, module, images, what):
     """Exact preimages in `module` of (degree, sparse vector) images
-    under the matrices rows_at(degree), in order.  A zero image lifts to
-    {}; one with no preimage raises CertificateError(what at degree)."""
+    under the matrices rows_at(degree), in order, each certified by
+    multiplying it back.  A zero image lifts to {}; one with no
+    certified preimage raises CertificateError(what at degree)."""
     out = []
     for d, img in images:
         sol = {}
         if img:
-            sol = _linalg.solve(rows_at(d), img, module.dim_at(d))
-            if sol is None:
+            rows = rows_at(d)
+            sol = _linalg.solve(rows, img, module.dim_at(d))
+            if sol is None or _linalg.matvec(rows, sol) != img:
                 raise CertificateError(f"{what} at degree {d}")
         out.append((d, sol))
     return out

@@ -1,9 +1,9 @@
 """Direct images of complexes along proper subdivision maps.
 
 For each target cone the direct image module is carved out of the sum of
-the modules on its same-dimension preimage tiles: the sections of the
-tiles that glue across its interior walls (source cones of codimension 1
-in its relative interior), where their differential components cancel.
+the modules on its tiles: the sections of the tiles that glue across its
+interior walls, where their differential components cancel.  The map's
+FanMap.tiles and FanMap.walls name both.
 Their minimal free cover, complexes.kernel_cover, gives the new module,
 certified degreewise free by Hilbert comparison where it is built, and
 the induced differential lifts each generator's image through the
@@ -18,8 +18,9 @@ interior wall of f.  A cone of dx's support that contains w is a tile
 of f, since a tile of another facet f' would put w in the proper face
 f & f' of f.  So d(D_f x) = d(dx) = 0 at w: D_f x glues across f's
 interior walls, which is what cuts out f's module.  The lift still
-certifies it, raising CertificateError on an image outside the facet
-module; D_f is a module map, so the generators stand for the module.
+certifies it: it multiplies each preimage back, and raises
+CertificateError on an image outside the facet module; D_f is a module
+map, so the generators stand for the module.
 """
 
 from functools import cache, partial
@@ -44,28 +45,24 @@ from fansheaf.modules import (
 
 def pushforward(fan_map, M):
     """Direct image of a complex along a proper subdivision map, on M's
-    window.  Raises CertificateError at the first target cone whose
-    module is not degreewise free, naming the cone and degree."""
+    window, over fan_map's tiles and walls where M has modules.  Raises
+    CertificateError at the first target cone whose module is not
+    degreewise free, naming the cone and degree."""
     if not fan_map.proper:
         raise InputError("direct image requires a proper subdivision map")
     if M.fan is not fan_map.source:
         raise InputError("complex does not live on the map's source fan")
-    src_fan, tgt_fan = fan_map.source, fan_map.target
+    tgt_fan = fan_map.target
     N = FanComplex(tgt_fan, {}, {}, M.window)
     covers = {}  # target cone -> (its tiles, its cover)
     memo = {}
-    walls = {}
-    for w, t in enumerate(fan_map.assignment):
-        if src_fan.cones[w].dim == tgt_fan.cones[t].dim - 1 and M.rank_at(w):
-            walls.setdefault(t, []).append(w)
     for sigma in tgt_fan.cones:
         s = sigma.index
-        tiles = tuple(i for i in fan_map.preimage_cones(s) if M.rank_at(i))
+        tiles = tuple(i for i in fan_map.tiles[s] if M.rank_at(i))
         if not tiles:
             continue
-        cover = kernel_cover(
-            M, cone_ring(tgt_fan, s), tiles, walls.get(s, ()), memo
-        )
+        walls = tuple(w for w in fan_map.walls[s] if M.rank_at(w))
+        cover = kernel_cover(M, cone_ring(tgt_fan, s), tiles, walls, memo)
         offender = cover_is_free_certificate(cover)
         if offender is not None:
             raise CertificateError(

@@ -130,12 +130,24 @@ MUTANTS = {
     # walls
     "pushforward-glues-across-facet-tiles": (
         "src/fansheaf/pushforward.py",
-        "M, cone_ring(tgt_fan, s), tiles, walls.get(s, ())",
-        "M, cone_ring(tgt_fan, s), tiles, [i for f in sigma.facet_ids"
-        " for i in fan_map.preimage_cones(f) if M.rank_at(i)]",
+        "kernel_cover(M, cone_ring(tgt_fan, s), tiles, walls, memo)",
+        "kernel_cover(M, cone_ring(tgt_fan, s), tiles, [i for f in"
+        " sigma.facet_ids for i in fan_map.tiles[f] if M.rank_at(i)], memo)",
         [
             "tests/test_golden.py::test_pushforward_matches_golden[p2-p2]",
             "tests/test_cli.py::test_pushforward_command",
+        ],
+    ),
+    # the direct image's sections taken over the tiles with no walls to
+    # glue across: the sum of the tiles' modules
+    "pushforward-covers-without-walls": (
+        "src/fansheaf/pushforward.py",
+        "walls = tuple(w for w in fan_map.walls[s] if M.rank_at(w))",
+        "walls = ()",
+        [
+            "tests/test_golden.py::"
+            "test_pushforward_matches_golden[blowquad-quadrant]",
+            "tests/test_pushforward.py::test_blowup_top_cohomology",
         ],
     ),
     # kernel_cover's memo key without its window, so covers searched on
@@ -420,11 +432,56 @@ MUTANTS = {
     # tile that covers part of its target cone passes as a tiling
     "covers-single-tile-ridge-as-boundary": (
         "src/fansheaf/fans.py",
-        "cnt == 2 or cnt == 1 and fm.assignment[f] != tgt_id",
+        "cnt == 2 or cnt == 1 and f not in fm.walls[t]",
         "cnt in (1, 2)",
         [
             "tests/test_fans.py::test_subdivision_map_not_proper",
             "tests/test_fans.py::test_subdivision_map_matches_brute_scan",
+        ],
+    ),
+    # the listed cones' faces collected first listed first, so of two
+    # invalid cones the first is reported, not the last
+    "from-cones-first-listed-first": (
+        "src/fansheaf/fans.py",
+        "for cur in reversed(dict.fromkeys(listed)):",
+        "for cur in dict.fromkeys(listed):",
+        [
+            "tests/test_fans.py::test_two_bad_cones_report_the_last_distinct"
+            "_one[line-then-quadrant]",
+            "tests/test_fans.py::test_two_bad_cones_report_the_last_distinct"
+            "_one[line-repeated]",
+        ],
+    ),
+    # a lift trusted without multiplying it back, so a wrong solve goes
+    # into the direct image's differential and a summand's embedding
+    "lift-without-multiplying-back": (
+        "src/fansheaf/modules.py",
+        "if sol is None or _linalg.matvec(rows, sol) != img:",
+        "if sol is None:",
+        ["tests/test_decompose.py::test_wrong_lifts_are_refused"],
+    ),
+    # a summand's base vector embedded without checking that it is a
+    # cocycle of the complex
+    "peel-base-not-checked": (
+        "src/fansheaf/decompose.py",
+        "if _linalg.matvec(block(d), base[1]) != img:",
+        "if False:",
+        [
+            "tests/test_decompose.py::"
+            "test_peel_refuses_a_base_that_is_not_a_cocycle",
+        ],
+    ),
+    # a target cone's walls taken two dimensions below it, not one: its
+    # codimension-2 source cones stand for its interior walls
+    "fanmap-walls-two-dimensions-down": (
+        "src/fansheaf/fans.py",
+        "elif gap == 1:",
+        "elif gap == 2:",
+        [
+            "tests/test_fans.py::test_tiles_and_walls_match_geometry",
+            "tests/test_fans.py::test_subdivision_map_not_proper",
+            "tests/test_golden.py::"
+            "test_pushforward_matches_golden[blowquad-quadrant]",
         ],
     ),
 }

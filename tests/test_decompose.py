@@ -340,6 +340,42 @@ def test_peel_with_wrong_shift_rejected():
         _peel(N, top, 1, degree=0)
 
 
+def test_peel_refuses_a_base_that_is_not_a_cocycle():
+    """The base generator's image must be a cocycle of N: the first
+    basis vector of N's degree-0 piece at the top cone is not one."""
+    N, _ = _image("blowquad", "quadrant")
+    top = N.fan.cones_of_dim(2)[0]
+    S = build_shifted_minimal(N.fan, top, 0, window=N.window)
+    with pytest.raises(
+        CertificateError,
+        match=rf"^cone {top}: embedding is not a chain map at degree 0$",
+    ):
+        peel_summand(N, top, S, (0, {0: 1}))
+
+
+def test_wrong_lifts_are_refused(monkeypatch):
+    """lift multiplies each preimage back.  With modules' solve bound to
+    one that returns twice the solution, the direct image's induced
+    differential and a summand's embedding both raise."""
+    N, fmap = _image("blowquad", "quadrant")
+    M = build_minimal(fmap.source)
+
+    def doubled(rows, rhs, ncols):
+        sol = _linalg.solve(rows, rhs, ncols)
+        return sol and {j: 2 * x for j, x in sol.items()}
+
+    # only the lifts' solves: the restrictions were cached by _image
+    linalg = SimpleNamespace(**vars(_linalg))
+    linalg.solve = doubled
+    monkeypatch.setattr(modules, "_linalg", linalg)
+    with pytest.raises(CertificateError, match="misses the facet module"):
+        pushforward(fmap, M)
+    with pytest.raises(
+        CertificateError, match="summand boundary has no preimage at degree"
+    ):
+        _peel(N, 0, 0)
+
+
 def test_walk_rejects_dependent_generator_images(monkeypatch):
     """Summands built with their first generator repeated at each cone
     send two generators to one image, which the walk refuses at the

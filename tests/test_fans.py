@@ -19,6 +19,7 @@ from fansheaf.errors import InputError
 from fansheaf.fans import (
     Cone,
     Fan,
+    dot,
     is_complete,
     load_fan,
     parse_fan,
@@ -29,9 +30,16 @@ from fansheaf.modules import ConeRing, restriction
 
 import brute_oracle
 from brute_oracle import all_pairs_valid
-from conftest import EXTRA_FANS, RAY_IN_QUADRANT, SQUARE_DIAGONAL, fan_path
+from conftest import (
+    EXTRA_FANS,
+    FACET_SUBDIVISIONS,
+    RAY_IN_QUADRANT,
+    SQUARE_DIAGONAL,
+    fan_file,
+    fan_path,
+)
 from quotient import cone_by_rays, quotient_fan
-from strategies import incomplete_fans_2d
+from strategies import incomplete_fans_2d, stellar_subdivisions
 from test_fuzz import FANS, FUZZ, mutated
 
 TESTS = Path(__file__).resolve().parent
@@ -68,6 +76,24 @@ def test_canonical_order_and_round_trip(corpus):
         fan2 = parse_fan(fan.to_text())
         assert fan2.to_text() == fan.to_text()
         assert len(fan2.cones) == len(fan.cones)
+
+
+@pytest.mark.parametrize(
+    "cones, error",
+    [
+        ([[0, 1], [0, 2, 3]], "listed generators are not the extreme rays"),
+        ([[0, 2, 3], [0, 1]], "cone contains a line"),
+        ([[0, 1], [0, 2, 3], [0, 1]], "listed generators are not"),
+    ],
+    ids=["line-then-quadrant", "quadrant-then-line", "line-repeated"],
+)
+def test_two_bad_cones_report_the_last_distinct_one(cones, error):
+    """Of two invalid listed cones, a line and a quadrant listed with
+    the non-extreme ray (1, 1), the last distinct one is reported; a
+    repeated listing does not move a cone."""
+    rays = [(1, 0), (-1, 0), (0, 1), (1, 1)]
+    with pytest.raises(InputError, match=f"^{error}"):
+        Fan.from_cones(2, rays, cones)
 
 
 def test_parse_errors():
@@ -223,7 +249,7 @@ def test_subdivision_map_blowup(corpus):
     fm = subdivision_map(src, tgt)
     assert fm.proper
     quad = tgt.cones[-1].index
-    pre = fm.preimage_cones(quad)
+    pre = fm.tiles[quad]
     assert len(pre) == 2
     assert all(src.cones[p].dim == 2 for p in pre)
     # the diagonal ray sits over the quadrant, not over a boundary ray
@@ -271,17 +297,17 @@ def test_subdivision_identity(corpus):
 def test_subdivision_two_step(corpus):
     fm = subdivision_map(corpus["twostep"], corpus["quadrant"])
     assert fm.proper
-    assert len(fm.preimage_cones(corpus["quadrant"].cones[-1].index)) == 3
+    assert len(fm.tiles[corpus["quadrant"].cones[-1].index]) == 3
 
 
 def test_subdivision_star_square(corpus):
     fm = subdivision_map(corpus["starsq"], corpus["conesquare"])
     assert fm.proper
     top = corpus["conesquare"].cones[-1].index
-    assert len(fm.preimage_cones(top)) == 4
+    assert len(fm.tiles[top]) == 4
     # each wall of the target is its own preimage tile
     for w in corpus["conesquare"].cones_of_dim(2):
-        assert len(fm.preimage_cones(w)) == 1
+        assert len(fm.tiles[w]) == 1
 
 
 def _ray_sum(fan, cone):
@@ -350,6 +376,52 @@ def test_subdivision_map_matches_brute_scan(corpus):
         assert _subdivision_outcome(source, target) == want, (source, target)
     assert _brute_subdivision(half, corpus["quadrant"])[1] is False
     assert "not contained" in _brute_subdivision(outside, corpus["quadrant"])
+
+
+def _in_relative_interior(cone, v):
+    """Is v in the relative interior of the cone: on its span, and
+    strictly inside every facet?"""
+    return not any(dot(eq, v) for eq in cone.span_eqs) and all(
+        dot(f, v) > 0 for f in cone.facet_normals
+    )
+
+
+def _check_tiles_and_walls(fm):
+    """tiles[t] and walls[t] against geometry that never reads the
+    assignment: the source cones of t's dimension, and of one less,
+    whose ray sums lie in t's relative interior.  On a proper map every
+    wall is a ridge of exactly two tiles."""
+    source, target = fm.source, fm.target
+    assert len(fm.tiles) == len(fm.walls) == len(target.cones)
+    for t in target.cones:
+        for gap, table in [(0, fm.tiles), (1, fm.walls)]:
+            want = tuple(
+                c.index
+                for c in source.cones
+                if c.dim == t.dim - gap
+                and _in_relative_interior(t, _ray_sum(source, c))
+            )
+            assert table[t.index] == want, (t.index, gap)
+        if fm.proper:
+            for w in fm.walls[t.index]:
+                sides = [p for p in fm.tiles[t.index] if source.is_facet(w, p)]
+                assert len(sides) == 2, (t.index, w)
+
+
+@pytest.mark.parametrize(
+    "src, tgt",
+    SUBDIVISION_PAIRS + [("cubestar", "cubefan")] + FACET_SUBDIVISIONS,
+)
+def test_tiles_and_walls_match_geometry(src, tgt):
+    fm = subdivision_map(load_fan(fan_file(src)), load_fan(fan_file(tgt)))
+    assert fm.proper
+    _check_tiles_and_walls(fm)
+
+
+@settings(max_examples=12, deadline=None)
+@given(fm=stellar_subdivisions())
+def test_stellar_tiles_and_walls_match_geometry(fm):
+    _check_tiles_and_walls(fm)
 
 
 def test_fan_of_origin_only():

@@ -106,7 +106,7 @@ def test_facet_images_lie_in_facet_families(monkeypatch, src, tgt):
     monkeypatch.setattr(pushforward_module, "kernel_cover", recording)
     pushforward(fmap, M)
     tiles = {
-        c.index: [i for i in fmap.preimage_cones(c.index) if M.rank_at(i)]
+        c.index: [i for i in fmap.tiles[c.index] if M.rank_at(i)]
         for c in fmap.target.cones
     }
     # one search per cone with tiles, in cone order

@@ -113,7 +113,7 @@ def test_freeness_certified_once_per_cone(monkeypatch):
     tiled = [
         c.index
         for c in fmap.target.cones
-        if any(M.rank_at(i) for i in fmap.preimage_cones(c.index))
+        if any(M.rank_at(i) for i in fmap.tiles[c.index])
     ]
     assert len(tiled) == 4
     assert len(calls) == len(tiled)

@@ -128,7 +128,7 @@ def tile_pairs(fmap):
     """(target cone, tile) rings of a subdivision map; the tiles' rings
     live in another fan."""
     for sigma in fmap.target.cones:
-        for tile in fmap.preimage_cones(sigma.index):
+        for tile in fmap.tiles[sigma.index]:
             yield (
                 cone_ring(fmap.target, sigma.index),
                 cone_ring(fmap.source, tile),
